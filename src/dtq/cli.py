@@ -102,8 +102,13 @@ class Experiment:
         else:
             raise ConfigError(f"unknown discipline {disc!r}")
 
-        if isinstance(self.arrival, Bernoulli) and isinstance(self.discipline, Fifo):
-            rho = self.alpha * self.service.mean() / self.servers
+        # stability is known from the specs alone, so reject before any simulation
+        if isinstance(self.arrival, (Bernoulli, Renewal)) and isinstance(self.discipline, Fifo):
+            if isinstance(self.arrival, Bernoulli):
+                lam = self.alpha
+            else:
+                lam = 1.0 / self.arrival.interarrival.mean()
+            rho = lam * self.service.mean() / self.servers
             if rho >= 1.0:
                 raise ConfigError(f"unstable configuration: utilization {rho:.3f} >= 1")
 

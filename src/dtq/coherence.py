@@ -2,11 +2,17 @@
 
 Every scheduling-rule/observation-epoch combination shifts each
 customer's observed waiting time by the same amount, -1, 0 or +1 slot,
-regardless of the trace.  The classifier derives the offset from a
-single probe customer; the shift maps and epoch positions are
-translation invariant in both the slot index and the sojourn length, so
-the probe's offset is every customer's offset.  Anything outside
-{-1, 0, +1} indicates a broken time base and raises.
+regardless of the trace.  A combo sees a customer at slots A + s0 ..
+D + e0 (see :func:`dtq.timebase.span_shift`), so its observed wait is
+D - A + e0 - s0 + 1 and its offset is e0 - s0 + 1.  The classifier reads
+the class straight off the shift; of the five shifts the 30 combos
+share, (0, -1) and (1, 0) are coherent, (1, -1) and (0, -2) sub-coherent
+and (0, 0) super-coherent.  Anything outside {-1, 0, +1} indicates a
+broken time base and raises.  :func:`verify_on_trace` checks the class
+against every customer of a trace.  It reads the per-customer observed
+waits directly, so it never touches the averages that
+:func:`dtq.observer.time_averages` memoizes on a trace; that memo relies
+on traces being immutable and never holds a slot-length path.
 """
 from __future__ import annotations
 
@@ -16,8 +22,8 @@ from enum import Enum
 import numpy as np
 
 from .engine import Trace
-from .observer import actual_wait, observed_wait, observed_waits
-from .timebase import EPOCHS, RULES, ObservationEpoch, SchedulingRule
+from .observer import observed_waits
+from .timebase import EPOCHS, RULES, ObservationEpoch, SchedulingRule, span_shift
 
 __all__ = [
     "CoherenceClass",
@@ -47,38 +53,29 @@ class CoherenceClass(Enum):
     def short(self) -> str:
         return {"coherent": "coh", "sub-coherent": "sub", "super-coherent": "super"}[self.value]
 
+    @property
+    def offset(self) -> int:
+        """Observed minus actual waiting time of every customer, in slots."""
+        return {"coherent": 0, "sub-coherent": -1, "super-coherent": 1}[self.value]
+
 
 class OffsetViolation(RuntimeError):
     """A per-customer offset fell outside {-1, 0, +1}."""
 
 
-_OFFSET_CLASS = {
-    0: CoherenceClass.COHERENT,
-    -1: CoherenceClass.SUB_COHERENT,
-    1: CoherenceClass.SUPER_COHERENT,
-}
-
-_PROBE_ARRIVAL, _PROBE_DEPARTURE = 10, 12
-
-
 def classify(rule: SchedulingRule, epoch: ObservationEpoch) -> CoherenceClass:
-    w = actual_wait(_PROBE_ARRIVAL, _PROBE_DEPARTURE)
-    w_obs = observed_wait(rule, epoch, _PROBE_ARRIVAL, _PROBE_DEPARTURE)
-    offset = w_obs - w
-    cls = _OFFSET_CLASS.get(offset)
-    if cls is None:
-        raise OffsetViolation(
-            f"offset {offset} for ({rule.label}, {epoch.label}); expected -1, 0 or +1"
-        )
-    return cls
+    s0, e0 = span_shift(rule, epoch)
+    offset = e0 - s0 + 1
+    for cls in CoherenceClass:
+        if cls.offset == offset:
+            return cls
+    raise OffsetViolation(
+        f"offset {offset} for ({rule.label}, {epoch.label}); expected -1, 0 or +1"
+    )
 
 
 def expected_offset(rule: SchedulingRule, epoch: ObservationEpoch) -> int:
-    return {
-        CoherenceClass.COHERENT: 0,
-        CoherenceClass.SUB_COHERENT: -1,
-        CoherenceClass.SUPER_COHERENT: 1,
-    }[classify(rule, epoch)]
+    return classify(rule, epoch).offset
 
 
 def classification_table() -> dict[tuple[SchedulingRule, ObservationEpoch], CoherenceClass]:

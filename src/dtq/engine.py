@@ -255,6 +255,15 @@ class Trace:
     def n(self) -> int:
         return len(self.arrivals)
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Derived summaries, filled lazily by :func:`dtq.observer.time_averages`.
+
+        Entries never go stale because a trace is immutable; they hold no
+        slot-length path.
+        """
+        return {}
+
     @property
     def waits(self) -> np.ndarray:
         """Actual sojourn times D_k - A_k."""

@@ -98,8 +98,7 @@ def check_little_observed(
     """
     est = time_averages(trace, rule, epoch, warmup=warmup)
     klass = classify(rule, epoch)
-    offset = {CoherenceClass.COHERENT: 0, CoherenceClass.SUB_COHERENT: -1,
-              CoherenceClass.SUPER_COHERENT: 1}[klass]
+    offset = klass.offset
     target = est.lam * (est.W + offset)
     residual_obs = abs(est.L_obs - est.lam * est.W_obs)
     residual_class = abs(est.L_obs - target)

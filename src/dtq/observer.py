@@ -2,8 +2,18 @@
 
 The actual system counts a customer at slot index j when A < j <= D.
 Under a scheduling rule and observation epoch the same customer is seen
-exactly at the slot indices returned by timebase.observation_span; all
-observed quantities here are indicator sums over that span.
+exactly at the slot indices A + s0 .. D + e0, where (s0, e0) is the
+combo's :func:`dtq.timebase.span_shift`; all observed quantities here
+are indicator sums over that span.  The 30 combos share only five span
+shifts, so every observed quantity is a function of the shift alone.
+
+:func:`time_averages` memoizes on the trace, lazily: the actual block
+(lambda, W, L, pi and the completed-customer mask) per (warmup,
+convention) and the observed block (W_obs, L_obs, pi_obs) per (s0, e0,
+warmup).  The memo relies on traces being immutable: a Trace is frozen
+and its arrays must not be modified in place once averages are taken.
+It holds scalars, state histograms and one customer-length mask, never
+a slot-length path, and it hands out copies, so callers cannot alter it.
 """
 from __future__ import annotations
 
@@ -13,7 +23,7 @@ import numpy as np
 
 from . import busy as busy_mod
 from .engine import Trace
-from .timebase import ObservationEpoch, SchedulingRule, observation_span
+from .timebase import ObservationEpoch, SchedulingRule, observation_span, span_shift
 
 __all__ = [
     "InsufficientDataError",
@@ -58,8 +68,8 @@ def observed_wait(
 
 def observed_waits(trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch) -> np.ndarray:
     """Per-customer observed waiting times as an array."""
-    start, end = observation_span(rule, epoch, trace.arrivals, trace.departures)
-    return np.maximum(0, end - np.maximum(start, 1) + 1)
+    s0, e0 = span_shift(rule, epoch)
+    return np.maximum(0, trace.departures + e0 - np.maximum(trace.arrivals + s0, 1) + 1)
 
 
 def queue_length(trace: Trace, tau: int, convention: str = "strict-left") -> int:
@@ -84,9 +94,9 @@ def observed_queue_path(
 ) -> np.ndarray:
     """Observed number-in-system at u(j) for j = 0..horizon (entry 0 is 0)."""
     T = trace.horizon
-    start, end = observation_span(rule, epoch, trace.arrivals, trace.departures)
-    lo = np.clip(start, 1, T + 1)
-    hi = np.clip(end + 1, 1, T + 1)
+    s0, e0 = span_shift(rule, epoch)
+    lo = np.clip(trace.arrivals + s0, 1, T + 1)
+    hi = np.clip(trace.departures + (e0 + 1), 1, T + 1)
     delta = np.bincount(lo, minlength=T + 2) - np.bincount(hi, minlength=T + 2)
     return np.cumsum(delta[: T + 1])
 
@@ -154,15 +164,31 @@ def time_averages(
 
     W averages only customers that both arrive and depart inside the
     window; lambda counts arrivals per window slot.  With no rule/epoch
-    the observed columns coincide with the actual ones.
+    the observed columns coincide with the actual ones.  Results are
+    memoized on the trace (see the module docstring).
     """
     T = trace.horizon
     if warmup is None:
         warmup = T // 10
     if not 0 <= warmup < T:
         raise ValueError(f"warmup {warmup} must lie in [0, horizon)")
-    span = T - warmup
+    lam, W, L, pi, n_completed, completed = _actual_block(trace, warmup, convention)
+    if rule is None or epoch is None:
+        W_obs, L_obs, pi_obs = W, L, pi
+    else:
+        W_obs, L_obs, pi_obs = _observed_block(trace, rule, epoch, warmup, completed)
+    return QueueEstimates(
+        lam, W, L, W_obs, L_obs, pi.copy(), pi_obs.copy(), T, warmup, rule, epoch, n_completed
+    )
 
+
+def _actual_block(trace: Trace, warmup: int, convention: str):
+    key = ("actual", warmup, convention)
+    block = trace._memo.get(key)
+    if block is not None:
+        return block
+    T = trace.horizon
+    span = T - warmup
     inside = trace.arrivals > warmup
     n_arrived = int(np.count_nonzero(inside & (trace.arrivals <= T)))
     lam = n_arrived / span
@@ -178,18 +204,28 @@ def time_averages(
     path = trace.queue_path(convention)[warmup + 1 :]
     L = float(path.mean())
     pi = np.bincount(path) / span
+    block = trace._memo[key] = (lam, W, L, pi, n_completed, completed)
+    return block
 
-    if rule is None or epoch is None:
-        W_obs, L_obs, pi_obs = W, L, pi.copy()
-    else:
-        W_obs = float(observed_waits(trace, rule, epoch)[completed].mean())
-        opath = observed_queue_path(trace, rule, epoch)[warmup + 1 :]
-        L_obs = float(opath.mean())
-        pi_obs = np.bincount(opath) / span
 
-    return QueueEstimates(
-        lam, W, L, W_obs, L_obs, pi, pi_obs, T, warmup, rule, epoch, n_completed
-    )
+def _observed_block(
+    trace: Trace,
+    rule: SchedulingRule,
+    epoch: ObservationEpoch,
+    warmup: int,
+    completed: np.ndarray,
+):
+    # the completed mask depends on the warmup alone, so the key needs no convention
+    key = ("observed", *span_shift(rule, epoch), warmup)
+    block = trace._memo.get(key)
+    if block is not None:
+        return block
+    W_obs = float(observed_waits(trace, rule, epoch)[completed].mean())
+    opath = observed_queue_path(trace, rule, epoch)[warmup + 1 :]
+    L_obs = float(opath.mean())
+    pi_obs = np.bincount(opath) / (trace.horizon - warmup)
+    block = trace._memo[key] = (W_obs, L_obs, pi_obs)
+    return block
 
 
 @dataclass(frozen=True)

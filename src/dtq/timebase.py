@@ -14,6 +14,16 @@ after their positions.  Placing positions on an even integer grid leaves
 the odd coordinates free for in-gap events, so every ordering decision
 in the package is an exact integer comparison; no floating point enters
 the time base.
+
+A rule/epoch combination acts on a customer with actual slots (A, D)
+only through one integer pair, its span shift (s0, e0): the customer is
+observed exactly at the slot indices A + s0 .. D + e0.  :func:`span_shift`
+is the one place the rule/epoch encoding is reduced to that pair.  Only
+five pairs occur over the 30 combinations: (0, -1) x 9, (1, 0) x 8,
+(1, -1) x 7, (0, 0) x 5 and (0, -2) x 1.  Everything observed depends on
+the pair alone, so downstream code computes and memoizes per pair (see
+:mod:`dtq.observer`), and the observed-wait offset e0 - s0 + 1 gives the
+coherence class (see :mod:`dtq.coherence`).
 """
 from __future__ import annotations
 
@@ -34,6 +44,7 @@ __all__ = [
     "departure_shift",
     "epoch_phase",
     "epoch_point",
+    "span_shift",
     "observation_span",
 ]
 
@@ -217,21 +228,32 @@ def epoch_point(rule: SchedulingRule, epoch: ObservationEpoch, t: int) -> MicroT
     return MicroTime(t, epoch_phase(rule, epoch))
 
 
-def observation_span(rule, epoch, arrival_slot, departure_slot):
-    """Inclusive slot range whose observation instants see the customer.
+def span_shift(rule: SchedulingRule, epoch: ObservationEpoch) -> tuple[int, int]:
+    """Slot shifts (s0, e0) of the observed span under a rule/epoch combo.
 
     A customer with actual arrival/departure slots (a, d) is observed at
     slot index t exactly when its scheduled arrival precedes u(t) and its
     scheduled departure does not.  Events live on odd grid coordinates
     and observation instants on even ones, so the boundary cases reduce
-    to two integer threshold tests.  Accepts scalars or numpy arrays for
-    the slots; returns (start, end), empty when end < start.
+    to two integer threshold tests, independent of (a, d): the customer
+    is seen at t = a + s0 .. d + e0.
     """
     a_phase = _ARRIVAL_PHASE[rule]
     arr_coord = 2 * int(a_phase) + _EVENT_SIDE[a_phase]
     d_delta, d_phase = _DEPARTURE_SHIFT[rule]
     dep_coord = 2 * int(d_phase) + _EVENT_SIDE[d_phase]
     obs_coord = 2 * int(epoch_phase(rule, epoch))
-    start = arrival_slot + (1 if arr_coord >= obs_coord else 0)
-    end = departure_slot + d_delta - (1 if obs_coord > dep_coord else 0)
-    return start, end
+    s0 = 1 if arr_coord >= obs_coord else 0
+    e0 = d_delta - (1 if obs_coord > dep_coord else 0)
+    return s0, e0
+
+
+def observation_span(rule, epoch, arrival_slot, departure_slot):
+    """Inclusive slot range whose observation instants see the customer.
+
+    Accepts scalars or numpy arrays for the slots; returns
+    (arrival + s0, departure + e0) for the combo's :func:`span_shift`,
+    empty when end < start.
+    """
+    s0, e0 = span_shift(rule, epoch)
+    return arrival_slot + s0, departure_slot + e0

@@ -101,6 +101,19 @@ class TestVerify:
         assert main(["--config", str(path), "verify"]) == 2
         assert "unstable" in capsys.readouterr().err
 
+    def test_unstable_renewal_rejected_before_simulation(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("build_trace called for an unstable configuration")
+
+        monkeypatch.setattr(cli, "build_trace", no_simulation)
+        path = tmp_path / "unstable.ini"
+        path.write_text(
+            SMALL_CONFIG.replace("arrival = bernoulli", "arrival = renewal\ninterarrival = point:1")
+        )
+        assert main(["--config", str(path), "verify"]) == 2
+        err = capsys.readouterr().err
+        assert "unstable" in err and "utilization 2.000" in err
+
     def test_missing_config_rejected(self, capsys):
         assert main(["--config", "/does/not/exist.ini", "verify"]) == 2
 

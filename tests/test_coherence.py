@@ -10,6 +10,7 @@ from dtq.coherence import (
     GOLDEN_CLASS_GRID,
     GOLDEN_EDGE_CENTER_OK,
     CoherenceClass,
+    OffsetViolation,
     classification_rows,
     classification_table,
     classify,
@@ -58,9 +59,18 @@ def test_edge_and_center_summary():
 )
 @settings(max_examples=200, deadline=None)
 def test_offset_is_customer_independent(rule, epoch, a, w):
-    # the probe-based class must predict the offset for any arrival/sojourn
+    # the shift-based class must predict the offset for any arrival/sojourn
     off = observed_wait(rule, epoch, a, a + w) - actual_wait(a, a + w)
     assert off == expected_offset(rule, epoch)
+
+
+@pytest.mark.parametrize("shift", [(1, -2), (0, 1)])
+def test_offset_outside_unit_range_raises(monkeypatch, shift):
+    from dtq import coherence
+
+    monkeypatch.setattr(coherence, "span_shift", lambda rule, epoch: shift)
+    with pytest.raises(OffsetViolation):
+        classify(R.EAS, E.RANDOM_OBSERVER)
 
 
 @pytest.mark.parametrize("rule,epoch", list(itertools.product(RULES, EPOCHS)))

@@ -34,7 +34,7 @@ from dtq.observer import (
     queue_length_observed,
     time_averages,
 )
-from dtq.timebase import EPOCHS, RULES, ObservationEpoch as E, SchedulingRule as R
+from dtq.timebase import EPOCHS, RULES, ObservationEpoch as E, SchedulingRule as R, observation_span
 
 ALL_COMBOS = list(itertools.product(RULES, EPOCHS))
 
@@ -192,6 +192,70 @@ class TestTimeAverages:
         }
         assert blob["rule"] == "EAS"
         assert blob["epoch"] == "random-observer"
+
+
+def _memo_free_averages(trace, rule, epoch, warmup, convention):
+    """Per-combo bincount over observation_span, as computed before the memo."""
+    T = trace.horizon
+    span = T - warmup
+    inside = trace.arrivals > warmup
+    lam = int(np.count_nonzero(inside & (trace.arrivals <= T))) / span
+    completed = inside & (trace.departures <= T)
+    W = float(trace.waits[completed].mean())
+    path = trace.queue_path(convention)[warmup + 1 :]
+    start, end = observation_span(rule, epoch, trace.arrivals, trace.departures)
+    W_obs = float(np.maximum(0, end - np.maximum(start, 1) + 1)[completed].mean())
+    lo = np.clip(start, 1, T + 1)
+    hi = np.clip(end + 1, 1, T + 1)
+    delta = np.bincount(lo, minlength=T + 2) - np.bincount(hi, minlength=T + 2)
+    opath = np.cumsum(delta[: T + 1])[warmup + 1 :]
+    return {
+        "lam": lam,
+        "W": W,
+        "L": float(path.mean()),
+        "pi": np.bincount(path) / span,
+        "n_completed": int(np.count_nonzero(completed)),
+        "W_obs": W_obs,
+        "L_obs": float(opath.mean()),
+        "pi_obs": np.bincount(opath) / span,
+    }
+
+
+def _assert_bitwise_equal(est, ref):
+    for name, want in ref.items():
+        got = getattr(est, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        else:
+            assert got == want, name
+
+
+class TestTimeAveragesMemo:
+    @pytest.mark.parametrize("convention", ["strict-left", "strict-right"])
+    @pytest.mark.parametrize("warmup", [0, 1_000])
+    def test_matches_memo_free_computation(self, small_bgeom1_trace, warmup, convention):
+        for rule, epoch in ALL_COMBOS:
+            est = time_averages(small_bgeom1_trace, rule, epoch, warmup, convention)
+            ref = _memo_free_averages(small_bgeom1_trace, rule, epoch, warmup, convention)
+            _assert_bitwise_equal(est, ref)
+
+    def test_traces_do_not_share_entries(self, small_bgeom1_trace):
+        other = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 4, 10_000)
+        first = time_averages(small_bgeom1_trace, R.EAS, E.RANDOM_OBSERVER, 1_000)
+        second = time_averages(other, R.EAS, E.RANDOM_OBSERVER, 1_000)
+        _assert_bitwise_equal(
+            second, _memo_free_averages(other, R.EAS, E.RANDOM_OBSERVER, 1_000, "strict-left")
+        )
+        assert (second.lam, second.L, second.L_obs) != (first.lam, first.L, first.L_obs)
+
+    @pytest.mark.parametrize("rule,epoch", [(None, None), (R.LAS_DA, E.RANDOM_OBSERVER)])
+    def test_returned_histograms_do_not_alias_the_memo(self, small_bgeom1_trace, rule, epoch):
+        before = time_averages(small_bgeom1_trace, rule, epoch, 500)
+        pi, pi_obs = before.pi.copy(), before.pi_obs.copy()
+        before.pi[:] = -1.0
+        before.pi_obs[:] = -1.0
+        after = time_averages(small_bgeom1_trace, rule, epoch, 500)
+        assert np.array_equal(after.pi, pi) and np.array_equal(after.pi_obs, pi_obs)
 
 
 class TestCycleVisitCounts:

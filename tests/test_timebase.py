@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import oracle_observed_wait
 from dtq.timebase import (
     EPOCHS,
     RULES,
@@ -15,6 +17,7 @@ from dtq.timebase import (
     epoch_point,
     shift_arrival,
     shift_departure,
+    span_shift,
 )
 
 R, E = SchedulingRule, ObservationEpoch
@@ -146,3 +149,15 @@ def test_rendering():
     assert str(MicroTime(5, Phase.MM)) == "5--"
     assert str(MicroTime(5, Phase.CENTER)) == "5-0.5"
     assert str(MicroTime(5, Phase.EDGE)) == "5"
+
+
+def test_span_shift_takes_five_values():
+    shifts = Counter(span_shift(rule, epoch) for rule, epoch in itertools.product(RULES, EPOCHS))
+    assert shifts == {(0, -1): 9, (1, 0): 8, (1, -1): 7, (0, 0): 5, (0, -2): 1}
+
+
+@pytest.mark.parametrize("rule,epoch", list(itertools.product(RULES, EPOCHS)))
+def test_span_shift_offset_matches_rational_oracle(rule, epoch):
+    s0, e0 = span_shift(rule, epoch)
+    for a, w in [(1, 1), (2, 3), (7, 1), (10, 2), (25, 6)]:
+        assert e0 - s0 + 1 == oracle_observed_wait(rule, epoch, a, a + w) - w, (a, w)
