@@ -7,8 +7,8 @@ micro-time shifts applied on top (see :mod:`dtq.timebase`).
 """
 from __future__ import annotations
 
-import csv
 import heapq
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +30,6 @@ __all__ = [
     "sample_services",
     "run_discipline",
     "shift_trace",
-    "pgf_eval",
     "simulate_finite_population",
     "build_trace",
     "write_trace_csv",
@@ -122,10 +121,6 @@ class DiscreteDist:
         u = rng.random(n)
         idx = np.searchsorted(cdf, u, side="right")
         return vals[np.minimum(idx, len(vals) - 1)]
-
-
-def pgf_eval(dist: DiscreteDist, z: float) -> float:
-    return dist.pgf(z)
 
 
 # --- model specs -----------------------------------------------------------
@@ -257,7 +252,8 @@ class Trace:
 
     @cached_property
     def _memo(self) -> dict:
-        """Derived summaries, filled lazily by :func:`dtq.observer.time_averages`.
+        """Derived summaries, filled lazily by :func:`dtq.observer.time_averages`
+        and :func:`dtq.littles.workload_moments`.
 
         Entries never go stale because a trace is immutable; they hold no
         slot-length path.
@@ -520,43 +516,51 @@ def build_trace(
 # --- trace files -----------------------------------------------------------
 
 _CSV_HEADER = ["k", "A", "S", "Astart", "D"]
+_CSV_SERVER = "server"
+_CSV_CHUNK = 1 << 16  # rows formatted per write, bounds the transient int list
 
 
 def write_trace_csv(trace: Trace, path) -> None:
+    """Write one row per customer, with the CRLF line ends ``csv.writer``
+    emits; a ``server`` column follows exactly when the trace carries a
+    server assignment."""
+    header = list(_CSV_HEADER)
+    cols = [np.arange(1, trace.n + 1), trace.arrivals, trace.services, trace.starts, trace.departures]
+    if trace.servers is not None:
+        header.append(_CSV_SERVER)
+        cols.append(trace.servers)
+    table = np.column_stack(cols)
+    row = ",".join(["%d"] * len(cols)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_HEADER)
-        for k in range(trace.n):
-            w.writerow(
-                [
-                    k + 1,
-                    int(trace.arrivals[k]),
-                    int(trace.services[k]),
-                    int(trace.starts[k]),
-                    int(trace.departures[k]),
-                ]
-            )
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, trace.n, _CSV_CHUNK):
+            block = table[i : i + _CSV_CHUNK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_trace_csv(path, disc: DisciplineSpec | None = None, horizon: int | None = None) -> Trace:
     """Load a trace file.
 
-    Full rows reproduce the stored path verbatim; files carrying only
+    Full rows reproduce the stored path verbatim, server assignment
+    included when the file has a ``server`` column; files carrying only
     (A, S) columns are re-run through the given discipline (FIFO single
     server when omitted).
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][: 2] != ["k", "A"]:
-        raise ValueError(f"{path}: not a trace file")
-    header = rows[0]
-    body = [r for r in rows[1:] if r]
-    arrivals = np.asarray([int(r[1]) for r in body], dtype=np.int64)
-    if header == _CSV_HEADER and all(len(r) == 5 for r in body):
-        services = np.asarray([int(r[2]) for r in body], dtype=np.int64)
-        starts = np.asarray([int(r[3]) for r in body], dtype=np.int64)
-        deps = np.asarray([int(r[4]) for r in body], dtype=np.int64)
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header[:2] != ["k", "A"]:
+            raise ValueError(f"{path}: not a trace file")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file has no rows
+            body = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+    if body.size == 0:
+        body = body.reshape(0, len(header))
+    if body.shape[1] < 3:
+        raise ValueError(f"{path}: need at least the k, A and S columns")
+    cols = body.T.copy()  # one contiguous row per column
+    if header in (_CSV_HEADER, _CSV_HEADER + [_CSV_SERVER]) and len(cols) == len(header):
+        deps = cols[4]
         T = horizon if horizon is not None else (int(deps.max()) if len(deps) else 1)
-        return Trace(arrivals, services, starts, deps, T)
-    services = np.asarray([int(r[2]) for r in body], dtype=np.int64)
-    return run_discipline(arrivals, services, disc or Fifo(1), horizon)
+        servers = cols[5] if len(cols) == 6 else None
+        return Trace(cols[1], cols[2], cols[3], deps, T, servers)
+    return run_discipline(cols[1], cols[2], disc or Fifo(1), horizon)

@@ -134,14 +134,12 @@ def basic_inequality_path(trace: Trace) -> bool:
     """The sandwich at every slot index up to the horizon, integer exact."""
     T = trace.horizon
     waits = trace.waits
-    upper = np.zeros(T + 1, dtype=np.int64)
-    lower = np.zeros(T + 1, dtype=np.int64)
-    a = np.clip(trace.arrivals, 0, T)
-    d = np.clip(trace.departures, 0, T + 1)
-    np.add.at(upper, a[trace.arrivals <= T], waits[trace.arrivals <= T])
-    np.add.at(lower, d[trace.departures <= T], waits[trace.departures <= T])
-    upper = np.cumsum(upper)
-    lower = np.cumsum(lower)
+    arrived = trace.arrivals <= T
+    departed = trace.departures <= T
+    upper = np.bincount(trace.arrivals[arrived], weights=waits[arrived], minlength=T + 1)
+    lower = np.bincount(trace.departures[departed], weights=waits[departed], minlength=T + 1)
+    upper = np.cumsum(upper.astype(np.int64))
+    lower = np.cumsum(lower.astype(np.int64))
     middle = np.cumsum(trace.queue_path()[: T + 1])
     return bool(np.all(upper >= middle) and np.all(middle >= lower))
 
@@ -152,41 +150,103 @@ class CostContractError(ValueError):
 
 @dataclass(frozen=True)
 class CostFunction:
-    """Per-customer cost rate with a declared finite support.
+    """Per-customer cost rate, piecewise linear in the slot index, with a
+    declared finite support.
 
-    ``rate(trace, k, tau)`` is the cost rate of customer k at slot index
-    tau and must vanish outside (A_k, A_k + support(trace, k)].
+    ``pieces(trace)`` returns five equal-length arrays
+    ``(owner, lo, hi, const, slope)``: piece i charges customer
+    ``owner[i]`` the rate ``const[i] - slope[i] * tau`` at every slot
+    index ``lo[i] <= tau <= hi[i]`` (a piece with ``hi < lo`` is empty).
+    A customer's rate is the sum of its pieces.  ``support(trace)`` gives
+    each customer's window length w_k; every nonempty piece must lie in
+    (A_k, A_k + w_k], or :func:`check_h_lambda_g` raises
+    :class:`CostContractError`.
     """
 
-    rate: Callable[[Trace, int, int], float]
-    support: Callable[[Trace, int], int]
+    pieces: Callable[[Trace], tuple[np.ndarray, ...]]
+    support: Callable[[Trace], np.ndarray]
     name: str = "cost"
+
+
+def _indicator_pieces(trace: Trace):
+    n = trace.n
+    return np.arange(n), trace.arrivals + 1, trace.departures, np.ones(n), np.zeros(n)
 
 
 def indicator_cost() -> CostFunction:
     """One unit per slot while in the system; reduces to Little's law."""
+    return CostFunction(_indicator_pieces, lambda trace: trace.waits, "indicator")
 
-    def rate(trace: Trace, k: int, tau: int) -> float:
-        return 1.0 if trace.arrivals[k] < tau <= trace.departures[k] else 0.0
 
-    return CostFunction(rate, lambda trace, k: int(trace.waits[k]), "indicator")
+def _remaining_work_spans(trace: Trace):
+    # (lo, hi, const, slope) of every customer's waiting piece, flat at S_k
+    # on (A_k, B_k], then of its service piece, D_k - tau on (B_k, D_k]
+    a, b, s, d = trace.arrivals, trace.starts, trace.services, trace.departures
+    lo = np.concatenate((a, b))
+    lo += 1
+    return lo, np.concatenate((b, d)), np.concatenate((s, d), dtype=float), np.repeat([0.0, 1.0], trace.n)
+
+
+def _remaining_work_pieces(trace: Trace):
+    owner = np.arange(trace.n)
+    return (np.concatenate((owner, owner)), *_remaining_work_spans(trace))
 
 
 def remaining_work_cost() -> CostFunction:
     """Work still owed to the customer: full service while waiting, then
     decreasing by one per served slot."""
+    return CostFunction(_remaining_work_pieces, lambda trace: trace.waits, "remaining-work")
 
-    def rate(trace: Trace, k: int, tau: int) -> float:
-        a = int(trace.arrivals[k])
-        b = int(trace.starts[k])
-        d = int(trace.departures[k])
-        if a < tau <= b:
-            return float(trace.services[k])
-        if b < tau <= d:
-            return float(d - tau)
-        return 0.0
 
-    return CostFunction(rate, lambda trace, k: int(trace.waits[k]), "remaining-work")
+def _piece_path(horizon: int, lo, hi, const, slope) -> np.ndarray:
+    """Sum of the pieces' values at every slot index 0..horizon.
+
+    Two difference arrays, one for the constant and one for the slope
+    terms, clipped to the horizon; the path is their prefix sums
+    combined as ``C(tau) - tau * S(tau)``.
+    """
+    T = horizon
+    lo_c = np.clip(lo, 0, T + 1)
+    hi_c = hi + 1
+    np.maximum(hi_c, lo, out=hi_c)  # an empty piece cancels
+    np.clip(hi_c, 0, T + 1, out=hi_c)
+
+    # in place throughout: the kernel sets the peak memory of a verify run
+    def prefix(w):
+        w = np.asarray(w, dtype=float)
+        # bincount returns integers when there are no pieces
+        delta = np.bincount(lo_c, weights=w, minlength=T + 2).astype(float, copy=False)
+        delta -= np.bincount(hi_c, weights=w, minlength=T + 2)
+        return np.cumsum(delta[: T + 1], out=delta[: T + 1])
+
+    path = prefix(const)
+    tau_slope = prefix(slope)
+    tau_slope *= np.arange(T + 1, dtype=float)
+    path -= tau_slope
+    return path
+
+
+def _cost_profile(trace: Trace, cost: CostFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Total cost rate at slot indices 0..horizon and each customer's
+    total cost over its full support, unclipped by the horizon.
+
+    Checks every nonempty piece against the declared support and raises
+    CostContractError on a violation.
+    """
+    owner, lo, hi, const, slope = (np.asarray(x) for x in cost.pieces(trace))
+    w = np.asarray(cost.support(trace))
+    a = trace.arrivals[owner]
+    bad = (lo <= hi) & ((lo <= a) | (hi > a + w[owner]))
+    if np.any(bad):
+        k = int(owner[np.argmax(bad)])
+        raise CostContractError(
+            f"{cost.name}: customer {k} charged outside (A, A + {int(w[k])}]"
+        )
+    path = _piece_path(trace.horizon, lo, hi, const, slope)
+    n_slots = np.maximum(hi - lo + 1, 0)
+    tau_sum = (lo + hi) * n_slots // 2
+    totals = np.bincount(owner, weights=const * n_slots - slope * tau_sum, minlength=trace.n)
+    return path, totals
 
 
 @dataclass(frozen=True)
@@ -203,37 +263,20 @@ def check_h_lambda_g(trace: Trace, cost: CostFunction, warmup: int | None = None
     """Cost-rate law: time-average total cost rate equals arrival rate
     times mean per-customer cost.
 
-    Spot checks the declared support at both boundaries and raises
+    Checks the declared support of every piece and raises
     CostContractError on a violation.
     """
     T = trace.horizon
     if warmup is None:
         warmup = T // 10
     span = T - warmup
-    rate_path = np.zeros(T + 2)
-    for k in range(trace.n):
-        a = int(trace.arrivals[k])
-        w = cost.support(trace, k)
-        if cost.rate(trace, k, a) != 0.0 or cost.rate(trace, k, a + w + 1) != 0.0:
-            raise CostContractError(
-                f"{cost.name}: customer {k} charged outside (A, A + {w}]"
-            )
-        for tau in range(a + 1, min(a + w, T) + 1):
-            rate_path[tau] += cost.rate(trace, k, tau)
+    rate_path, totals = _cost_profile(trace, cost)
     H = float(rate_path[warmup + 1 : T + 1].sum() / span)
 
     inside = (trace.arrivals > warmup) & (trace.departures <= T)
-    idx = np.flatnonzero(inside)
-    if len(idx) == 0:
+    if not np.any(inside):
         raise InsufficientDataError("no completed customers in the window")
-    totals = [
-        sum(
-            cost.rate(trace, k, tau)
-            for tau in range(int(trace.arrivals[k]) + 1, int(trace.arrivals[k]) + cost.support(trace, k) + 1)
-        )
-        for k in idx
-    ]
-    G = float(np.mean(totals))
+    G = float(np.mean(totals[inside]))
     lam = len(np.flatnonzero(trace.arrivals > warmup)) / span
     residual = abs(H - lam * G)
     tol = _tolerance(span, H, lam * G)
@@ -252,26 +295,9 @@ def workload(trace: Trace, tau: int) -> int:
 
 
 def workload_path(trace: Trace) -> np.ndarray:
-    """Workload at every slot index 0..horizon (vectorized)."""
-    T = trace.horizon
-    a, b, s, d = trace.arrivals, trace.starts, trace.services, trace.departures
-    const = np.zeros(T + 2)
-    slope = np.zeros(T + 2)
-
-    def add_const(lo, hi, vals):  # vals on slots [lo, hi]
-        lo_c = np.clip(lo, 0, T + 1)
-        hi_c = np.clip(hi + 1, 0, T + 1)
-        np.add.at(const, lo_c, vals)
-        np.add.at(const, hi_c, -vals)
-
-    add_const(a + 1, b, s.astype(float))  # waiting phase: flat at S_k
-    add_const(b + 1, d, d.astype(float))  # service phase: (d - tau), split
-    lo_c = np.clip(b + 1, 0, T + 1)
-    hi_c = np.clip(d + 1, 0, T + 1)
-    np.add.at(slope, lo_c, 1.0)
-    np.add.at(slope, hi_c, -1.0)
-    taus = np.arange(T + 1, dtype=float)
-    return np.cumsum(const[: T + 1]) - taus * np.cumsum(slope[: T + 1])
+    """Workload at every slot index 0..horizon: the remaining-work cost
+    rate summed over customers."""
+    return _piece_path(trace.horizon, *_remaining_work_spans(trace))
 
 
 @dataclass(frozen=True)
@@ -284,22 +310,32 @@ class WorkloadMoments:
 
 
 def workload_moments(trace: Trace, warmup: int | None = None) -> WorkloadMoments:
+    """Service, queueing-delay and workload moments over the window.
+
+    Memoized on the trace per warmup, like
+    :func:`dtq.observer.time_averages`; the workload path is not kept.
+    """
     T = trace.horizon
     if warmup is None:
         warmup = T // 10
+    key = ("workload", warmup)
+    moments = trace._memo.get(key)
+    if moments is not None:
+        return moments
     inside = (trace.arrivals > warmup) & (trace.departures <= T)
     if not np.any(inside):
         raise InsufficientDataError("no completed customers in the window")
     s = trace.services[inside].astype(float)
     wq = trace.queue_waits[inside].astype(float)
     v = workload_path(trace)[warmup + 1 :]
-    return WorkloadMoments(
+    moments = trace._memo[key] = WorkloadMoments(
         ES=float(s.mean()),
         ES2=float((s * s).mean()),
         EWq=float(wq.mean()),
         ESWq=float((s * wq).mean()),
         EV=float(v.mean()),
     )
+    return moments
 
 
 @dataclass(frozen=True)

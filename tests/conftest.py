@@ -92,6 +92,39 @@ def oracle_workload_lindley(trace) -> np.ndarray:
     return v
 
 
+def oracle_indicator_rate(trace, k, tau) -> float:
+    """Per-slot indicator cost rate: one unit while in the system."""
+    return 1.0 if trace.arrivals[k] < tau <= trace.departures[k] else 0.0
+
+
+def oracle_remaining_work_rate(trace, k, tau) -> float:
+    """Per-slot remaining work: full service while waiting, then the
+    slots still to serve."""
+    a = int(trace.arrivals[k])
+    b = int(trace.starts[k])
+    d = int(trace.departures[k])
+    if a < tau <= b:
+        return float(trace.services[k])
+    if b < tau <= d:
+        return float(d - tau)
+    return 0.0
+
+
+def oracle_cost_profile(trace, rate):
+    """Total cost rate at slot indices 0..horizon and each customer's total
+    over its window (A, D], both summed slot by slot from a per-slot rate."""
+    T = trace.horizon
+    path = np.zeros(T + 1)
+    totals = np.zeros(trace.n)
+    for k in range(trace.n):
+        for tau in range(int(trace.arrivals[k]) + 1, int(trace.departures[k]) + 1):
+            r = rate(trace, k, tau)
+            totals[k] += r
+            if tau <= T:
+                path[tau] += r
+    return path, totals
+
+
 @pytest.fixture(scope="session")
 def bgeom1_trace():
     """Medium reference path: Bernoulli(0.3) arrivals, geometric(0.5) services."""

@@ -87,7 +87,7 @@ class TestVerify:
         trace_path = tmp_path / "trace.csv"
         assert main(["--config", small_config, "verify", "--trace", str(trace_path)]) == 0
         header = trace_path.read_text().splitlines()[0]
-        assert header == "k,A,S,Astart,D"
+        assert header == "k,A,S,Astart,D,server"
 
     def test_unknown_check_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

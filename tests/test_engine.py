@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dtq import engine as engine_mod
 from dtq.engine import (
     Bernoulli,
     DiscreteDist,
@@ -16,7 +18,6 @@ from dtq.engine import (
     Renewal,
     build_trace,
     gen_arrivals,
-    pgf_eval,
     read_trace_csv,
     run_discipline,
     sample_services,
@@ -24,6 +25,7 @@ from dtq.engine import (
     simulate_finite_population,
     write_trace_csv,
 )
+from dtq.littles import utilization
 from dtq.timebase import MicroTime, Phase, SchedulingRule as R
 
 
@@ -226,14 +228,94 @@ class TestFinitePopulation:
             FinitePopulation(30, 0.05)
 
 
+def _csv_writer_reference(trace, path):
+    """The row-by-row csv.writer encoding of a trace file."""
+    header = ["k", "A", "S", "Astart", "D"]
+    cols = [trace.arrivals, trace.services, trace.starts, trace.departures]
+    if trace.servers is not None:
+        header.append("server")
+        cols.append(trace.servers)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for k in range(trace.n):
+            w.writerow([k + 1] + [int(c[k]) for c in cols])
+
+
+_TRACE_FIELDS = ("arrivals", "services", "starts", "departures")
+
+
 class TestTraceCsv:
     def test_roundtrip(self, tmp_path):
         tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 21, 2_000)
         path = tmp_path / "trace.csv"
         write_trace_csv(tr, path)
         back = read_trace_csv(path, horizon=tr.horizon)
-        for name in ("arrivals", "services", "starts", "departures"):
+        for name in _TRACE_FIELDS + ("servers",):
+            assert getattr(back, name).dtype == np.int64
             assert np.array_equal(getattr(tr, name), getattr(back, name))
+
+    def test_roundtrip_keeps_server_assignment(self, tmp_path):
+        tr = build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), Fifo(2, "random"), 4, 3_000)
+        assert set(tr.servers.tolist()) == {0, 1}
+        path = tmp_path / "trace.csv"
+        write_trace_csv(tr, path)
+        back = read_trace_csv(path, horizon=tr.horizon)
+        for name in _TRACE_FIELDS + ("servers",):
+            assert np.array_equal(getattr(tr, name), getattr(back, name))
+        assert utilization(back).total == utilization(tr).total
+
+    @pytest.mark.parametrize(
+        "disc", [Fifo(1), Fifo(2, "random"), InfiniteServer()], ids=["fifo1", "fifo2", "inf"]
+    )
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, disc):
+        monkeypatch.setattr(engine_mod, "_CSV_CHUNK", 1_000)  # several blocks, the last partial
+        tr = build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), disc, 8, 3_000)
+        assert tr.n % 1_000 != 0
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        write_trace_csv(tr, ours)
+        _csv_writer_reference(tr, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_no_server_column_without_assignment(self, tmp_path):
+        tr = run_discipline([1, 2], None, External((3, 6)), horizon=6)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(tr, path)
+        assert path.read_bytes() == b"k,A,S,Astart,D\r\n1,1,2,1,3\r\n2,2,4,2,6\r\n"
+        assert read_trace_csv(path).servers is None
+
+    @pytest.mark.parametrize("disc", [Fifo(1), InfiniteServer()], ids=["fifo1", "inf"])
+    def test_header_only_roundtrip(self, tmp_path, disc):
+        tr = run_discipline([], [], disc, horizon=50)
+        path = tmp_path / "empty.csv"
+        write_trace_csv(tr, path)
+        assert path.read_bytes().count(b"\r\n") == 1
+        back = read_trace_csv(path, horizon=50)
+        assert back.n == 0 and back.horizon == 50
+        assert back.arrivals.dtype == np.int64
+        assert (back.servers is None) == (tr.servers is None)
+
+    def test_single_row(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_bytes(b"k,A,S,Astart,D\r\n1,2,3,4,7\r\n")
+        tr = read_trace_csv(path)
+        assert [list(getattr(tr, f)) for f in _TRACE_FIELDS] == [[2], [3], [4], [7]]
+        assert tr.horizon == 7
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "k,A,S,Astart,D\n1,1,5,1,6\n2,3,4,6,10\n",
+            "k,A,S,Astart,D\r\n1,1,5,1,6\r\n2,3,4,6,10\r\n\r\n",
+            "k,A,S,Astart,D\n1,1,5,1,6\n\n2,3,4,6,10\n\n",
+        ],
+        ids=["lf", "crlf-blank-end", "lf-blank-lines"],
+    )
+    def test_line_ends_and_blank_lines(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        tr = read_trace_csv(path)
+        assert list(tr.arrivals) == [1, 3] and list(tr.departures) == [6, 10]
 
     def test_arrival_service_only_import(self, tmp_path):
         path = tmp_path / "partial.csv"
@@ -246,7 +328,3 @@ class TestTraceCsv:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ValueError):
             read_trace_csv(path)
-
-
-def test_pgf_eval_wrapper():
-    assert pgf_eval(DiscreteDist.point(3), 0.5) == pytest.approx(0.125)

@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_workload_lindley
+from conftest import (
+    oracle_cost_profile,
+    oracle_indicator_rate,
+    oracle_remaining_work_rate,
+    oracle_workload_lindley,
+)
+from dtq import littles as littles_mod
 from dtq.coherence import CoherenceClass
 from dtq.engine import (
     Bernoulli,
     DiscreteDist,
     External,
     Fifo,
+    Trace,
     build_trace,
     run_discipline,
 )
@@ -31,7 +38,7 @@ from dtq.littles import (
     workload_moments,
     workload_path,
 )
-from dtq.observer import time_averages
+from dtq.observer import InsufficientDataError, time_averages
 from dtq.timebase import ObservationEpoch as E, SchedulingRule as R
 
 
@@ -118,7 +125,11 @@ class TestHLambdaG:
         assert hg.passed
 
     def test_zero_cost(self, worked_example_trace):
-        zero = CostFunction(lambda tr, k, tau: 0.0, lambda tr, k: int(tr.waits[k]), "zero")
+        def pieces(tr):
+            zeros = np.zeros(tr.n)
+            return np.arange(tr.n), tr.arrivals + 1, tr.departures, zeros, zeros
+
+        zero = CostFunction(pieces, lambda tr: tr.waits, "zero")
         hg = check_h_lambda_g(worked_example_trace, zero, warmup=0)
         assert hg.H == 0.0 and hg.G == 0.0 and hg.passed
 
@@ -129,15 +140,80 @@ class TestHLambdaG:
         assert hg.H == pytest.approx(m.EV, rel=1e-9)
 
     def test_support_violation_reported(self, worked_example_trace):
-        bad = CostFunction(lambda tr, k, tau: 1.0, lambda tr, k: int(tr.waits[k]), "bad")
-        with pytest.raises(CostContractError):
-            check_h_lambda_g(worked_example_trace, bad, warmup=0)
+        # one unit per slot on [A + lo_shift, D + hi_shift]: a charge at the
+        # arrival slot or one slot past the departure breaks the contract
+        for lo_shift, hi_shift in [(0, 0), (1, 1), (0, 1)]:
+            def pieces(tr):
+                ones = np.ones(tr.n)
+                return np.arange(tr.n), tr.arrivals + lo_shift, tr.departures + hi_shift, ones, 0 * ones
+
+            bad = CostFunction(pieces, lambda tr: tr.waits, "bad")
+            with pytest.raises(CostContractError):
+                check_h_lambda_g(worked_example_trace, bad, warmup=0)
+
+    def test_empty_pieces_ignored(self, worked_example_trace):
+        # an empty piece (hi < lo) outside the support charges nothing
+        def pieces(tr):
+            owner = np.arange(tr.n)
+            lo = np.concatenate((tr.arrivals + 1, tr.arrivals))
+            hi = np.concatenate((tr.departures, tr.arrivals - 5))
+            ones = np.ones(2 * tr.n)
+            return np.concatenate((owner, owner)), lo, hi, ones, 0 * ones
+
+        cost = CostFunction(pieces, lambda tr: tr.waits, "with-empty")
+        hg = check_h_lambda_g(worked_example_trace, cost, warmup=0)
+        ref = check_h_lambda_g(worked_example_trace, indicator_cost(), warmup=0)
+        assert (hg.H, hg.lam, hg.G) == (ref.H, ref.lam, ref.G)
+
+
+def _prefix(trace, slots):
+    """The customers arriving by ``slots``, some departing after it."""
+    keep = trace.arrivals <= slots
+    return Trace(
+        trace.arrivals[keep], trace.services[keep], trace.starts[keep],
+        trace.departures[keep], slots,
+    )
+
+
+class TestCostKernel:
+    """The piecewise-linear kernel against per-slot rate closures."""
+
+    COSTS = [
+        (indicator_cost, oracle_indicator_rate),
+        (remaining_work_cost, oracle_remaining_work_rate),
+    ]
+
+    @pytest.mark.parametrize("make_cost,rate", COSTS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_closure_sums(self, make_cost, rate, seed):
+        full = build_trace(Bernoulli(0.45), DiscreteDist.geometric(0.5), Fifo(1), seed, 4_000)
+        two = build_trace(Bernoulli(0.7), DiscreteDist.geometric(0.4), Fifo(2), seed, 2_000)
+        # cut at an arrival slot, so that customer departs after the horizon
+        prefix = _prefix(full, int(full.arrivals[full.n // 2]))
+        assert np.any(prefix.departures > prefix.horizon)
+        for tr in (full, prefix, two):
+            path, totals = littles_mod._cost_profile(tr, make_cost())
+            oracle_path, oracle_totals = oracle_cost_profile(tr, rate)
+            assert np.array_equal(path, oracle_path)
+            assert np.array_equal(totals, oracle_totals)
+
+    def test_workload_path_is_remaining_work(self, small_bgeom1_trace):
+        path, _ = littles_mod._cost_profile(small_bgeom1_trace, remaining_work_cost())
+        assert np.array_equal(path, workload_path(small_bgeom1_trace))
 
 
 class TestWorkload:
     def test_single_customer_profile(self):
         tr = run_discipline([1], [3], Fifo(1), horizon=6)
         assert [workload(tr, t) for t in (1, 2, 3, 4, 5)] == [0, 2, 1, 0, 0]
+
+    def test_empty_trace(self):
+        tr = run_discipline([], [], Fifo(1), horizon=50)
+        path = workload_path(tr)
+        assert path.dtype == float and np.array_equal(path, np.zeros(51))
+        for cost in (indicator_cost(), remaining_work_cost()):
+            with pytest.raises(InsufficientDataError):
+                check_h_lambda_g(tr, cost)
 
     def test_before_any_arrival(self, worked_example_trace):
         assert workload(worked_example_trace, 1) == 0
@@ -166,6 +242,28 @@ class TestWorkload:
         assert workload(tr, 3) == 3
         # a queued arrival at slot 2 would wait exactly the backlog it sees
         assert workload(tr, 2) == int(tr.starts[1] - tr.arrivals[1])
+
+
+class TestWorkloadMomentsMemo:
+    def test_path_built_once_per_warmup(self, monkeypatch):
+        tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 5, 20_000)
+        calls = []
+        real = littles_mod.workload_path
+        monkeypatch.setattr(littles_mod, "workload_path", lambda t: calls.append(t) or real(t))
+        verify_pk(tr, 2_000)
+        m = workload_moments(tr, 2_000)
+        assert len(calls) == 1
+        assert workload_moments(tr, 500) != m
+        assert len(calls) == 2
+
+    def test_matches_memo_free_computation(self, small_bgeom1_trace):
+        tr = small_bgeom1_trace
+        for warmup in (0, 1_000):
+            m = workload_moments(tr, warmup)
+            fresh = Trace(tr.arrivals, tr.services, tr.starts, tr.departures, tr.horizon)
+            assert m == workload_moments(fresh, warmup)
+            v = oracle_workload_lindley(tr)[warmup + 1 :]
+            assert m.EV == float(v.mean())
 
 
 class TestVerifyPk:
