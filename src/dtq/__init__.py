@@ -23,7 +23,6 @@ from .engine import (
     gen_arrivals,
     run_discipline,
     sample_services,
-    shift_trace,
 )
 from .littles import basic_inequality, check_little, check_little_observed, utilization, verify_pk, workload
 from .observer import QueueEstimates, actual_wait, observed_wait, queue_length, time_averages

@@ -19,6 +19,7 @@ __all__ = [
     "StateRates",
     "cycles_from_path",
     "detect_cycles",
+    "rates_from_path",
     "state_rates",
     "cycle_means_from_rates",
     "sigma_solve",
@@ -77,12 +78,14 @@ def cycles_from_path(path: np.ndarray, arrivals: np.ndarray | None = None) -> Cy
     """Detect complete cycles on a number-in-system path.
 
     ``path[j]`` is the state at slot index j (entry 0 must be 0, i.e.
-    the system starts empty).  When the arrival slots are supplied, E_k
-    counts arrivals in (U_k, U_{k+1}].
+    the system starts empty).  When the arrival slots are supplied, they
+    must all be at least 1 and E_k counts arrivals in (U_k, U_{k+1}].
     """
     path = np.asarray(path)
     if len(path) == 0 or path[0] != 0:
         raise ValueError("path must start with an empty system")
+    if arrivals is not None and len(arrivals) and arrivals[0] < 1:
+        raise ValueError("cycle detection needs the system empty at slot 0")
     occ = path >= 1
     flips = np.flatnonzero(occ[1:] != occ[:-1]) + 1
     starts = flips[~occ[flips - 1]]  # empty -> busy
@@ -105,8 +108,6 @@ def cycles_from_path(path: np.ndarray, arrivals: np.ndarray | None = None) -> Cy
 
 def detect_cycles(trace: Trace) -> CycleStats:
     """Cycle statistics on the actual path of a trace."""
-    if trace.n and trace.arrivals[0] < 1:
-        raise ValueError("cycle detection needs the system empty at slot 0")
     return cycles_from_path(trace.queue_path(), trace.arrivals)
 
 
@@ -126,12 +127,13 @@ class StateRates:
     arrival_rate: float
 
 
-def state_rates(trace: Trace) -> StateRates:
-    path = trace.queue_path()
+def rates_from_path(path: np.ndarray, arrivals: np.ndarray) -> StateRates:
+    """State rates on a number-in-system path over slot indices 0..T; the
+    arrivals in slots 1..T enter the per-state arrival counts."""
     states = path[1:]  # slots 1..T
     T = len(states)
     pi = np.bincount(states) / T
-    found = path[trace.arrivals[trace.arrivals <= trace.horizon]]
+    found = path[arrivals[arrivals <= T]]
     width = max(len(pi), (found.max() + 1) if len(found) else 1)
     arr_counts = np.bincount(found, minlength=width)
     occ_slots = np.bincount(states, minlength=width)
@@ -142,6 +144,11 @@ def state_rates(trace: Trace) -> StateRates:
     }
     pi_arr = arr_counts / max(len(found), 1)
     return StateRates(pi, alpha_n, pi_arr, len(found) / T)
+
+
+def state_rates(trace: Trace) -> StateRates:
+    """State rates on the actual path of a trace."""
+    return rates_from_path(trace.queue_path(), trace.arrivals)
 
 
 def cycle_means_from_rates(pi0: float, alpha0: float, alpha: float) -> CycleMeans:

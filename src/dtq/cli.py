@@ -203,8 +203,9 @@ def _run_check(name: str, exp: Experiment, trace) -> list[dict]:
         tol = 0.02 * max(abs(m.EWq), 1e-9) + 30.0 / np.sqrt(span)
         rows.append(_row("workload", "EV vs EWq", m.EV, float(target), tol))
     elif name == "busy":
-        stats = busy.detect_cycles(trace)
-        rates = busy.state_rates(trace)
+        path = trace.queue_path()
+        stats = busy.cycles_from_path(path, trace.arrivals)
+        rates = busy.rates_from_path(path, trace.arrivals)
         means = busy.cycle_means_from_rates(
             float(rates.pi[0]), rates.alpha_n[0], rates.arrival_rate
         )

@@ -14,8 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .timebase import MicroTime, SchedulingRule, shift_arrival, shift_departure
-
 __all__ = [
     "DiscreteDist",
     "Bernoulli",
@@ -29,7 +27,6 @@ __all__ = [
     "gen_arrivals",
     "sample_services",
     "run_discipline",
-    "shift_trace",
     "simulate_finite_population",
     "build_trace",
     "write_trace_csv",
@@ -340,27 +337,53 @@ def _fifo_single(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     return psum + np.maximum.accumulate(arrivals - prev)
 
 
+_FIFO_BLOCK = 1 << 16  # customers converted to plain ints per block
+
+
 def _fifo_multi(arrivals, services, c, assignment, rng):
+    """Start slots and servers for FIFO with c servers, arrivals nondecreasing.
+
+    "lowest" takes the server that frees up first (lowest index on ties).
+    "random" picks uniformly among the servers idle at the arrival: a server
+    leaves the busy heap for the idle list once it is free by the arrival
+    slot, which stays valid because later arrivals come no earlier.  The
+    start slot never depends on which idle server is picked.
+    """
     starts = np.empty(len(arrivals), dtype=np.int64)
     chosen = np.empty(len(arrivals), dtype=np.int64)
-    free = [(0, i) for i in range(c)]  # (free-at slot, server index)
-    heapq.heapify(free)
-    for k, (a, s) in enumerate(zip(arrivals, services)):
-        if assignment == "random":
-            idle = [f for f in free if f[0] <= a]
-            if idle:
-                pick = idle[rng.integers(len(idle))]
-                free.remove(pick)
-                heapq.heapify(free)
-            else:
-                pick = heapq.heappop(free)
+    heap = [(0, i) for i in range(c)]  # (free-at slot, server index)
+    idle: list[int] = []
+    pick_random = assignment == "random"
+    for lo in range(0, len(arrivals), _FIFO_BLOCK):
+        a_blk = arrivals[lo : lo + _FIFO_BLOCK].tolist()
+        s_blk = services[lo : lo + _FIFO_BLOCK].tolist()
+        st_blk: list[int] = []
+        ch_blk: list[int] = []
+        if pick_random:
+            u_blk = rng.random(len(a_blk)).tolist()
+            for a, s, u in zip(a_blk, s_blk, u_blk):
+                while heap and heap[0][0] <= a:
+                    idle.append(heapq.heappop(heap)[1])
+                if idle:
+                    j = int(u * len(idle))
+                    i = idle[j]
+                    idle[j] = idle[-1]
+                    idle.pop()
+                    start = a
+                else:
+                    start, i = heapq.heappop(heap)
+                heapq.heappush(heap, (start + s, i))
+                st_blk.append(start)
+                ch_blk.append(i)
         else:
-            pick = heapq.heappop(free)
-        t_free, i = pick
-        start = max(a, t_free)
-        starts[k] = start
-        chosen[k] = i
-        heapq.heappush(free, (start + int(s), i))
+            for a, s in zip(a_blk, s_blk):
+                t_free, i = heap[0]
+                start = a if a > t_free else t_free
+                heapq.heapreplace(heap, (start + s, i))
+                st_blk.append(start)
+                ch_blk.append(i)
+        starts[lo : lo + len(st_blk)] = st_blk
+        chosen[lo : lo + len(ch_blk)] = ch_blk
     return starts, chosen
 
 
@@ -373,11 +396,14 @@ def run_discipline(
 ) -> Trace:
     """Compute service starts and departures under a queueing discipline.
 
-    Simultaneous arrivals are served in customer-index order.  For
-    External the given departures are copied verbatim and the sojourn is
-    recorded as the service requirement.
+    Arrival slots must be nondecreasing.  Simultaneous arrivals are served
+    in customer-index order.  For External the given departures are copied
+    verbatim and the sojourn is recorded as the service requirement.
     """
     arrivals = np.asarray(arrivals, dtype=np.int64)
+    if np.any(arrivals[1:] < arrivals[:-1]):
+        raise ValueError("arrival slots must be nondecreasing")
+    servers = None
     if isinstance(disc, External):
         deps = np.asarray(disc.departures, dtype=np.int64)
         if len(deps) != len(arrivals):
@@ -398,34 +424,22 @@ def run_discipline(
             if disc.servers == 1:
                 deps = _fifo_single(arrivals, services)
                 starts = deps - services
+                servers = np.zeros(len(arrivals), dtype=np.int64)
             else:
                 rng = None
                 if disc.assignment == "random":
                     if seed is None:
                         raise ValueError("random server assignment needs a seed")
                     rng = np.random.default_rng(seed)
-                starts, chosen = _fifo_multi(
+                starts, servers = _fifo_multi(
                     arrivals, services, disc.servers, disc.assignment, rng
                 )
-                deps = starts + services
-                if horizon is None:
-                    horizon = int(deps.max()) if len(deps) else 1
-                return Trace(arrivals, services, starts, deps, horizon, chosen)
         else:
             raise TypeError(f"unknown discipline {disc!r}")
-        deps = starts + services
+    deps = starts + services
     if horizon is None:
         horizon = int(deps.max()) if len(deps) else 1
-    servers = np.zeros(len(arrivals), dtype=np.int64) if isinstance(disc, Fifo) else None
     return Trace(arrivals, services, starts, deps, horizon, servers)
-
-
-def shift_trace(trace: Trace, rule: SchedulingRule) -> list[tuple[MicroTime, MicroTime]]:
-    """Scheduled (arrival, departure) instant pairs under a rule."""
-    return [
-        (shift_arrival(rule, int(a)), shift_departure(rule, int(d)))
-        for a, d in zip(trace.arrivals, trace.departures)
-    ]
 
 
 def simulate_finite_population(
@@ -441,9 +455,16 @@ def simulate_finite_population(
     At most one customer arrives per slot; with n in the system the
     per-slot arrival probability is (n_sources - n) * alpha ("linear",
     the default, which makes the path an exact state-dependent chain) or
-    1 - (1-alpha)^(n_sources - n) ("at-least-one").
+    1 - (1-alpha)^(n_sources - n) ("at-least-one").  Slot t has an
+    arrival when u[t] falls below that probability, one uniform u[t] per
+    slot.
+
+    Only candidate slots, those with u[t] below the largest per-state
+    probability, are visited: no other slot can hold an arrival whatever
+    the state, and the state changes only at arrivals and departures.  So
+    the path equals a slot-by-slot walk over the same uniforms.
     """
-    spec = FinitePopulation(n_sources, alpha)  # validates parameters
+    FinitePopulation(n_sources, alpha)  # validates parameters
     if service.support_min < 1:
         raise ValueError("service distributions must have support >= 1")
     if arrival_form not in ("linear", "at-least-one"):
@@ -451,36 +472,35 @@ def simulate_finite_population(
     rng = np.random.default_rng(seed)
     u = rng.random(horizon + 1)
     svc_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    if arrival_form == "linear":
+        p = [(n_sources - n) * alpha for n in range(n_sources)]
+    else:
+        p = [1.0 - (1.0 - alpha) ** (n_sources - n) for n in range(n_sources)]
+    cand = np.flatnonzero(u[1:] < max(p)) + 1
 
     arrivals: list[int] = []
     services: list[int] = []
     departures: list[int] = []
-    svc_buf: np.ndarray = np.empty(0, dtype=np.int64)
+    svc_buf: list[int] = []
     svc_used = 0
     dep_ptr = 0  # departures with D <= t-1, FIFO keeps them sorted
     last_free = 0  # slot at which the single server frees up
-    for t in range(1, horizon + 1):
-        while dep_ptr < len(departures) and departures[dep_ptr] <= t - 1:
+    for t, u_t in zip(cand.tolist(), u[cand].tolist()):
+        while dep_ptr < len(departures) and departures[dep_ptr] < t:
             dep_ptr += 1
         n_in_system = len(arrivals) - dep_ptr  # counts A <= t-1 minus D <= t-1
-        idle = spec.n_sources - n_in_system
-        if idle <= 0:
+        if n_in_system >= n_sources or u_t >= p[n_in_system]:
             continue
-        if arrival_form == "linear":
-            p = idle * alpha
-        else:
-            p = 1.0 - (1.0 - alpha) ** idle
-        if u[t] < p:
-            if svc_used >= len(svc_buf):
-                svc_buf = service.sample(svc_rng, 1024)
-                svc_used = 0
-            s = int(svc_buf[svc_used])
-            svc_used += 1
-            start = max(t, last_free)
-            arrivals.append(t)
-            services.append(s)
-            departures.append(start + s)
-            last_free = start + s
+        if svc_used >= len(svc_buf):
+            svc_buf = service.sample(svc_rng, 1024).tolist()
+            svc_used = 0
+        s = svc_buf[svc_used]
+        svc_used += 1
+        start = t if t > last_free else last_free
+        last_free = start + s
+        arrivals.append(t)
+        services.append(s)
+        departures.append(last_free)
     arr = np.asarray(arrivals, dtype=np.int64)
     svc = np.asarray(services, dtype=np.int64)
     dep = np.asarray(departures, dtype=np.int64)

@@ -6,13 +6,30 @@ positions sit on fixed fractions around the edge and scheduled events
 strictly inside the gaps between them.  Everything derived from it is
 an independent check on the production encoding.
 """
+import heapq
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dtq.engine import Bernoulli, DiscreteDist, External, Fifo, build_trace, run_discipline
-from dtq.timebase import Phase, arrival_phase, departure_shift, epoch_phase
+from dtq.engine import (
+    Bernoulli,
+    DiscreteDist,
+    External,
+    Fifo,
+    FinitePopulation,
+    Trace,
+    build_trace,
+    run_discipline,
+)
+from dtq.timebase import (
+    Phase,
+    arrival_phase,
+    departure_shift,
+    epoch_phase,
+    shift_arrival,
+    shift_departure,
+)
 
 EPS = Fraction(1, 16)
 
@@ -123,6 +140,84 @@ def oracle_cost_profile(trace, rate):
             if tau <= T:
                 path[tau] += r
     return path, totals
+
+
+def shift_trace(trace, rule):
+    """Scheduled (arrival, departure) instant pairs under a rule."""
+    return [
+        (shift_arrival(rule, int(a)), shift_departure(rule, int(d)))
+        for a, d in zip(trace.arrivals, trace.departures)
+    ]
+
+
+def oracle_fifo_multi(arrivals, services, c, assignment, rng):
+    """FIFO with c servers, one heap step per customer on numpy scalars;
+    "random" rescans the heap for idle servers and draws with
+    ``rng.integers``, so only its start slots are comparable."""
+    starts = np.empty(len(arrivals), dtype=np.int64)
+    chosen = np.empty(len(arrivals), dtype=np.int64)
+    free = [(0, i) for i in range(c)]  # (free-at slot, server index)
+    heapq.heapify(free)
+    for k, (a, s) in enumerate(zip(arrivals, services)):
+        if assignment == "random":
+            idle = [f for f in free if f[0] <= a]
+            if idle:
+                pick = idle[rng.integers(len(idle))]
+                free.remove(pick)
+                heapq.heapify(free)
+            else:
+                pick = heapq.heappop(free)
+        else:
+            pick = heapq.heappop(free)
+        t_free, i = pick
+        start = max(a, t_free)
+        starts[k] = start
+        chosen[k] = i
+        heapq.heappush(free, (start + int(s), i))
+    return starts, chosen
+
+
+def oracle_finite_population(n_sources, alpha, service, seed, horizon, arrival_form="linear"):
+    """Finite-population path stepped slot by slot over the same random
+    streams as :func:`dtq.engine.simulate_finite_population`."""
+    spec = FinitePopulation(n_sources, alpha)
+    rng = np.random.default_rng(seed)
+    u = rng.random(horizon + 1)
+    svc_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+    arrivals: list[int] = []
+    services: list[int] = []
+    departures: list[int] = []
+    svc_buf: np.ndarray = np.empty(0, dtype=np.int64)
+    svc_used = 0
+    dep_ptr = 0  # departures with D <= t-1, FIFO keeps them sorted
+    last_free = 0  # slot at which the single server frees up
+    for t in range(1, horizon + 1):
+        while dep_ptr < len(departures) and departures[dep_ptr] <= t - 1:
+            dep_ptr += 1
+        n_in_system = len(arrivals) - dep_ptr  # counts A <= t-1 minus D <= t-1
+        idle = spec.n_sources - n_in_system
+        if idle <= 0:
+            continue
+        if arrival_form == "linear":
+            p = idle * alpha
+        else:
+            p = 1.0 - (1.0 - alpha) ** idle
+        if u[t] < p:
+            if svc_used >= len(svc_buf):
+                svc_buf = service.sample(svc_rng, 1024)
+                svc_used = 0
+            s = int(svc_buf[svc_used])
+            svc_used += 1
+            start = max(t, last_free)
+            arrivals.append(t)
+            services.append(s)
+            departures.append(start + s)
+            last_free = start + s
+    arr = np.asarray(arrivals, dtype=np.int64)
+    svc = np.asarray(services, dtype=np.int64)
+    dep = np.asarray(departures, dtype=np.int64)
+    return Trace(arr, svc, dep - svc, dep, horizon, np.zeros(len(arr), dtype=np.int64))
 
 
 @pytest.fixture(scope="session")

@@ -60,6 +60,11 @@ class TestDetectCycles:
         with pytest.raises(ValueError):
             cycles_from_path(np.array([1, 1, 0]))
 
+    def test_arrival_at_slot_zero_rejected(self):
+        tr = run_discipline([0, 4], [1, 1], Fifo(1), horizon=6)
+        with pytest.raises(ValueError, match="empty at slot 0"):
+            detect_cycles(tr)
+
 
 class TestStateRates:
     def test_bernoulli_sees_time_averages(self, bgeom1_trace):

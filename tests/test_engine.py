@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import oracle_fifo_multi, oracle_finite_population, shift_trace
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from dtq.engine import (
     read_trace_csv,
     run_discipline,
     sample_services,
-    shift_trace,
     simulate_finite_population,
     write_trace_csv,
 )
@@ -187,11 +187,75 @@ class TestDisciplines:
         with pytest.raises(ValueError):
             run_discipline([1], [0], Fifo(1))
 
+    @pytest.mark.parametrize("disc", [Fifo(1), Fifo(2), Fifo(2, "random")], ids=["c1", "c2", "c2-random"])
+    def test_rejects_decreasing_arrivals(self, disc):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            run_discipline([1, 3, 2], [1, 1, 1], disc, seed=0)
+
     def test_trace_determinism(self):
         a = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 13, 5_000)
         b = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 13, 5_000)
         for name in ("arrivals", "services", "starts", "departures"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def _multi_input(seed, n):
+    """Bernoulli(0.6) arrivals and geometric(0.5) services for n customers:
+    heavy enough for queueing on two or three servers."""
+    horizon = int(n / 0.6 * 1.1) + 100
+    slots = gen_arrivals(Bernoulli(0.6), seed, horizon)[:n]
+    return slots, sample_services(DiscreteDist.geometric(0.5), seed + 1, len(slots))
+
+
+class TestFifoMultiOracle:
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_lowest_bit_identical(self, c):
+        arr, svc = _multi_input(17 + c, 70_000)  # more than one 1 << 16 block
+        assert len(arr) > engine_mod._FIFO_BLOCK
+        tr = run_discipline(arr, svc, Fifo(c))
+        starts, chosen = oracle_fifo_multi(arr, svc, c, "lowest", None)
+        assert np.array_equal(tr.starts, starts)
+        assert np.array_equal(tr.departures, starts + svc)
+        assert np.array_equal(tr.servers, chosen)
+        assert np.array_equal(tr.arrivals, arr)
+        assert np.array_equal(tr.services, svc)
+        assert tr.horizon == int((starts + svc).max())
+        assert tr.servers.dtype == np.int64 and tr.starts.dtype == np.int64
+
+
+class TestRandomAssignment:
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_same_starts_as_lowest(self, c):
+        arr, svc = _multi_input(5 + c, 70_000)
+        low = run_discipline(arr, svc, Fifo(c))
+        rnd = run_discipline(arr, svc, Fifo(c, "random"), seed=3)
+        assert np.array_equal(rnd.starts, low.starts)
+        assert np.array_equal(rnd.departures, low.departures)
+        assert set(np.unique(rnd.servers).tolist()) == set(range(c))
+
+    def test_deterministic_for_seed(self):
+        arr, svc = _multi_input(9, 5_000)
+        a = run_discipline(arr, svc, Fifo(3, "random"), seed=11)
+        b = run_discipline(arr, svc, Fifo(3, "random"), seed=11)
+        assert np.array_equal(a.servers, b.servers)
+        assert np.array_equal(a.starts, b.starts)
+
+    def test_uniform_when_both_idle(self):
+        # unit services every other slot: both servers are idle at every arrival
+        n = 10_000
+        tr = run_discipline(np.arange(1, n + 1) * 2, np.ones(n, dtype=np.int64), Fifo(2, "random"), seed=21)
+        assert np.array_equal(tr.starts, tr.arrivals)
+        sigma = math.sqrt(n * 0.25)
+        assert abs(int(np.count_nonzero(tr.servers == 0)) - n / 2) <= 3 * sigma
+        # independent picks: the same server as the previous customer half the time
+        repeats = int(np.count_nonzero(tr.servers[1:] == tr.servers[:-1]))
+        assert abs(repeats - (n - 1) / 2) <= 3 * math.sqrt((n - 1) * 0.25)
+
+    def test_busy_server_never_picked(self):
+        # server busy until slot 11 when the second customer arrives at 2
+        tr = run_discipline([1, 2, 3], [10, 1, 1], Fifo(2, "random"), seed=0)
+        assert tr.servers[1] != tr.servers[0]
+        assert tr.servers[2] != tr.servers[0]
 
 
 class TestShiftTrace:
@@ -222,6 +286,29 @@ class TestFinitePopulation:
         slots_empty = int(np.count_nonzero(path[1:] == 0))
         rate = int(np.count_nonzero(empty)) / slots_empty
         assert abs(rate - n * alpha) <= 0.01
+
+    @pytest.mark.parametrize(
+        "n, alpha, seed, horizon, form",
+        [
+            (5, 0.05, 1, 60_000, "linear"),
+            (5, 0.05, 1, 60_000, "at-least-one"),
+            (3, 0.2, 4, 40_000, "linear"),
+            (3, 0.2, 4, 40_000, "at-least-one"),
+            (4, 0.25, 8, 30_000, "linear"),  # N * alpha = 1: every slot is a candidate
+            (4, 0.25, 8, 30_000, "at-least-one"),
+            (1, 0.5, 2, 20_000, "linear"),
+            (7, 0.1, 6, 500, "linear"),  # fewer arrivals than one service block
+            (7, 0.1, 6, 500, "at-least-one"),
+        ],
+    )
+    def test_bit_identical_to_slot_walk(self, n, alpha, seed, horizon, form):
+        svc = DiscreteDist.geometric(0.5)
+        tr = simulate_finite_population(n, alpha, svc, seed, horizon, form)
+        ref = oracle_finite_population(n, alpha, svc, seed, horizon, form)
+        assert tr.n > 0 and tr.horizon == ref.horizon
+        for name in ("arrivals", "services", "starts", "departures", "servers"):
+            got, want = getattr(tr, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     def test_rate_cap_validated(self):
         with pytest.raises(ValueError):
