@@ -79,7 +79,9 @@ def cycles_from_path(path: np.ndarray, arrivals: np.ndarray | None = None) -> Cy
 
     ``path[j]`` is the state at slot index j (entry 0 must be 0, i.e.
     the system starts empty).  When the arrival slots are supplied, they
-    must all be at least 1 and E_k counts arrivals in (U_k, U_{k+1}].
+    must all be at least 1, and E_k counts the customers of cycle k: its
+    opener arrives in slot U_k - 1, the first slot index after it is U_k,
+    so E_k counts the arrivals in slots [U_k - 1, U_{k+1} - 1).
     """
     path = np.asarray(path)
     if len(path) == 0 or path[0] != 0:
@@ -101,7 +103,7 @@ def cycles_from_path(path: np.ndarray, arrivals: np.ndarray | None = None) -> Cy
     I = U[1:] - V
     E = None
     if arrivals is not None:
-        counts = np.searchsorted(arrivals, U, side="right")
+        counts = np.searchsorted(arrivals, U - 1, side="left")
         E = (counts[1:] - counts[:-1]).astype(np.int64)
     return CycleStats(U[:-1], V, C, B, I, E)
 

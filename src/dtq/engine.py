@@ -24,6 +24,7 @@ __all__ = [
     "InfiniteServer",
     "External",
     "Trace",
+    "convention_shift",
     "gen_arrivals",
     "sample_services",
     "run_discipline",
@@ -252,8 +253,12 @@ class Trace:
         """Derived summaries, filled lazily by :func:`dtq.observer.time_averages`
         and :func:`dtq.littles.workload_moments`.
 
-        Entries never go stale because a trace is immutable; they hold no
-        slot-length path.
+        Per warmup, the first time average fills L and pi for all five
+        span shifts in one pass over :meth:`counting_processes`, then drops
+        the counts; the workload mean is a closed-form sum over pieces.
+        Entries never go stale because a trace is immutable; they hold
+        scalars, state histograms and customer-length masks, never a
+        slot-length array.
         """
         return {}
 
@@ -267,24 +272,61 @@ class Trace:
         """Waiting times in queue, start minus arrival."""
         return self.starts - self.arrivals
 
-    def queue_path(self, convention: str = "strict-left") -> np.ndarray:
-        """Number-in-system path L(j) for j = 0..horizon (index 0 is 0).
+    def counting_processes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative counts N_A[x] = #{A <= x} and N_D[x] = #{D <= x}
+        for x = 0..horizon+1.
 
-        "strict-left" counts a customer at j when A < j <= D; the
-        "strict-right" variant uses A <= j < D.  Both give the same time
-        average over a full cycle.
+        Every queue path is a slice of these two (see :meth:`shift_path`).
         """
         T = self.horizon
-        if convention == "strict-left":
-            first, last = self.arrivals + 1, self.departures
-        elif convention == "strict-right":
-            first, last = self.arrivals, self.departures - 1
-        else:
-            raise ValueError(f"unknown indicator convention {convention!r}")
-        lo = np.clip(first, 0, T + 1)
-        hi = np.clip(last + 1, 0, T + 1)
-        delta = np.bincount(lo, minlength=T + 2) - np.bincount(hi, minlength=T + 2)
-        return np.cumsum(delta[: T + 1])
+        out = []
+        for slots in (self.arrivals, self.departures):
+            # slots past T + 1 all land in bin T + 2, which is dropped
+            counts = np.bincount(np.minimum(slots, T + 2), minlength=T + 3)
+            np.cumsum(counts, out=counts)
+            out.append(counts[: T + 2])
+        return out[0], out[1]
+
+    def shift_path(self, s0: int, e0: int, first: int = 0, counts=None) -> np.ndarray:
+        """Number of customers whose span A + s0 .. D + e0 covers j, for
+        j = first..horizon: N_A[j - s0] - N_D[j - e0 - 1], a count at a
+        negative index being 0.
+
+        ``counts`` is the result of :meth:`counting_processes` when the
+        caller already holds it.
+        """
+        T = self.horizon
+        k = e0 + 1  # departures leave the count k slots after D
+        if not (0 <= s0 <= 1 and -1 <= k <= 1 and 0 <= first <= T):
+            raise ValueError(f"span shift ({s0}, {e0}) from slot {first} is out of range")
+        n_a, n_d = counts if counts is not None else self.counting_processes()
+        path = np.empty(T + 1 - first, dtype=np.int64)
+        j0 = max(first, s0, k)  # from j0 on, both count indices are nonnegative
+        np.subtract(n_a[j0 - s0 : T + 1 - s0], n_d[j0 - k : T + 1 - k], out=path[j0 - first :])
+        for j in range(first, j0):
+            path[j - first] = (n_a[j - s0] if j >= s0 else 0) - (n_d[j - k] if j >= k else 0)
+        return path
+
+    def queue_path(self, convention: str = "strict-left") -> np.ndarray:
+        """Number-in-system path L(j) for j = 0..horizon.
+
+        "strict-left" counts a customer at j when A < j <= D, span shift
+        (1, 0), so index 0 is 0; the "strict-right" variant uses
+        A <= j < D, span shift (0, -1), so index 0 counts the arrivals at
+        slot 0.  Both give the same time average over a full cycle.
+        """
+        return self.shift_path(*convention_shift(convention))
+
+
+_CONVENTION_SHIFT = {"strict-left": (1, 0), "strict-right": (0, -1)}
+
+
+def convention_shift(convention: str) -> tuple[int, int]:
+    """Span shift (s0, e0) of an actual-path indicator convention."""
+    try:
+        return _CONVENTION_SHIFT[convention]
+    except KeyError:
+        raise ValueError(f"unknown indicator convention {convention!r}") from None
 
 
 def gen_arrivals(spec: ArrivalSpec, seed: int, horizon: int) -> np.ndarray:

@@ -226,6 +226,14 @@ def _piece_path(horizon: int, lo, hi, const, slope) -> np.ndarray:
     return path
 
 
+def _piece_sums(lo, hi, const, slope) -> np.ndarray:
+    """Each piece's value summed over its slots lo..hi, in closed form
+    (0 for an empty piece)."""
+    n_slots = np.maximum(hi - lo + 1, 0)
+    tau_sum = (lo + hi) * n_slots // 2
+    return const * n_slots - slope * tau_sum
+
+
 def _cost_profile(trace: Trace, cost: CostFunction) -> tuple[np.ndarray, np.ndarray]:
     """Total cost rate at slot indices 0..horizon and each customer's
     total cost over its full support, unclipped by the horizon.
@@ -243,9 +251,7 @@ def _cost_profile(trace: Trace, cost: CostFunction) -> tuple[np.ndarray, np.ndar
             f"{cost.name}: customer {k} charged outside (A, A + {int(w[k])}]"
         )
     path = _piece_path(trace.horizon, lo, hi, const, slope)
-    n_slots = np.maximum(hi - lo + 1, 0)
-    tau_sum = (lo + hi) * n_slots // 2
-    totals = np.bincount(owner, weights=const * n_slots - slope * tau_sum, minlength=trace.n)
+    totals = np.bincount(owner, weights=_piece_sums(lo, hi, const, slope), minlength=trace.n)
     return path, totals
 
 
@@ -312,8 +318,12 @@ class WorkloadMoments:
 def workload_moments(trace: Trace, warmup: int | None = None) -> WorkloadMoments:
     """Service, queueing-delay and workload moments over the window.
 
+    EV is the exact sum of every remaining-work piece over its slots in
+    (warmup, T], divided by the window length, so no workload path is
+    built.  Every term and partial sum is an integer below 2**53, so EV
+    equals the mean of :func:`workload_path` over the window bit for bit.
     Memoized on the trace per warmup, like
-    :func:`dtq.observer.time_averages`; the workload path is not kept.
+    :func:`dtq.observer.time_averages`.
     """
     T = trace.horizon
     if warmup is None:
@@ -327,13 +337,15 @@ def workload_moments(trace: Trace, warmup: int | None = None) -> WorkloadMoments
         raise InsufficientDataError("no completed customers in the window")
     s = trace.services[inside].astype(float)
     wq = trace.queue_waits[inside].astype(float)
-    v = workload_path(trace)[warmup + 1 :]
+    lo, hi, const, slope = _remaining_work_spans(trace)
+    np.maximum(lo, warmup + 1, out=lo)
+    np.minimum(hi, T, out=hi)
     moments = trace._memo[key] = WorkloadMoments(
         ES=float(s.mean()),
         ES2=float((s * s).mean()),
         EWq=float(wq.mean()),
         ESWq=float((s * wq).mean()),
-        EV=float(v.mean()),
+        EV=float(_piece_sums(lo, hi, const, slope).sum()) / (T - warmup),
     )
     return moments
 
@@ -393,10 +405,11 @@ def utilization(trace: Trace, servers: int | None = None) -> UtilizationReport:
     c = servers if servers is not None else int(trace.servers.max(initial=-1)) + 1
     c = max(c, 1)
     T = trace.horizon
-    busy = np.zeros(c)
     spans = np.maximum(
         0, np.minimum(trace.departures, T) - np.maximum(trace.starts, 0)
     )
-    np.add.at(busy, trace.servers, spans)
+    busy = np.bincount(trace.servers, weights=spans, minlength=c)
+    if len(busy) > c:
+        raise ValueError(f"server index {len(busy) - 1} outside the {c} servers")
     per = busy / T
     return UtilizationReport(per, float(per.sum()))

@@ -7,13 +7,21 @@ combo's :func:`dtq.timebase.span_shift`; all observed quantities here
 are indicator sums over that span.  The 30 combos share only five span
 shifts, so every observed quantity is a function of the shift alone.
 
-:func:`time_averages` memoizes on the trace, lazily: the actual block
-(lambda, W, L, pi and the completed-customer mask) per (warmup,
-convention) and the observed block (W_obs, L_obs, pi_obs) per (s0, e0,
-warmup).  The memo relies on traces being immutable: a Trace is frozen
-and its arrays must not be modified in place once averages are taken.
-It holds scalars, state histograms and one customer-length mask, never
-a slot-length path, and it hands out copies, so callers cannot alter it.
+Every queue path is a slice of the two counting processes of a trace:
+the path of shift (s0, e0) is N_A(j - s0) - N_D(j - e0 - 1), and the
+actual path is shift (1, 0) (strict-left) or (0, -1) (strict-right)
+(see :meth:`dtq.engine.Trace.shift_path`).
+
+:func:`time_averages` memoizes on the trace, lazily.  The first call for
+a warmup builds the counting processes once, takes L and pi of all five
+shifts from window slices of them, keeps those and drops the counts.
+The actual block (lambda, W and the completed-customer mask) is kept per
+warmup and reads L and pi off its convention's shift; W_obs is kept per
+(s0, e0, warmup).  The memo relies on traces being immutable: a Trace
+is frozen and its arrays must not be modified in place once averages
+are taken.  It holds scalars, state histograms and one customer-length
+mask, never a slot-length array, and it hands out copies, so callers
+cannot alter it.
 """
 from __future__ import annotations
 
@@ -22,8 +30,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import busy as busy_mod
-from .engine import Trace
-from .timebase import ObservationEpoch, SchedulingRule, observation_span, span_shift
+from .engine import Trace, convention_shift
+from .timebase import (
+    EPOCHS,
+    RULES,
+    ObservationEpoch,
+    SchedulingRule,
+    observation_span,
+    span_shift,
+)
 
 __all__ = [
     "InsufficientDataError",
@@ -93,12 +108,9 @@ def observed_queue_path(
     trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch
 ) -> np.ndarray:
     """Observed number-in-system at u(j) for j = 0..horizon (entry 0 is 0)."""
-    T = trace.horizon
-    s0, e0 = span_shift(rule, epoch)
-    lo = np.clip(trace.arrivals + s0, 1, T + 1)
-    hi = np.clip(trace.departures + (e0 + 1), 1, T + 1)
-    delta = np.bincount(lo, minlength=T + 2) - np.bincount(hi, minlength=T + 2)
-    return np.cumsum(delta[: T + 1])
+    path = trace.shift_path(*span_shift(rule, epoch))
+    path[0] = 0
+    return path
 
 
 def observed_service_spans(
@@ -153,6 +165,10 @@ class QueueEstimates:
         }
 
 
+# the five span shifts the 30 rule/epoch combos reduce to
+_SHIFTS = tuple(sorted({span_shift(rule, epoch) for rule in RULES for epoch in EPOCHS}))
+
+
 def time_averages(
     trace: Trace,
     rule: SchedulingRule | None = None,
@@ -172,18 +188,22 @@ def time_averages(
         warmup = T // 10
     if not 0 <= warmup < T:
         raise ValueError(f"warmup {warmup} must lie in [0, horizon)")
-    lam, W, L, pi, n_completed, completed = _actual_block(trace, warmup, convention)
+    actual = convention_shift(convention)
+    lam, W, n_completed, completed = _actual_block(trace, warmup)
+    windows = _window_block(trace, warmup)
+    L, pi = windows[actual]
     if rule is None or epoch is None:
         W_obs, L_obs, pi_obs = W, L, pi
     else:
-        W_obs, L_obs, pi_obs = _observed_block(trace, rule, epoch, warmup, completed)
+        W_obs = _observed_wait(trace, rule, epoch, warmup, completed)
+        L_obs, pi_obs = windows[span_shift(rule, epoch)]
     return QueueEstimates(
         lam, W, L, W_obs, L_obs, pi.copy(), pi_obs.copy(), T, warmup, rule, epoch, n_completed
     )
 
 
-def _actual_block(trace: Trace, warmup: int, convention: str):
-    key = ("actual", warmup, convention)
+def _actual_block(trace: Trace, warmup: int):
+    key = ("actual", warmup)
     block = trace._memo.get(key)
     if block is not None:
         return block
@@ -200,32 +220,34 @@ def _actual_block(trace: Trace, warmup: int, convention: str):
             f"no customer arrives and departs inside ({warmup}, {T}]"
         )
     W = float(trace.waits[completed].mean())
-
-    path = trace.queue_path(convention)[warmup + 1 :]
-    L = float(path.mean())
-    pi = np.bincount(path) / span
-    block = trace._memo[key] = (lam, W, L, pi, n_completed, completed)
+    block = trace._memo[key] = (lam, W, n_completed, completed)
     return block
 
 
-def _observed_block(
-    trace: Trace,
-    rule: SchedulingRule,
-    epoch: ObservationEpoch,
-    warmup: int,
-    completed: np.ndarray,
-):
-    # the completed mask depends on the warmup alone, so the key needs no convention
-    key = ("observed", *span_shift(rule, epoch), warmup)
+def _window_block(trace: Trace, warmup: int) -> dict:
+    """L and pi over the window (warmup, T] for every span shift, from one
+    build of the counting processes."""
+    key = ("windows", warmup)
     block = trace._memo.get(key)
     if block is not None:
         return block
-    W_obs = float(observed_waits(trace, rule, epoch)[completed].mean())
-    opath = observed_queue_path(trace, rule, epoch)[warmup + 1 :]
-    L_obs = float(opath.mean())
-    pi_obs = np.bincount(opath) / (trace.horizon - warmup)
-    block = trace._memo[key] = (W_obs, L_obs, pi_obs)
+    span = trace.horizon - warmup
+    counts = trace.counting_processes()
+    block = {}
+    for s0, e0 in _SHIFTS:
+        window = trace.shift_path(s0, e0, warmup + 1, counts)
+        block[s0, e0] = (float(window.mean()), np.bincount(window) / span)
+    trace._memo[key] = block
     return block
+
+
+def _observed_wait(trace: Trace, rule, epoch, warmup: int, completed: np.ndarray) -> float:
+    # the completed mask depends on the warmup alone, so the key needs no convention
+    key = ("observed", *span_shift(rule, epoch), warmup)
+    W_obs = trace._memo.get(key)
+    if W_obs is None:
+        W_obs = trace._memo[key] = float(observed_waits(trace, rule, epoch)[completed].mean())
+    return W_obs
 
 
 @dataclass(frozen=True)

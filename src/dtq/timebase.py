@@ -21,9 +21,12 @@ observed exactly at the slot indices A + s0 .. D + e0.  :func:`span_shift`
 is the one place the rule/epoch encoding is reduced to that pair.  Only
 five pairs occur over the 30 combinations: (0, -1) x 9, (1, 0) x 8,
 (1, -1) x 7, (0, 0) x 5 and (0, -2) x 1.  Everything observed depends on
-the pair alone, so downstream code computes and memoizes per pair (see
-:mod:`dtq.observer`), and the observed-wait offset e0 - s0 + 1 gives the
-coherence class (see :mod:`dtq.coherence`).
+the pair alone: the observed queue path is N_A(j - s0) - N_D(j - e0 - 1)
+for the trace's arrival and departure counting processes, so every
+pair's time averages come from one build of those counts (see
+:mod:`dtq.observer` and :meth:`dtq.engine.Trace.shift_path`), and the
+observed-wait offset e0 - s0 + 1 gives the coherence class (see
+:mod:`dtq.coherence`).
 """
 from __future__ import annotations
 

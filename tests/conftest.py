@@ -90,6 +90,20 @@ def oracle_observed_path(trace, rule, epoch) -> np.ndarray:
     return out
 
 
+def oracle_queue_path(trace, convention="strict-left") -> np.ndarray:
+    """Number-in-system path for j = 0..horizon from two bincount
+    difference arrays, one entry per customer span."""
+    T = trace.horizon
+    if convention == "strict-left":
+        first, last = trace.arrivals + 1, trace.departures
+    else:
+        first, last = trace.arrivals, trace.departures - 1
+    lo = np.clip(first, 0, T + 1)
+    hi = np.clip(last + 1, 0, T + 1)
+    delta = np.bincount(lo, minlength=T + 2) - np.bincount(hi, minlength=T + 2)
+    return np.cumsum(delta[: T + 1])
+
+
 def oracle_queue_length(trace, tau, convention="strict-left") -> int:
     a, d = trace.arrivals, trace.departures
     if convention == "strict-left":
@@ -229,6 +243,16 @@ def bgeom1_trace():
 @pytest.fixture(scope="session")
 def small_bgeom1_trace():
     return build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 3, 10_000)
+
+
+def prefix_trace(trace, slots):
+    """The customers arriving by ``slots`` over a horizon of ``slots``, so
+    the ones still in the system depart after the horizon."""
+    keep = trace.arrivals <= slots
+    return Trace(
+        trace.arrivals[keep], trace.services[keep], trace.starts[keep],
+        trace.departures[keep], slots,
+    )
 
 
 @pytest.fixture()

@@ -49,6 +49,29 @@ class TestDetectCycles:
         tr = run_discipline([], [], Fifo(1), horizon=9)
         assert detect_cycles(tr).n_cycles == 0
 
+    def test_cycle_counts_its_opener(self):
+        # both customers of the first cycle arrive before its first busy index
+        tr = run_discipline([1, 2, 11], [3, 3, 1], Fifo(1), horizon=20)
+        stats = detect_cycles(tr)
+        assert stats.U.tolist() == [2]
+        assert stats.E.tolist() == [2]
+
+    def test_customers_of_complete_cycles(self, small_bgeom1_trace):
+        tr = small_bgeom1_trace
+        stats = detect_cycles(tr)
+        first, end = int(stats.U[0]), int(stats.U[-1] + stats.C[-1])
+        served = np.count_nonzero((tr.arrivals >= first - 1) & (tr.arrivals < end - 1))
+        assert int(stats.E.sum()) == served
+
+    def test_customers_per_cycle_enter_during_its_busy_period(self, small_bgeom1_trace):
+        # a customer arriving in slot a is first counted at index a + 1
+        tr = small_bgeom1_trace
+        stats = detect_cycles(tr)
+        entry = tr.arrivals + 1
+        for k in range(stats.n_cycles):
+            n = np.count_nonzero((stats.U[k] <= entry) & (entry < stats.V[k]))
+            assert stats.E[k] == n, k
+
     def test_boundary_ordering_and_identity(self, bgeom1_trace):
         stats = detect_cycles(bgeom1_trace)
         assert np.all(stats.U < stats.V)

@@ -135,6 +135,47 @@ class TestVerify:
         assert [r["seed"] for r in bundle["replications"]] == [42, 43, 44]
 
 
+class TestPathBuilds:
+    """A reference verify takes every time average from one build of the
+    counting processes and the mean workload in closed form."""
+
+    def test_reference_verify_builds_no_observed_or_workload_path(self, tmp_path, monkeypatch):
+        from dtq import littles, observer
+        from dtq.engine import Trace
+
+        path = tmp_path / "ref.ini"
+        path.write_text(
+            SMALL_CONFIG.replace("horizon = 40000", "horizon = 20000")
+            .replace("warmup = 4000", "warmup = 2000")
+            .replace("names = little, busy", f"names = {', '.join(cli.CHECK_NAMES)}")
+        )
+        calls = dict.fromkeys(
+            ("counting_processes", "queue_path", "observed_queue_path", "workload_path"), 0
+        )
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(Trace, "counting_processes")
+        count(Trace, "queue_path")
+        count(observer, "observed_queue_path")
+        count(littles, "workload_path")
+        exp = cli.load_experiment(str(path))
+        assert len(exp.checks) == 8
+        cli.run_verify(exp)
+        assert calls["observed_queue_path"] == 0
+        assert calls["workload_path"] == 0
+        assert calls["queue_path"] <= 1  # the busy check's
+        # once for every time average, plus once inside that queue path
+        assert calls["counting_processes"] == 1 + calls["queue_path"]
+
+
 class TestDist:
     @pytest.mark.parametrize(
         "klass,pi0",

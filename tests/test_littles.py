@@ -10,6 +10,7 @@ from conftest import (
     oracle_indicator_rate,
     oracle_remaining_work_rate,
     oracle_workload_lindley,
+    prefix_trace,
 )
 from dtq import littles as littles_mod
 from dtq.coherence import CoherenceClass
@@ -166,15 +167,6 @@ class TestHLambdaG:
         assert (hg.H, hg.lam, hg.G) == (ref.H, ref.lam, ref.G)
 
 
-def _prefix(trace, slots):
-    """The customers arriving by ``slots``, some departing after it."""
-    keep = trace.arrivals <= slots
-    return Trace(
-        trace.arrivals[keep], trace.services[keep], trace.starts[keep],
-        trace.departures[keep], slots,
-    )
-
-
 class TestCostKernel:
     """The piecewise-linear kernel against per-slot rate closures."""
 
@@ -189,7 +181,7 @@ class TestCostKernel:
         full = build_trace(Bernoulli(0.45), DiscreteDist.geometric(0.5), Fifo(1), seed, 4_000)
         two = build_trace(Bernoulli(0.7), DiscreteDist.geometric(0.4), Fifo(2), seed, 2_000)
         # cut at an arrival slot, so that customer departs after the horizon
-        prefix = _prefix(full, int(full.arrivals[full.n // 2]))
+        prefix = prefix_trace(full, int(full.arrivals[full.n // 2]))
         assert np.any(prefix.departures > prefix.horizon)
         for tr in (full, prefix, two):
             path, totals = littles_mod._cost_profile(tr, make_cost())
@@ -245,16 +237,31 @@ class TestWorkload:
 
 
 class TestWorkloadMomentsMemo:
-    def test_path_built_once_per_warmup(self, monkeypatch):
+    def test_spans_built_once_per_warmup_and_no_path(self, monkeypatch):
         tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 5, 20_000)
-        calls = []
-        real = littles_mod.workload_path
-        monkeypatch.setattr(littles_mod, "workload_path", lambda t: calls.append(t) or real(t))
+        spans, paths = [], []
+        real = littles_mod._remaining_work_spans
+        monkeypatch.setattr(littles_mod, "_remaining_work_spans", lambda t: spans.append(t) or real(t))
+        monkeypatch.setattr(littles_mod, "workload_path", lambda t: paths.append(t))
         verify_pk(tr, 2_000)
         m = workload_moments(tr, 2_000)
-        assert len(calls) == 1
+        assert len(spans) == 1
         assert workload_moments(tr, 500) != m
-        assert len(calls) == 2
+        assert len(spans) == 2
+        assert paths == []
+
+    @pytest.mark.parametrize("kind", ["fifo1", "fifo2", "prefix"])
+    @pytest.mark.parametrize("warmup", [0, 300])
+    def test_mean_workload_is_path_mean_bit_for_bit(self, kind, warmup):
+        if kind == "fifo2":
+            tr = build_trace(Bernoulli(0.7), DiscreteDist.geometric(0.4), Fifo(2), 3, 3_000)
+        else:
+            tr = build_trace(Bernoulli(0.45), DiscreteDist.geometric(0.5), Fifo(1), 3, 3_000)
+        if kind == "prefix":
+            tr = prefix_trace(tr, int(tr.arrivals[tr.n // 2]))
+            assert np.any(tr.departures > tr.horizon)
+        ev = workload_moments(tr, warmup).EV
+        assert ev == float(workload_path(tr)[warmup + 1 :].mean())
 
     def test_matches_memo_free_computation(self, small_bgeom1_trace):
         tr = small_bgeom1_trace
@@ -312,6 +319,23 @@ class TestUtilization:
     def test_empty_trace(self):
         tr = run_discipline([], [], Fifo(1), horizon=50)
         assert utilization(tr, servers=1).total == 0.0
+
+    def test_matches_per_server_accumulation(self):
+        tr = build_trace(Bernoulli(0.8), DiscreteDist.geometric(0.35), Fifo(3), 11, 5_000)
+        T = tr.horizon
+        assert np.any(tr.departures > T)  # some spans are clipped at the horizon
+        busy = np.zeros(3)
+        spans = np.maximum(0, np.minimum(tr.departures, T) - np.maximum(tr.starts, 0))
+        np.add.at(busy, tr.servers, spans)
+        rep = utilization(tr)
+        assert rep.per_server.dtype == busy.dtype
+        assert np.array_equal(rep.per_server, busy / T)
+        assert rep.total == float((busy / T).sum())
+
+    def test_server_index_beyond_count_rejected(self):
+        tr = build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), Fifo(2), 7, 2_000)
+        with pytest.raises(ValueError, match="server index"):
+            utilization(tr, servers=1)
 
     def test_random_assignment_same_total(self):
         arr = np.arange(1, 2_001) * 2

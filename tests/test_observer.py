@@ -10,6 +10,8 @@ from conftest import (
     oracle_observed_path,
     oracle_observed_wait,
     oracle_queue_length,
+    oracle_queue_path,
+    prefix_trace,
 )
 from dtq.busy import cycles_from_path
 from dtq.coherence import CoherenceClass, classify
@@ -34,7 +36,14 @@ from dtq.observer import (
     queue_length_observed,
     time_averages,
 )
-from dtq.timebase import EPOCHS, RULES, ObservationEpoch as E, SchedulingRule as R, observation_span
+from dtq.timebase import (
+    EPOCHS,
+    RULES,
+    ObservationEpoch as E,
+    SchedulingRule as R,
+    observation_span,
+    span_shift,
+)
 
 ALL_COMBOS = list(itertools.product(RULES, EPOCHS))
 
@@ -126,6 +135,64 @@ class TestQueueLength:
         assert sum(left) == sum(right)
 
 
+def _late_prefix(trace):
+    """Prefix cut at the middle arrival, so some customers depart late."""
+    prefix = prefix_trace(trace, int(trace.arrivals[trace.n // 2]))
+    assert np.any(prefix.departures > prefix.horizon)
+    return prefix
+
+
+class TestCountingKernel:
+    def _traces(self, small_bgeom1_trace):
+        yield small_bgeom1_trace
+        yield _late_prefix(small_bgeom1_trace)
+        yield build_trace(Bernoulli(0.7), DiscreteDist.geometric(0.4), Fifo(2), 3, 3_000)
+        yield build_trace(Bernoulli(0.5), DiscreteDist.geometric(0.2), InfiniteServer(), 3, 3_000)
+        yield run_discipline([0, 0, 2], [1, 3, 1], Fifo(1), horizon=4)  # arrivals at slot 0
+        yield run_discipline([], [], Fifo(1), horizon=5)
+
+    def test_counts(self):
+        tr = run_discipline([0, 2, 2], [1, 1, 9], InfiniteServer(), horizon=4)
+        n_a, n_d = tr.counting_processes()
+        assert n_a.tolist() == [1, 1, 3, 3, 3, 3]
+        assert n_d.tolist() == [0, 1, 1, 2, 2, 2]
+
+    @pytest.mark.parametrize("convention", ["strict-left", "strict-right"])
+    def test_queue_path_matches_difference_arrays(self, small_bgeom1_trace, convention):
+        for tr in self._traces(small_bgeom1_trace):
+            got = tr.queue_path(convention)
+            want = oracle_queue_path(tr, convention)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("first", [0, 1, 3])
+    def test_shift_path_counts_covering_spans(self, first):
+        tr = run_discipline([0, 0, 2, 3], [1, 3, 1, 4], Fifo(1), horizon=9)
+        a, d = tr.arrivals, tr.departures
+        for s0, e0 in {span_shift(rule, epoch) for rule, epoch in ALL_COMBOS}:
+            want = [int(np.count_nonzero((a + s0 <= j) & (j <= d + e0))) for j in range(first, 10)]
+            assert tr.shift_path(s0, e0, first).tolist() == want, (s0, e0)
+
+    def test_slot_zero_entries(self):
+        tr = run_discipline([0, 0, 2], [1, 3, 1], Fifo(1), horizon=4)
+        assert tr.queue_path()[0] == 0
+        assert tr.queue_path("strict-right")[0] == 2
+        for rule, epoch in ALL_COMBOS:
+            assert observed_queue_path(tr, rule, epoch)[0] == 0
+
+    def test_observed_path_on_late_prefix(self):
+        full = build_trace(Bernoulli(0.4), DiscreteDist.geometric(0.4), Fifo(1), 6, 120)
+        tr = _late_prefix(full)
+        for rule, epoch in ALL_COMBOS:
+            fast = observed_queue_path(tr, rule, epoch)
+            assert np.array_equal(fast, oracle_observed_path(tr, rule, epoch)), (rule, epoch)
+
+    def test_unknown_convention_rejected(self, worked_example_trace):
+        with pytest.raises(ValueError, match="convention"):
+            worked_example_trace.queue_path("both")
+        with pytest.raises(ValueError, match="convention"):
+            time_averages(worked_example_trace, warmup=0, convention="both")
+
+
 class TestObservedQueue:
     @pytest.mark.parametrize("rule,epoch", ALL_COMBOS)
     def test_path_matches_rational_oracle(self, rule, epoch, two_customer_trace):
@@ -202,7 +269,7 @@ def _memo_free_averages(trace, rule, epoch, warmup, convention):
     lam = int(np.count_nonzero(inside & (trace.arrivals <= T))) / span
     completed = inside & (trace.departures <= T)
     W = float(trace.waits[completed].mean())
-    path = trace.queue_path(convention)[warmup + 1 :]
+    path = oracle_queue_path(trace, convention)[warmup + 1 :]
     start, end = observation_span(rule, epoch, trace.arrivals, trace.departures)
     W_obs = float(np.maximum(0, end - np.maximum(start, 1) + 1)[completed].mean())
     lo = np.clip(start, 1, T + 1)
@@ -233,11 +300,42 @@ def _assert_bitwise_equal(est, ref):
 class TestTimeAveragesMemo:
     @pytest.mark.parametrize("convention", ["strict-left", "strict-right"])
     @pytest.mark.parametrize("warmup", [0, 1_000])
-    def test_matches_memo_free_computation(self, small_bgeom1_trace, warmup, convention):
+    @pytest.mark.parametrize("prefix", [False, True])
+    def test_matches_memo_free_computation(self, small_bgeom1_trace, warmup, convention, prefix):
+        tr = _late_prefix(small_bgeom1_trace) if prefix else small_bgeom1_trace
         for rule, epoch in ALL_COMBOS:
-            est = time_averages(small_bgeom1_trace, rule, epoch, warmup, convention)
-            ref = _memo_free_averages(small_bgeom1_trace, rule, epoch, warmup, convention)
+            est = time_averages(tr, rule, epoch, warmup, convention)
+            ref = _memo_free_averages(tr, rule, epoch, warmup, convention)
             _assert_bitwise_equal(est, ref)
+
+    @pytest.mark.parametrize("convention", ["strict-left", "strict-right"])
+    @pytest.mark.parametrize("warmup", [0, 3])
+    def test_empty_observed_window(self, warmup, convention):
+        # one-slot services: shifts of offset -1 never see a customer
+        tr = run_discipline([1, 5], [1, 1], Fifo(1), horizon=8)
+        for rule, epoch in ALL_COMBOS:
+            est = time_averages(tr, rule, epoch, warmup, convention)
+            _assert_bitwise_equal(est, _memo_free_averages(tr, rule, epoch, warmup, convention))
+            if classify(rule, epoch) is CoherenceClass.SUB_COHERENT:
+                assert est.L_obs == 0.0 and est.pi_obs.tolist() == [1.0]
+
+    def test_memo_holds_no_slot_length_array(self):
+        tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 9, 10_000)
+        for rule, epoch in ALL_COMBOS:
+            time_averages(tr, rule, epoch, 1_000)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for v in value:
+                    yield from arrays(v)
+            elif isinstance(value, dict):
+                for v in value.values():
+                    yield from arrays(v)
+
+        sizes = [a.size for a in arrays(tr._memo)]
+        assert sizes and max(sizes) <= tr.n
 
     def test_traces_do_not_share_entries(self, small_bgeom1_trace):
         other = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 4, 10_000)
