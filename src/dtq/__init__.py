@@ -25,7 +25,7 @@ from .engine import (
     sample_services,
 )
 from .littles import basic_inequality, check_little, check_little_observed, utilization, verify_pk, workload
-from .observer import QueueEstimates, actual_wait, observed_wait, queue_length, time_averages
+from .observer import QueueEstimates, actual_wait, observed_wait, time_averages
 from .timebase import (
     MicroTime,
     ObservationEpoch,

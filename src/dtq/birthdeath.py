@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .coherence import CoherenceClass, classification_table
+from .timebase import render_grid
 
 __all__ = [
     "BDParams",
@@ -34,7 +35,6 @@ __all__ = [
     "one_or_more",
     "occupancy_grid",
     "render_occupancy_text",
-    "distribution_csv_rows",
 ]
 
 _TAIL_TOL = 1e-13
@@ -215,17 +215,4 @@ def occupancy_grid(alpha: float, beta: float) -> dict:
 
 
 def render_occupancy_text(alpha: float, beta: float) -> str:
-    from .timebase import EPOCHS, RULES
-
-    grid = occupancy_grid(alpha, beta)
-    headers = ("Random", "Outside", "Pre-Arr", "Post-Arr", "Pre-Dep", "Post-Dep")
-    width = 10
-    lines = ["".ljust(8) + "".join(h.ljust(width) for h in headers)]
-    for r in RULES:
-        cells = (f"{grid[(r, e)]:.6f}" for e in EPOCHS)
-        lines.append(r.label.ljust(8) + "".join(c.ljust(width) for c in cells))
-    return "\n".join(lines)
-
-
-def distribution_csv_rows(pi: np.ndarray) -> list[list]:
-    return [["n", "pi"]] + [[n, float(p)] for n, p in enumerate(pi)]
+    return render_grid({k: f"{v:.6f}" for k, v in occupancy_grid(alpha, beta).items()}, 10)

@@ -24,9 +24,7 @@ __all__ = [
     "cycle_means_from_rates",
     "sigma_solve",
     "ggeo1_busy",
-    "finite_pop_busy",
     "CycleMeans",
-    "cycles_to_csv_rows",
 ]
 
 
@@ -207,32 +205,3 @@ def ggeo1_busy(alpha: float, sigma_star: float, rho: float) -> CycleMeans:
         busy=rho / denom,
         customers=1.0 / (1.0 - sigma_star),
     )
-
-
-def finite_pop_busy(n_sources: int, alpha: float, pi0: float, mean_l: float) -> CycleMeans:
-    """Cycle means for the finite-population single-server model."""
-    if n_sources < 1:
-        raise ValueError("need at least one source")
-    if not 0.0 < pi0 < 1.0:
-        raise ValueError(f"pi0 must be in (0, 1), got {pi0}")
-    n_alpha = n_sources * alpha
-    if n_alpha <= 0.0:
-        raise ValueError("arrival rate must be positive")
-    return CycleMeans(
-        idle=1.0 / n_alpha,
-        cycle=1.0 / (n_alpha * pi0),
-        busy=(1.0 - pi0) / (n_alpha * pi0),
-        customers=(n_sources - mean_l) / (n_sources * pi0),
-    )
-
-
-def cycles_to_csv_rows(stats: CycleStats) -> list[list[int]]:
-    """Rows k,U,V,C,B,I,E for the per-cycle export."""
-    rows = []
-    for k in range(stats.n_cycles):
-        e = int(stats.E[k]) if stats.E is not None else ""
-        rows.append(
-            [k + 1, int(stats.U[k]), int(stats.V[k]), int(stats.C[k]),
-             int(stats.B[k]), int(stats.I[k]), e]
-        )
-    return rows

@@ -1,9 +1,22 @@
 """Command-line front end: experiments from config files, reports out.
 
 Configs are sectioned key = value files ([model], [sim], [checks],
-[output]).  Every report row carries the simulated value, the predicted
-value, the residual and the tolerance.  Exit codes: 0 all checks pass,
-1 a check failed, 2 usage or config error.
+[output]).  Each check is one entry of the CHECKS registry: a function of
+(experiment, trace) that yields (quantity, simulated, formula, tolerance)
+tuples, which _run_check turns into report rows with the residual and a
+pass flag.  Subcommands:
+
+  classify   30-combo classification grid against the reference
+  verify     every configured check on each replication's trace
+  dist       analytic vs simulated distribution of one class
+  busy, pk   the registered check of that name on one trace
+  table61    nonempty-system probability grid
+  simulate   write a generated trace as CSV (needs --out)
+
+Every subcommand but simulate writes one table: its rows as JSON or CSV
+(a header of field names, then strings as they are and numbers as repr),
+or its own text.  Exit codes: 0 all checks pass, 1 a check failed, 2
+usage or config error.
 """
 from __future__ import annotations
 
@@ -16,6 +29,7 @@ import sys
 import numpy as np
 
 from . import birthdeath, busy, coherence, littles, observer
+from .coherence import CoherenceClass
 from .engine import (
     Bernoulli,
     DiscreteDist,
@@ -27,24 +41,13 @@ from .engine import (
     build_trace,
     write_trace_csv,
 )
-from .timebase import EPOCHS, RULES, ObservationEpoch, SchedulingRule
-
-CHECK_NAMES = (
-    "little",
-    "little-observed",
-    "pk",
-    "workload",
-    "busy",
-    "dist",
-    "table61",
-    "utilization",
-)
+from .timebase import RULES, ObservationEpoch, SchedulingRule
 
 # one representative rule/epoch combo per coherence class
 _CLASS_COMBOS = {
-    "coherent": (SchedulingRule.LAS_IA, ObservationEpoch.RANDOM_OBSERVER),
-    "sub-coherent": (SchedulingRule.EAS, ObservationEpoch.RANDOM_OBSERVER),
-    "super-coherent": (SchedulingRule.LAS_DA, ObservationEpoch.RANDOM_OBSERVER),
+    CoherenceClass.COHERENT: (SchedulingRule.LAS_IA, ObservationEpoch.RANDOM_OBSERVER),
+    CoherenceClass.SUB_COHERENT: (SchedulingRule.EAS, ObservationEpoch.RANDOM_OBSERVER),
+    CoherenceClass.SUPER_COHERENT: (SchedulingRule.LAS_DA, ObservationEpoch.RANDOM_OBSERVER),
 }
 
 
@@ -149,111 +152,103 @@ def load_experiment(path: str | None, seed_override=None) -> Experiment:
     return Experiment(cp, seed_override)
 
 
+_ROW_FIELDS = ("check", "quantity", "simulated", "formula", "residual", "tolerance", "pass")
+
+
 def _row(check, name, simulated, formula, tolerance):
+    """One report row; numbers become Python floats, so CSV writes plain reprs."""
+    simulated, formula, tolerance = float(simulated), float(formula), float(tolerance)
     residual = abs(simulated - formula)
-    return {
-        "check": check,
-        "quantity": name,
-        "simulated": simulated,
-        "formula": formula,
-        "residual": residual,
-        "tolerance": tolerance,
-        "pass": bool(residual <= tolerance),
-    }
+    passed = residual <= tolerance
+    return dict(zip(_ROW_FIELDS, (check, name, simulated, formula, residual, tolerance, passed)))
+
+
+def _class_pi(exp: Experiment, trace, klass: CoherenceClass):
+    """Time averages of the class's representative combo, with its simulated
+    and analytic pi zero-padded to one length."""
+    rule, epoch = _CLASS_COMBOS[klass]
+    est = observer.time_averages(trace, rule, epoch, exp.warmup)
+    ana = birthdeath.bgeom1_pi(birthdeath.BGeom1Params(exp.alpha, exp.beta, klass))
+    width = max(len(ana), len(est.pi_obs))
+    return est, np.pad(est.pi_obs, (0, width - len(est.pi_obs))), np.pad(ana, (0, width - len(ana)))
+
+
+# --- checks: each yields (quantity, simulated, formula, tolerance) -----------
+
+def _little(exp, trace):
+    rep = littles.check_little(trace, exp.warmup)
+    yield "L - lam*W", rep.L, rep.lam * rep.W, rep.tolerance
+
+
+def _little_observed(exp, trace):
+    for klass, (rule, epoch) in _CLASS_COMBOS.items():
+        rep = littles.check_little_observed(trace, rule, epoch, exp.warmup)
+        combo = f"{rule.label}/{epoch.label}"
+        yield f"L_obs[{combo}] ({klass.label})", rep.L_obs, rep.class_target, rep.tolerance
+        yield f"L_obs - lam*W_obs [{combo}]", rep.L_obs, rep.lam * rep.W_obs, rep.tolerance
+
+
+def _pk(exp, trace):
+    rep = littles.verify_pk(trace, exp.warmup)
+    tol = rep.tolerance * max(abs(rep.EWq_formula), 1e-9) + 30.0 / np.sqrt(exp.horizon - exp.warmup)
+    yield "EWq", rep.EWq_sim, rep.EWq_formula, tol
+    yield "EV", rep.EV_sim, rep.EV_formula, tol
+
+
+def _workload(exp, trace):
+    # FIFO Bernoulli input: mean workload matches mean queueing delay
+    m = littles.workload_moments(trace, exp.warmup)
+    tol = 0.02 * max(abs(m.EWq), 1e-9) + 30.0 / np.sqrt(exp.horizon - exp.warmup)
+    yield "EV vs EWq", m.EV, m.EWq, tol
+
+
+def _busy(exp, trace):
+    path = trace.queue_path()
+    stats = busy.cycles_from_path(path, trace.arrivals)
+    rates = busy.rates_from_path(path, trace.arrivals)
+    means = busy.cycle_means_from_rates(float(rates.pi[0]), rates.alpha_n[0], rates.arrival_rate)
+    sim = stats.means()
+    for field in ("idle", "cycle", "busy", "customers"):
+        ref = getattr(means, field)
+        yield field, getattr(sim, field), ref, 0.01 * abs(ref) + 3.0 / np.sqrt(stats.n_cycles)
+
+
+def _dist(exp, trace):
+    tol = 3.0 / np.sqrt(exp.horizon - exp.warmup)
+    for klass in _CLASS_COMBOS:
+        _, sim, ana = _class_pi(exp, trace, klass)
+        yield f"max|pi_obs - pi| ({klass.label})", float(np.abs(sim - ana).max()), 0.0, tol
+
+
+def _table61(exp, trace):
+    for (rule, epoch), ref in birthdeath.occupancy_grid(exp.alpha, exp.beta).items():
+        est = observer.time_averages(trace, rule, epoch, exp.warmup)
+        sim = 1.0 - float(est.pi_obs[0])
+        yield f"1-pi_obs(0) [{rule.label}/{epoch.label}]", sim, ref, 0.01 * ref
+
+
+def _utilization(exp, trace):
+    target = exp.alpha * exp.service.mean()
+    yield "busy servers", littles.utilization(trace).total, target, 0.02 * target
+    est = observer.time_averages(trace, warmup=exp.warmup)
+    yield "1-pi(0) vs rho", 1.0 - float(est.pi[0]), target / exp.servers, 0.01 * target
+
+
+CHECKS = {
+    "little": _little,
+    "little-observed": _little_observed,
+    "pk": _pk,
+    "workload": _workload,
+    "busy": _busy,
+    "dist": _dist,
+    "table61": _table61,
+    "utilization": _utilization,
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 def _run_check(name: str, exp: Experiment, trace) -> list[dict]:
-    alpha, beta, warm = exp.alpha, exp.beta, exp.warmup
-    span = exp.horizon - warm
-    rows: list[dict] = []
-    if name == "little":
-        rep = littles.check_little(trace, warm)
-        rows.append(_row("little", "L - lam*W", rep.L, rep.lam * rep.W, rep.tolerance))
-    elif name == "little-observed":
-        for label, (rule, epoch) in _CLASS_COMBOS.items():
-            rep = littles.check_little_observed(trace, rule, epoch, warm)
-            rows.append(
-                _row(
-                    "little-observed",
-                    f"L_obs[{rule.label}/{epoch.label}] ({label})",
-                    rep.L_obs,
-                    rep.class_target,
-                    rep.tolerance,
-                )
-            )
-            rows.append(
-                _row(
-                    "little-observed",
-                    f"L_obs - lam*W_obs [{rule.label}/{epoch.label}]",
-                    rep.L_obs,
-                    rep.lam * rep.W_obs,
-                    rep.tolerance,
-                )
-            )
-    elif name == "pk":
-        rep = littles.verify_pk(trace, warm)
-        tol = rep.tolerance * max(abs(rep.EWq_formula), 1e-9) + 30.0 / np.sqrt(span)
-        rows.append(_row("pk", "EWq", rep.EWq_sim, rep.EWq_formula, tol))
-        rows.append(_row("pk", "EV", rep.EV_sim, rep.EV_formula, tol))
-    elif name == "workload":
-        m = littles.workload_moments(trace, warm)
-        target = (
-            trace.n and m.EWq
-        )  # FIFO Bernoulli input: mean workload matches mean queueing delay
-        tol = 0.02 * max(abs(m.EWq), 1e-9) + 30.0 / np.sqrt(span)
-        rows.append(_row("workload", "EV vs EWq", m.EV, float(target), tol))
-    elif name == "busy":
-        path = trace.queue_path()
-        stats = busy.cycles_from_path(path, trace.arrivals)
-        rates = busy.rates_from_path(path, trace.arrivals)
-        means = busy.cycle_means_from_rates(
-            float(rates.pi[0]), rates.alpha_n[0], rates.arrival_rate
-        )
-        sim = stats.means()
-        for field in ("idle", "cycle", "busy", "customers"):
-            ref = getattr(means, field)
-            rows.append(_row("busy", field, getattr(sim, field), ref, 0.01 * abs(ref) + 3.0 / np.sqrt(stats.n_cycles)))
-    elif name == "dist":
-        for label, (rule, epoch) in _CLASS_COMBOS.items():
-            est = observer.time_averages(trace, rule, epoch, warm)
-            p = birthdeath.BGeom1Params(alpha, beta, coherence.classify(rule, epoch))
-            ana = birthdeath.bgeom1_pi(p)
-            width = max(len(ana), len(est.pi_obs))
-            sim_pi = np.pad(est.pi_obs, (0, width - len(est.pi_obs)))
-            ana_pi = np.pad(ana, (0, width - len(ana)))
-            gap = float(np.abs(sim_pi - ana_pi).max())
-            rows.append(
-                {
-                    "check": "dist",
-                    "quantity": f"max|pi_obs - pi| ({label})",
-                    "simulated": gap,
-                    "formula": 0.0,
-                    "residual": gap,
-                    "tolerance": 3.0 / np.sqrt(span),
-                    "pass": bool(gap <= 3.0 / np.sqrt(span)),
-                }
-            )
-    elif name == "table61":
-        grid = birthdeath.occupancy_grid(alpha, beta)
-        for rule in RULES:
-            for epoch in EPOCHS:
-                est = observer.time_averages(trace, rule, epoch, warm)
-                sim = 1.0 - float(est.pi_obs[0])
-                ref = grid[(rule, epoch)]
-                rows.append(
-                    _row("table61", f"1-pi_obs(0) [{rule.label}/{epoch.label}]", sim, ref, 0.01 * ref)
-                )
-    elif name == "utilization":
-        rep = littles.utilization(trace)
-        target = exp.alpha * exp.service.mean()
-        rows.append(_row("utilization", "busy servers", rep.total, target, 0.02 * target))
-        est = observer.time_averages(trace, warmup=warm)
-        rows.append(
-            _row("utilization", "1-pi(0) vs rho", 1.0 - float(est.pi[0]), target / exp.servers, 0.01 * target)
-        )
-    else:
-        raise ConfigError(f"unknown check {name!r}")
-    return rows
+    return [_row(name, *quantity) for quantity in CHECKS[name](exp, trace)]
 
 
 def run_verify(exp: Experiment, trace_out: str | None = None) -> dict:
@@ -263,12 +258,8 @@ def run_verify(exp: Experiment, trace_out: str | None = None) -> dict:
         trace = exp.make_trace(seed)
         if i == 0 and trace_out:
             write_trace_csv(trace, trace_out)
-        rows = []
-        for name in exp.checks:
-            rows.extend(_run_check(name, exp, trace))
-        replications.append(
-            {"seed": seed, "rows": rows, "pass": all(r["pass"] for r in rows)}
-        )
+        rows = [row for name in exp.checks for row in _run_check(name, exp, trace)]
+        replications.append({"seed": seed, "rows": rows, "pass": all(r["pass"] for r in rows)})
     return {
         "model": {
             "alpha": exp.alpha,
@@ -288,19 +279,27 @@ def run_verify(exp: Experiment, trace_out: str | None = None) -> dict:
     }
 
 
-# --- rendering --------------------------------------------------------------
+# --- output -----------------------------------------------------------------
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
+def _emit(rows: list[dict], text: str, fmt: str, path: str | None, doc=None) -> None:
+    """Write ``doc`` (default: the rows) as JSON, the rows as CSV, or ``text``."""
+    if fmt == "json":
+        text = json.dumps(rows if doc is None else doc, indent=2) + "\n"
+    elif fmt == "csv":
+        lines = [rows[0] if rows else _ROW_FIELDS]  # no rows: a verify with no checks
+        lines += [(v if isinstance(v, str) else repr(v) for v in r.values()) for r in rows]
+        text = "".join(",".join(cells) + "\n" for cells in lines)
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _render_rows_text(rows: list[dict]) -> str:
+def _rows_text(rows: list[dict]) -> str:
     lines = [
-        f"{'check':<14}{'quantity':<44}{'simulated':>14}{'formula':>14}{'residual':>12}{'tol':>10}  result"
+        f"{'check':<14}{'quantity':<44}{'simulated':>14}{'formula':>14}"
+        f"{'residual':>12}{'tol':>10}  result"
     ]
     for r in rows:
         lines.append(
@@ -311,44 +310,24 @@ def _render_rows_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_rows_csv(rows: list[dict]) -> str:
-    out = ["check,quantity,simulated,formula,residual,tolerance,pass"]
-    for r in rows:
-        out.append(
-            f"{r['check']},{r['quantity']},{r['simulated']!r},{r['formula']!r},"
-            f"{r['residual']!r},{r['tolerance']!r},{r['pass']}"
-        )
-    return "\n".join(out) + "\n"
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
-
-
 # --- subcommands ------------------------------------------------------------
 
 def cmd_classify(args) -> int:
     table = coherence.classification_table()
-    fmt = args.format or "text"
-    if fmt == "json":
-        _emit(_json_text(coherence.classification_rows(table)), args.out)
-    elif fmt == "csv":
-        lines = ["rule,epoch,class"] + [
-            f"{r['rule']},{r['epoch']},{r['class']}" for r in coherence.classification_rows(table)
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(render_classification_with_summary(table), args.out)
+    n_coh = sum(c is CoherenceClass.COHERENT for c in table.values())
+    text = coherence.render_classification_text(table)
+    text += f"\n\ncoherent combinations: {n_coh} of {len(table)}\n"
+    _emit(coherence.classification_rows(table), text, args.format or "text", args.out)
+    golden = coherence.GOLDEN_CLASS_GRID
     mismatches = [
-        (r.label, e.label, table[(r, e)].short, coherence.GOLDEN_CLASS_GRID[(r, e)].short)
-        for r in RULES
-        for e in EPOCHS
-        if table[(r, e)] is not coherence.GOLDEN_CLASS_GRID[(r, e)]
+        (r.label, e.label, got.short, golden[(r, e)].short)
+        for (r, e), got in table.items()
+        if got is not golden[(r, e)]
     ]
     edge_center = {
         rule: (
-            table[(rule, ObservationEpoch.RANDOM_OBSERVER)] is coherence.CoherenceClass.COHERENT,
-            table[(rule, ObservationEpoch.OUTSIDE_OBSERVER)] is coherence.CoherenceClass.COHERENT,
+            table[(rule, ObservationEpoch.RANDOM_OBSERVER)] is CoherenceClass.COHERENT,
+            table[(rule, ObservationEpoch.OUTSIDE_OBSERVER)] is CoherenceClass.COHERENT,
         )
         for rule in RULES
     }
@@ -362,113 +341,63 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def render_classification_with_summary(table) -> str:
-    n_coh = sum(1 for c in table.values() if c is coherence.CoherenceClass.COHERENT)
-    return (
-        coherence.render_classification_text(table)
-        + f"\n\ncoherent combinations: {n_coh} of {len(table)}\n"
-    )
-
-
 def cmd_verify(args) -> int:
     exp = load_experiment(args.config, args.seed)
     bundle = run_verify(exp, trace_out=args.trace)
-    fmt = args.format or exp.format
-    if fmt == "json":
-        _emit(_json_text(bundle), args.out or exp.out_path)
-    elif fmt == "csv":
-        rows = [r for rep in bundle["replications"] for r in rep["rows"]]
-        _emit(_render_rows_csv(rows), args.out or exp.out_path)
-    else:
-        chunks = []
-        for rep in bundle["replications"]:
-            chunks.append(f"seed {rep['seed']}:")
-            chunks.append(_render_rows_text(rep["rows"]))
-        chunks.append(f"overall: {'PASS' if bundle['overall_pass'] else 'FAIL'}\n")
-        _emit("\n".join(chunks), args.out or exp.out_path)
+    reps = bundle["replications"]
+    chunks = [f"seed {rep['seed']}:\n{_rows_text(rep['rows'])}" for rep in reps]
+    chunks.append(f"overall: {'PASS' if bundle['overall_pass'] else 'FAIL'}\n")
+    rows = [r for rep in reps for r in rep["rows"]]
+    _emit(rows, "\n".join(chunks), args.format or exp.format, args.out or exp.out_path, bundle)
     return 0 if bundle["overall_pass"] else 1
+
+
+def cmd_check(args) -> int:
+    """One registered check, named by the subcommand, on one trace."""
+    exp = load_experiment(args.config, args.seed)
+    rows = _run_check(args.command, exp, exp.make_trace(exp.seed))
+    _emit(rows, _rows_text(rows), args.format or "text", args.out)
+    return 0 if all(r["pass"] for r in rows) else 1
 
 
 def cmd_dist(args) -> int:
     exp = load_experiment(args.config, args.seed)
-    klass = {
-        "coherent": coherence.CoherenceClass.COHERENT,
-        "sub": coherence.CoherenceClass.SUB_COHERENT,
-        "sub-coherent": coherence.CoherenceClass.SUB_COHERENT,
-        "super": coherence.CoherenceClass.SUPER_COHERENT,
-        "super-coherent": coherence.CoherenceClass.SUPER_COHERENT,
-    }.get(args.klass)
+    spellings = {k.label: k for k in CoherenceClass}
+    spellings.update(sub=spellings["sub-coherent"], super=spellings["super-coherent"])
+    klass = spellings.get(args.klass)
     if klass is None:
         raise ConfigError(f"unknown class {args.klass!r}")
-    p = birthdeath.BGeom1Params(exp.alpha, exp.beta, klass)
-    ana = birthdeath.bgeom1_pi(p)
-    rule, epoch = _CLASS_COMBOS[klass.label]
-    trace = exp.make_trace(exp.seed)
-    est = observer.time_averages(trace, rule, epoch, exp.warmup)
-    width = max(len(ana), len(est.pi_obs))
-    sim = np.pad(est.pi_obs, (0, width - len(est.pi_obs)))
-    anap = np.pad(ana, (0, width - len(ana)))
+    # BGeom1Params rejects a bad (alpha, beta) before any simulation
+    L_analytic = birthdeath.bgeom1_L(birthdeath.BGeom1Params(exp.alpha, exp.beta, klass))
+    est, sim, ana = _class_pi(exp, exp.make_trace(exp.seed), klass)
     rows = [
-        {"n": n, "pi_analytic": float(anap[n]), "pi_simulated": float(sim[n]),
-         "abs_diff": float(abs(anap[n] - sim[n]))}
-        for n in range(width)
+        {"n": n, "pi_analytic": float(a), "pi_simulated": float(s), "abs_diff": float(abs(a - s))}
+        for n, (a, s) in enumerate(zip(ana, sim))
     ]
     summary = {
         "class": klass.label,
-        "rule": rule.label,
-        "epoch": epoch.label,
-        "L_analytic": birthdeath.bgeom1_L(p),
+        "rule": est.rule.label,
+        "epoch": est.epoch.label,
+        "L_analytic": L_analytic,
         "L_simulated": est.L_obs,
         "rows": rows,
     }
-    fmt = args.format or "text"
-    if fmt == "json":
-        _emit(_json_text(summary), args.out)
-    elif fmt == "csv":
-        lines = ["n,pi_analytic,pi_simulated,abs_diff"] + [
-            f"{r['n']},{r['pi_analytic']!r},{r['pi_simulated']!r},{r['abs_diff']!r}" for r in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [f"{'n':>4}{'analytic':>14}{'simulated':>14}{'abs diff':>12}"]
-        for r in rows:
-            lines.append(
-                f"{r['n']:>4}{r['pi_analytic']:>14.8f}{r['pi_simulated']:>14.8f}{r['abs_diff']:>12.2e}"
-            )
+    lines = [f"{'n':>4}{'analytic':>14}{'simulated':>14}{'abs diff':>12}"]
+    for r in rows:
         lines.append(
-            f"\nL analytic {summary['L_analytic']:.6f}   L simulated {summary['L_simulated']:.6f}"
+            f"{r['n']:>4}{r['pi_analytic']:>14.8f}{r['pi_simulated']:>14.8f}{r['abs_diff']:>12.2e}"
         )
-        _emit("\n".join(lines) + "\n", args.out)
+    lines.append(f"\nL analytic {L_analytic:.6f}   L simulated {est.L_obs:.6f}\n")
+    _emit(rows, "\n".join(lines), args.format or "text", args.out, summary)
     return 0
-
-
-def cmd_busy(args) -> int:
-    exp = load_experiment(args.config, args.seed)
-    trace = exp.make_trace(exp.seed)
-    rows = _run_check("busy", exp, trace)
-    return _finish_rows(rows, args)
-
-
-def cmd_pk(args) -> int:
-    exp = load_experiment(args.config, args.seed)
-    trace = exp.make_trace(exp.seed)
-    rows = _run_check("pk", exp, trace)
-    return _finish_rows(rows, args)
 
 
 def cmd_table61(args) -> int:
     exp = load_experiment(args.config, args.seed)
-    fmt = args.format or "text"
-    if fmt == "json":
-        grid = birthdeath.occupancy_grid(exp.alpha, exp.beta)
-        rows = [
-            {"rule": r.label, "epoch": e.label, "value": grid[(r, e)]}
-            for r in RULES
-            for e in EPOCHS
-        ]
-        _emit(_json_text(rows), args.out)
-    else:
-        _emit(birthdeath.render_occupancy_text(exp.alpha, exp.beta) + "\n", args.out)
+    grid = birthdeath.occupancy_grid(exp.alpha, exp.beta)
+    rows = [{"rule": r.label, "epoch": e.label, "value": v} for (r, e), v in grid.items()]
+    text = birthdeath.render_occupancy_text(exp.alpha, exp.beta) + "\n"
+    _emit(rows, text, args.format or "text", args.out)
     return 0
 
 
@@ -481,52 +410,37 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _finish_rows(rows, args) -> int:
-    fmt = args.format or "text"
-    if fmt == "json":
-        _emit(_json_text(rows), args.out)
-    elif fmt == "csv":
-        _emit(_render_rows_csv(rows), args.out)
-    else:
-        _emit(_render_rows_text(rows), args.out)
-    return 0 if all(r["pass"] for r in rows) else 1
+_COMMANDS = {
+    "classify": (cmd_classify, "classification grid against the reference"),
+    "verify": (cmd_verify, "run the configured checks"),
+    "dist": (cmd_dist, "analytic vs simulated distribution"),
+    "busy": (cmd_check, "busy-period statistics against closed forms"),
+    "pk": (cmd_check, "mean-delay and workload closed forms"),
+    "table61": (cmd_table61, "nonempty-system probability grid"),
+    "simulate": (cmd_simulate, "generate a trace file"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="dtq", description=__doc__)
+    ap = argparse.ArgumentParser(
+        prog="dtq", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     ap.add_argument("--config", help="experiment config file")
     ap.add_argument("--seed", type=int, help="override the config seed")
     ap.add_argument("--format", choices=("text", "json", "csv"))
     ap.add_argument("--out", help="write output to this path")
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("classify", help="classification grid against the reference")
-    vp = sub.add_parser("verify", help="run the configured checks")
-    vp.add_argument("--trace", help="also write the generated trace as CSV")
-    dp = sub.add_parser("dist", help="analytic vs simulated distribution")
-    dp.add_argument("--class", dest="klass", default="coherent")
-    sub.add_parser("busy", help="busy-period statistics against closed forms")
-    sub.add_parser("pk", help="mean-delay and workload closed forms")
-    sub.add_parser("table61", help="nonempty-system probability grid")
-    sub.add_parser("simulate", help="generate a trace file")
+    parsers = {name: sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items()}
+    parsers["verify"].add_argument("--trace", help="also write the generated trace as CSV")
+    parsers["dist"].add_argument("--class", dest="klass", default="coherent")
     return ap
-
-
-_COMMANDS = {
-    "classify": cmd_classify,
-    "verify": cmd_verify,
-    "dist": cmd_dist,
-    "busy": cmd_busy,
-    "pk": cmd_pk,
-    "table61": cmd_table61,
-    "simulate": cmd_simulate,
-}
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

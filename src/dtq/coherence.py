@@ -23,14 +23,13 @@ import numpy as np
 
 from .engine import Trace
 from .observer import observed_waits
-from .timebase import EPOCHS, RULES, ObservationEpoch, SchedulingRule, span_shift
+from .timebase import EPOCHS, RULES, ObservationEpoch, SchedulingRule, render_grid, span_shift
 
 __all__ = [
     "CoherenceClass",
     "OffsetViolation",
     "classify",
     "classification_table",
-    "expected_offset",
     "verify_on_trace",
     "OffsetReport",
     "GOLDEN_CLASS_GRID",
@@ -74,10 +73,6 @@ def classify(rule: SchedulingRule, epoch: ObservationEpoch) -> CoherenceClass:
     )
 
 
-def expected_offset(rule: SchedulingRule, epoch: ObservationEpoch) -> int:
-    return classify(rule, epoch).offset
-
-
 def classification_table() -> dict[tuple[SchedulingRule, ObservationEpoch], CoherenceClass]:
     return {(r, e): classify(r, e) for r in RULES for e in EPOCHS}
 
@@ -99,7 +94,7 @@ def verify_on_trace(trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch)
         raise OffsetViolation(
             f"offsets {sorted(int(v) for v in vals)} for ({rule.label}, {epoch.label})"
         )
-    want = expected_offset(rule, epoch)
+    want = classify(rule, epoch).offset
     hist = {int(v): int(c) for v, c in zip(vals, counts)}
     passed = hist == ({want: trace.n} if trace.n else {})
     return OffsetReport(rule, epoch, want, hist, passed)
@@ -153,14 +148,5 @@ def classification_rows(table=None) -> list[dict]:
     ]
 
 
-_EPOCH_HEADERS = ("Random", "Outside", "Pre-Arr", "Post-Arr", "Pre-Dep", "Post-Dep")
-
-
 def render_classification_text(table=None) -> str:
-    table = table or classification_table()
-    width = 9
-    lines = ["".ljust(8) + "".join(h.ljust(width) for h in _EPOCH_HEADERS)]
-    for r in RULES:
-        cells = (table[(r, e)].short for e in EPOCHS)
-        lines.append(r.label.ljust(8) + "".join(c.ljust(width) for c in cells))
-    return "\n".join(lines)
+    return render_grid({k: c.short for k, c in (table or classification_table()).items()}, 9)

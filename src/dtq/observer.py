@@ -47,8 +47,6 @@ __all__ = [
     "actual_wait",
     "observed_wait",
     "observed_waits",
-    "queue_length",
-    "queue_length_observed",
     "observed_queue_path",
     "observed_service_spans",
     "time_averages",
@@ -85,23 +83,6 @@ def observed_waits(trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch) 
     """Per-customer observed waiting times as an array."""
     s0, e0 = span_shift(rule, epoch)
     return np.maximum(0, trace.departures + e0 - np.maximum(trace.arrivals + s0, 1) + 1)
-
-
-def queue_length(trace: Trace, tau: int, convention: str = "strict-left") -> int:
-    """Number of customers in the actual system at slot index tau."""
-    if not 0 <= tau <= trace.horizon:
-        raise ValueError(f"slot index {tau} outside (0, {trace.horizon}]")
-    return int(trace.queue_path(convention)[tau])
-
-
-def queue_length_observed(
-    trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch, tau: int
-) -> int:
-    """Number of customers seen at the observation instant of slot tau."""
-    if not 0 <= tau <= trace.horizon:
-        raise ValueError(f"slot index {tau} outside (0, {trace.horizon}]")
-    start, end = observation_span(rule, epoch, trace.arrivals, trace.departures)
-    return int(np.count_nonzero((start <= tau) & (tau <= end)))
 
 
 def observed_queue_path(
@@ -148,21 +129,6 @@ class QueueEstimates:
     rule: SchedulingRule | None
     epoch: ObservationEpoch | None
     n_completed: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "L": self.L,
-            "W": self.W,
-            "L_obs": self.L_obs,
-            "W_obs": self.W_obs,
-            "pi": [float(p) for p in self.pi],
-            "pi_obs": [float(p) for p in self.pi_obs],
-            "horizon": self.horizon,
-            "warmup": self.warmup,
-            "rule": self.rule.label if self.rule else None,
-            "epoch": self.epoch.label if self.epoch else None,
-        }
 
 
 # the five span shifts the 30 rule/epoch combos reduce to

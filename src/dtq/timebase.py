@@ -49,6 +49,7 @@ __all__ = [
     "epoch_point",
     "span_shift",
     "observation_span",
+    "render_grid",
 ]
 
 
@@ -260,3 +261,13 @@ def observation_span(rule, epoch, arrival_slot, departure_slot):
     """
     s0, e0 = span_shift(rule, epoch)
     return arrival_slot + s0, departure_slot + e0
+
+
+_EPOCH_HEADERS = ("Random", "Outside", "Pre-Arr", "Post-Arr", "Pre-Dep", "Post-Dep")
+
+
+def render_grid(cells: dict, width: int) -> str:
+    """Text grid of one string per (rule, epoch): rules down, epochs across,
+    every cell left-justified to ``width``."""
+    rows = [("", _EPOCH_HEADERS)] + [(r.label, [cells[(r, e)] for e in EPOCHS]) for r in RULES]
+    return "\n".join(label.ljust(8) + "".join(c.ljust(width) for c in row) for label, row in rows)

@@ -101,7 +101,7 @@ def test_criterion_02_per_customer_offsets(ref_trace, gginf_trace):
     for trace in (ref_trace, gginf_trace):
         waits = trace.waits
         for rule, epoch in ALL_COMBOS:
-            want = coherence.expected_offset(rule, epoch)
+            want = coherence.classify(rule, epoch).offset
             offs = observer.observed_waits(trace, rule, epoch) - waits
             if not np.all(offs == want):
                 ok = False

@@ -10,7 +10,6 @@ from dtq.birthdeath import (
     bgeom1_L,
     bgeom1_pi,
     class_profile,
-    distribution_csv_rows,
     finite_population_profile,
     occupancy_grid,
     one_or_more,
@@ -175,12 +174,6 @@ class TestFinitePopulationProfile:
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
             finite_population_profile(5, 0.1, 0.5, form="binomial")
-
-
-def test_distribution_csv_rows():
-    rows = distribution_csv_rows(np.array([0.4, 0.6]))
-    assert rows[0] == ["n", "pi"]
-    assert rows[1] == [0, 0.4]
 
 
 def test_invalid_parameters():

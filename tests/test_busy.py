@@ -9,9 +9,7 @@ from dtq.busy import (
     CycleMeans,
     cycle_means_from_rates,
     cycles_from_path,
-    cycles_to_csv_rows,
     detect_cycles,
-    finite_pop_busy,
     ggeo1_busy,
     sigma_solve,
     state_rates,
@@ -223,8 +221,11 @@ class TestGGeo1Busy:
 
 
 class TestFinitePopBusy:
+    """Finite population: N sources at rate alpha, so alpha0 = N*alpha and
+    the overall arrival rate is alpha*(N - L)."""
+
     def test_single_source_reduction(self):
-        m = finite_pop_busy(1, 0.2, 0.5, 0.4)
+        m = cycle_means_from_rates(0.5, 1 * 0.2, 0.2 * (1 - 0.4))
         assert m.customers == pytest.approx((1 - 0.4) / 0.5, abs=1e-12)
         assert m.cycle == pytest.approx(m.busy + m.idle, abs=1e-12)
 
@@ -232,7 +233,7 @@ class TestFinitePopBusy:
         n_src, alpha, beta = 5, 0.05, 0.5
         pi = product_form(finite_population_profile(n_src, alpha, beta))
         mean_l = float((np.arange(len(pi)) * pi).sum())
-        want = finite_pop_busy(n_src, alpha, float(pi[0]), mean_l)
+        want = cycle_means_from_rates(float(pi[0]), n_src * alpha, alpha * (n_src - mean_l))
         tr = simulate_finite_population(n_src, alpha, DiscreteDist.geometric(beta), 31, 1_000_000)
         sim = detect_cycles(tr).means()
         for name in ("idle", "cycle", "busy", "customers"):
@@ -240,9 +241,9 @@ class TestFinitePopBusy:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            finite_pop_busy(0, 0.1, 0.5, 1.0)
+            cycle_means_from_rates(0.5, 0 * 0.1, 0.1 * (0 - 1.0))
         with pytest.raises(ValueError):
-            finite_pop_busy(3, 0.1, 0.0, 1.0)
+            cycle_means_from_rates(0.0, 3 * 0.1, 0.1 * (3 - 1.0))
 
 
 class TestCoherentCycleInvariance:
@@ -261,6 +262,7 @@ class TestCoherentCycleInvariance:
                 assert np.array_equal(actual.I[: m - 1], seen.I[: m - 1])
 
 
-def test_cycles_to_csv_rows(two_customer_trace):
-    rows = cycles_to_csv_rows(detect_cycles(two_customer_trace))
-    assert rows[0] == [1, 2, 11, 10, 9, 1, 2]
+def test_first_cycle_fields(two_customer_trace):
+    s = detect_cycles(two_customer_trace)
+    first = [int(x[0]) for x in (s.U, s.V, s.C, s.B, s.I, s.E)]
+    assert first == [2, 11, 10, 9, 1, 2]

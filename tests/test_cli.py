@@ -1,9 +1,12 @@
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
 from dtq import cli
 from dtq.cli import main
+from dtq.coherence import CoherenceClass, classify
 
 
 SMALL_CONFIG = """\
@@ -56,6 +59,20 @@ class TestClassify:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "rule,epoch,class"
         assert len(out) == 31
+
+    def test_golden_text(self, capsys):
+        assert main(["classify"]) == 0
+        assert capsys.readouterr().out == "\n".join([
+            "        Random   Outside  Pre-Arr  Post-Arr Pre-Dep  Post-Dep ",
+            "EAS     sub      coh      sub      coh      coh      sub      ",
+            "LAS-IA  coh      sub      sub      coh      coh      sub      ",
+            "LAS-DA  super    coh      coh      super    super    coh      ",
+            "LA-AF   coh      coh      coh      super    super    coh      ",
+            "LA-DF   coh      coh      sub      coh      coh      sub      ",
+            "",
+            "coherent combinations: 17 of 30",
+            "",
+        ])
 
     def test_corrupted_reference_detected(self, monkeypatch, capsys):
         from dtq.coherence import CoherenceClass, GOLDEN_CLASS_GRID
@@ -192,6 +209,16 @@ class TestDist:
         blob = json.loads(capsys.readouterr().out)
         assert blob["rows"][1]["pi_analytic"] == pytest.approx(0.36, abs=1e-12)
 
+    def test_bad_class_parameters_rejected_before_simulation(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("build_trace called for a bad (alpha, beta)")
+
+        monkeypatch.setattr(cli, "build_trace", no_simulation)
+        path = tmp_path / "beta.ini"
+        path.write_text(SMALL_CONFIG.replace("alpha = 0.3", "alpha = 0.3\nbeta = 0.2"))
+        assert main(["--config", str(path), "dist", "--class", "sub"]) == 2
+        assert "unstable" in capsys.readouterr().err
+
     def test_text_mode(self, small_config, capsys):
         assert main(["--config", small_config, "dist"]) == 0
         out = capsys.readouterr().out
@@ -212,6 +239,25 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "0.720000" in out
 
+    def test_table61_golden_text(self, capsys):
+        assert main(["table61"]) == 0
+        assert capsys.readouterr().out == "\n".join([
+            "        Random    Outside   Pre-Arr   Post-Arr  Pre-Dep   Post-Dep  ",
+            "EAS     0.428571  0.600000  0.428571  0.600000  0.600000  0.428571  ",
+            "LAS-IA  0.600000  0.428571  0.428571  0.600000  0.600000  0.428571  ",
+            "LAS-DA  0.720000  0.600000  0.600000  0.720000  0.720000  0.600000  ",
+            "LA-AF   0.600000  0.600000  0.600000  0.720000  0.720000  0.600000  ",
+            "LA-DF   0.600000  0.600000  0.428571  0.600000  0.600000  0.428571  ",
+            "",
+        ])
+
+    def test_table61_csv(self, capsys):
+        assert main(["--format", "csv", "table61"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "rule,epoch,value"
+        assert len(lines) == 31
+        assert lines[1] == "EAS,random-observer,0.4285714285714286"
+
     def test_table61_json(self, capsys):
         assert main(["--format", "json", "table61"]) == 0
         rows = json.loads(capsys.readouterr().out)
@@ -224,3 +270,62 @@ class TestOtherCommands:
 
     def test_simulate_requires_out(self, small_config, capsys):
         assert main(["--config", small_config, "simulate"]) == 2
+
+
+class TestOutputFormats:
+    """Every table-writing subcommand in every format."""
+
+    COMMANDS = (
+        ["classify"], ["verify"], ["dist", "--class", "super"], ["busy"], ["pk"], ["table61"]
+    )
+
+    @staticmethod
+    def _run(capsys, config, fmt, command):
+        rc = main(["--config", config, "--format", fmt] + command)
+        return rc, capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_format_matrix(self, small_config, capsys, command):
+        outs = {}
+        for fmt in ("text", "json", "csv"):
+            rc, outs[fmt] = self._run(capsys, small_config, fmt, command)
+            assert rc == 0, fmt
+        doc = json.loads(outs["json"])
+        if command[0] == "verify":
+            rows = doc["replications"][0]["rows"]
+        elif command[0] == "dist":
+            rows = doc["rows"]
+        else:
+            rows = doc
+        lines = outs["csv"].splitlines()
+        assert lines[0] == ",".join(rows[0])
+        assert len(lines) == len(rows) + 1
+        assert outs["text"] and outs["text"] not in (outs["json"], outs["csv"])
+
+    def test_verify_csv_cells_parse(self, tmp_path, capsys):
+        path = tmp_path / "all.ini"
+        path.write_text(SMALL_CONFIG.replace("little, busy", ", ".join(cli.CHECK_NAMES)))
+        rc, out = self._run(capsys, str(path), "csv", ["verify"])
+        assert rc in (0, 1)
+        lines = out.splitlines()
+        assert lines[0] == "check,quantity,simulated,formula,residual,tolerance,pass"
+        assert {line.split(",")[0] for line in lines[1:]} == set(cli.CHECK_NAMES)
+        for line in lines[1:]:
+            *numbers, passed = line.split(",")[2:]
+            assert passed in ("True", "False"), line
+            for cell in numbers:
+                float(cell)
+
+
+class TestCheckRegistry:
+    def test_names_match_bench_tracer(self):
+        # the benchmark names one cli.check.<name> span per entry of its CHECKS
+        path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("bench_tracer_for_test", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert cli.CHECK_NAMES == tracer.CHECKS
+
+    @pytest.mark.parametrize("klass", list(CoherenceClass))
+    def test_class_combo_represents_its_class(self, klass):
+        assert classify(*cli._CLASS_COMBOS[klass]) is klass

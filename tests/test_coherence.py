@@ -14,7 +14,6 @@ from dtq.coherence import (
     classification_rows,
     classification_table,
     classify,
-    expected_offset,
     render_classification_text,
     verify_on_trace,
 )
@@ -61,7 +60,7 @@ def test_edge_and_center_summary():
 def test_offset_is_customer_independent(rule, epoch, a, w):
     # the shift-based class must predict the offset for any arrival/sojourn
     off = observed_wait(rule, epoch, a, a + w) - actual_wait(a, a + w)
-    assert off == expected_offset(rule, epoch)
+    assert off == classify(rule, epoch).offset
 
 
 @pytest.mark.parametrize("shift", [(1, -2), (0, 1)])

@@ -32,8 +32,6 @@ from dtq.observer import (
     observed_service_spans,
     observed_wait,
     observed_waits,
-    queue_length,
-    queue_length_observed,
     time_averages,
 )
 from dtq.timebase import (
@@ -112,9 +110,10 @@ class TestObservedWait:
 
 class TestQueueLength:
     def test_worked_example_values(self, worked_example_trace):
-        assert queue_length(worked_example_trace, 3) == 2
-        assert queue_length(worked_example_trace, 7) == 1
-        assert queue_length(worked_example_trace, 1) == 0
+        path = worked_example_trace.queue_path()
+        assert path[3] == 2
+        assert path[7] == 1
+        assert path[1] == 0
 
     def test_counting_identity(self, small_bgeom1_trace):
         # L equals arrivals-so-far minus departures-so-far at every slot
@@ -126,10 +125,8 @@ class TestQueueLength:
             assert path[tau] == n_arr - n_dep == oracle_queue_length(tr, tau)
 
     def test_conventions(self, worked_example_trace):
-        left = [queue_length(worked_example_trace, t) for t in range(1, 8)]
-        right = [
-            queue_length(worked_example_trace, t, "strict-right") for t in range(1, 8)
-        ]
+        left = worked_example_trace.queue_path()[1:8].tolist()
+        right = worked_example_trace.queue_path("strict-right")[1:8].tolist()
         assert left == [0, 1, 2, 2, 1, 1, 1]
         assert right == [1, 2, 2, 1, 1, 1, 0]
         assert sum(left) == sum(right)
@@ -201,20 +198,22 @@ class TestObservedQueue:
         assert np.array_equal(fast, slow), (rule, epoch)
 
     def test_scalar_queries(self, two_customer_trace):
+        # each entry counts the customers whose observation span covers it
         tr = two_customer_trace
+        start, end = observation_span(R.EAS, E.RANDOM_OBSERVER, tr.arrivals, tr.departures)
+        path = observed_queue_path(tr, R.EAS, E.RANDOM_OBSERVER)
         for tau in range(1, tr.horizon + 1):
-            assert queue_length_observed(tr, R.EAS, E.RANDOM_OBSERVER, tau) == int(
-                observed_queue_path(tr, R.EAS, E.RANDOM_OBSERVER)[tau]
-            )
+            assert path[tau] == np.count_nonzero((start <= tau) & (tau <= end))
 
     def test_single_customer_span(self):
         tr = run_discipline([4], [1], Fifo(1), horizon=8)
-        assert queue_length_observed(tr, R.EAS, E.RANDOM_OBSERVER, 4) == 0
-        assert int(observed_queue_path(tr, R.EAS, E.RANDOM_OBSERVER).sum()) == 0
+        path = observed_queue_path(tr, R.EAS, E.RANDOM_OBSERVER)
+        assert path[4] == 0
+        assert int(path.sum()) == 0
 
     def test_empty_trace(self):
         tr = run_discipline([], [], Fifo(1), horizon=10)
-        assert queue_length_observed(tr, R.EAS, E.RANDOM_OBSERVER, 5) == 0
+        assert observed_queue_path(tr, R.EAS, E.RANDOM_OBSERVER)[5] == 0
 
 
 class TestTimeAverages:
@@ -249,16 +248,6 @@ class TestTimeAverages:
         tr = run_discipline([1], [100], Fifo(1), horizon=50)
         with pytest.raises(InsufficientDataError):
             time_averages(tr, warmup=0)
-
-    def test_json_keys(self, worked_example_trace):
-        est = time_averages(worked_example_trace, R.EAS, E.RANDOM_OBSERVER, warmup=0)
-        blob = est.to_json()
-        assert set(blob) == {
-            "lambda", "L", "W", "L_obs", "W_obs", "pi", "pi_obs",
-            "horizon", "warmup", "rule", "epoch",
-        }
-        assert blob["rule"] == "EAS"
-        assert blob["epoch"] == "random-observer"
 
 
 def _memo_free_averages(trace, rule, epoch, warmup, convention):
