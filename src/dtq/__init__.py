@@ -24,16 +24,8 @@ from .engine import (
     run_discipline,
     sample_services,
 )
-from .littles import basic_inequality, check_little, check_little_observed, utilization, verify_pk, workload
-from .observer import QueueEstimates, actual_wait, observed_wait, time_averages
-from .timebase import (
-    MicroTime,
-    ObservationEpoch,
-    Phase,
-    SchedulingRule,
-    epoch_point,
-    shift_arrival,
-    shift_departure,
-)
+from .littles import basic_inequality, check_little, check_little_observed, utilization, verify_pk
+from .observer import QueueEstimates, time_averages
+from .timebase import ObservationEpoch, SchedulingRule
 
 __version__ = "0.1.0"

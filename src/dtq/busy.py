@@ -50,26 +50,13 @@ class CycleStats:
     def n_cycles(self) -> int:
         return len(self.C)
 
-    @property
-    def mean_idle(self) -> float:
-        return float(self.I.mean())
-
-    @property
-    def mean_cycle(self) -> float:
-        return float(self.C.mean())
-
-    @property
-    def mean_busy(self) -> float:
-        return float(self.B.mean())
-
-    @property
-    def mean_customers(self) -> float:
+    def means(self) -> CycleMeans:
+        """Mean idle, cycle and busy lengths and customers per cycle."""
+        if self.n_cycles == 0:
+            raise ValueError("no complete busy cycle on the path: no cycle means to take")
         if self.E is None:
             raise ValueError("customer counts not available for path-only cycles")
-        return float(self.E.mean())
-
-    def means(self) -> CycleMeans:
-        return CycleMeans(self.mean_idle, self.mean_cycle, self.mean_busy, self.mean_customers)
+        return CycleMeans(*(float(x.mean()) for x in (self.I, self.C, self.B, self.E)))
 
 
 def cycles_from_path(path: np.ndarray, arrivals: np.ndarray | None = None) -> CycleStats:

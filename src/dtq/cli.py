@@ -132,6 +132,8 @@ class Experiment:
 
         names = cp.get("checks", "names", fallback=", ".join(CHECK_NAMES))
         self.checks = tuple(n.strip() for n in names.split(",") if n.strip())
+        if not self.checks:
+            raise ConfigError("[checks] names is empty: a verify must run at least one check")
         for n in self.checks:
             if n not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {n!r}; known: {', '.join(CHECK_NAMES)}")
@@ -205,9 +207,9 @@ def _workload(exp, trace):
 def _busy(exp, trace):
     path = trace.queue_path()
     stats = busy.cycles_from_path(path, trace.arrivals)
+    sim = stats.means()
     rates = busy.rates_from_path(path, trace.arrivals)
     means = busy.cycle_means_from_rates(float(rates.pi[0]), rates.alpha_n[0], rates.arrival_rate)
-    sim = stats.means()
     for field in ("idle", "cycle", "busy", "customers"):
         ref = getattr(means, field)
         yield field, getattr(sim, field), ref, 0.01 * abs(ref) + 3.0 / np.sqrt(stats.n_cycles)
@@ -286,7 +288,7 @@ def _emit(rows: list[dict], text: str, fmt: str, path: str | None, doc=None) -> 
     if fmt == "json":
         text = json.dumps(rows if doc is None else doc, indent=2) + "\n"
     elif fmt == "csv":
-        lines = [rows[0] if rows else _ROW_FIELDS]  # no rows: a verify with no checks
+        lines = [rows[0]]
         lines += [(v if isinstance(v, str) else repr(v) for v in r.values()) for r in rows]
         text = "".join(",".join(cells) + "\n" for cells in lines)
     if path:

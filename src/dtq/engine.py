@@ -229,6 +229,8 @@ class Trace:
         for name in ("services", "starts", "departures"):
             if len(getattr(self, name)) != n:
                 raise ValueError("per-customer arrays must have equal length")
+        if self.servers is not None and len(self.servers) != n:
+            raise ValueError("servers must hold one index per customer")
         if self.horizon < 1:
             raise ValueError("horizon must be at least one slot")
         if n:
@@ -243,6 +245,8 @@ class Trace:
                 raise ValueError("service cannot start before arrival")
             if np.any(d != b + s):
                 raise ValueError("departures must equal start plus service")
+            if self.servers is not None and np.any(self.servers < 0):
+                raise ValueError("server indices must be nonnegative")
 
     @property
     def n(self) -> int:

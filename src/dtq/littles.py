@@ -33,7 +33,6 @@ __all__ = [
     "indicator_cost",
     "remaining_work_cost",
     "check_h_lambda_g",
-    "workload",
     "workload_path",
     "workload_moments",
     "verify_pk",
@@ -287,17 +286,6 @@ def check_h_lambda_g(trace: Trace, cost: CostFunction, warmup: int | None = None
     residual = abs(H - lam * G)
     tol = _tolerance(span, H, lam * G)
     return HLGReport(H, lam, G, residual, tol, residual <= tol)
-
-
-def workload(trace: Trace, tau: int) -> int:
-    """Unfinished work at slot index tau: full service per waiting
-    customer plus the remaining slots of anyone in service."""
-    if not 0 <= tau <= trace.horizon:
-        raise ValueError(f"slot index {tau} outside [0, {trace.horizon}]")
-    a, b, s, d = trace.arrivals, trace.starts, trace.services, trace.departures
-    waiting = (a < tau) & (tau <= b)
-    serving = (b < tau) & (tau <= d)
-    return int(s[waiting].sum() + (d[serving] - tau).sum())
 
 
 def workload_path(trace: Trace) -> np.ndarray:

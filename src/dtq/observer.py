@@ -44,8 +44,6 @@ __all__ = [
     "InsufficientDataError",
     "QueueEstimates",
     "CycleVisitCounts",
-    "actual_wait",
-    "observed_wait",
     "observed_waits",
     "observed_queue_path",
     "observed_service_spans",
@@ -56,27 +54,6 @@ __all__ = [
 
 class InsufficientDataError(ValueError):
     """No customer both arrived and departed inside the averaging window."""
-
-
-def actual_wait(arrival_slot: int, departure_slot: int) -> int:
-    """Sojourn D - A in slots; equal to the per-slot indicator count."""
-    if departure_slot < arrival_slot + 1:
-        raise ValueError(
-            f"departure {departure_slot} must be at least one slot after arrival {arrival_slot}"
-        )
-    return departure_slot - arrival_slot
-
-
-def observed_wait(
-    rule: SchedulingRule, epoch: ObservationEpoch, arrival_slot: int, departure_slot: int
-) -> int:
-    """Number of observation instants u(t), t >= 1, seeing the customer."""
-    if departure_slot < arrival_slot + 1:
-        raise ValueError(
-            f"departure {departure_slot} must be at least one slot after arrival {arrival_slot}"
-        )
-    start, end = observation_span(rule, epoch, arrival_slot, departure_slot)
-    return max(0, end - max(start, 1) + 1)
 
 
 def observed_waits(trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch) -> np.ndarray:

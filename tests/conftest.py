@@ -22,14 +22,7 @@ from dtq.engine import (
     build_trace,
     run_discipline,
 )
-from dtq.timebase import (
-    Phase,
-    arrival_phase,
-    departure_shift,
-    epoch_phase,
-    shift_arrival,
-    shift_departure,
-)
+from dtq.timebase import Phase, arrival_phase, departure_shift, epoch_phase
 
 EPS = Fraction(1, 16)
 
@@ -39,7 +32,6 @@ _POINT_OFFSET = {
     Phase.M: -EPS,
     Phase.EDGE: Fraction(0),
     Phase.P: EPS,
-    Phase.PP: 2 * EPS,
 }
 
 # events live strictly inside the gap named by their tag:
@@ -154,14 +146,6 @@ def oracle_cost_profile(trace, rate):
             if tau <= T:
                 path[tau] += r
     return path, totals
-
-
-def shift_trace(trace, rule):
-    """Scheduled (arrival, departure) instant pairs under a rule."""
-    return [
-        (shift_arrival(rule, int(a)), shift_departure(rule, int(d)))
-        for a, d in zip(trace.arrivals, trace.departures)
-    ]
 
 
 def oracle_fifo_multi(arrivals, services, c, assignment, rng):

@@ -47,6 +47,14 @@ class TestDetectCycles:
         tr = run_discipline([], [], Fifo(1), horizon=9)
         assert detect_cycles(tr).n_cycles == 0
 
+    def test_means_need_a_complete_cycle(self):
+        # one customer that never clears the system before the horizon
+        tr = run_discipline([1], [3], Fifo(1), horizon=20)
+        stats = detect_cycles(tr)
+        assert stats.n_cycles == 0
+        with pytest.raises(ValueError, match="no complete busy cycle"):
+            stats.means()
+
     def test_cycle_counts_its_opener(self):
         # both customers of the first cycle arrive before its first busy index
         tr = run_discipline([1, 2, 11], [3, 3, 1], Fifo(1), horizon=20)

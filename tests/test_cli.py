@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import pathlib
+import pkgutil
+import sys
 
 import pytest
 
@@ -130,6 +132,28 @@ class TestVerify:
         assert main(["--config", str(path), "verify"]) == 2
         err = capsys.readouterr().err
         assert "unstable" in err and "utilization 2.000" in err
+
+    def test_empty_check_list_rejected_before_simulation(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("build_trace called for a verify with no checks")
+
+        monkeypatch.setattr(cli, "build_trace", no_simulation)
+        path = tmp_path / "nochecks.ini"
+        path.write_text(SMALL_CONFIG.replace("names = little, busy", "names ="))
+        assert main(["--config", str(path), "verify"]) == 2
+        assert "names is empty" in capsys.readouterr().err
+
+    def test_busy_without_complete_cycle_rejected(self, tmp_path, capsys):
+        # one customer, never cleared inside the horizon: no cycle means exist
+        path = tmp_path / "nocycle.ini"
+        path.write_text(
+            "[model]\narrival = explicit\nslots = 1\nservice = point:3\n\n"
+            "[sim]\nhorizon = 20\n\n[checks]\nnames = busy\n"
+        )
+        assert main(["--format", "json", "--config", str(path), "verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no complete busy cycle" in captured.err
 
     def test_missing_config_rejected(self, capsys):
         assert main(["--config", "/does/not/exist.ini", "verify"]) == 2
@@ -317,15 +341,46 @@ class TestOutputFormats:
                 float(cell)
 
 
+def _bench_tracer():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer_for_test", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 class TestCheckRegistry:
     def test_names_match_bench_tracer(self):
         # the benchmark names one cli.check.<name> span per entry of its CHECKS
-        path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("bench_tracer_for_test", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
-        assert cli.CHECK_NAMES == tracer.CHECKS
+        assert cli.CHECK_NAMES == _bench_tracer().CHECKS
 
     @pytest.mark.parametrize("klass", list(CoherenceClass))
     def test_class_combo_represents_its_class(self, klass):
         assert classify(*cli._CLASS_COMBOS[klass]) is klass
+
+
+class TestPublicSurface:
+    def test_bench_tracer_finds_every_target(self, monkeypatch):
+        # every function the benchmark wraps still exists; the wrappers are
+        # undone afterwards by re-setting each original through monkeypatch
+        tracer = _bench_tracer()
+        for _, module_name, attr, _ in tracer.SPANS:
+            module = importlib.import_module(module_name)
+            owner_name, _, leaf = attr.rpartition(".")
+            if owner_name and leaf in vars(getattr(module, owner_name, object)):
+                owner = getattr(module, owner_name)
+                monkeypatch.setattr(owner, leaf, vars(owner)[leaf])
+        for name, module in list(sys.modules.items()):
+            if name == "dtq" or name.startswith("dtq."):
+                for key, value in list(vars(module).items()):
+                    if callable(value):
+                        monkeypatch.setattr(module, key, value)
+        assert tracer.install(tracer.Recorder()) == []
+
+    def test_every_exported_name_resolves(self):
+        import dtq
+
+        for info in pkgutil.iter_modules(dtq.__path__):
+            module = importlib.import_module(f"dtq.{info.name}")
+            missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+            assert missing == [], info.name

@@ -17,8 +17,16 @@ from dtq.coherence import (
     render_classification_text,
     verify_on_trace,
 )
-from dtq.engine import Bernoulli, DiscreteDist, Fifo, InfiniteServer, build_trace, run_discipline
-from dtq.observer import actual_wait, observed_queue_path, observed_wait
+from dtq.engine import (
+    Bernoulli,
+    DiscreteDist,
+    External,
+    Fifo,
+    InfiniteServer,
+    build_trace,
+    run_discipline,
+)
+from dtq.observer import observed_queue_path, observed_waits
 from dtq.timebase import EPOCHS, RULES, ObservationEpoch as E, SchedulingRule as R
 
 
@@ -59,7 +67,8 @@ def test_edge_and_center_summary():
 @settings(max_examples=200, deadline=None)
 def test_offset_is_customer_independent(rule, epoch, a, w):
     # the shift-based class must predict the offset for any arrival/sojourn
-    off = observed_wait(rule, epoch, a, a + w) - actual_wait(a, a + w)
+    tr = run_discipline([a], None, External((a + w,)))
+    off = observed_waits(tr, rule, epoch)[0] - tr.waits[0]
     assert off == classify(rule, epoch).offset
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import oracle_fifo_multi, oracle_finite_population, shift_trace
+from conftest import oracle_fifo_multi, oracle_finite_population
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +17,7 @@ from dtq.engine import (
     FinitePopulation,
     InfiniteServer,
     Renewal,
+    Trace,
     build_trace,
     gen_arrivals,
     read_trace_csv,
@@ -26,7 +27,7 @@ from dtq.engine import (
     write_trace_csv,
 )
 from dtq.littles import utilization
-from dtq.timebase import MicroTime, Phase, SchedulingRule as R
+from dtq.timebase import Phase, SchedulingRule as R, arrival_phase, departure_shift
 
 
 class TestDiscreteDist:
@@ -258,15 +259,36 @@ class TestRandomAssignment:
         assert tr.servers[2] != tr.servers[0]
 
 
+class TestTraceServers:
+    def _trace(self, servers):
+        a = np.array([1, 2], dtype=np.int64)
+        s = np.array([2, 2], dtype=np.int64)
+        return Trace(a, s, a.copy(), a + s, 10, np.asarray(servers, dtype=np.int64))
+
+    def test_valid_servers_accepted(self):
+        assert list(self._trace([0, 1]).servers) == [0, 1]
+
+    @pytest.mark.parametrize("servers", [[0], [0, 1, 0]], ids=["short", "long"])
+    def test_wrong_length_rejected(self, servers):
+        with pytest.raises(ValueError, match="one index per customer"):
+            self._trace(servers)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            self._trace([0, -1])
+
+    def test_negative_index_rejected_on_import(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("k,A,S,Astart,D,server\n1,1,2,1,3,0\n2,2,2,2,4,-1\n")
+        with pytest.raises(ValueError, match="nonnegative"):
+            read_trace_csv(path)
+
+
 class TestShiftTrace:
     def test_pairs(self):
-        tr = run_discipline([5], [1], Fifo(1))
-        (a, d), = shift_trace(tr, R.EAS)
-        assert (a, d) == (MicroTime(5, Phase.P), MicroTime(6, Phase.M))
-        (a, d), = shift_trace(tr, R.LAS_IA)
-        assert (a, d) == (MicroTime(5, Phase.M), MicroTime(5, Phase.P))
-        (a, d), = shift_trace(tr, R.LA_DF)
-        assert (a, d) == (MicroTime(5, Phase.M), MicroTime(6, Phase.MM))
+        assert (arrival_phase(R.EAS), departure_shift(R.EAS)) == (Phase.P, (0, Phase.M))
+        assert (arrival_phase(R.LAS_IA), departure_shift(R.LAS_IA)) == (Phase.M, (-1, Phase.P))
+        assert (arrival_phase(R.LA_DF), departure_shift(R.LA_DF)) == (Phase.M, (0, Phase.MM))
 
 
 class TestFinitePopulation:

@@ -35,7 +35,6 @@ from dtq.littles import (
     remaining_work_cost,
     utilization,
     verify_pk,
-    workload,
     workload_moments,
     workload_path,
 )
@@ -197,7 +196,7 @@ class TestCostKernel:
 class TestWorkload:
     def test_single_customer_profile(self):
         tr = run_discipline([1], [3], Fifo(1), horizon=6)
-        assert [workload(tr, t) for t in (1, 2, 3, 4, 5)] == [0, 2, 1, 0, 0]
+        assert [workload_path(tr)[t] for t in (1, 2, 3, 4, 5)] == [0, 2, 1, 0, 0]
 
     def test_empty_trace(self):
         tr = run_discipline([], [], Fifo(1), horizon=50)
@@ -208,12 +207,13 @@ class TestWorkload:
                 check_h_lambda_g(tr, cost)
 
     def test_before_any_arrival(self, worked_example_trace):
-        assert workload(worked_example_trace, 1) == 0
+        assert workload_path(worked_example_trace)[1] == 0
 
-    def test_path_matches_scalar(self, small_bgeom1_trace):
-        path = workload_path(small_bgeom1_trace)
+    def test_path_matches_per_customer_rates(self, small_bgeom1_trace):
+        tr = small_bgeom1_trace
+        path = workload_path(tr)
         for tau in (1, 9, 100, 5_000, 9_999):
-            assert path[tau] == workload(small_bgeom1_trace, tau)
+            assert path[tau] == sum(oracle_remaining_work_rate(tr, k, tau) for k in range(tr.n))
 
     def test_matches_lindley_recursion(self, small_bgeom1_trace):
         assert np.array_equal(
@@ -231,9 +231,9 @@ class TestWorkload:
         # second customer queues: its full requirement stays in the backlog
         tr = run_discipline([1, 2], [3, 2], Fifo(1), horizon=8)
         # slot 3: first customer has 1 left, second still waiting with 2
-        assert workload(tr, 3) == 3
+        assert workload_path(tr)[3] == 3
         # a queued arrival at slot 2 would wait exactly the backlog it sees
-        assert workload(tr, 2) == int(tr.starts[1] - tr.arrivals[1])
+        assert workload_path(tr)[2] == int(tr.starts[1] - tr.arrivals[1])
 
 
 class TestWorkloadMomentsMemo:

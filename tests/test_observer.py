@@ -26,11 +26,9 @@ from dtq.engine import (
 )
 from dtq.observer import (
     InsufficientDataError,
-    actual_wait,
     cycle_visit_counts,
     observed_queue_path,
     observed_service_spans,
-    observed_wait,
     observed_waits,
     time_averages,
 )
@@ -46,38 +44,36 @@ from dtq.timebase import (
 ALL_COMBOS = list(itertools.product(RULES, EPOCHS))
 
 
+def customers(pairs):
+    """A trace holding one customer per (arrival, departure) slot pair,
+    the pairs in nondecreasing arrival order."""
+    arrivals, departures = zip(*pairs)
+    return run_discipline(arrivals, None, External(departures))
+
+
 class TestActualWait:
     def test_examples(self):
-        assert actual_wait(1, 4) == 3
-        assert actual_wait(9, 10) == 1
-        assert actual_wait(5, 7) == 2
-
-    def test_rejects_nonpositive_sojourn(self):
-        with pytest.raises(ValueError):
-            actual_wait(5, 5)
+        assert list(customers([(1, 4), (5, 7), (9, 10)]).waits) == [3, 2, 1]
 
     def test_equals_indicator_sum(self):
-        for a, d in [(0, 1), (3, 9), (17, 18)]:
+        pairs = [(0, 1), (3, 9), (17, 18)]
+        for (a, d), w in zip(pairs, customers(pairs).waits):
             count = sum(1 for tau in range(0, d + 2) if a < tau <= d)
-            assert actual_wait(a, d) == count
+            assert w == count
 
 
 class TestObservedWait:
     def test_single_slot_customer_at_slot_edges(self):
-        a, d = 9, 10
-        assert observed_wait(R.LAS_IA, E.RANDOM_OBSERVER, a, d) == 1
-        assert observed_wait(R.EAS, E.RANDOM_OBSERVER, a, d) == 0
-        assert observed_wait(R.LAS_DA, E.RANDOM_OBSERVER, a, d) == 2
-        assert observed_wait(R.LA_AF, E.RANDOM_OBSERVER, a, d) == 1
-        assert observed_wait(R.LA_DF, E.RANDOM_OBSERVER, a, d) == 1
+        tr = customers([(9, 10)])
+        expected = {R.LAS_IA: 1, R.EAS: 0, R.LAS_DA: 2, R.LA_AF: 1, R.LA_DF: 1}
+        for rule, w in expected.items():
+            assert observed_waits(tr, rule, E.RANDOM_OBSERVER)[0] == w, rule
 
     @pytest.mark.parametrize("rule,epoch", ALL_COMBOS)
     def test_matches_rational_oracle(self, rule, epoch):
-        for a in (1, 2, 7, 20):
-            for w in (1, 2, 3, 5, 11):
-                assert observed_wait(rule, epoch, a, a + w) == oracle_observed_wait(
-                    rule, epoch, a, a + w
-                ), (rule, epoch, a, w)
+        pairs = [(a, a + w) for a in (1, 2, 7, 20) for w in (1, 2, 3, 5, 11)]
+        for (a, d), w_obs in zip(pairs, observed_waits(customers(pairs), rule, epoch)):
+            assert w_obs == oracle_observed_wait(rule, epoch, a, d), (rule, epoch, a, d - a)
 
     @given(
         st.sampled_from(RULES),
@@ -87,22 +83,19 @@ class TestObservedWait:
     )
     @settings(max_examples=120, deadline=None)
     def test_matches_rational_oracle_random(self, rule, epoch, a, w):
-        assert observed_wait(rule, epoch, a, a + w) == oracle_observed_wait(rule, epoch, a, a + w)
+        w_obs = observed_waits(customers([(a, a + w)]), rule, epoch)[0]
+        assert w_obs == oracle_observed_wait(rule, epoch, a, a + w)
 
     def test_infinite_server_counts(self):
         # every arrival finds a free server, time in system equals service
         tr = run_discipline([1], [6], InfiniteServer())
         s = int(tr.services[0])
-        edges = {
-            rule: observed_wait(rule, E.RANDOM_OBSERVER, 1, 1 + s) for rule in RULES
-        }
+        edges = {rule: observed_waits(tr, rule, E.RANDOM_OBSERVER)[0] for rule in RULES}
         assert edges[R.EAS] == s - 1
         assert edges[R.LAS_DA] == s + 1
         for rule in (R.LAS_IA, R.LA_AF, R.LA_DF):
             assert edges[rule] == s
-        centers = {
-            rule: observed_wait(rule, E.OUTSIDE_OBSERVER, 1, 1 + s) for rule in RULES
-        }
+        centers = {rule: observed_waits(tr, rule, E.OUTSIDE_OBSERVER)[0] for rule in RULES}
         assert centers[R.LAS_IA] == s - 1
         for rule in (R.EAS, R.LAS_DA, R.LA_AF, R.LA_DF):
             assert centers[rule] == s
@@ -427,10 +420,10 @@ class TestEventSampledStates:
             assert np.array_equal(sampled[0], other)
 
 
-def test_observed_waits_array_matches_scalar(small_bgeom1_trace):
+def test_observed_waits_match_oracle_on_trace(small_bgeom1_trace):
     tr = small_bgeom1_trace
     arr = observed_waits(tr, R.LA_DF, E.POT_PRE_ARRIVAL)
     for k in (0, 5, 100):
-        assert arr[k] == observed_wait(
+        assert arr[k] == oracle_observed_wait(
             R.LA_DF, E.POT_PRE_ARRIVAL, int(tr.arrivals[k]), int(tr.departures[k])
         )

@@ -2,21 +2,17 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from conftest import oracle_observed_wait
+from conftest import event_pos, oracle_observed_wait, point_pos
 from dtq.timebase import (
     EPOCHS,
     RULES,
-    MicroTime,
     ObservationEpoch,
     Phase,
     SchedulingRule,
-    compare,
-    epoch_point,
-    shift_arrival,
-    shift_departure,
+    arrival_phase,
+    departure_shift,
+    epoch_phase,
     span_shift,
 )
 
@@ -24,91 +20,28 @@ R, E = SchedulingRule, ObservationEpoch
 
 
 def test_phase_ranks_are_fixed():
-    assert [p.value for p in Phase] == [0, 1, 2, 3, 4, 5]
-    assert Phase.CENTER < Phase.MM < Phase.M < Phase.EDGE < Phase.P < Phase.PP
+    assert [p.value for p in Phase] == [0, 1, 2, 3, 4]
+    assert Phase.CENTER < Phase.MM < Phase.M < Phase.EDGE < Phase.P
 
 
-def test_compare_examples():
-    assert compare(MicroTime(5, Phase.M), MicroTime(5, Phase.EDGE)) == -1
-    assert compare(MicroTime(5, Phase.P), MicroTime(6, Phase.CENTER)) == -1
-    assert compare(MicroTime(7, Phase.EDGE), MicroTime(7, Phase.EDGE)) == 0
+# The three phase tables: scheduled arrival phase, scheduled departure
+# (slot offset, phase), and the sampling phase per rule/epoch pair.
+_EXPECTED_ARRIVAL_PHASES = {
+    R.EAS: Phase.P,
+    R.LAS_IA: Phase.M,
+    R.LAS_DA: Phase.M,
+    R.LA_AF: Phase.MM,
+    R.LA_DF: Phase.M,
+}
 
+_EXPECTED_DEPARTURE_SHIFTS = {
+    R.EAS: (0, Phase.M),
+    R.LAS_IA: (-1, Phase.P),
+    R.LAS_DA: (0, Phase.P),
+    R.LA_AF: (0, Phase.M),
+    R.LA_DF: (0, Phase.MM),
+}
 
-def test_slot_boundary_ordering():
-    # tau+ < (tau+1)-0.5 < (tau+1)--
-    assert MicroTime(4, Phase.P) < MicroTime(5, Phase.CENTER) < MicroTime(5, Phase.MM)
-
-
-micro = st.builds(
-    MicroTime, st.integers(min_value=0, max_value=50), st.sampled_from(list(Phase))
-)
-
-
-@given(micro, micro)
-def test_compare_antisymmetric(a, b):
-    assert compare(a, b) == -compare(b, a)
-    assert (compare(a, b) == 0) == (a == b)
-
-
-@given(micro, micro, micro)
-def test_compare_transitive(a, b, c):
-    if compare(a, b) <= 0 and compare(b, c) <= 0:
-        assert compare(a, c) <= 0
-
-
-@given(micro, micro)
-def test_point_coord_matches_order(a, b):
-    assert (a.point_coord() < b.point_coord()) == (compare(a, b) == -1)
-
-
-@pytest.mark.parametrize(
-    "rule,slot,expected",
-    [
-        (R.EAS, 5, MicroTime(5, Phase.P)),
-        (R.LA_AF, 5, MicroTime(5, Phase.MM)),
-        (R.LAS_IA, 0, MicroTime(0, Phase.M)),
-        (R.LAS_DA, 9, MicroTime(9, Phase.M)),
-        (R.LA_DF, 9, MicroTime(9, Phase.M)),
-    ],
-)
-def test_shift_arrival(rule, slot, expected):
-    assert shift_arrival(rule, slot) == expected
-
-
-@pytest.mark.parametrize(
-    "rule,slot,expected",
-    [
-        (R.EAS, 6, MicroTime(6, Phase.M)),
-        (R.LA_AF, 6, MicroTime(6, Phase.M)),
-        (R.LAS_IA, 6, MicroTime(5, Phase.P)),
-        (R.LAS_DA, 6, MicroTime(6, Phase.P)),
-        (R.LA_DF, 6, MicroTime(6, Phase.MM)),
-    ],
-)
-def test_shift_departure(rule, slot, expected):
-    assert shift_departure(rule, slot) == expected
-
-
-def test_shift_departure_rejects_slot_zero_for_immediate_access():
-    with pytest.raises(ValueError):
-        shift_departure(R.LAS_IA, 0)
-    with pytest.raises(ValueError):
-        shift_arrival(R.EAS, -1)
-
-
-def test_shifted_arrival_stays_near_its_slot():
-    for rule in RULES:
-        m = shift_arrival(rule, 4)
-        assert m.slot == 4
-        assert m.phase in (Phase.MM, Phase.M, Phase.P)
-
-
-def test_early_arrival_brackets_the_edge():
-    assert shift_arrival(R.EAS, 7) > MicroTime(7, Phase.EDGE)
-    assert shift_departure(R.EAS, 7) < MicroTime(7, Phase.EDGE)
-
-
-# The full sampling-position grid, one cell per rule/epoch pair.
 _EXPECTED_EPOCH_PHASES = {
     R.EAS: (Phase.EDGE, Phase.CENTER, Phase.EDGE, Phase.P, Phase.M, Phase.EDGE),
     R.LAS_IA: (Phase.EDGE, Phase.CENTER, Phase.M, Phase.EDGE, Phase.EDGE, Phase.P),
@@ -118,37 +51,86 @@ _EXPECTED_EPOCH_PHASES = {
 }
 
 
-def test_epoch_point_full_grid():
-    for rule, phases in _EXPECTED_EPOCH_PHASES.items():
-        for epoch, phase in zip(EPOCHS, phases):
-            assert epoch_point(rule, epoch, 7) == MicroTime(7, phase), (rule, epoch)
+@pytest.mark.parametrize("rule", RULES)
+def test_phase_tables(rule):
+    assert arrival_phase(rule) is _EXPECTED_ARRIVAL_PHASES[rule]
+    assert departure_shift(rule) == _EXPECTED_DEPARTURE_SHIFTS[rule]
+    assert tuple(epoch_phase(rule, epoch) for epoch in EPOCHS) == _EXPECTED_EPOCH_PHASES[rule]
 
 
-def test_epoch_point_examples():
-    assert epoch_point(R.EAS, E.OUTSIDE_OBSERVER, 7) == MicroTime(7, Phase.CENTER)
-    assert epoch_point(R.LA_AF, E.POT_PRE_ARRIVAL, 7) == MicroTime(7, Phase.MM)
-    assert epoch_point(R.LAS_IA, E.POT_POST_DEPARTURE, 7) == MicroTime(7, Phase.P)
+def _first_observed(rule, epoch, arrival_pos, start):
+    """First edge t >= start whose sampling instant follows the event."""
+    phase = epoch_phase(rule, epoch)
+    return next(t for t in itertools.count(start) if point_pos(t, phase) > arrival_pos)
+
+
+def _last_observed(rule, epoch, departure_pos, start):
+    """Last edge t >= start whose sampling instant precedes the event."""
+    phase = epoch_phase(rule, epoch)
+    return next(t for t in itertools.count(start) if point_pos(t + 1, phase) > departure_pos)
+
+
+# Each scheduled event sits at its table position, and span_shift's
+# separate s0 and e0 (not only their offset) open and close the observed
+# span at the edges the rational oracle finds for that position.
+@pytest.mark.parametrize(
+    "rule,slot,expected",
+    [
+        (R.EAS, 5, (5, Phase.P)),
+        (R.LA_AF, 5, (5, Phase.MM)),
+        (R.LAS_IA, 0, (0, Phase.M)),
+        (R.LAS_DA, 9, (9, Phase.M)),
+        (R.LA_DF, 9, (9, Phase.M)),
+    ],
+)
+def test_shift_arrival(rule, slot, expected):
+    assert (slot, arrival_phase(rule)) == expected
+    for epoch in EPOCHS:
+        s0, _ = span_shift(rule, epoch)
+        assert _first_observed(rule, epoch, event_pos(*expected), slot - 2) == slot + s0, epoch
+
+
+@pytest.mark.parametrize(
+    "rule,slot,expected",
+    [
+        (R.EAS, 6, (6, Phase.M)),
+        (R.LA_AF, 6, (6, Phase.M)),
+        (R.LAS_IA, 6, (5, Phase.P)),
+        (R.LAS_DA, 6, (6, Phase.P)),
+        (R.LA_DF, 6, (6, Phase.MM)),
+    ],
+)
+def test_shift_departure(rule, slot, expected):
+    delta, phase = departure_shift(rule)
+    assert (slot + delta, phase) == expected
+    for epoch in EPOCHS:
+        _, e0 = span_shift(rule, epoch)
+        assert _last_observed(rule, epoch, event_pos(*expected), slot - 4) == slot + e0, epoch
+
+
+def test_shifted_arrival_stays_near_its_slot():
+    # a scheduled arrival stays between the midpoints around its own edge
+    for rule in RULES:
+        assert arrival_phase(rule) in (Phase.MM, Phase.M, Phase.P)
+        pos = event_pos(4, arrival_phase(rule))
+        assert point_pos(4, Phase.CENTER) < pos < point_pos(5, Phase.CENTER), rule
+
+
+def test_early_arrival_brackets_the_edge():
+    delta, phase = departure_shift(R.EAS)
+    assert event_pos(7, arrival_phase(R.EAS)) > point_pos(7, Phase.EDGE)
+    assert event_pos(7 + delta, phase) < point_pos(7, Phase.EDGE)
 
 
 def test_epoch_point_monotone_in_slot():
     for rule, epoch in itertools.product(RULES, EPOCHS):
-        pts = [epoch_point(rule, epoch, t) for t in range(6)]
+        pts = [point_pos(t, epoch_phase(rule, epoch)) for t in range(6)]
         assert all(a < b for a, b in zip(pts, pts[1:]))
 
 
 def test_random_and_outside_are_rule_independent():
     for epoch in (E.RANDOM_OBSERVER, E.OUTSIDE_OBSERVER):
-        points = {epoch_point(rule, epoch, 3) for rule in RULES}
-        assert len(points) == 1
-
-
-def test_rendering():
-    assert str(MicroTime(5, Phase.P)) == "5+"
-    assert str(MicroTime(5, Phase.PP)) == "5++"
-    assert str(MicroTime(5, Phase.M)) == "5-"
-    assert str(MicroTime(5, Phase.MM)) == "5--"
-    assert str(MicroTime(5, Phase.CENTER)) == "5-0.5"
-    assert str(MicroTime(5, Phase.EDGE)) == "5"
+        assert len({epoch_phase(rule, epoch) for rule in RULES}) == 1
 
 
 def test_span_shift_takes_five_values():
