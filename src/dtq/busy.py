@@ -1,9 +1,16 @@
 """Busy periods, busy cycles, and their closed-form mean identities.
 
-Cycle boundaries are read off the number-in-system path: a cycle starts
-at the first slot index showing a nonempty system after an empty one,
-and the system clears at the first empty index after a busy run.  Only
-complete cycles (those with a following start) enter the averages.
+On a number-in-system path a cycle starts at the first slot index showing
+a nonempty system after an empty one, and the system clears at the first
+empty index after a busy run.  Only complete cycles (those with a
+following start) enter the averages.
+
+On a trace the same boundaries come from the customers alone, with no
+path: customer k is counted at the slot indices A_k + 1 .. D_k, and in
+arrival order it opens a busy period exactly when A_k exceeds every
+earlier departure.  :func:`detect_cycles` and :func:`empty_state_rates`
+read cycles and the empty-state rates off those openers in O(customers);
+:func:`cycles_from_path` and :func:`rates_from_path` are the path forms.
 """
 from __future__ import annotations
 
@@ -19,6 +26,7 @@ __all__ = [
     "StateRates",
     "cycles_from_path",
     "detect_cycles",
+    "empty_state_rates",
     "rates_from_path",
     "state_rates",
     "cycle_means_from_rates",
@@ -93,9 +101,66 @@ def cycles_from_path(path: np.ndarray, arrivals: np.ndarray | None = None) -> Cy
     return CycleStats(U[:-1], V, C, B, I, E)
 
 
+def _busy_runs(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each busy period's first customer, and the last slot index
+    of each busy period (the latest departure among its customers).
+
+    Customers are in arrival order; one opens a new busy period when it
+    arrives after every earlier departure.  The first customer always
+    opens one.
+    """
+    a = trace.arrivals
+    reach = np.maximum.accumulate(trace.departures)
+    opens = np.empty(len(a), dtype=bool)
+    opens[:1] = True
+    np.greater(a[1:], reach[:-1], out=opens[1:])
+    first = np.flatnonzero(opens)
+    return first, np.append(reach[first[1:] - 1], reach[-1:])
+
+
 def detect_cycles(trace: Trace) -> CycleStats:
-    """Cycle statistics on the actual path of a trace."""
-    return cycles_from_path(trace.queue_path(), trace.arrivals)
+    """Cycle statistics on the actual path of a trace, from its customers.
+
+    Equal to :func:`cycles_from_path` on ``trace.queue_path()``: busy
+    period r starts at U = A + 1 of its first customer and clears at one
+    past its last slot index, and E counts the customers from one opener
+    to the next.  Only periods starting by the horizon are on the path.
+    """
+    a = trace.arrivals
+    if len(a) and a[0] < 1:
+        raise ValueError("cycle detection needs the system empty at slot 0")
+    first, last = _busy_runs(trace)
+    first = first[a[first] < trace.horizon]
+    m = len(first) - 1
+    if m < 1:
+        empty = np.empty(0, dtype=np.int64)
+        return CycleStats(empty, empty, empty, empty, empty, empty)
+    U = a[first] + 1
+    V = last[:m] + 1
+    return CycleStats(U[:-1], V, np.diff(U), V - U[:-1], U[1:] - V, np.diff(first))
+
+
+def empty_state_rates(trace: Trace) -> tuple[float, float, float]:
+    """(pi0, alpha0, alpha) on the actual path of a trace, from its customers.
+
+    pi0 is the fraction of slots 1..T with an empty system, alpha0 the
+    arrivals in slots <= T that find it empty per empty slot, and alpha
+    the arrivals in slots <= T per slot; equal to ``pi[0]``,
+    ``alpha_n[0]`` and ``arrival_rate`` of :func:`rates_from_path` on
+    ``trace.queue_path()``.  An arrival finds the system empty exactly
+    when it arrives in the slot that opened its busy period.
+    """
+    T = trace.horizon
+    a = trace.arrivals
+    first, last = _busy_runs(trace)
+    opened = a[first]
+    empty = T - int(np.maximum(np.minimum(last, T) - opened, 0).sum())
+    if empty == 0:
+        raise ValueError("the system is never empty: no empty-state arrival rate")
+    arrived = int(np.searchsorted(a, T, side="right"))
+    opened_by = np.repeat(opened, np.diff(first, append=len(a)))
+    found = int(np.count_nonzero(a[:arrived] == opened_by[:arrived]))
+    return empty / T, found / empty, arrived / T
 
 
 @dataclass(frozen=True)

@@ -205,11 +205,9 @@ def _workload(exp, trace):
 
 
 def _busy(exp, trace):
-    path = trace.queue_path()
-    stats = busy.cycles_from_path(path, trace.arrivals)
+    stats = busy.detect_cycles(trace)
     sim = stats.means()
-    rates = busy.rates_from_path(path, trace.arrivals)
-    means = busy.cycle_means_from_rates(float(rates.pi[0]), rates.alpha_n[0], rates.arrival_rate)
+    means = busy.cycle_means_from_rates(*busy.empty_state_rates(trace))
     for field in ("idle", "cycle", "busy", "customers"):
         ref = getattr(means, field)
         yield field, getattr(sim, field), ref, 0.01 * abs(ref) + 3.0 / np.sqrt(stats.n_cycles)

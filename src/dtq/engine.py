@@ -258,8 +258,9 @@ class Trace:
         and :func:`dtq.littles.workload_moments`.
 
         Per warmup, the first time average fills L and pi for all five
-        span shifts in one pass over :meth:`counting_processes`, then drops
-        the counts; the workload mean is a closed-form sum over pieces.
+        span shifts from one build of :meth:`counting_processes` and one
+        window per coherence class, then drops them; the workload mean is
+        a closed-form integer sum over customers.
         Entries never go stale because a trace is immutable; they hold
         scalars, state histograms and customer-length masks, never a
         slot-length array.

@@ -225,10 +225,15 @@ def _piece_path(horizon: int, lo, hi, const, slope) -> np.ndarray:
     return path
 
 
+def _slots_between(lo, hi) -> np.ndarray:
+    """Number of slot indices in lo..hi, elementwise (0 when hi < lo)."""
+    return np.maximum(hi - lo + 1, 0)
+
+
 def _piece_sums(lo, hi, const, slope) -> np.ndarray:
     """Each piece's value summed over its slots lo..hi, in closed form
     (0 for an empty piece)."""
-    n_slots = np.maximum(hi - lo + 1, 0)
+    n_slots = _slots_between(lo, hi)
     tau_sum = (lo + hi) * n_slots // 2
     return const * n_slots - slope * tau_sum
 
@@ -282,7 +287,7 @@ def check_h_lambda_g(trace: Trace, cost: CostFunction, warmup: int | None = None
     if not np.any(inside):
         raise InsufficientDataError("no completed customers in the window")
     G = float(np.mean(totals[inside]))
-    lam = len(np.flatnonzero(trace.arrivals > warmup)) / span
+    lam = int(np.count_nonzero((trace.arrivals > warmup) & (trace.arrivals <= T))) / span
     residual = abs(H - lam * G)
     tol = _tolerance(span, H, lam * G)
     return HLGReport(H, lam, G, residual, tol, residual <= tol)
@@ -306,12 +311,13 @@ class WorkloadMoments:
 def workload_moments(trace: Trace, warmup: int | None = None) -> WorkloadMoments:
     """Service, queueing-delay and workload moments over the window.
 
-    EV is the exact sum of every remaining-work piece over its slots in
-    (warmup, T], divided by the window length, so no workload path is
-    built.  Every term and partial sum is an integer below 2**53, so EV
-    equals the mean of :func:`workload_path` over the window bit for bit.
-    Memoized on the trace per warmup, like
-    :func:`dtq.observer.time_averages`.
+    EV is the exact sum of every customer's remaining work over the
+    slots in (warmup, T], divided by the window length, so no workload
+    path is built: S_k at each slot of (A_k, B_k] and D_k - tau at each
+    slot tau of (B_k, D_k], summed per customer in closed form in int64.
+    Every partial sum is an integer below 2**53, so EV equals the mean
+    of :func:`workload_path` over the window bit for bit.  Memoized on
+    the trace per warmup, like :func:`dtq.observer.time_averages`.
     """
     T = trace.horizon
     if warmup is None:
@@ -325,15 +331,22 @@ def workload_moments(trace: Trace, warmup: int | None = None) -> WorkloadMoments
         raise InsufficientDataError("no completed customers in the window")
     s = trace.services[inside].astype(float)
     wq = trace.queue_waits[inside].astype(float)
-    lo, hi, const, slope = _remaining_work_spans(trace)
-    np.maximum(lo, warmup + 1, out=lo)
-    np.minimum(hi, T, out=hi)
+    # slots of (warmup, T] in each waiting piece (A, B] and service piece (B, D]
+    waiting = _slots_between(np.maximum(trace.arrivals, warmup) + 1, np.minimum(trace.starts, T))
+    lo = np.maximum(trace.starts, warmup) + 1
+    hi = np.minimum(trace.departures, T)
+    serving = _slots_between(lo, hi)
+    work = (
+        int(trace.services @ waiting)
+        + int(trace.departures @ serving)
+        - int(((lo + hi) * serving // 2).sum())
+    )
     moments = trace._memo[key] = WorkloadMoments(
         ES=float(s.mean()),
         ES2=float((s * s).mean()),
         EWq=float(wq.mean()),
         ESWq=float((s * wq).mean()),
-        EV=float(_piece_sums(lo, hi, const, slope).sum()) / (T - warmup),
+        EV=float(work) / (T - warmup),
     )
     return moments
 

@@ -13,8 +13,10 @@ actual path is shift (1, 0) (strict-left) or (0, -1) (strict-right)
 (see :meth:`dtq.engine.Trace.shift_path`).
 
 :func:`time_averages` memoizes on the trace, lazily.  The first call for
-a warmup builds the counting processes once, takes L and pi of all five
-shifts from window slices of them, keeps those and drops the counts.
+a warmup builds the counting processes once and three windows of them,
+one per coherence class: the two shifts of a class, (0, e0) and
+(1, e0 + 1), are one-slot lags of each other, so one window gives L and
+pi of both.  It keeps those five and drops the counts and windows.
 The actual block (lambda, W and the completed-customer mask) is kept per
 warmup and reads L and pi off its convention's shift; W_obs is kept per
 (s0, e0, warmup).  The memo relies on traces being immutable: a Trace
@@ -169,7 +171,14 @@ def _actual_block(trace: Trace, warmup: int):
 
 def _window_block(trace: Trace, warmup: int) -> dict:
     """L and pi over the window (warmup, T] for every span shift, from one
-    build of the counting processes."""
+    build of the counting processes and one window per coherence class.
+
+    Shift (1, e0 + 1) is shift (0, e0) one slot later, so the window of
+    (0, e0) over slots warmup..T serves both: (0, e0) reads its last span
+    entries and (1, e0 + 1) its first.  Sums and histograms stay integer
+    until the one division by the span, so both equal a direct mean and
+    bincount bit for bit.
+    """
     key = ("windows", warmup)
     block = trace._memo.get(key)
     if block is not None:
@@ -178,8 +187,17 @@ def _window_block(trace: Trace, warmup: int) -> dict:
     counts = trace.counting_processes()
     block = {}
     for s0, e0 in _SHIFTS:
-        window = trace.shift_path(s0, e0, warmup + 1, counts)
-        block[s0, e0] = (float(window.mean()), np.bincount(window) / span)
+        if s0:
+            continue
+        window = trace.shift_path(0, e0, warmup, counts)
+        head, tail = int(window[0]), int(window[-1])
+        total = int(window[1:].sum())
+        hist = np.bincount(window[1:], minlength=head + 1)
+        block[0, e0] = (total / span, np.trim_zeros(hist, "b") / span)
+        if (1, e0 + 1) in _SHIFTS:
+            hist[head] += 1
+            hist[tail] -= 1
+            block[1, e0 + 1] = ((total + head - tail) / span, np.trim_zeros(hist, "b") / span)
     trace._memo[key] = block
     return block
 

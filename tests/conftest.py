@@ -18,6 +18,7 @@ from dtq.engine import (
     External,
     Fifo,
     FinitePopulation,
+    InfiniteServer,
     Trace,
     build_trace,
     run_discipline,
@@ -82,18 +83,20 @@ def oracle_observed_path(trace, rule, epoch) -> np.ndarray:
     return out
 
 
-def oracle_queue_path(trace, convention="strict-left") -> np.ndarray:
-    """Number-in-system path for j = 0..horizon from two bincount
-    difference arrays, one entry per customer span."""
+def oracle_shift_path(trace, s0, e0) -> np.ndarray:
+    """Number of customers seen at slot index j = 0..horizon when each is
+    seen at A + s0 .. D + e0, from two bincount difference arrays, one
+    entry per customer span."""
     T = trace.horizon
-    if convention == "strict-left":
-        first, last = trace.arrivals + 1, trace.departures
-    else:
-        first, last = trace.arrivals, trace.departures - 1
-    lo = np.clip(first, 0, T + 1)
-    hi = np.clip(last + 1, 0, T + 1)
+    lo = np.clip(trace.arrivals + s0, 0, T + 1)
+    hi = np.clip(trace.departures + e0 + 1, 0, T + 1)
     delta = np.bincount(lo, minlength=T + 2) - np.bincount(hi, minlength=T + 2)
     return np.cumsum(delta[: T + 1])
+
+
+def oracle_queue_path(trace, convention="strict-left") -> np.ndarray:
+    """Number-in-system path: A < j <= D ("strict-left") or A <= j < D."""
+    return oracle_shift_path(trace, *{"strict-left": (1, 0), "strict-right": (0, -1)}[convention])
 
 
 def oracle_queue_length(trace, tau, convention="strict-left") -> int:
@@ -216,6 +219,26 @@ def oracle_finite_population(n_sources, alpha, service, seed, horizon, arrival_f
     svc = np.asarray(services, dtype=np.int64)
     dep = np.asarray(departures, dtype=np.int64)
     return Trace(arr, svc, dep - svc, dep, horizon, np.zeros(len(arr), dtype=np.int64))
+
+
+def small_random_traces(seed, count):
+    """Fixed-seed small traces for exact sweeps: FIFO with 1-3 servers,
+    infinite server and external departures in turn, horizons below 60,
+    arrivals up to two slots past the horizon and, in about one trace in
+    twenty, from slot 0."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        T = int(rng.integers(1, 60))
+        n = int(rng.integers(0, T + 3))
+        arrivals = np.sort(rng.integers(int(rng.random() >= 0.05), T + 3, size=n))
+        services = rng.integers(1, 9, size=n)
+        if case % 3 == 0:
+            disc = Fifo(int(rng.integers(1, 4)))
+        elif case % 3 == 1:
+            disc = InfiniteServer()
+        else:
+            disc = External(tuple((arrivals + services).tolist()))
+        yield run_discipline(arrivals, services, disc, horizon=T)
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import small_random_traces
 from dtq.birthdeath import finite_population_profile, product_form
 from dtq.busy import (
     CycleMeans,
     cycle_means_from_rates,
     cycles_from_path,
     detect_cycles,
+    empty_state_rates,
     ggeo1_busy,
+    rates_from_path,
     sigma_solve,
     state_rates,
 )
@@ -18,7 +21,10 @@ from dtq.coherence import CoherenceClass, classify
 from dtq.engine import (
     Bernoulli,
     DiscreteDist,
+    Explicit,
+    External,
     Fifo,
+    InfiniteServer,
     Renewal,
     build_trace,
     run_discipline,
@@ -93,6 +99,94 @@ class TestDetectCycles:
         tr = run_discipline([0, 4], [1, 1], Fifo(1), horizon=6)
         with pytest.raises(ValueError, match="empty at slot 0"):
             detect_cycles(tr)
+
+
+def _outcome(fn, *args):
+    """The result of ``fn(*args)``, or the message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_customer_kernel_matches_path(tr):
+    """detect_cycles and empty_state_rates against the path forms on the
+    materialized queue path, exactly."""
+    path = tr.queue_path()
+    got = _outcome(detect_cycles, tr)
+    want = _outcome(cycles_from_path, path, tr.arrivals)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        for name in ("U", "V", "C", "B", "I", "E"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert _outcome(got.means) == _outcome(want.means)
+    rates = rates_from_path(path, tr.arrivals)
+    if 0 in rates.alpha_n:
+        want_rates = (float(rates.pi[0]), rates.alpha_n[0], rates.arrival_rate)
+        assert empty_state_rates(tr) == want_rates
+    else:
+        with pytest.raises(ValueError, match="never empty"):
+            empty_state_rates(tr)
+
+
+_GEOM = DiscreteDist.geometric(0.5)
+
+ORACLE_TRACES = {
+    "fifo1": lambda: build_trace(Bernoulli(0.3), _GEOM, Fifo(1), 3, 10_000),
+    "fifo3-random": lambda: build_trace(
+        Bernoulli(0.8), DiscreteDist.geometric(0.4), Fifo(3, "random"), 5, 10_000
+    ),
+    "infinite-server": lambda: build_trace(
+        Bernoulli(0.3), DiscreteDist.geometric(0.2), InfiniteServer(), 6, 10_000
+    ),
+    "finite-population": lambda: simulate_finite_population(5, 0.05, _GEOM, 11, 10_000),
+    "renewal": lambda: build_trace(
+        Renewal(DiscreteDist.from_pmf({1: 0.5, 3: 0.5})), DiscreteDist.geometric(0.6), Fifo(1), 17, 10_000
+    ),
+    # departures past the horizon, one of them out of arrival order
+    "external-late": lambda: run_discipline(
+        [1, 2, 5, 9, 9], None, External((4, 12, 7, 10, 30)), horizon=10
+    ),
+    "arrival-at-horizon": lambda: run_discipline([1, 3, 6, 10], [1, 1, 2, 2], Fifo(1), horizon=10),
+    "batch": lambda: build_trace(Explicit((1, 1, 1, 4, 4)), DiscreteDist.point(1), Fifo(1), 0, 12),
+    "batch-openers": lambda: build_trace(
+        Explicit((1, 1, 1, 9, 9, 14, 14, 14)), DiscreteDist.point(2), Fifo(1), 0, 20
+    ),
+    "one-customer": lambda: run_discipline([3], [2], Fifo(1), horizon=10),
+    "empty": lambda: run_discipline([], [], Fifo(1), horizon=9),
+    "slot-zero-arrival": lambda: run_discipline([0, 4], [1, 1], Fifo(1), horizon=6),
+    "never-empties": lambda: run_discipline([1, 2, 5], [5, 4, 9], Fifo(1), horizon=12),
+}
+
+
+class TestCustomerKernel:
+    """Cycles and empty-state rates from the customers, against the path."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
+    def test_matches_path_forms(self, name):
+        _assert_customer_kernel_matches_path(ORACLE_TRACES[name]())
+
+    def test_batch_arrivals_all_find_the_system_empty(self):
+        # two-slot services: busy 2..7, 10..13 and 15..20, so slots 1, 8, 9
+        # and 14 are empty, and all 8 arrivals (batches at 1, 9 and 14)
+        # find the system empty, not only the 3 that open a busy period
+        tr = ORACLE_TRACES["batch-openers"]()
+        assert empty_state_rates(tr) == (4 / 20, 8 / 4, 8 / 20)
+        stats = detect_cycles(tr)
+        assert stats.U.tolist() == [2, 10] and stats.E.tolist() == [3, 2]
+
+    def test_errors_in_path_order(self):
+        with pytest.raises(ValueError, match="empty at slot 0"):
+            detect_cycles(ORACLE_TRACES["slot-zero-arrival"]())
+        stats = detect_cycles(ORACLE_TRACES["never-empties"]())
+        with pytest.raises(ValueError, match="no complete busy cycle"):
+            stats.means()
+
+    def test_random_small_traces(self):
+        for tr in small_random_traces(20250901, 2000):
+            _assert_customer_kernel_matches_path(tr)
 
 
 class TestStateRates:

@@ -155,6 +155,19 @@ class TestVerify:
         assert captured.out == ""
         assert "no complete busy cycle" in captured.err
 
+    def test_busy_on_a_system_that_never_empties_rejected(self, tmp_path, capsys):
+        # the server stays busy past the horizon: the missing cycle is
+        # reported before the empty-state rates find no empty slot
+        path = tmp_path / "busy.ini"
+        path.write_text(
+            "[model]\narrival = explicit\nslots = 1, 2, 3\nservice = point:30\n\n"
+            "[sim]\nhorizon = 20\n\n[checks]\nnames = busy\n"
+        )
+        assert main(["--config", str(path), "busy"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no complete busy cycle" in captured.err
+
     def test_missing_config_rejected(self, capsys):
         assert main(["--config", "/does/not/exist.ini", "verify"]) == 2
 
@@ -178,7 +191,8 @@ class TestVerify:
 
 class TestPathBuilds:
     """A reference verify takes every time average from one build of the
-    counting processes and the mean workload in closed form."""
+    counting processes and one window per coherence class, the mean
+    workload in closed form and the busy cycles from the customers."""
 
     def test_reference_verify_builds_no_observed_or_workload_path(self, tmp_path, monkeypatch):
         from dtq import littles, observer
@@ -191,7 +205,15 @@ class TestPathBuilds:
             .replace("names = little, busy", f"names = {', '.join(cli.CHECK_NAMES)}")
         )
         calls = dict.fromkeys(
-            ("counting_processes", "queue_path", "observed_queue_path", "workload_path"), 0
+            (
+                "counting_processes",
+                "shift_path",
+                "queue_path",
+                "observed_queue_path",
+                "workload_path",
+                "_remaining_work_spans",
+            ),
+            0,
         )
 
         def count(owner, name):
@@ -204,17 +226,20 @@ class TestPathBuilds:
             monkeypatch.setattr(owner, name, wrapper)
 
         count(Trace, "counting_processes")
+        count(Trace, "shift_path")
         count(Trace, "queue_path")
         count(observer, "observed_queue_path")
         count(littles, "workload_path")
+        count(littles, "_remaining_work_spans")
         exp = cli.load_experiment(str(path))
         assert len(exp.checks) == 8
         cli.run_verify(exp)
         assert calls["observed_queue_path"] == 0
         assert calls["workload_path"] == 0
-        assert calls["queue_path"] <= 1  # the busy check's
-        # once for every time average, plus once inside that queue path
-        assert calls["counting_processes"] == 1 + calls["queue_path"]
+        assert calls["_remaining_work_spans"] == 0
+        assert calls["queue_path"] == 0
+        assert calls["counting_processes"] == 1
+        assert calls["shift_path"] == 3  # one window per coherence class
 
 
 class TestDist:

@@ -165,6 +165,15 @@ class TestHLambdaG:
         ref = check_h_lambda_g(worked_example_trace, indicator_cost(), warmup=0)
         assert (hg.H, hg.lam, hg.G) == (ref.H, ref.lam, ref.G)
 
+    def test_arrivals_past_the_horizon_not_in_rate(self):
+        # one-slot customers in every odd slot up to 199, horizon 100: H = 0.5
+        # and G = 1 exactly, and lambda counts only the arrivals in (10, 100]
+        tr = run_discipline(np.arange(1, 200, 2), np.ones(100, dtype=np.int64), Fifo(1), horizon=100)
+        hg = check_h_lambda_g(tr, indicator_cost(), warmup=10)
+        assert (hg.H, hg.lam, hg.G) == (0.5, 0.5, 1.0)
+        assert hg.lam == time_averages(tr, warmup=10).lam == verify_pk(tr, 10).lam
+        assert hg.residual == 0.0 and hg.passed
+
 
 class TestCostKernel:
     """The piecewise-linear kernel against per-slot rate closures."""
@@ -237,18 +246,18 @@ class TestWorkload:
 
 
 class TestWorkloadMomentsMemo:
-    def test_spans_built_once_per_warmup_and_no_path(self, monkeypatch):
+    def test_computed_once_per_warmup_without_pieces_or_path(self, monkeypatch):
         tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 5, 20_000)
-        spans, paths = [], []
-        real = littles_mod._remaining_work_spans
-        monkeypatch.setattr(littles_mod, "_remaining_work_spans", lambda t: spans.append(t) or real(t))
-        monkeypatch.setattr(littles_mod, "workload_path", lambda t: paths.append(t))
+        calls = []
+        monkeypatch.setattr(littles_mod, "_remaining_work_spans", lambda t: calls.append("spans"))
+        monkeypatch.setattr(littles_mod, "workload_path", lambda t: calls.append("path"))
         verify_pk(tr, 2_000)
         m = workload_moments(tr, 2_000)
-        assert len(spans) == 1
-        assert workload_moments(tr, 500) != m
-        assert len(spans) == 2
-        assert paths == []
+        assert workload_moments(tr, 2_000) is m
+        other = workload_moments(tr, 500)
+        assert other != m
+        assert workload_moments(tr, 500) is other
+        assert calls == []
 
     @pytest.mark.parametrize("kind", ["fifo1", "fifo2", "prefix"])
     @pytest.mark.parametrize("warmup", [0, 300])

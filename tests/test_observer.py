@@ -11,7 +11,9 @@ from conftest import (
     oracle_observed_wait,
     oracle_queue_length,
     oracle_queue_path,
+    oracle_shift_path,
     prefix_trace,
+    small_random_traces,
 )
 from dtq.busy import cycles_from_path
 from dtq.coherence import CoherenceClass, classify
@@ -25,7 +27,9 @@ from dtq.engine import (
     run_discipline,
 )
 from dtq.observer import (
+    _SHIFTS,
     InsufficientDataError,
+    _window_block,
     cycle_visit_counts,
     observed_queue_path,
     observed_service_spans,
@@ -279,7 +283,51 @@ def _assert_bitwise_equal(est, ref):
             assert got == want, name
 
 
+def _assert_windows_match_shift_paths(trace, warmup):
+    """Every shift's L and pi in the shared-window block against its own
+    path's mean and bincount over (warmup, T], bit for bit."""
+    span = trace.horizon - warmup
+    block = _window_block(trace, warmup)
+    assert sorted(block) == sorted(_SHIFTS)
+    for shift in _SHIFTS:
+        path = oracle_shift_path(trace, *shift)[warmup + 1 :]
+        L, pi = block[shift]
+        want = np.bincount(path) / span
+        assert L == float(path.mean()), shift
+        assert pi.dtype == want.dtype and np.array_equal(pi, want), shift
+
+
+# arrivals in slot 0 and past the horizon, batches, departures past T
+WINDOW_TRACES = {
+    "slot-zero-and-late": lambda: run_discipline(
+        [0, 0, 3, 7, 12, 13], [2, 1, 4, 1, 1, 3], Fifo(1), horizon=10
+    ),
+    "batch": lambda: run_discipline([1, 1, 1, 4, 4], [1, 2, 1, 1, 3], Fifo(2), horizon=8),
+    "external-late": lambda: run_discipline(
+        [0, 2, 5, 9, 9], None, External((4, 12, 7, 10, 30)), horizon=10
+    ),
+    "one-slot-services": lambda: run_discipline([1, 5], [1, 1], Fifo(1), horizon=8),
+}
+
+
 class TestTimeAveragesMemo:
+    @pytest.mark.parametrize("name", sorted(WINDOW_TRACES))
+    def test_shared_windows_match_shift_paths(self, name):
+        T = WINDOW_TRACES[name]().horizon
+        for warmup in range(T):
+            _assert_windows_match_shift_paths(WINDOW_TRACES[name](), warmup)
+
+    def test_shared_windows_match_shift_paths_long(self, small_bgeom1_trace):
+        tr = _late_prefix(small_bgeom1_trace)
+        for warmup in (0, 1_000, tr.horizon - 1):
+            _assert_windows_match_shift_paths(tr, warmup)
+
+    def test_shared_windows_random_small_traces(self):
+        rng = np.random.default_rng(20250902)
+        for tr in small_random_traces(20250903, 1500):
+            T = tr.horizon
+            _assert_windows_match_shift_paths(tr, int(rng.choice([0, T - 1, rng.integers(0, T)])))
+
     @pytest.mark.parametrize("convention", ["strict-left", "strict-right"])
     @pytest.mark.parametrize("warmup", [0, 1_000])
     @pytest.mark.parametrize("prefix", [False, True])
