@@ -1,10 +1,11 @@
 """Command-line front end: experiments from config files, reports out.
 
 Configs are sectioned key = value files ([model], [sim], [checks],
-[output]).  Each check is one entry of the CHECKS registry: a function of
-(experiment, trace) that yields (quantity, simulated, formula, tolerance)
-tuples, which _run_check turns into report rows with the residual and a
-pass flag.  Subcommands:
+[output]); any other section or key is a config error.  Each check is
+one entry of the CHECKS registry: a function of (experiment, trace) that
+yields (quantity, simulated, formula, tolerance) tuples, which
+_run_check turns into report rows with the residual and a pass flag.
+Subcommands:
 
   classify   30-combo classification grid against the reference
   verify     every configured check on each replication's trace
@@ -71,10 +72,29 @@ def _parse_dist(text: str) -> DiscreteDist:
     raise ConfigError(f"unknown distribution spec {text!r}")
 
 
+# every key a config may set, by section
+_CONFIG_KEYS = {
+    "model": ("arrival", "alpha", "beta", "service", "interarrival", "sources", "slots",
+              "discipline", "servers", "assignment"),
+    "sim": ("horizon", "warmup", "seed", "replications"),
+    "checks": ("names",),
+    "output": ("format", "path"),
+}
+
+
 class Experiment:
     """Validated model/sim/checks/output settings."""
 
     def __init__(self, cp: configparser.ConfigParser, seed_override=None):
+        for section in cp.sections():
+            known = _CONFIG_KEYS.get(section)
+            if known is None:
+                raise ConfigError(f"unknown section [{section}]; known: {', '.join(_CONFIG_KEYS)}")
+            for key in cp.options(section):
+                if key not in known:
+                    raise ConfigError(
+                        f"unknown key {key!r} in [{section}]; known: {', '.join(known)}"
+                    )
         model = cp["model"] if cp.has_section("model") else {}
         sim = cp["sim"] if cp.has_section("sim") else {}
         out = cp["output"] if cp.has_section("output") else {}
@@ -146,7 +166,8 @@ class Experiment:
 
 
 def load_experiment(path: str | None, seed_override=None) -> Experiment:
-    cp = configparser.ConfigParser()
+    # no default section, so a [DEFAULT] header is an unknown section
+    cp = configparser.ConfigParser(default_section="")
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")

@@ -254,16 +254,14 @@ class Trace:
 
     @cached_property
     def _memo(self) -> dict:
-        """Derived summaries, filled lazily by :func:`dtq.observer.time_averages`
-        and :func:`dtq.littles.workload_moments`.
-
-        Per warmup, the first time average fills L and pi for all five
-        span shifts from one build of :meth:`counting_processes` and one
-        window per coherence class, then drops them; the workload mean is
-        a closed-form integer sum over customers.
-        Entries never go stale because a trace is immutable; they hold
-        scalars, state histograms and customer-length masks, never a
-        slot-length array.
+        """Derived summaries, filled lazily per warmup: the averaging
+        window of :func:`dtq.observer.window`, which every time average and
+        cost-rate law reads; L and pi of all five span shifts, from one
+        build of :meth:`counting_processes` and one window per coherence
+        class; and :func:`dtq.littles.workload_moments`, whose EV is a
+        closed-form piece sum over customers.  Entries never go stale
+        because a trace is immutable; they hold scalars, state histograms
+        and read-only customer-length masks, never a slot-length array.
         """
         return {}
 

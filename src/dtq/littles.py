@@ -14,7 +14,7 @@ import numpy as np
 
 from .coherence import CoherenceClass, classify
 from .engine import Trace
-from .observer import InsufficientDataError, time_averages
+from .observer import time_averages, window
 from .timebase import ObservationEpoch, SchedulingRule
 
 __all__ = [
@@ -110,36 +110,30 @@ def check_little_observed(
     )
 
 
-def _cumulative_sums(trace: Trace, tau: int):
-    arr_mask = trace.arrivals <= tau
-    dep_mask = trace.departures <= tau
-    waits = trace.waits
-    upper = int(waits[arr_mask].sum())
-    lower = int(waits[dep_mask].sum())
-    path = trace.queue_path()
-    middle = int(path[1 : tau + 1].sum())
-    return upper, middle, lower
+def _sandwich(trace: Trace):
+    # int64 at every slot index 0..horizon: the waits of the customers
+    # arrived by it, the cumulative number in system, the waits of those departed
+    T = trace.horizon
+
+    def waits_by(slots):
+        seen = slots <= T
+        waits = np.bincount(slots[seen], weights=trace.waits[seen], minlength=T + 1)
+        return np.cumsum(waits.astype(np.int64))
+
+    return waits_by(trace.arrivals), np.cumsum(trace.queue_path()), waits_by(trace.departures)
 
 
 def basic_inequality(trace: Trace, tau: int) -> tuple[int, int, int, bool]:
     """Exact sandwich: waits of arrived >= cumulative L >= waits of departed."""
     if not 0 <= tau <= trace.horizon:
         raise ValueError(f"slot index {tau} outside [0, {trace.horizon}]")
-    upper, middle, lower = _cumulative_sums(trace, tau)
+    upper, middle, lower = (int(sums[tau]) for sums in _sandwich(trace))
     return upper, middle, lower, upper >= middle >= lower
 
 
 def basic_inequality_path(trace: Trace) -> bool:
     """The sandwich at every slot index up to the horizon, integer exact."""
-    T = trace.horizon
-    waits = trace.waits
-    arrived = trace.arrivals <= T
-    departed = trace.departures <= T
-    upper = np.bincount(trace.arrivals[arrived], weights=waits[arrived], minlength=T + 1)
-    lower = np.bincount(trace.departures[departed], weights=waits[departed], minlength=T + 1)
-    upper = np.cumsum(upper.astype(np.int64))
-    lower = np.cumsum(lower.astype(np.int64))
-    middle = np.cumsum(trace.queue_path()[: T + 1])
+    upper, middle, lower = _sandwich(trace)
     return bool(np.all(upper >= middle) and np.all(middle >= lower))
 
 
@@ -177,18 +171,17 @@ def indicator_cost() -> CostFunction:
     return CostFunction(_indicator_pieces, lambda trace: trace.waits, "indicator")
 
 
-def _remaining_work_spans(trace: Trace):
+def _work_pieces(trace: Trace):
     # (lo, hi, const, slope) of every customer's waiting piece, flat at S_k
-    # on (A_k, B_k], then of its service piece, D_k - tau on (B_k, D_k]
+    # on (A_k, B_k], and of its service piece, D_k - tau on (B_k, D_k]
     a, b, s, d = trace.arrivals, trace.starts, trace.services, trace.departures
-    lo = np.concatenate((a, b))
-    lo += 1
-    return lo, np.concatenate((b, d)), np.concatenate((s, d), dtype=float), np.repeat([0.0, 1.0], trace.n)
+    return (a + 1, b, s, 0), (b + 1, d, d, 1)
 
 
 def _remaining_work_pieces(trace: Trace):
     owner = np.arange(trace.n)
-    return (np.concatenate((owner, owner)), *_remaining_work_spans(trace))
+    waiting, serving = (np.broadcast_arrays(owner, *piece) for piece in _work_pieces(trace))
+    return tuple(np.concatenate(arrays) for arrays in zip(waiting, serving))
 
 
 def remaining_work_cost() -> CostFunction:
@@ -197,54 +190,33 @@ def remaining_work_cost() -> CostFunction:
     return CostFunction(_remaining_work_pieces, lambda trace: trace.waits, "remaining-work")
 
 
-def _piece_path(horizon: int, lo, hi, const, slope) -> np.ndarray:
-    """Sum of the pieces' values at every slot index 0..horizon.
-
-    Two difference arrays, one for the constant and one for the slope
-    terms, clipped to the horizon; the path is their prefix sums
-    combined as ``C(tau) - tau * S(tau)``.
+def _piece_sums(lo, hi, const, slope, first=None, last=None):
+    """The one kernel of every cost functional: each piece's value summed
+    over its slots lo..hi in closed form, const times the number of slots
+    minus slope times the sum of their indices (0 for an empty piece).
+    Clipped to the window first..last it returns the window total instead,
+    as dot products.  Integer pieces sum exactly in int64.
     """
-    T = horizon
-    lo_c = np.clip(lo, 0, T + 1)
-    hi_c = hi + 1
-    np.maximum(hi_c, lo, out=hi_c)  # an empty piece cancels
-    np.clip(hi_c, 0, T + 1, out=hi_c)
-
-    # in place throughout: the kernel sets the peak memory of a verify run
-    def prefix(w):
-        w = np.asarray(w, dtype=float)
-        # bincount returns integers when there are no pieces
-        delta = np.bincount(lo_c, weights=w, minlength=T + 2).astype(float, copy=False)
-        delta -= np.bincount(hi_c, weights=w, minlength=T + 2)
-        return np.cumsum(delta[: T + 1], out=delta[: T + 1])
-
-    path = prefix(const)
-    tau_slope = prefix(slope)
-    tau_slope *= np.arange(T + 1, dtype=float)
-    path -= tau_slope
-    return path
+    if first is None:
+        n_slots = np.maximum(hi - lo + 1, 0)
+        return const * n_slots - slope * ((lo + hi) * n_slots // 2)
+    # in place on the clipped copies, which keeps EV no slower than inline sums
+    lo, hi = np.maximum(lo, first), np.minimum(hi, last)
+    n_slots = hi - lo
+    n_slots += 1
+    np.maximum(n_slots, 0, out=n_slots)
+    if not np.any(slope):  # flat pieces need no index sums
+        return const @ n_slots
+    lo += hi
+    lo *= n_slots
+    lo //= 2  # the slot-index sums
+    return const @ n_slots - (slope @ lo if np.ndim(slope) else slope * lo.sum())
 
 
-def _slots_between(lo, hi) -> np.ndarray:
-    """Number of slot indices in lo..hi, elementwise (0 when hi < lo)."""
-    return np.maximum(hi - lo + 1, 0)
-
-
-def _piece_sums(lo, hi, const, slope) -> np.ndarray:
-    """Each piece's value summed over its slots lo..hi, in closed form
-    (0 for an empty piece)."""
-    n_slots = _slots_between(lo, hi)
-    tau_sum = (lo + hi) * n_slots // 2
-    return const * n_slots - slope * tau_sum
-
-
-def _cost_profile(trace: Trace, cost: CostFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Total cost rate at slot indices 0..horizon and each customer's
-    total cost over its full support, unclipped by the horizon.
-
-    Checks every nonempty piece against the declared support and raises
-    CostContractError on a violation.
-    """
+def _cost_profile(trace: Trace, cost: CostFunction, warmup: int):
+    """Total cost charged over the window (warmup, horizon] and each
+    customer's total over its full support, unclipped by the horizon.
+    Raises CostContractError when a nonempty piece leaves the support."""
     owner, lo, hi, const, slope = (np.asarray(x) for x in cost.pieces(trace))
     w = np.asarray(cost.support(trace))
     a = trace.arrivals[owner]
@@ -254,9 +226,9 @@ def _cost_profile(trace: Trace, cost: CostFunction) -> tuple[np.ndarray, np.ndar
         raise CostContractError(
             f"{cost.name}: customer {k} charged outside (A, A + {int(w[k])}]"
         )
-    path = _piece_path(trace.horizon, lo, hi, const, slope)
+    total = _piece_sums(lo, hi, const, slope, warmup + 1, trace.horizon)
     totals = np.bincount(owner, weights=_piece_sums(lo, hi, const, slope), minlength=trace.n)
-    return path, totals
+    return total, totals
 
 
 @dataclass(frozen=True)
@@ -273,30 +245,36 @@ def check_h_lambda_g(trace: Trace, cost: CostFunction, warmup: int | None = None
     """Cost-rate law: time-average total cost rate equals arrival rate
     times mean per-customer cost.
 
-    Checks the declared support of every piece and raises
-    CostContractError on a violation.
+    H is the cost charged over the :func:`dtq.observer.window` per window
+    slot, G the mean cost of its completed customers, both closed-form
+    piece sums, so no slot path is built.  Raises CostContractError when
+    a piece leaves its declared support.
     """
-    T = trace.horizon
-    if warmup is None:
-        warmup = T // 10
-    span = T - warmup
-    rate_path, totals = _cost_profile(trace, cost)
-    H = float(rate_path[warmup + 1 : T + 1].sum() / span)
-
-    inside = (trace.arrivals > warmup) & (trace.departures <= T)
-    if not np.any(inside):
-        raise InsufficientDataError("no completed customers in the window")
-    G = float(np.mean(totals[inside]))
-    lam = int(np.count_nonzero((trace.arrivals > warmup) & (trace.arrivals <= T))) / span
-    residual = abs(H - lam * G)
-    tol = _tolerance(span, H, lam * G)
-    return HLGReport(H, lam, G, residual, tol, residual <= tol)
+    win = window(trace, warmup)
+    total, totals = _cost_profile(trace, cost, win.warmup)
+    H = float(total / win.span)
+    G = float(np.mean(totals[win.completed]))
+    residual = abs(H - win.lam * G)
+    tol = _tolerance(win.span, H, win.lam * G)
+    return HLGReport(H, win.lam, G, residual, tol, residual <= tol)
 
 
 def workload_path(trace: Trace) -> np.ndarray:
     """Workload at every slot index 0..horizon: the remaining-work cost
-    rate summed over customers."""
-    return _piece_path(trace.horizon, *_remaining_work_spans(trace))
+    rate summed over customers, as ``C(tau) - tau * S(tau)`` for the
+    prefix sums C and S of two difference arrays of the pieces' constant
+    and slope terms, clipped to the horizon."""
+    T = trace.horizon
+    lo, hi, const, slope = _remaining_work_pieces(trace)[1:]
+    lo_c = np.clip(lo, 0, T + 1)
+    hi_c = np.clip(np.maximum(hi + 1, lo), 0, T + 1)  # an empty piece cancels
+
+    def prefix(w):
+        delta = np.bincount(lo_c, weights=w, minlength=T + 2)
+        delta -= np.bincount(hi_c, weights=w, minlength=T + 2)
+        return np.cumsum(delta[: T + 1], dtype=float)
+
+    return prefix(const) - np.arange(T + 1) * prefix(slope)
 
 
 @dataclass(frozen=True)
@@ -309,44 +287,30 @@ class WorkloadMoments:
 
 
 def workload_moments(trace: Trace, warmup: int | None = None) -> WorkloadMoments:
-    """Service, queueing-delay and workload moments over the window.
-
-    EV is the exact sum of every customer's remaining work over the
-    slots in (warmup, T], divided by the window length, so no workload
-    path is built: S_k at each slot of (A_k, B_k] and D_k - tau at each
-    slot tau of (B_k, D_k], summed per customer in closed form in int64.
-    Every partial sum is an integer below 2**53, so EV equals the mean
-    of :func:`workload_path` over the window bit for bit.  Memoized on
-    the trace per warmup, like :func:`dtq.observer.time_averages`.
+    """Service, queueing-delay and workload moments over the
+    :func:`dtq.observer.window`: the first four over its completed
+    customers, EV the remaining work of every customer summed over its
+    slots by :func:`_piece_sums`, in int64, per window slot.  No workload
+    path is built.  Every sum is an integer below 2**53, so each moment
+    equals its float mean, and EV the mean of :func:`workload_path` over
+    the window, bit for bit.  Memoized on the trace per warmup.
     """
-    T = trace.horizon
-    if warmup is None:
-        warmup = T // 10
-    key = ("workload", warmup)
+    win = window(trace, warmup)
+    key = ("workload", win.warmup)
     moments = trace._memo.get(key)
     if moments is not None:
         return moments
-    inside = (trace.arrivals > warmup) & (trace.departures <= T)
-    if not np.any(inside):
-        raise InsufficientDataError("no completed customers in the window")
-    s = trace.services[inside].astype(float)
-    wq = trace.queue_waits[inside].astype(float)
-    # slots of (warmup, T] in each waiting piece (A, B] and service piece (B, D]
-    waiting = _slots_between(np.maximum(trace.arrivals, warmup) + 1, np.minimum(trace.starts, T))
-    lo = np.maximum(trace.starts, warmup) + 1
-    hi = np.minimum(trace.departures, T)
-    serving = _slots_between(lo, hi)
-    work = (
-        int(trace.services @ waiting)
-        + int(trace.departures @ serving)
-        - int(((lo + hi) * serving // 2).sum())
-    )
+    completed, m = win.completed, win.n_completed
+    s = trace.services[completed]
+    wq = trace.starts[completed] - trace.arrivals[completed]
+    window_slots = (win.warmup + 1, trace.horizon)
+    work = sum(int(_piece_sums(*piece, *window_slots)) for piece in _work_pieces(trace))
     moments = trace._memo[key] = WorkloadMoments(
-        ES=float(s.mean()),
-        ES2=float((s * s).mean()),
-        EWq=float(wq.mean()),
-        ESWq=float((s * wq).mean()),
-        EV=float(work) / (T - warmup),
+        ES=int(s.sum()) / m,
+        ES2=int(s @ s) / m,
+        EWq=int(wq.sum()) / m,
+        ESWq=int(s @ wq) / m,
+        EV=work / win.span,
     )
     return moments
 
@@ -370,12 +334,9 @@ def verify_pk(trace: Trace, warmup: int | None = None, rel_tol: float = 0.02) ->
     Uses the trace's own arrival rate and service moments, so the check
     compares two different path functionals rather than restating one.
     """
-    T = trace.horizon
-    if warmup is None:
-        warmup = T // 10
-    m = workload_moments(trace, warmup)
-    span = T - warmup
-    lam = len(np.flatnonzero((trace.arrivals > warmup) & (trace.arrivals <= T))) / span
+    win = window(trace, warmup)
+    m = workload_moments(trace, win.warmup)
+    lam = win.lam
     rho = lam * m.ES
     if rho >= 1.0:
         raise ValueError(f"unstable trace: utilization {rho} >= 1")
@@ -387,7 +348,7 @@ def verify_pk(trace: Trace, warmup: int | None = None, rel_tol: float = 0.02) ->
         # delay averages are heavily serially correlated, hence the wide
         # noise floor; at the reference horizon the relative term dominates
         scale = max(abs(ref), 1e-9)
-        return abs(sim - ref) <= rel_tol * scale + 30.0 / math.sqrt(span)
+        return abs(sim - ref) <= rel_tol * scale + 30.0 / math.sqrt(win.span)
 
     passed = ok(m.EWq, ewq_formula) and ok(m.EV, ev_formula)
     return PKReport(lam, rho, m.EWq, ewq_formula, m.EV, ev_formula, gap, rel_tol, passed)

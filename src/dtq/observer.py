@@ -12,26 +12,28 @@ the path of shift (s0, e0) is N_A(j - s0) - N_D(j - e0 - 1), and the
 actual path is shift (1, 0) (strict-left) or (0, -1) (strict-right)
 (see :meth:`dtq.engine.Trace.shift_path`).
 
-:func:`time_averages` memoizes on the trace, lazily.  The first call for
-a warmup builds the counting processes once and three windows of them,
-one per coherence class: the two shifts of a class, (0, e0) and
-(1, e0 + 1), are one-slot lags of each other, so one window gives L and
-pi of both.  It keeps those five and drops the counts and windows.
-The actual block (lambda, W and the completed-customer mask) is kept per
-warmup and reads L and pi off its convention's shift; W_obs is kept per
+:func:`window` owns the averaging window (warmup, T]: the default
+warmup T // 10 and its range check, lambda, W and the completed-customer
+mask.  Every time average here and every cost-rate law in
+:mod:`dtq.littles` reads it, memoized on the trace per warmup.
+
+:func:`time_averages` memoizes too, lazily.  The first call for a warmup
+builds the counting processes once and one window of them per coherence
+class: the two shifts of a class, (0, e0) and (1, e0 + 1), are one-slot
+lags of each other, so one window gives L and pi of both.  It keeps
+those five and drops the counts and windows; W_obs is kept per
 (s0, e0, warmup).  The memo relies on traces being immutable: a Trace
 is frozen and its arrays must not be modified in place once averages
-are taken.  It holds scalars, state histograms and one customer-length
-mask, never a slot-length array, and it hands out copies, so callers
-cannot alter it.
+are taken.  It holds scalars, state histograms and one read-only
+customer-length mask, never a slot-length array, and it hands out
+copies of the histograms, so callers cannot alter it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import busy as busy_mod
 from .engine import Trace, convention_shift
 from .timebase import (
     EPOCHS,
@@ -45,12 +47,12 @@ from .timebase import (
 __all__ = [
     "InsufficientDataError",
     "QueueEstimates",
-    "CycleVisitCounts",
+    "Window",
     "observed_waits",
     "observed_queue_path",
     "observed_service_spans",
     "time_averages",
-    "cycle_visit_counts",
+    "window",
 ]
 
 
@@ -114,6 +116,47 @@ class QueueEstimates:
 _SHIFTS = tuple(sorted({span_shift(rule, epoch) for rule in RULES for epoch in EPOCHS}))
 
 
+@dataclass(frozen=True)
+class Window:
+    """The averaging window (warmup, T] and its actual-customer summaries."""
+
+    warmup: int
+    span: int  # T - warmup slots
+    lam: float  # arrivals in the window per window slot
+    W: float  # mean sojourn of the completed customers
+    completed: np.ndarray  # read-only mask: arrived and departed in the window
+    n_completed: int
+
+
+def window(trace: Trace, warmup: int | None = None) -> Window:
+    """The window every time average and cost-rate law of a trace reads.
+
+    The warmup defaults to T // 10 and must lie in [0, T).  A customer is
+    completed when it both arrives and departs inside the window; raises
+    InsufficientDataError when none is.  Memoized on the trace per warmup.
+    """
+    T = trace.horizon
+    warmup = T // 10 if warmup is None else warmup
+    if not 0 <= warmup < T:
+        raise ValueError(f"warmup {warmup} must lie in [0, horizon)")
+    win = trace._memo.get(("window", warmup))
+    if win is None:
+        # arrivals are sorted: the ones in the window are a run of customers
+        first, end = np.searchsorted(trace.arrivals, (warmup, T), side="right")
+        completed = trace.departures <= T
+        completed[:first] = False
+        completed.flags.writeable = False
+        n = int(np.count_nonzero(completed))
+        if n == 0:
+            raise InsufficientDataError(f"no customer arrives and departs inside ({warmup}, {T}]")
+        span = T - warmup
+        lam = int(end - first) / span
+        # an integer sum below 2**53 makes W equal the float mean
+        W = int(trace.waits[completed].sum()) / n
+        win = trace._memo["window", warmup] = Window(warmup, span, lam, W, completed, n)
+    return win
+
+
 def time_averages(
     trace: Trace,
     rule: SchedulingRule | None = None,
@@ -121,52 +164,27 @@ def time_averages(
     warmup: int | None = None,
     convention: str = "strict-left",
 ) -> QueueEstimates:
-    """Arrival rate, mean waits, mean queue lengths and state histograms.
+    """Arrival rate, mean waits, mean queue lengths and state histograms
+    over the :func:`window` of the given warmup.
 
-    W averages only customers that both arrive and depart inside the
-    window; lambda counts arrivals per window slot.  With no rule/epoch
-    the observed columns coincide with the actual ones.  Results are
-    memoized on the trace (see the module docstring).
+    W averages only the window's completed customers; lambda counts
+    arrivals per window slot.  With no rule/epoch the observed columns
+    coincide with the actual ones.  Results are memoized on the trace
+    (see the module docstring).
     """
-    T = trace.horizon
-    if warmup is None:
-        warmup = T // 10
-    if not 0 <= warmup < T:
-        raise ValueError(f"warmup {warmup} must lie in [0, horizon)")
     actual = convention_shift(convention)
-    lam, W, n_completed, completed = _actual_block(trace, warmup)
-    windows = _window_block(trace, warmup)
+    win = window(trace, warmup)
+    windows = _window_block(trace, win.warmup)
     L, pi = windows[actual]
     if rule is None or epoch is None:
-        W_obs, L_obs, pi_obs = W, L, pi
+        W_obs, L_obs, pi_obs = win.W, L, pi
     else:
-        W_obs = _observed_wait(trace, rule, epoch, warmup, completed)
+        W_obs = _observed_wait(trace, rule, epoch, win)
         L_obs, pi_obs = windows[span_shift(rule, epoch)]
     return QueueEstimates(
-        lam, W, L, W_obs, L_obs, pi.copy(), pi_obs.copy(), T, warmup, rule, epoch, n_completed
+        win.lam, win.W, L, W_obs, L_obs, pi.copy(), pi_obs.copy(),
+        trace.horizon, win.warmup, rule, epoch, win.n_completed,
     )
-
-
-def _actual_block(trace: Trace, warmup: int):
-    key = ("actual", warmup)
-    block = trace._memo.get(key)
-    if block is not None:
-        return block
-    T = trace.horizon
-    span = T - warmup
-    inside = trace.arrivals > warmup
-    n_arrived = int(np.count_nonzero(inside & (trace.arrivals <= T)))
-    lam = n_arrived / span
-
-    completed = inside & (trace.departures <= T)
-    n_completed = int(np.count_nonzero(completed))
-    if n_completed == 0:
-        raise InsufficientDataError(
-            f"no customer arrives and departs inside ({warmup}, {T}]"
-        )
-    W = float(trace.waits[completed].mean())
-    block = trace._memo[key] = (lam, W, n_completed, completed)
-    return block
 
 
 def _window_block(trace: Trace, warmup: int) -> dict:
@@ -202,50 +220,10 @@ def _window_block(trace: Trace, warmup: int) -> dict:
     return block
 
 
-def _observed_wait(trace: Trace, rule, epoch, warmup: int, completed: np.ndarray) -> float:
+def _observed_wait(trace: Trace, rule, epoch, win: Window) -> float:
     # the completed mask depends on the warmup alone, so the key needs no convention
-    key = ("observed", *span_shift(rule, epoch), warmup)
+    key = ("observed", *span_shift(rule, epoch), win.warmup)
     W_obs = trace._memo.get(key)
     if W_obs is None:
-        W_obs = trace._memo[key] = float(observed_waits(trace, rule, epoch)[completed].mean())
+        W_obs = trace._memo[key] = float(observed_waits(trace, rule, epoch)[win.completed].mean())
     return W_obs
-
-
-@dataclass(frozen=True)
-class CycleVisitCounts:
-    """State-visit counts per busy cycle at a chosen observation epoch."""
-
-    boundaries: np.ndarray  # cycle start indices, one more than cycles
-    counts: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def n_cycles(self) -> int:
-        return len(self.counts)
-
-
-def cycle_visit_counts(
-    trace: Trace,
-    rule: SchedulingRule | None = None,
-    epoch: ObservationEpoch | None = None,
-) -> CycleVisitCounts:
-    """Visits to each state during each complete busy cycle.
-
-    Counts are taken on the observed path of the given combo (the actual
-    path when rule/epoch are omitted) over the slots (U_k, U_{k+1}],
-    where the U_k are that same path's cycle starts.  A coherent combo's
-    path is the actual path up to a uniform one-slot lag, so its cycles
-    align index by index with the actual ones.
-    """
-    if rule is None or epoch is None:
-        path = trace.queue_path()
-    else:
-        path = observed_queue_path(trace, rule, epoch)
-    stats = busy_mod.cycles_from_path(path)
-    if stats.n_cycles == 0:
-        return CycleVisitCounts(np.empty(0, dtype=np.int64), [])
-    bounds = np.append(stats.U, stats.U[-1] + stats.C[-1])
-    counts = [
-        np.bincount(path[bounds[k] + 1 : bounds[k + 1] + 1])
-        for k in range(stats.n_cycles)
-    ]
-    return CycleVisitCounts(bounds, counts)

@@ -23,7 +23,42 @@ from dtq.engine import (
     build_trace,
     run_discipline,
 )
-from dtq.timebase import Phase, arrival_phase, departure_shift, epoch_phase
+from dtq.timebase import EPOCHS, Phase, SchedulingRule
+
+R = SchedulingRule
+
+# The paper's three phase tables, written out independently of the
+# package: the scheduled arrival phase, the scheduled departure (slot
+# offset, phase), and the sampling phase per rule, one entry per epoch in
+# EPOCHS order.  The rational oracle below reads only these.
+ARRIVAL_PHASES = {
+    R.EAS: Phase.P,
+    R.LAS_IA: Phase.M,
+    R.LAS_DA: Phase.M,
+    R.LA_AF: Phase.MM,
+    R.LA_DF: Phase.M,
+}
+
+DEPARTURE_SHIFTS = {
+    R.EAS: (0, Phase.M),
+    R.LAS_IA: (-1, Phase.P),
+    R.LAS_DA: (0, Phase.P),
+    R.LA_AF: (0, Phase.M),
+    R.LA_DF: (0, Phase.MM),
+}
+
+EPOCH_PHASES = {
+    R.EAS: (Phase.EDGE, Phase.CENTER, Phase.EDGE, Phase.P, Phase.M, Phase.EDGE),
+    R.LAS_IA: (Phase.EDGE, Phase.CENTER, Phase.M, Phase.EDGE, Phase.EDGE, Phase.P),
+    R.LAS_DA: (Phase.EDGE, Phase.CENTER, Phase.M, Phase.EDGE, Phase.EDGE, Phase.P),
+    R.LA_AF: (Phase.EDGE, Phase.CENTER, Phase.MM, Phase.M, Phase.M, Phase.EDGE),
+    R.LA_DF: (Phase.EDGE, Phase.CENTER, Phase.M, Phase.EDGE, Phase.MM, Phase.M),
+}
+
+
+def sampling_phase(rule, epoch) -> Phase:
+    return EPOCH_PHASES[rule][EPOCHS.index(epoch)]
+
 
 EPS = Fraction(1, 16)
 
@@ -55,10 +90,10 @@ def event_pos(slot, phase) -> Fraction:
 
 def oracle_observed_wait(rule, epoch, a, d) -> int:
     """Direct indicator sum over rational positions."""
-    a_ev = event_pos(a, arrival_phase(rule))
-    delta, dphase = departure_shift(rule)
+    a_ev = event_pos(a, ARRIVAL_PHASES[rule])
+    delta, dphase = DEPARTURE_SHIFTS[rule]
     d_ev = event_pos(d + delta, dphase)
-    u_phase = epoch_phase(rule, epoch)
+    u_phase = sampling_phase(rule, epoch)
     total = 0
     for tau in range(1, d + 3):
         u = point_pos(tau, u_phase)
@@ -69,9 +104,9 @@ def oracle_observed_wait(rule, epoch, a, d) -> int:
 
 def oracle_observed_path(trace, rule, epoch) -> np.ndarray:
     """Observed number-in-system by direct per-customer comparison."""
-    u_phase = epoch_phase(rule, epoch)
-    delta, dphase = departure_shift(rule)
-    a_ph = arrival_phase(rule)
+    u_phase = sampling_phase(rule, epoch)
+    delta, dphase = DEPARTURE_SHIFTS[rule]
+    a_ph = ARRIVAL_PHASES[rule]
     out = np.zeros(trace.horizon + 1, dtype=np.int64)
     events = [
         (event_pos(int(a), a_ph), event_pos(int(d) + delta, dphase))

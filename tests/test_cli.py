@@ -143,6 +143,27 @@ class TestVerify:
         assert main(["--config", str(path), "verify"]) == 2
         assert "names is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("alpha = 0.3", "alhpa = 0.6", "unknown key 'alhpa' in [model]; known: arrival, alpha,"),
+            ("seed = 42", "seed = 42\nhorzion = 5", "unknown key 'horzion' in [sim]; known: horizon,"),
+            ("[checks]", "[check]", "unknown section [check]; known: model, sim, checks, output"),
+            ("[model]", "[DEFAULT]\nseed = 3\n\n[model]", "unknown section [DEFAULT]"),
+        ],
+    )
+    def test_unknown_section_or_key_rejected_before_simulation(
+        self, tmp_path, capsys, monkeypatch, old, new, message
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("build_trace called for a config with an unknown key")
+
+        monkeypatch.setattr(cli, "build_trace", no_simulation)
+        path = tmp_path / "typo.ini"
+        path.write_text(SMALL_CONFIG.replace(old, new))
+        assert main(["--config", str(path), "verify"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_busy_without_complete_cycle_rejected(self, tmp_path, capsys):
         # one customer, never cleared inside the horizon: no cycle means exist
         path = tmp_path / "nocycle.ini"
@@ -211,7 +232,7 @@ class TestPathBuilds:
                 "queue_path",
                 "observed_queue_path",
                 "workload_path",
-                "_remaining_work_spans",
+                "_remaining_work_pieces",
             ),
             0,
         )
@@ -230,13 +251,13 @@ class TestPathBuilds:
         count(Trace, "queue_path")
         count(observer, "observed_queue_path")
         count(littles, "workload_path")
-        count(littles, "_remaining_work_spans")
+        count(littles, "_remaining_work_pieces")
         exp = cli.load_experiment(str(path))
         assert len(exp.checks) == 8
         cli.run_verify(exp)
         assert calls["observed_queue_path"] == 0
         assert calls["workload_path"] == 0
-        assert calls["_remaining_work_spans"] == 0
+        assert calls["_remaining_work_pieces"] == 0
         assert calls["queue_path"] == 0
         assert calls["counting_processes"] == 1
         assert calls["shift_path"] == 3  # one window per coherence class

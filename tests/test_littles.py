@@ -176,30 +176,50 @@ class TestHLambdaG:
 
 
 class TestCostKernel:
-    """The piecewise-linear kernel against per-slot rate closures."""
+    """The piece-sum kernel against per-slot rate closures."""
 
     COSTS = [
         (indicator_cost, oracle_indicator_rate),
         (remaining_work_cost, oracle_remaining_work_rate),
     ]
 
-    @pytest.mark.parametrize("make_cost,rate", COSTS)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_closure_sums(self, make_cost, rate, seed):
+    @staticmethod
+    def _traces(seed):
         full = build_trace(Bernoulli(0.45), DiscreteDist.geometric(0.5), Fifo(1), seed, 4_000)
         two = build_trace(Bernoulli(0.7), DiscreteDist.geometric(0.4), Fifo(2), seed, 2_000)
         # cut at an arrival slot, so that customer departs after the horizon
         prefix = prefix_trace(full, int(full.arrivals[full.n // 2]))
         assert np.any(prefix.departures > prefix.horizon)
-        for tr in (full, prefix, two):
-            path, totals = littles_mod._cost_profile(tr, make_cost())
-            oracle_path, oracle_totals = oracle_cost_profile(tr, rate)
-            assert np.array_equal(path, oracle_path)
-            assert np.array_equal(totals, oracle_totals)
+        return full, prefix, two
 
-    def test_workload_path_is_remaining_work(self, small_bgeom1_trace):
-        path, _ = littles_mod._cost_profile(small_bgeom1_trace, remaining_work_cost())
-        assert np.array_equal(path, workload_path(small_bgeom1_trace))
+    @pytest.mark.parametrize("make_cost,rate", COSTS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_closure_sums(self, make_cost, rate, seed):
+        for tr in self._traces(seed):
+            oracle_path, oracle_totals = oracle_cost_profile(tr, rate)
+            T = tr.horizon
+            for warmup in (0, T // 2, T - 1):
+                total, totals = littles_mod._cost_profile(tr, make_cost(), warmup)
+                assert total == oracle_path[warmup + 1 :].sum(), warmup
+                assert np.array_equal(totals, oracle_totals)
+
+    def test_workload_path_is_remaining_work(self):
+        for tr in self._traces(0):
+            oracle_path, _ = oracle_cost_profile(tr, oracle_remaining_work_rate)
+            assert np.array_equal(workload_path(tr), oracle_path)
+
+    def test_no_slot_path_built(self, monkeypatch):
+        tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 5, 20_000)
+
+        def no_path(*args, **kwargs):
+            raise AssertionError("slot path built")
+
+        monkeypatch.setattr(Trace, "counting_processes", no_path)
+        monkeypatch.setattr(Trace, "queue_path", no_path)
+        monkeypatch.setattr(littles_mod, "workload_path", no_path)
+        for cost in (indicator_cost(), remaining_work_cost()):
+            assert check_h_lambda_g(tr, cost, 2_000).passed
+        assert verify_pk(tr, 2_000, rel_tol=0.1).passed
 
 
 class TestWorkload:
@@ -249,7 +269,7 @@ class TestWorkloadMomentsMemo:
     def test_computed_once_per_warmup_without_pieces_or_path(self, monkeypatch):
         tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 5, 20_000)
         calls = []
-        monkeypatch.setattr(littles_mod, "_remaining_work_spans", lambda t: calls.append("spans"))
+        monkeypatch.setattr(littles_mod, "_remaining_work_pieces", lambda t: calls.append("pieces"))
         monkeypatch.setattr(littles_mod, "workload_path", lambda t: calls.append("path"))
         verify_pk(tr, 2_000)
         m = workload_moments(tr, 2_000)
@@ -371,6 +391,21 @@ class TestSubCoherentOccupancyIdentities:
         assert reconstructed == pytest.approx(rho * (1 - beta), rel=0.03)
         assert reconstructed == pytest.approx(gamma * (1 - alpha), rel=0.03)
         assert not math.isclose(gamma, alpha * (1 / beta - 1), rel_tol=0.2)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda tr, w: check_h_lambda_g(tr, indicator_cost(), w),
+        lambda tr, w: check_h_lambda_g(tr, remaining_work_cost(), w),
+        workload_moments,
+        verify_pk,
+    ],
+)
+def test_warmup_outside_the_horizon_rejected(check, worked_example_trace):
+    for warmup in (-1, worked_example_trace.horizon):
+        with pytest.raises(ValueError, match="warmup"):
+            check(worked_example_trace, warmup)
 
 
 def test_basic_inequality_rejects_out_of_range(worked_example_trace):

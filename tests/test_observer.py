@@ -15,7 +15,6 @@ from conftest import (
     prefix_trace,
     small_random_traces,
 )
-from dtq.busy import cycles_from_path
 from dtq.coherence import CoherenceClass, classify
 from dtq.engine import (
     Bernoulli,
@@ -30,11 +29,11 @@ from dtq.observer import (
     _SHIFTS,
     InsufficientDataError,
     _window_block,
-    cycle_visit_counts,
     observed_queue_path,
     observed_service_spans,
     observed_waits,
     time_averages,
+    window,
 )
 from dtq.timebase import (
     EPOCHS,
@@ -247,6 +246,32 @@ class TestTimeAverages:
             time_averages(tr, warmup=0)
 
 
+class TestWindow:
+    def test_default_warmup_and_memo(self, small_bgeom1_trace):
+        tr = small_bgeom1_trace
+        win = window(tr)
+        assert win.warmup == tr.horizon // 10 and win.span == tr.horizon - win.warmup
+        assert window(tr, win.warmup) is win
+        assert time_averages(tr).warmup == win.warmup
+
+    def test_fields(self, worked_example_trace):
+        win = window(worked_example_trace, 1)
+        # arrivals (1, 2, 5), departures (4, 5, 7), horizon 7
+        assert (win.lam, win.W, win.n_completed) == (2 / 6, 2.5, 2)
+        assert win.completed.tolist() == [False, True, True]
+
+    def test_completed_mask_is_read_only(self, worked_example_trace):
+        with pytest.raises(ValueError):
+            window(worked_example_trace, 0).completed[0] = False
+
+    @pytest.mark.parametrize("warmup", [-1, 7, 8])
+    def test_warmup_outside_the_horizon_rejected(self, worked_example_trace, warmup):
+        with pytest.raises(ValueError, match="warmup"):
+            window(worked_example_trace, warmup)
+        with pytest.raises(ValueError, match="warmup"):
+            time_averages(worked_example_trace, warmup=warmup)
+
+
 def _memo_free_averages(trace, rule, epoch, warmup, convention):
     """Per-combo bincount over observation_span, as computed before the memo."""
     T = trace.horizon
@@ -363,6 +388,8 @@ class TestTimeAveragesMemo:
             elif isinstance(value, dict):
                 for v in value.values():
                     yield from arrays(v)
+            elif hasattr(value, "__dataclass_fields__"):
+                yield from arrays(vars(value))
 
         sizes = [a.size for a in arrays(tr._memo)]
         assert sizes and max(sizes) <= tr.n
@@ -386,41 +413,30 @@ class TestTimeAveragesMemo:
         assert np.array_equal(after.pi, pi) and np.array_equal(after.pi_obs, pi_obs)
 
 
-class TestCycleVisitCounts:
-    def test_single_customer_cycle(self):
-        # one customer (1, 2], next cycle starts with the arrival at 4
-        tr = run_discipline([1, 4], [1, 1], Fifo(1), horizon=6)
-        counts = cycle_visit_counts(tr)
-        assert counts.n_cycles == 1
-        assert list(counts.counts[0]) == [2, 1]  # two empty slots, one busy
+_LAG_TRACES = {
+    "fifo1": lambda: build_trace(Bernoulli(0.45), DiscreteDist.geometric(0.5), Fifo(1), 4, 5_000),
+    "fifo2-random": lambda: build_trace(
+        Bernoulli(0.7), DiscreteDist.geometric(0.4), Fifo(2, "random"), 4, 5_000
+    ),
+    "infinite-server": lambda: build_trace(
+        Bernoulli(0.5), DiscreteDist.geometric(0.2), InfiniteServer(), 4, 5_000
+    ),
+}
 
-    def test_totals_match_cycle_lengths(self, small_bgeom1_trace):
-        counts = cycle_visit_counts(small_bgeom1_trace)
-        stats = cycles_from_path(small_bgeom1_trace.queue_path())
-        for k in range(counts.n_cycles):
-            assert counts.counts[k].sum() == stats.C[k]
 
-    @pytest.mark.parametrize(
-        "rule,epoch",
-        [(r, e) for (r, e) in ALL_COMBOS if classify(r, e) is CoherenceClass.COHERENT],
-    )
-    def test_coherent_per_cycle_counts_match_actual(self, rule, epoch, small_bgeom1_trace):
-        actual = cycle_visit_counts(small_bgeom1_trace)
-        seen = cycle_visit_counts(small_bgeom1_trace, rule, epoch)
-        # the horizon edge can clip one cycle on the lagged path
-        assert abs(actual.n_cycles - seen.n_cycles) <= 1
-        m = min(actual.n_cycles, seen.n_cycles)
-        assert m > 100
-        for k in range(m - 1):
-            a, b = actual.counts[k], seen.counts[k]
-            width = max(len(a), len(b))
-            assert np.array_equal(
-                np.pad(a, (0, width - len(a))), np.pad(b, (0, width - len(b)))
-            ), (rule, epoch, k)
-
-    def test_empty_trace(self):
-        tr = run_discipline([], [], Fifo(1), horizon=10)
-        assert cycle_visit_counts(tr).n_cycles == 0
+@pytest.mark.parametrize(
+    "rule,epoch", [c for c in ALL_COMBOS if classify(*c) is CoherenceClass.COHERENT]
+)
+@pytest.mark.parametrize("name", sorted(_LAG_TRACES))
+def test_coherent_path_is_the_actual_path_or_one_slot_earlier(name, rule, epoch):
+    """A coherent combo sees the strict-left actual path (shift (1, 0)) or
+    that path one slot earlier (shift (0, -1)), so its busy cycles and
+    per-cycle state visits are the actual ones."""
+    tr = _LAG_TRACES[name]()
+    actual = oracle_queue_path(tr)
+    seen = observed_queue_path(tr, rule, epoch)
+    if not np.array_equal(seen, actual):
+        assert seen[0] == 0 and np.array_equal(seen[1:-1], actual[2:])
 
 
 class TestObservedServiceSpans:

@@ -3,7 +3,15 @@ from collections import Counter
 
 import pytest
 
-from conftest import event_pos, oracle_observed_wait, point_pos
+from conftest import (
+    ARRIVAL_PHASES,
+    DEPARTURE_SHIFTS,
+    EPOCH_PHASES,
+    event_pos,
+    oracle_observed_wait,
+    point_pos,
+    sampling_phase,
+)
 from dtq.timebase import (
     EPOCHS,
     RULES,
@@ -24,49 +32,23 @@ def test_phase_ranks_are_fixed():
     assert Phase.CENTER < Phase.MM < Phase.M < Phase.EDGE < Phase.P
 
 
-# The three phase tables: scheduled arrival phase, scheduled departure
-# (slot offset, phase), and the sampling phase per rule/epoch pair.
-_EXPECTED_ARRIVAL_PHASES = {
-    R.EAS: Phase.P,
-    R.LAS_IA: Phase.M,
-    R.LAS_DA: Phase.M,
-    R.LA_AF: Phase.MM,
-    R.LA_DF: Phase.M,
-}
-
-_EXPECTED_DEPARTURE_SHIFTS = {
-    R.EAS: (0, Phase.M),
-    R.LAS_IA: (-1, Phase.P),
-    R.LAS_DA: (0, Phase.P),
-    R.LA_AF: (0, Phase.M),
-    R.LA_DF: (0, Phase.MM),
-}
-
-_EXPECTED_EPOCH_PHASES = {
-    R.EAS: (Phase.EDGE, Phase.CENTER, Phase.EDGE, Phase.P, Phase.M, Phase.EDGE),
-    R.LAS_IA: (Phase.EDGE, Phase.CENTER, Phase.M, Phase.EDGE, Phase.EDGE, Phase.P),
-    R.LAS_DA: (Phase.EDGE, Phase.CENTER, Phase.M, Phase.EDGE, Phase.EDGE, Phase.P),
-    R.LA_AF: (Phase.EDGE, Phase.CENTER, Phase.MM, Phase.M, Phase.M, Phase.EDGE),
-    R.LA_DF: (Phase.EDGE, Phase.CENTER, Phase.M, Phase.EDGE, Phase.MM, Phase.M),
-}
-
-
 @pytest.mark.parametrize("rule", RULES)
 def test_phase_tables(rule):
-    assert arrival_phase(rule) is _EXPECTED_ARRIVAL_PHASES[rule]
-    assert departure_shift(rule) == _EXPECTED_DEPARTURE_SHIFTS[rule]
-    assert tuple(epoch_phase(rule, epoch) for epoch in EPOCHS) == _EXPECTED_EPOCH_PHASES[rule]
+    # the package's tables against the paper's, written out in conftest
+    assert arrival_phase(rule) is ARRIVAL_PHASES[rule]
+    assert departure_shift(rule) == DEPARTURE_SHIFTS[rule]
+    assert tuple(epoch_phase(rule, epoch) for epoch in EPOCHS) == EPOCH_PHASES[rule]
 
 
 def _first_observed(rule, epoch, arrival_pos, start):
     """First edge t >= start whose sampling instant follows the event."""
-    phase = epoch_phase(rule, epoch)
+    phase = sampling_phase(rule, epoch)
     return next(t for t in itertools.count(start) if point_pos(t, phase) > arrival_pos)
 
 
 def _last_observed(rule, epoch, departure_pos, start):
     """Last edge t >= start whose sampling instant precedes the event."""
-    phase = epoch_phase(rule, epoch)
+    phase = sampling_phase(rule, epoch)
     return next(t for t in itertools.count(start) if point_pos(t + 1, phase) > departure_pos)
 
 
