@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -258,10 +258,13 @@ class Trace:
         window of :func:`dtq.observer.window`, which every time average and
         cost-rate law reads; L and pi of all five span shifts, from one
         build of :meth:`counting_processes` and one window per coherence
-        class; and :func:`dtq.littles.workload_moments`, whose EV is a
-        closed-form piece sum over customers.  Entries never go stale
-        because a trace is immutable; they hold scalars, state histograms
-        and read-only customer-length masks, never a slot-length array.
+        class; :func:`dtq.littles.workload_moments`, whose EV is a
+        closed-form piece sum over customers; and, under
+        ``("offsets", s0, e0)``, the observed-minus-actual wait histogram
+        of :func:`dtq.coherence.verify_on_trace`, one per span shift.
+        Entries never go stale because a trace is immutable; they hold
+        scalars, state histograms and read-only customer-length masks,
+        never a slot-length array.
         """
         return {}
 
@@ -582,48 +585,101 @@ def build_trace(
 
 _CSV_HEADER = ["k", "A", "S", "Astart", "D"]
 _CSV_SERVER = "server"
-_CSV_CHUNK = 1 << 16  # rows formatted per write, bounds the transient int list
+_CSV_HEADERS = (_CSV_HEADER[:3], _CSV_HEADER, _CSV_HEADER + [_CSV_SERVER])
+# rows encoded per write: 2^14 keeps a block's cells (~1 MB) in cache and
+# spares a fresh process the page faults of a larger first block
+_CSV_CHUNK = 1 << 14
+_CSV_GROUP = 10_000  # cells hold base-10^4 digit groups
+_CSV_SEPS = np.frombuffer(b",\0\0\0\r\n\0\0", dtype=np.uint32)  # between cells, row end
+
+
+@cache
+def _csv_digit_cells() -> np.ndarray:
+    """The four-byte text of every digit group as :func:`_csv_encode`
+    indexes it: g at g zero-padded, the leading group g at 10^4 + g
+    null-padded, and an all-null cell at 2·10^4 for the groups above the
+    leading one."""
+    groups = tuple(range(_CSV_GROUP))
+    inner = b"%04d" * _CSV_GROUP % groups
+    lead = (b"%-4d" * _CSV_GROUP % groups).replace(b" ", b"\0")
+    return np.frombuffer(inner + lead + b"\0" * 4, dtype=np.uint32)
+
+
+def _csv_encode(block: np.ndarray) -> bytes:
+    """CSV text of a (rows, columns) block of nonnegative ints.
+
+    Each value becomes G cells, most significant group first, then one
+    separator cell; deleting the null bytes leaves the text.
+    """
+    top = int(block.max())
+    n_groups = 1
+    while top >= _CSV_GROUP**n_groups:
+        n_groups += 1
+    cells = np.empty(block.shape + (n_groups + 1,), dtype=np.uint32)
+    digits = _csv_digit_cells()
+    high = block
+    for g in range(n_groups):  # least significant group first
+        low, high = high, high // _CSV_GROUP
+        index = low - high * _CSV_GROUP
+        # the leading group reads 10^4 further on, groups above it 2·10^4
+        index += (high == 0) * _CSV_GROUP
+        if g:
+            index += (low == 0) * _CSV_GROUP
+        cells[..., n_groups - 1 - g] = digits[index]
+    cells[..., n_groups] = _CSV_SEPS[0]
+    cells[:, -1, n_groups] = _CSV_SEPS[1]
+    return cells.tobytes().translate(None, b"\0")
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """Write one row per customer, with the CRLF line ends ``csv.writer``
-    emits; a ``server`` column follows exactly when the trace carries a
-    server assignment."""
+    """Write one row per customer, byte for byte what ``csv.writer``
+    emits, CRLF line ends included; a ``server`` column follows exactly
+    when the trace carries a server assignment.
+
+    Rows are encoded in blocks of ``_CSV_CHUNK`` without formatting a
+    single int: each value is split into base-10^4 digit groups, as many
+    as the block's largest value needs, and each group is looked up as one
+    four-byte cell of ASCII digits, null-padded where the group leads and
+    all null above that.  A ``,`` or ``\\r\\n`` cell ends each value, and
+    the block is written with the nulls deleted.  This relies on the
+    ``Trace`` invariant that every column is nonnegative.
+    """
     header = list(_CSV_HEADER)
-    cols = [np.arange(1, trace.n + 1), trace.arrivals, trace.services, trace.starts, trace.departures]
+    cols = [trace.arrivals, trace.services, trace.starts, trace.departures]
     if trace.servers is not None:
         header.append(_CSV_SERVER)
         cols.append(trace.servers)
-    table = np.column_stack(cols)
-    row = ",".join(["%d"] * len(cols)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for i in range(0, trace.n, _CSV_CHUNK):
-            block = table[i : i + _CSV_CHUNK]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            k = np.arange(i + 1, min(i + _CSV_CHUNK, trace.n) + 1)
+            fh.write(_csv_encode(np.column_stack([k] + [c[i : i + _CSV_CHUNK] for c in cols])))
 
 
 def read_trace_csv(path, disc: DisciplineSpec | None = None, horizon: int | None = None) -> Trace:
     """Load a trace file.
 
-    Full rows reproduce the stored path verbatim, server assignment
-    included when the file has a ``server`` column; files carrying only
-    (A, S) columns are re-run through the given discipline (FIFO single
-    server when omitted).
+    The header is ``k,A,S``, the full ``k,A,S,Astart,D`` or the full
+    header plus ``server``, and every row has one value per header name;
+    any other file raises ValueError.  Full rows reproduce the stored path
+    verbatim, server assignment included when the file has a ``server``
+    column; files carrying only (A, S) columns are re-run through the
+    given discipline (FIFO single server when omitted).
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
-        if header[:2] != ["k", "A"]:
-            raise ValueError(f"{path}: not a trace file")
+        if header not in _CSV_HEADERS:
+            known = " or ".join(",".join(h) for h in _CSV_HEADERS)
+            raise ValueError(f"{path}: header {','.join(header)!r} is not a trace header ({known})")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a header-only file has no rows
             body = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
     if body.size == 0:
         body = body.reshape(0, len(header))
-    if body.shape[1] < 3:
-        raise ValueError(f"{path}: need at least the k, A and S columns")
+    if body.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {body.shape[1]} values, the header {len(header)}")
     cols = body.T.copy()  # one contiguous row per column
-    if header in (_CSV_HEADER, _CSV_HEADER + [_CSV_SERVER]) and len(cols) == len(header):
+    if len(cols) > 3:  # full rows
         deps = cols[4]
         T = horizon if horizon is not None else (int(deps.max()) if len(deps) else 1)
         servers = cols[5] if len(cols) == 6 else None

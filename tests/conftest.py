@@ -6,6 +6,7 @@ positions sit on fixed fractions around the edge and scheduled events
 strictly inside the gaps between them.  Everything derived from it is
 an independent check on the production encoding.
 """
+import csv
 import heapq
 from fractions import Fraction
 
@@ -254,6 +255,20 @@ def oracle_finite_population(n_sources, alpha, service, seed, horizon, arrival_f
     svc = np.asarray(services, dtype=np.int64)
     dep = np.asarray(departures, dtype=np.int64)
     return Trace(arr, svc, dep - svc, dep, horizon, np.zeros(len(arr), dtype=np.int64))
+
+
+def oracle_trace_csv(trace, path):
+    """The row-by-row csv.writer encoding of a trace file."""
+    header = ["k", "A", "S", "Astart", "D"]
+    cols = [trace.arrivals, trace.services, trace.starts, trace.departures]
+    if trace.servers is not None:
+        header.append("server")
+        cols.append(trace.servers)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for k in range(trace.n):
+            w.writerow([k + 1] + [int(c[k]) for c in cols])
 
 
 def small_random_traces(seed, count):

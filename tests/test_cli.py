@@ -108,6 +108,35 @@ class TestVerify:
         header = trace_path.read_text().splitlines()[0]
         assert header == "k,A,S,Astart,D,server"
 
+    def test_simulate_round_trip(self, tmp_path):
+        from dataclasses import fields
+
+        import numpy as np
+        from conftest import oracle_trace_csv
+
+        from dtq.engine import Trace, read_trace_csv
+
+        config = tmp_path / "fifo2.ini"
+        config.write_text(
+            SMALL_CONFIG.replace("alpha = 0.3", "alpha = 0.6")
+            .replace("servers = 1", "servers = 2\nassignment = random")
+            .replace("horizon = 40000", "horizon = 20000")
+        )
+        ours, ref = tmp_path / "trace.csv", tmp_path / "ref.csv"
+        assert main(["--config", str(config), "--seed", "7", "--out", str(ours), "simulate"]) == 0
+        exp = cli.load_experiment(str(config), 7)
+        written = exp.make_trace(exp.seed)
+        assert set(written.servers.tolist()) == {0, 1}
+        oracle_trace_csv(written, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        back = read_trace_csv(ours, horizon=exp.horizon)
+        for f in fields(Trace):
+            got, want = getattr(back, f.name), getattr(written, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
+
     def test_unknown_check_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(SMALL_CONFIG.replace("little, busy", "little, nonsense"))

@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import oracle_observed_wait
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +29,7 @@ from dtq.engine import (
     run_discipline,
 )
 from dtq.observer import observed_queue_path, observed_waits
-from dtq.timebase import EPOCHS, RULES, ObservationEpoch as E, SchedulingRule as R
+from dtq.timebase import EPOCHS, RULES, ObservationEpoch as E, SchedulingRule as R, span_shift
 
 
 def test_classify_examples():
@@ -141,3 +143,82 @@ def test_empty_trace_report():
     tr = run_discipline([], [], Fifo(1), horizon=5)
     report = verify_on_trace(tr, R.EAS, E.RANDOM_OBSERVER)
     assert report.passed and report.offset_counts == {}
+
+
+class TestOffsetMemo:
+    """The offset histogram is computed once per span shift."""
+
+    @staticmethod
+    def _trace():
+        return build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 12, 5_000)
+
+    def test_thirty_combos_cost_five_passes(self, monkeypatch):
+        from dtq import coherence
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return observed_waits(*args)
+
+        monkeypatch.setattr(coherence, "observed_waits", counted)
+        tr = self._trace()
+        for rule, epoch in itertools.product(RULES, EPOCHS):
+            assert verify_on_trace(tr, rule, epoch).passed
+        assert len(calls) == 5
+        assert len({span_shift(*combo) for combo in calls}) == 5
+        assert sorted(k for k in tr._memo if k[0] == "offsets") == sorted(
+            ("offsets", *span_shift(r, e)) for r, e in calls
+        )
+
+    def test_reports_do_not_alias_the_memo(self):
+        tr = self._trace()
+        first = verify_on_trace(tr, R.EAS, E.RANDOM_OBSERVER)
+        counts = dict(first.offset_counts)
+        first.offset_counts.clear()
+        first.offset_counts[5] = 1
+        same_shift = [
+            (r, e) for r, e in itertools.product(RULES, EPOCHS)
+            if span_shift(r, e) == span_shift(R.EAS, E.RANDOM_OBSERVER)
+        ]
+        for rule, epoch in same_shift:  # the EAS combo itself and the others of its shift
+            again = verify_on_trace(tr, rule, epoch)
+            assert again.offset_counts == counts and again.passed
+        assert len(same_shift) > 1
+
+    def test_span_clip_at_slot_zero_matches_oracle(self):
+        # arrivals at slot 0 are seen from slot 1 on, so shifts with s0 = 0
+        # observe them one slot short: the clip fails those combos, or takes
+        # the sub-coherent ones out of range
+        tr = run_discipline([0, 0, 3, 4], [2, 3, 1, 5], Fifo(1), horizon=20)
+        outcomes = Counter()
+        for _ in range(2):  # the second pass reads every histogram from the memo
+            for rule, epoch in itertools.product(RULES, EPOCHS):
+                want = classify(rule, epoch).offset
+                hist = Counter(
+                    oracle_observed_wait(rule, epoch, int(a), int(d)) - int(d - a)
+                    for a, d in zip(tr.arrivals, tr.departures)
+                )
+                if min(hist) < -1:
+                    with pytest.raises(OffsetViolation):
+                        verify_on_trace(tr, rule, epoch)
+                    outcomes["raised"] += 1
+                    continue
+                report = verify_on_trace(tr, rule, epoch)
+                assert (report.rule, report.epoch, report.expected) == (rule, epoch, want)
+                assert report.offset_counts == hist
+                assert list(report.offset_counts) == sorted(hist)
+                assert report.passed == (hist == {want: tr.n})
+                outcomes[report.passed] += 1
+        assert outcomes["raised"] and outcomes[False] and outcomes[True]
+
+    def test_out_of_range_offset_raises(self, monkeypatch):
+        from dtq import coherence
+
+        tr = self._trace()
+        monkeypatch.setattr(
+            coherence, "observed_waits", lambda trace, rule, epoch: trace.waits + 2 * (trace.waits > 3)
+        )
+        with pytest.raises(OffsetViolation, match=r"offsets \[0, 2\] for \(EAS, random-observer\)"):
+            verify_on_trace(tr, R.EAS, E.RANDOM_OBSERVER)
+        assert not any(k[0] == "offsets" for k in tr._memo)

@@ -1,10 +1,9 @@
-import csv
 import math
 
 import numpy as np
 import pytest
-from conftest import oracle_fifo_multi, oracle_finite_population
-from hypothesis import given
+from conftest import oracle_fifo_multi, oracle_finite_population, oracle_trace_csv
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dtq import engine as engine_mod
@@ -337,21 +336,29 @@ class TestFinitePopulation:
             FinitePopulation(30, 0.05)
 
 
-def _csv_writer_reference(trace, path):
-    """The row-by-row csv.writer encoding of a trace file."""
-    header = ["k", "A", "S", "Astart", "D"]
-    cols = [trace.arrivals, trace.services, trace.starts, trace.departures]
-    if trace.servers is not None:
-        header.append("server")
-        cols.append(trace.servers)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(trace.n):
-            w.writerow([k + 1] + [int(c[k]) for c in cols])
-
-
 _TRACE_FIELDS = ("arrivals", "services", "starts", "departures")
+
+# the ends of each base-10^4 digit group the encoder splits a value into
+_GROUP_EDGES = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12, 10**16]
+_edge_or_any = st.one_of(st.sampled_from(_GROUP_EDGES), st.integers(0, 10**16))
+
+
+@st.composite
+def _csv_traces(draw):
+    """Small traces whose columns hit every digit-group edge."""
+    n = draw(st.integers(0, 12))
+    column = st.lists(_edge_or_any, min_size=n, max_size=n)
+    arrivals = np.sort(np.array(draw(column), dtype=np.int64))
+    starts = arrivals + np.array(draw(column), dtype=np.int64)
+    services = 1 + np.array(draw(column), dtype=np.int64)
+    servers = draw(st.sampled_from(["none", "zeros", "values"]))
+    if servers == "none":
+        servers = None
+    elif servers == "zeros":
+        servers = np.zeros(n, dtype=np.int64)
+    else:
+        servers = np.array(draw(column), dtype=np.int64)
+    return Trace(arrivals, services, starts, starts + services, 1, servers)
 
 
 class TestTraceCsv:
@@ -383,7 +390,29 @@ class TestTraceCsv:
         assert tr.n % 1_000 != 0
         ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
         write_trace_csv(tr, ours)
-        _csv_writer_reference(tr, ref)
+        oracle_trace_csv(tr, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    @given(_csv_traces(), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_csv_writer_on_any_values(self, tmp_path, tr, chunk):
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_mod, "_CSV_CHUNK", chunk)  # the last block partial when n % chunk
+            write_trace_csv(tr, ours)
+        oracle_trace_csv(tr, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("servers", ["none", "zeros", "edges"])
+    @pytest.mark.parametrize("n", [0, 1, len(_GROUP_EDGES)], ids=["header-only", "one-row", "all"])
+    def test_group_edges_match_csv_writer(self, tmp_path, monkeypatch, n, servers):
+        monkeypatch.setattr(engine_mod, "_CSV_CHUNK", 4)  # a partial last block
+        edges = np.array(_GROUP_EDGES[:n], dtype=np.int64)
+        column = {"none": None, "zeros": np.zeros(n, dtype=np.int64), "edges": edges}[servers]
+        tr = Trace(edges, edges + 1, edges, 2 * edges + 1, 1, column)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        write_trace_csv(tr, ours)
+        oracle_trace_csv(tr, ref)
         assert ours.read_bytes() == ref.read_bytes()
 
     def test_no_server_column_without_assignment(self, tmp_path):
@@ -432,8 +461,29 @@ class TestTraceCsv:
         tr = read_trace_csv(path)
         assert list(tr.departures) == [6, 10]
 
-    def test_rejects_other_files(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,y\n1,2\n", "not a trace header"),
+            # names D but not Astart: re-running the A, S columns would replace D = 9, 12
+            ("k,A,S,D\n1,1,5,9\n2,3,4,12\n", "not a trace header"),
+            # a sixth value the header does not name
+            ("k,A,S,Astart,D\n1,1,2,1,3,1\n2,2,2,2,4,0\n", "rows have 6 values, the header 5"),
+            # a server header over rows that carry no server
+            ("k,A,S,Astart,D,server\n1,1,5,2,7\n2,3,4,7,11\n", "rows have 5 values, the header 6"),
+        ],
+        ids=["junk", "unknown-header", "rows-wider", "rows-narrower"],
+    )
+    def test_rejects_other_files(self, tmp_path, text, message):
         path = tmp_path / "junk.csv"
-        path.write_text("x,y\n1,2\n")
-        with pytest.raises(ValueError):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             read_trace_csv(path)
+
+    def test_rejection_names_the_accepted_headers(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("k,A,S,D\n1,1,5,9\n")
+        with pytest.raises(ValueError) as info:
+            read_trace_csv(path)
+        assert "'k,A,S,D'" in str(info.value)
+        assert "k,A,S or k,A,S,Astart,D or k,A,S,Astart,D,server" in str(info.value)

@@ -15,7 +15,7 @@ from conftest import (
     prefix_trace,
     small_random_traces,
 )
-from dtq.coherence import CoherenceClass, classify
+from dtq.coherence import CoherenceClass, classify, verify_on_trace
 from dtq.engine import (
     Bernoulli,
     DiscreteDist,
@@ -378,6 +378,9 @@ class TestTimeAveragesMemo:
         tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 9, 10_000)
         for rule, epoch in ALL_COMBOS:
             time_averages(tr, rule, epoch, 1_000)
+            verify_on_trace(tr, rule, epoch)
+        offsets = [v for k, v in tr._memo.items() if k[0] == "offsets"]
+        assert len(offsets) == 5 and all(len(hist) <= 3 for hist in offsets)
 
         def arrays(value):
             if isinstance(value, np.ndarray):
