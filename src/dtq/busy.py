@@ -107,15 +107,20 @@ def _busy_runs(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
 
     Customers are in arrival order; one opens a new busy period when it
     arrives after every earlier departure.  The first customer always
-    opens one.
+    opens one.  Memoized on the trace as two read-only arrays.
     """
-    a = trace.arrivals
-    reach = np.maximum.accumulate(trace.departures)
-    opens = np.empty(len(a), dtype=bool)
-    opens[:1] = True
-    np.greater(a[1:], reach[:-1], out=opens[1:])
-    first = np.flatnonzero(opens)
-    return first, np.append(reach[first[1:] - 1], reach[-1:])
+    runs = trace._memo.get("busy")
+    if runs is None:
+        a = trace.arrivals
+        reach = np.maximum.accumulate(trace.departures)
+        opens = np.empty(len(a), dtype=bool)
+        opens[:1] = True
+        np.greater(a[1:], reach[:-1], out=opens[1:])
+        first = np.flatnonzero(opens)
+        runs = trace._memo["busy"] = (first, np.append(reach[first[1:] - 1], reach[-1:]))
+        for arr in runs:
+            arr.flags.writeable = False
+    return runs
 
 
 def detect_cycles(trace: Trace) -> CycleStats:
@@ -158,8 +163,10 @@ def empty_state_rates(trace: Trace) -> tuple[float, float, float]:
     if empty == 0:
         raise ValueError("the system is never empty: no empty-state arrival rate")
     arrived = int(np.searchsorted(a, T, side="right"))
-    opened_by = np.repeat(opened, np.diff(first, append=len(a)))
-    found = int(np.count_nonzero(a[:arrived] == opened_by[:arrived]))
+    # the customers arriving in an opener's slot are the opener and those
+    # after it up to the next later arrival, all of its busy period
+    m = np.searchsorted(opened, T, side="right")
+    found = int((np.searchsorted(a, opened[:m], side="right") - first[:m]).sum())
     return empty / T, found / empty, arrived / T
 
 

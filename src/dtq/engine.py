@@ -254,17 +254,17 @@ class Trace:
 
     @cached_property
     def _memo(self) -> dict:
-        """Derived summaries, filled lazily per warmup: the averaging
+        """Derived summaries, filled lazily: per warmup, the averaging
         window of :func:`dtq.observer.window`, which every time average and
         cost-rate law reads; L and pi of all five span shifts, from one
-        build of :meth:`counting_processes` and one window per coherence
-        class; :func:`dtq.littles.workload_moments`, whose EV is a
-        closed-form piece sum over customers; and, under
-        ``("offsets", s0, e0)``, the observed-minus-actual wait histogram
-        of :func:`dtq.coherence.verify_on_trace`, one per span shift.
-        Entries never go stale because a trace is immutable; they hold
-        scalars, state histograms and read-only customer-length masks,
-        never a slot-length array.
+        blocked pass over the slots with one window per coherence class;
+        :func:`dtq.littles.workload_moments`, whose EV is a closed-form
+        piece sum over customers; under ``("offsets", s0, e0)``, the
+        observed-minus-actual wait histogram of
+        :func:`dtq.coherence.verify_on_trace`, one per span shift; and the
+        busy periods of :mod:`dtq.busy`.  Entries never go stale because a
+        trace is immutable; they hold scalars, state histograms and
+        read-only customer-length arrays, never a slot-length array.
         """
         return {}
 
@@ -280,32 +280,32 @@ class Trace:
 
     def counting_processes(self) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative counts N_A[x] = #{A <= x} and N_D[x] = #{D <= x}
-        for x = 0..horizon+1.
+        for x = 0..horizon+1, each one full-range call of
+        :func:`_running_count`.
 
-        Every queue path is a slice of these two (see :meth:`shift_path`).
+        A materializer of slot-length arrays: only :meth:`shift_path` and
+        the tests read it.  Checks and time averages take the same counts
+        block by block and never hold them whole.
         """
         T = self.horizon
-        out = []
-        for slots in (self.arrivals, self.departures):
-            # slots past T + 1 all land in bin T + 2, which is dropped
-            counts = np.bincount(np.minimum(slots, T + 2), minlength=T + 3)
-            np.cumsum(counts, out=counts)
-            out.append(counts[: T + 2])
-        return out[0], out[1]
+        return (
+            _running_count(self.arrivals, 0, T + 2),
+            _running_count(np.sort(self.departures, kind="stable"), 0, T + 2),
+        )
 
-    def shift_path(self, s0: int, e0: int, first: int = 0, counts=None) -> np.ndarray:
+    def shift_path(self, s0: int, e0: int, first: int = 0) -> np.ndarray:
         """Number of customers whose span A + s0 .. D + e0 covers j, for
         j = first..horizon: N_A[j - s0] - N_D[j - e0 - 1], a count at a
         negative index being 0.
 
-        ``counts`` is the result of :meth:`counting_processes` when the
-        caller already holds it.
+        A materializer of a slot-length path, read by :meth:`queue_path`,
+        :func:`dtq.observer.observed_queue_path` and the tests.
         """
         T = self.horizon
         k = e0 + 1  # departures leave the count k slots after D
         if not (0 <= s0 <= 1 and -1 <= k <= 1 and 0 <= first <= T):
             raise ValueError(f"span shift ({s0}, {e0}) from slot {first} is out of range")
-        n_a, n_d = counts if counts is not None else self.counting_processes()
+        n_a, n_d = self.counting_processes()
         path = np.empty(T + 1 - first, dtype=np.int64)
         j0 = max(first, s0, k)  # from j0 on, both count indices are nonnegative
         np.subtract(n_a[j0 - s0 : T + 1 - s0], n_d[j0 - k : T + 1 - k], out=path[j0 - first :])
@@ -335,6 +335,44 @@ def convention_shift(convention: str) -> tuple[int, int]:
         raise ValueError(f"unknown indicator convention {convention!r}") from None
 
 
+# slots per block of every slot pass: a block's count arrays (~0.5 MB each)
+# stay in cache, and no pass holds an array of slot length
+_SLOT_BLOCK = 1 << 16
+
+
+def _slot_blocks(first: int, end: int):
+    """The slot ranges [x0, x1) of at most ``_SLOT_BLOCK`` slots that
+    cover [first, end) in order."""
+    for x0 in range(first, end, _SLOT_BLOCK):
+        yield x0, min(x0 + _SLOT_BLOCK, end)
+
+
+def _running_count(events: np.ndarray, x0: int, x1: int) -> np.ndarray:
+    """Running count #{events <= x} for x = x0..x1-1 (x1 > x0) of a
+    sorted array of nonnegative event slots.
+
+    The events before x0 are the carry-in, found by ``searchsorted``; the
+    events inside the block add one cumulative ``bincount``.  The running
+    weight sum of the same events is the prefix sum of their weights, in
+    event order, read at this count.
+    """
+    lo, hi = np.searchsorted(events, (x0, x1))
+    counts = np.bincount(events[lo:hi] - x0, minlength=x1 - x0)
+    counts[0] += lo
+    return np.cumsum(counts, out=counts)
+
+
+def _uniform_blocks(rng: np.random.Generator, n: int):
+    """The n uniforms of ``rng.random(n)``, in order, as (offset, block)
+    pairs; every block is a view of one reused buffer of at most
+    ``_SLOT_BLOCK`` draws."""
+    buf = np.empty(min(n, _SLOT_BLOCK))
+    for x0, x1 in _slot_blocks(0, n):
+        u = buf[: x1 - x0]
+        rng.random(out=u)
+        yield x0, u
+
+
 def gen_arrivals(spec: ArrivalSpec, seed: int, horizon: int) -> np.ndarray:
     """Arrival slots in (0, horizon], deterministic given (spec, seed).
 
@@ -348,7 +386,8 @@ def gen_arrivals(spec: ArrivalSpec, seed: int, horizon: int) -> np.ndarray:
         return slots[slots <= horizon]
     if isinstance(spec, Bernoulli):
         rng = np.random.default_rng(seed)
-        return np.flatnonzero(rng.random(horizon) < spec.alpha).astype(np.int64) + 1
+        blocks = _uniform_blocks(rng, horizon)
+        return np.concatenate([np.flatnonzero(u < spec.alpha) + (x0 + 1) for x0, u in blocks])
     if isinstance(spec, Renewal):
         rng = np.random.default_rng(seed)
         mean_gap = spec.interarrival.mean()
@@ -379,10 +418,16 @@ def sample_services(dist: DiscreteDist, seed: int, n: int) -> np.ndarray:
 
 
 def _fifo_single(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-    # D_k = max(A_k, D_{k-1}) + S_k, vectorized through prefix sums.
+    # D_k = max(A_k, D_{k-1}) + S_k, vectorized through prefix sums, in
+    # place on one array besides them
     psum = np.cumsum(services)
-    prev = np.concatenate(([0], psum[:-1]))
-    return psum + np.maximum.accumulate(arrivals - prev)
+    deps = np.empty_like(psum)
+    deps[:1] = 0
+    deps[1:] = psum[:-1]
+    np.subtract(arrivals, deps, out=deps)
+    np.maximum.accumulate(deps, out=deps)
+    deps += psum
+    return deps
 
 
 _FIFO_BLOCK = 1 << 16  # customers converted to plain ints per block
@@ -505,7 +550,7 @@ def simulate_finite_population(
     the default, which makes the path an exact state-dependent chain) or
     1 - (1-alpha)^(n_sources - n) ("at-least-one").  Slot t has an
     arrival when u[t] falls below that probability, one uniform u[t] per
-    slot.
+    slot t = 0..horizon, drawn in blocks of ``_SLOT_BLOCK``.
 
     Only candidate slots, those with u[t] below the largest per-state
     probability, are visited: no other slot can hold an arrival whatever
@@ -518,13 +563,13 @@ def simulate_finite_population(
     if arrival_form not in ("linear", "at-least-one"):
         raise ValueError(f"unknown arrival form {arrival_form!r}")
     rng = np.random.default_rng(seed)
-    u = rng.random(horizon + 1)
+    rng.random()  # the uniform of slot 0, drawn to keep the stream, holds no arrival
     svc_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     if arrival_form == "linear":
         p = [(n_sources - n) * alpha for n in range(n_sources)]
     else:
         p = [1.0 - (1.0 - alpha) ** (n_sources - n) for n in range(n_sources)]
-    cand = np.flatnonzero(u[1:] < max(p)) + 1
+    p_max = max(p)
 
     arrivals: list[int] = []
     services: list[int] = []
@@ -533,22 +578,24 @@ def simulate_finite_population(
     svc_used = 0
     dep_ptr = 0  # departures with D <= t-1, FIFO keeps them sorted
     last_free = 0  # slot at which the single server frees up
-    for t, u_t in zip(cand.tolist(), u[cand].tolist()):
-        while dep_ptr < len(departures) and departures[dep_ptr] < t:
-            dep_ptr += 1
-        n_in_system = len(arrivals) - dep_ptr  # counts A <= t-1 minus D <= t-1
-        if n_in_system >= n_sources or u_t >= p[n_in_system]:
-            continue
-        if svc_used >= len(svc_buf):
-            svc_buf = service.sample(svc_rng, 1024).tolist()
-            svc_used = 0
-        s = svc_buf[svc_used]
-        svc_used += 1
-        start = t if t > last_free else last_free
-        last_free = start + s
-        arrivals.append(t)
-        services.append(s)
-        departures.append(last_free)
+    for x0, u in _uniform_blocks(rng, horizon):
+        cand = np.flatnonzero(u < p_max)
+        for t, u_t in zip((cand + (x0 + 1)).tolist(), u[cand].tolist()):
+            while dep_ptr < len(departures) and departures[dep_ptr] < t:
+                dep_ptr += 1
+            n_in_system = len(arrivals) - dep_ptr  # counts A <= t-1 minus D <= t-1
+            if n_in_system >= n_sources or u_t >= p[n_in_system]:
+                continue
+            if svc_used >= len(svc_buf):
+                svc_buf = service.sample(svc_rng, 1024).tolist()
+                svc_used = 0
+            s = svc_buf[svc_used]
+            svc_used += 1
+            start = t if t > last_free else last_free
+            last_free = start + s
+            arrivals.append(t)
+            services.append(s)
+            departures.append(last_free)
     arr = np.asarray(arrivals, dtype=np.int64)
     svc = np.asarray(services, dtype=np.int64)
     dep = np.asarray(departures, dtype=np.int64)

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .coherence import CoherenceClass, classify
-from .engine import Trace
+from .engine import Trace, _running_count, _slot_blocks
 from .observer import time_averages, window
 from .timebase import ObservationEpoch, SchedulingRule
 
@@ -110,31 +110,62 @@ def check_little_observed(
     )
 
 
-def _sandwich(trace: Trace):
-    # int64 at every slot index 0..horizon: the waits of the customers
-    # arrived by it, the cumulative number in system, the waits of those departed
-    T = trace.horizon
-
-    def waits_by(slots):
-        seen = slots <= T
-        waits = np.bincount(slots[seen], weights=trace.waits[seen], minlength=T + 1)
-        return np.cumsum(waits.astype(np.int64))
-
-    return waits_by(trace.arrivals), np.cumsum(trace.queue_path()), waits_by(trace.departures)
-
-
 def basic_inequality(trace: Trace, tau: int) -> tuple[int, int, int, bool]:
-    """Exact sandwich: waits of arrived >= cumulative L >= waits of departed."""
+    """Exact sandwich at slot index tau: the waits of the customers arrived
+    by tau >= the cumulative number in system sum_{j <= tau} L(j) >= the
+    waits of those departed by tau.  Each sum is a closed form over the
+    customers; customer k is in the system at the min(D_k, tau) - A_k
+    indices A_k < j <= tau, when that is positive."""
     if not 0 <= tau <= trace.horizon:
         raise ValueError(f"slot index {tau} outside [0, {trace.horizon}]")
-    upper, middle, lower = (int(sums[tau]) for sums in _sandwich(trace))
+    a, d, waits = trace.arrivals, trace.departures, trace.waits
+    upper = int(waits[a <= tau].sum())
+    middle = int(np.maximum(np.minimum(d, tau) - a, 0).sum())
+    lower = int(waits[d <= tau].sum())
     return upper, middle, lower, upper >= middle >= lower
 
 
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """0 followed by the running sums of ``values``, in int64."""
+    sums = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=sums[1:])
+    return sums
+
+
+def _inequality_blocks(trace: Trace):
+    """The three sums of :func:`basic_inequality` at every slot index
+    0..horizon, as int64 arrays over consecutive blocks of
+    ``_SLOT_BLOCK`` indices.
+
+    Per block, :func:`dtq.engine._running_count` gives N_A and N_D at
+    x = x0-1..x1-1.  The outer sums are prefix sums of the waits, in
+    arrival and in departure order, read at N_A(tau) and N_D(tau); the
+    middle sum is the running sum of L(j) = N_A(j-1) - N_D(j-1), carried
+    from block to block.
+    """
+    by_arrival = _prefix_sums(trace.waits)
+    order = np.argsort(trace.departures, kind="stable")
+    a, d = trace.arrivals, trace.departures[order]
+    # the waits in departure order, written over the order they come from
+    by_departure = _prefix_sums(np.subtract(d, a[order], out=order))
+    carry = 0
+    for x0, x1 in _slot_blocks(0, trace.horizon + 1):
+        n_a = _running_count(a, x0 - 1, x1)
+        n_d = _running_count(d, x0 - 1, x1)
+        middle = np.subtract(n_a[:-1], n_d[:-1])
+        np.cumsum(middle, out=middle)
+        middle += carry
+        carry = int(middle[-1])
+        yield by_arrival[n_a[1:]], middle, by_departure[n_d[1:]]
+
+
 def basic_inequality_path(trace: Trace) -> bool:
-    """The sandwich at every slot index up to the horizon, integer exact."""
-    upper, middle, lower = _sandwich(trace)
-    return bool(np.all(upper >= middle) and np.all(middle >= lower))
+    """The sandwich at every slot index up to the horizon, integer exact,
+    one block of slots at a time."""
+    return all(
+        np.all(upper >= middle) and np.all(middle >= lower)
+        for upper, middle, lower in _inequality_blocks(trace)
+    )
 
 
 class CostContractError(ValueError):
@@ -173,9 +204,11 @@ def indicator_cost() -> CostFunction:
 
 def _work_pieces(trace: Trace):
     # (lo, hi, const, slope) of every customer's waiting piece, flat at S_k
-    # on (A_k, B_k], and of its service piece, D_k - tau on (B_k, D_k]
+    # on (A_k, B_k], and of its service piece, D_k - tau on (B_k, D_k];
+    # yielded one at a time, so a caller summing them holds one lo array
     a, b, s, d = trace.arrivals, trace.starts, trace.services, trace.departures
-    return (a + 1, b, s, 0), (b + 1, d, d, 1)
+    yield a + 1, b, s, 0
+    yield b + 1, d, d, 1
 
 
 def _remaining_work_pieces(trace: Trace):
@@ -200,16 +233,21 @@ def _piece_sums(lo, hi, const, slope, first=None, last=None):
     if first is None:
         n_slots = np.maximum(hi - lo + 1, 0)
         return const * n_slots - slope * ((lo + hi) * n_slots // 2)
-    # in place on the clipped copies, which keeps EV no slower than inline sums
-    lo, hi = np.maximum(lo, first), np.minimum(hi, last)
-    n_slots = hi - lo
+    # in place on two clipped copies, which keeps EV no slower than inline sums
+    lo = np.maximum(lo, first)
+    n_slots = np.minimum(hi, last)
+    n_slots -= lo
     n_slots += 1
     np.maximum(n_slots, 0, out=n_slots)
     if not np.any(slope):  # flat pieces need no index sums
         return const @ n_slots
-    lo += hi
+    # a nonempty clipped piece ends at lo + n_slots - 1, so its slot indices
+    # sum to (2 lo + n_slots - 1) n_slots / 2; an empty one has n_slots 0
+    lo *= 2
+    lo += n_slots
+    lo -= 1
     lo *= n_slots
-    lo //= 2  # the slot-index sums
+    lo //= 2
     return const @ n_slots - (slope @ lo if np.ndim(slope) else slope * lo.sum())
 
 
@@ -300,11 +338,12 @@ def workload_moments(trace: Trace, warmup: int | None = None) -> WorkloadMoments
     moments = trace._memo.get(key)
     if moments is not None:
         return moments
-    completed, m = win.completed, win.n_completed
-    s = trace.services[completed]
-    wq = trace.starts[completed] - trace.arrivals[completed]
     window_slots = (win.warmup + 1, trace.horizon)
     work = sum(int(_piece_sums(*piece, *window_slots)) for piece in _work_pieces(trace))
+    completed, m = win.completed, win.n_completed
+    s = trace.services[completed]
+    wq = trace.starts[completed]
+    wq -= trace.arrivals[completed]
     moments = trace._memo[key] = WorkloadMoments(
         ES=int(s.sum()) / m,
         ES2=int(s @ s) / m,

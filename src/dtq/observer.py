@@ -7,10 +7,15 @@ combo's :func:`dtq.timebase.span_shift`; all observed quantities here
 are indicator sums over that span.  The 30 combos share only five span
 shifts, so every observed quantity is a function of the shift alone.
 
-Every queue path is a slice of the two counting processes of a trace:
-the path of shift (s0, e0) is N_A(j - s0) - N_D(j - e0 - 1), and the
-actual path is shift (1, 0) (strict-left) or (0, -1) (strict-right)
-(see :meth:`dtq.engine.Trace.shift_path`).
+Every queue path is a difference of the two counting processes of a
+trace: the path of shift (s0, e0) is N_A(j - s0) - N_D(j - e0 - 1), and
+the actual path is shift (1, 0) (strict-left) or (0, -1) (strict-right).
+No time average holds a slot-length array: the slots are taken in
+blocks of ``dtq.engine._SLOT_BLOCK``, and each block's counts come from
+:func:`dtq.engine._running_count` on the sorted arrival and departure
+slots, with the counts before the block as its carry-in.  Only the
+materializers :meth:`dtq.engine.Trace.shift_path` and
+:func:`observed_queue_path` build a whole path.
 
 :func:`window` owns the averaging window (warmup, T]: the default
 warmup T // 10 and its range check, lambda, W and the completed-customer
@@ -18,15 +23,15 @@ mask.  Every time average here and every cost-rate law in
 :mod:`dtq.littles` reads it, memoized on the trace per warmup.
 
 :func:`time_averages` memoizes too, lazily.  The first call for a warmup
-builds the counting processes once and one window of them per coherence
-class: the two shifts of a class, (0, e0) and (1, e0 + 1), are one-slot
-lags of each other, so one window gives L and pi of both.  It keeps
-those five and drops the counts and windows; W_obs is kept per
-(s0, e0, warmup).  The memo relies on traces being immutable: a Trace
-is frozen and its arrays must not be modified in place once averages
-are taken.  It holds scalars, state histograms and one read-only
-customer-length mask, never a slot-length array, and it hands out
-copies of the histograms, so callers cannot alter it.
+makes one blocked pass over the window and sums one window per
+coherence class: the two shifts of a class, (0, e0) and (1, e0 + 1), are
+one-slot lags of each other, so one window gives L and pi of both.  It
+keeps those five as integer totals and histograms carried from block to
+block; W_obs is kept per (s0, e0, warmup).  The memo relies on traces
+being immutable: a Trace is frozen and its arrays must not be modified
+in place once averages are taken.  It holds scalars, state histograms
+and one read-only customer-length mask, never a slot-length array, and
+it hands out copies of the histograms, so callers cannot alter it.
 """
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Trace, convention_shift
+from .engine import Trace, _running_count, _slot_blocks, convention_shift
 from .timebase import (
     EPOCHS,
     RULES,
@@ -62,8 +67,17 @@ class InsufficientDataError(ValueError):
 
 def observed_waits(trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch) -> np.ndarray:
     """Per-customer observed waiting times as an array."""
-    s0, e0 = span_shift(rule, epoch)
-    return np.maximum(0, trace.departures + e0 - np.maximum(trace.arrivals + s0, 1) + 1)
+    return _seen_slots(trace.arrivals.copy(), trace.departures.copy(), *span_shift(rule, epoch))
+
+
+def _seen_slots(a: np.ndarray, d: np.ndarray, s0: int, e0: int) -> np.ndarray:
+    """Slot indices from max(A + s0, 1) to D + e0 per customer, at least
+    0, computed in place on the caller's fresh copies ``a`` and ``d``."""
+    a += s0
+    np.maximum(a, 1, out=a)
+    d += e0 + 1
+    d -= a
+    return np.maximum(d, 0, out=d)
 
 
 def observed_queue_path(
@@ -189,41 +203,59 @@ def time_averages(
 
 def _window_block(trace: Trace, warmup: int) -> dict:
     """L and pi over the window (warmup, T] for every span shift, from one
-    build of the counting processes and one window per coherence class.
+    pass over the slots in blocks of ``_SLOT_BLOCK`` and one window per
+    coherence class.
 
-    Shift (1, e0 + 1) is shift (0, e0) one slot later, so the window of
-    (0, e0) over slots warmup..T serves both: (0, e0) reads its last span
-    entries and (1, e0 + 1) its first.  Sums and histograms stay integer
-    until the one division by the span, so both equal a direct mean and
-    bincount bit for bit.
+    The window of shift (0, e0) is N_A(j) - N_D(j - e0 - 1); each block
+    takes N_A and one run of N_D from :func:`dtq.engine._running_count`
+    and reads the three class windows off them.  Shift (1, e0 + 1) is
+    shift (0, e0) one slot later, so the window of (0, e0) over slots
+    warmup..T serves both: (0, e0) reads its last span entries and
+    (1, e0 + 1) its first; the head (slot warmup) and the tail (slot T)
+    are scalars.  Sums and histograms stay integer until the one division
+    by the span, so both equal a direct mean and bincount bit for bit.
     """
     key = ("windows", warmup)
     block = trace._memo.get(key)
     if block is not None:
         return block
-    span = trace.horizon - warmup
-    counts = trace.counting_processes()
+    T = trace.horizon
+    span = T - warmup
+    a, d = trace.arrivals, np.sort(trace.departures, kind="stable")
+    lags = [e0 + 1 for s0, e0 in _SHIFTS if not s0]  # N_D lags behind N_A by k slots
+    # each window's head, at slot warmup before the blocks, and its tail at slot T
+    arrived = np.searchsorted(a, (warmup, T), "right")
+    ends = {k: arrived - np.searchsorted(d, (warmup - k, T - k), "right") for k in lags}
+    totals = dict.fromkeys(lags, 0)
+    hists = {k: np.zeros(int(ends[k][0]) + 1, dtype=np.int64) for k in lags}
+    for x0, x1 in _slot_blocks(warmup + 1, T + 1):
+        n_a = _running_count(a, x0, x1)
+        n_d = _running_count(d, x0 - 1, x1 + 1)  # N_D(j - k) for k = 1, 0, -1
+        for k in lags:
+            window = n_a - n_d[1 - k : 1 - k + x1 - x0]
+            totals[k] += int(window.sum())
+            hist = np.bincount(window, minlength=len(hists[k]))
+            hist[: len(hists[k])] += hists[k]
+            hists[k] = hist
     block = {}
-    for s0, e0 in _SHIFTS:
-        if s0:
-            continue
-        window = trace.shift_path(0, e0, warmup, counts)
-        head, tail = int(window[0]), int(window[-1])
-        total = int(window[1:].sum())
-        hist = np.bincount(window[1:], minlength=head + 1)
-        block[0, e0] = (total / span, np.trim_zeros(hist, "b") / span)
-        if (1, e0 + 1) in _SHIFTS:
+    for k in lags:
+        total, hist, (head, tail) = totals[k], hists[k], map(int, ends[k])
+        block[0, k - 1] = (total / span, np.trim_zeros(hist, "b") / span)
+        if (1, k) in _SHIFTS:
             hist[head] += 1
             hist[tail] -= 1
-            block[1, e0 + 1] = ((total + head - tail) / span, np.trim_zeros(hist, "b") / span)
+            block[1, k] = ((total + head - tail) / span, np.trim_zeros(hist, "b") / span)
     trace._memo[key] = block
     return block
 
 
 def _observed_wait(trace: Trace, rule, epoch, win: Window) -> float:
     # the completed mask depends on the warmup alone, so the key needs no convention
-    key = ("observed", *span_shift(rule, epoch), win.warmup)
+    s0, e0 = span_shift(rule, epoch)
+    key = ("observed", s0, e0, win.warmup)
     W_obs = trace._memo.get(key)
     if W_obs is None:
-        W_obs = trace._memo[key] = float(observed_waits(trace, rule, epoch)[win.completed].mean())
+        done = win.completed
+        seen = _seen_slots(trace.arrivals[done], trace.departures[done], s0, e0)
+        W_obs = trace._memo[key] = float(seen.mean())
     return W_obs

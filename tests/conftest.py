@@ -135,6 +135,20 @@ def oracle_queue_path(trace, convention="strict-left") -> np.ndarray:
     return oracle_shift_path(trace, *{"strict-left": (1, 0), "strict-right": (0, -1)}[convention])
 
 
+def oracle_sandwich(trace):
+    """The three sums of the basic inequality at every slot index
+    0..horizon, int64: the waits of the customers arrived by it, the
+    cumulative number in system, and the waits of those departed by it."""
+    T = trace.horizon
+
+    def waits_by(slots):
+        seen = slots <= T
+        waits = np.bincount(slots[seen], weights=trace.waits[seen], minlength=T + 1)
+        return np.cumsum(waits.astype(np.int64))
+
+    return waits_by(trace.arrivals), np.cumsum(oracle_queue_path(trace)), waits_by(trace.departures)
+
+
 def oracle_queue_length(trace, tau, convention="strict-left") -> int:
     a, d = trace.arrivals, trace.departures
     if convention == "strict-left":

@@ -188,6 +188,14 @@ class TestCustomerKernel:
         for tr in small_random_traces(20250901, 2000):
             _assert_customer_kernel_matches_path(tr)
 
+    def test_busy_periods_found_once_per_trace(self):
+        tr = ORACLE_TRACES["batch-openers"]()
+        detect_cycles(tr)
+        runs = tr._memo["busy"]
+        empty_state_rates(tr)
+        assert tr._memo["busy"] is runs
+        assert not any(arr.flags.writeable for arr in runs)
+
 
 class TestStateRates:
     def test_bernoulli_sees_time_averages(self, bgeom1_trace):

@@ -240,9 +240,10 @@ class TestVerify:
 
 
 class TestPathBuilds:
-    """A reference verify takes every time average from one build of the
-    counting processes and one window per coherence class, the mean
-    workload in closed form and the busy cycles from the customers."""
+    """A reference verify takes every time average from one blocked pass
+    over the slots, with no counting process or shift path built whole,
+    the mean workload in closed form and the busy cycles from the
+    customers."""
 
     def test_reference_verify_builds_no_observed_or_workload_path(self, tmp_path, monkeypatch):
         from dtq import littles, observer
@@ -288,8 +289,8 @@ class TestPathBuilds:
         assert calls["workload_path"] == 0
         assert calls["_remaining_work_pieces"] == 0
         assert calls["queue_path"] == 0
-        assert calls["counting_processes"] == 1
-        assert calls["shift_path"] == 3  # one window per coherence class
+        assert calls["counting_processes"] == 0
+        assert calls["shift_path"] == 0
 
 
 class TestDist:

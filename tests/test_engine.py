@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,15 @@ from dtq.engine import (
     simulate_finite_population,
     write_trace_csv,
 )
-from dtq.littles import utilization
-from dtq.timebase import Phase, SchedulingRule as R, arrival_phase, departure_shift
+from dtq.littles import basic_inequality_path, utilization
+from dtq.observer import time_averages
+from dtq.timebase import (
+    ObservationEpoch as E,
+    Phase,
+    SchedulingRule as R,
+    arrival_phase,
+    departure_shift,
+)
 
 
 class TestDiscreteDist:
@@ -110,6 +118,19 @@ class TestArrivals:
         a = gen_arrivals(Bernoulli(0.3), 5, 10_000)
         b = gen_arrivals(Bernoulli(0.3), 5, 10_000)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("horizon", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+    def test_bernoulli_equals_whole_horizon_draw(self, horizon):
+        want = np.flatnonzero(np.random.default_rng(17).random(horizon) < 0.3) + 1
+        got = gen_arrivals(Bernoulli(0.3), 17, horizon)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_bernoulli_across_block_edges(self, monkeypatch, block):
+        monkeypatch.setattr(engine_mod, "_SLOT_BLOCK", block)
+        for horizon in (1, 2, 3, 7, 8, 50):
+            want = np.flatnonzero(np.random.default_rng(horizon).random(horizon) < 0.5) + 1
+            assert np.array_equal(gen_arrivals(Bernoulli(0.5), horizon, horizon), want), horizon
 
     def test_renewal_gaps(self):
         spec = Renewal(DiscreteDist.point(3))
@@ -283,11 +304,46 @@ class TestTraceServers:
             read_trace_csv(path)
 
 
+class TestSlotBlocks:
+    def test_running_count_is_searchsorted(self):
+        events = np.sort(np.random.default_rng(23).integers(0, 40, size=30))
+        for x0 in range(-3, 42):
+            for x1 in range(x0 + 1, 46):
+                want = np.searchsorted(events, np.arange(x0, x1), side="right")
+                assert np.array_equal(engine_mod._running_count(events, x0, x1), want), (x0, x1)
+
+    def test_slot_passes_hold_no_slot_length_array(self):
+        # one int64 array over 2·10^6 slots is 16 MB; numpy buffers are traced
+        T = 2_000_000
+
+        def peak_mb(fn, *args):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        assert peak_mb(gen_arrivals, Bernoulli(0.001), 5, T) < 6
+        arrivals = gen_arrivals(Bernoulli(0.001), 5, T)
+        services = sample_services(DiscreteDist.geometric(0.5), 6, len(arrivals))
+        tr = run_discipline(arrivals, services, Fifo(1), horizon=T)
+        assert peak_mb(time_averages, tr, R.LAS_DA, E.RANDOM_OBSERVER) < 6
+        assert peak_mb(basic_inequality_path, tr) < 6
+
+
 class TestShiftTrace:
     def test_pairs(self):
         assert (arrival_phase(R.EAS), departure_shift(R.EAS)) == (Phase.P, (0, Phase.M))
         assert (arrival_phase(R.LAS_IA), departure_shift(R.LAS_IA)) == (Phase.M, (-1, Phase.P))
         assert (arrival_phase(R.LA_DF), departure_shift(R.LA_DF)) == (Phase.M, (0, Phase.MM))
+
+
+def _assert_same_trace(tr, ref):
+    assert tr.horizon == ref.horizon
+    for name in ("arrivals", "services", "starts", "departures", "servers"):
+        got, want = getattr(tr, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 class TestFinitePopulation:
@@ -320,16 +376,26 @@ class TestFinitePopulation:
             (1, 0.5, 2, 20_000, "linear"),
             (7, 0.1, 6, 500, "linear"),  # fewer arrivals than one service block
             (7, 0.1, 6, 500, "at-least-one"),
+            # slots 1..horizon end just before, on and just after the edge
+            # of a slot block
+            (5, 0.05, 1, (1 << 16) - 1, "linear"),
+            (4, 0.25, 8, 1 << 16, "at-least-one"),
+            (4, 0.25, 8, (1 << 16) + 1, "linear"),
         ],
     )
     def test_bit_identical_to_slot_walk(self, n, alpha, seed, horizon, form):
         svc = DiscreteDist.geometric(0.5)
         tr = simulate_finite_population(n, alpha, svc, seed, horizon, form)
-        ref = oracle_finite_population(n, alpha, svc, seed, horizon, form)
-        assert tr.n > 0 and tr.horizon == ref.horizon
-        for name in ("arrivals", "services", "starts", "departures", "servers"):
-            got, want = getattr(tr, name), getattr(ref, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert tr.n > 0
+        _assert_same_trace(tr, oracle_finite_population(n, alpha, svc, seed, horizon, form))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_bit_identical_across_block_edges(self, monkeypatch, block):
+        monkeypatch.setattr(engine_mod, "_SLOT_BLOCK", block)
+        svc = DiscreteDist.geometric(0.5)
+        for horizon, form in ((1, "linear"), (2, "linear"), (300, "linear"), (301, "at-least-one")):
+            tr = simulate_finite_population(4, 0.2, svc, 9, horizon, form)
+            _assert_same_trace(tr, oracle_finite_population(4, 0.2, svc, 9, horizon, form))
 
     def test_rate_cap_validated(self):
         with pytest.raises(ValueError):

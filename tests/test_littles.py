@@ -9,9 +9,12 @@ from conftest import (
     oracle_cost_profile,
     oracle_indicator_rate,
     oracle_remaining_work_rate,
+    oracle_sandwich,
     oracle_workload_lindley,
     prefix_trace,
+    small_random_traces,
 )
+from dtq import engine as engine_mod
 from dtq import littles as littles_mod
 from dtq.coherence import CoherenceClass
 from dtq.engine import (
@@ -113,6 +116,31 @@ class TestBasicInequality:
     def test_every_slot_heavy_traffic(self):
         tr = build_trace(Bernoulli(0.45), DiscreteDist.geometric(0.5), Fifo(1), 3, 10_000)
         assert basic_inequality_path(tr)
+
+    def test_closed_form_matches_oracle_at_every_slot(self):
+        for tr in small_random_traces(20251013, 300):
+            upper, middle, lower = oracle_sandwich(tr)
+            for tau in range(tr.horizon + 1):
+                want = (int(upper[tau]), int(middle[tau]), int(lower[tau]))
+                assert basic_inequality(tr, tau) == (*want, want[0] >= want[1] >= want[2])
+
+    @staticmethod
+    def _assert_blocks_match_oracle(tr):
+        want = oracle_sandwich(tr)
+        got = [np.concatenate(sums) for sums in zip(*littles_mod._inequality_blocks(tr))]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        holds = bool(np.all(want[0] >= want[1]) and np.all(want[1] >= want[2]))
+        assert basic_inequality_path(tr) == holds
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_blocks_match_oracle_across_block_edges(self, monkeypatch, block):
+        monkeypatch.setattr(engine_mod, "_SLOT_BLOCK", block)
+        for tr in small_random_traces(20251014, 300):
+            self._assert_blocks_match_oracle(tr)
+
+    def test_blocks_match_oracle_long(self, bgeom1_trace):
+        self._assert_blocks_match_oracle(bgeom1_trace)  # 200 000 slots: four blocks
 
 
 class TestHLambdaG:

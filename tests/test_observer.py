@@ -15,6 +15,7 @@ from conftest import (
     prefix_trace,
     small_random_traces,
 )
+from dtq import engine as engine_mod
 from dtq.coherence import CoherenceClass, classify, verify_on_trace
 from dtq.engine import (
     Bernoulli,
@@ -352,6 +353,19 @@ class TestTimeAveragesMemo:
         for tr in small_random_traces(20250903, 1500):
             T = tr.horizon
             _assert_windows_match_shift_paths(tr, int(rng.choice([0, T - 1, rng.integers(0, T)])))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_shared_windows_across_block_edges(self, monkeypatch, block):
+        monkeypatch.setattr(engine_mod, "_SLOT_BLOCK", block)
+        rng = np.random.default_rng(20251015 + block)
+        for name in sorted(WINDOW_TRACES):
+            T = WINDOW_TRACES[name]().horizon
+            for warmup in (0, T - 1, int(rng.integers(0, T))):
+                _assert_windows_match_shift_paths(WINDOW_TRACES[name](), warmup)
+        for tr in small_random_traces(20251016, 300):
+            T = tr.horizon
+            for warmup in (0, T - 1, int(rng.integers(0, T))):
+                _assert_windows_match_shift_paths(tr, warmup)
 
     @pytest.mark.parametrize("convention", ["strict-left", "strict-right"])
     @pytest.mark.parametrize("warmup", [0, 1_000])
