@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -179,7 +179,12 @@ ArrivalSpec = Bernoulli | Renewal | FinitePopulation | Explicit
 
 @dataclass(frozen=True)
 class Fifo:
-    """Work conserving FIFO with c identical unit-rate servers."""
+    """Work conserving FIFO with c identical unit-rate servers.
+
+    The assignment policy names the server a customer gets ("lowest" or
+    "random") and nothing else: start slots and departures are the same
+    under both, so only the trace's server labels depend on it.
+    """
 
     servers: int = 1
     assignment: str = "lowest"  # or "random": pick uniformly among idle servers
@@ -208,13 +213,41 @@ DisciplineSpec = Fifo | InfiniteServer | External
 
 # --- traces ----------------------------------------------------------------
 
+class _Labels:
+    """The ``servers`` field of :class:`Trace`, a data descriptor.
+
+    It stores what the constructor is given: None, an index array, or a
+    deferred replay, a callable that computes the labels from the trace.
+    A replay runs on the first read of the field, and the trace keeps the
+    array it returns; a class access reads None, the field's default.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            return None
+        labels = trace.__dict__[self.name]
+        if callable(labels):
+            labels = trace.__dict__[self.name] = labels(trace)
+        return labels
+
+    def __set__(self, trace, labels):
+        trace.__dict__[self.name] = labels
+
+
 @dataclass(frozen=True)
 class Trace:
     """One actual sample path over (0, horizon] slots.
 
     arrivals, services, starts and departures are aligned per-customer
     int64 arrays with D_k = start_k + S_k; servers (when present) holds
-    the serving-server index per customer.
+    the serving-server index per customer.  The server labels may be
+    derived on first read: :func:`run_discipline` passes FIFO with c > 1
+    servers a deferred label replay, which nothing runs until
+    ``trace.servers`` is read, because no arrival-departure quantity needs
+    them.  Validation applies to stored labels only.
     """
 
     arrivals: np.ndarray
@@ -222,14 +255,17 @@ class Trace:
     starts: np.ndarray
     departures: np.ndarray
     horizon: int
-    servers: np.ndarray | None = None
+    servers: np.ndarray | None = _Labels()
 
     def __post_init__(self):
         n = len(self.arrivals)
         for name in ("services", "starts", "departures"):
             if len(getattr(self, name)) != n:
                 raise ValueError("per-customer arrays must have equal length")
-        if self.servers is not None and len(self.servers) != n:
+        labels = self.__dict__["servers"]
+        if callable(labels):  # a deferred replay labels every customer
+            labels = None
+        if labels is not None and len(labels) != n:
             raise ValueError("servers must hold one index per customer")
         if self.horizon < 1:
             raise ValueError("horizon must be at least one slot")
@@ -245,7 +281,7 @@ class Trace:
                 raise ValueError("service cannot start before arrival")
             if np.any(d != b + s):
                 raise ValueError("departures must equal start plus service")
-            if self.servers is not None and np.any(self.servers < 0):
+            if labels is not None and np.any(labels < 0):
                 raise ValueError("server indices must be nonnegative")
 
     @property
@@ -433,51 +469,80 @@ def _fifo_single(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
 _FIFO_BLOCK = 1 << 16  # customers converted to plain ints per block
 
 
-def _fifo_multi(arrivals, services, c, assignment, rng):
-    """Start slots and servers for FIFO with c servers, arrivals nondecreasing.
+def _fifo_starts(arrivals, services, c):
+    """Start slots for FIFO with c servers, arrivals nondecreasing.
 
-    "lowest" takes the server that frees up first (lowest index on ties).
-    "random" picks uniformly among the servers idle at the arrival: a server
-    leaves the busy heap for the idle list once it is free by the arrival
-    slot, which stays valid because later arrivals come no earlier.  The
-    start slot never depends on which idle server is picked.
+    The Kiefer-Wolfowitz recursion (Kiefer and Wolfowitz, 1955) on a heap
+    of the servers' c free-at slots: customer k starts at
+    max(A_k, the earliest free-at slot), and that server is next free
+    S_k slots later.  Which server serves whom never enters it, so the
+    starts are the same under every assignment policy: a policy only
+    chooses among servers free by A_k, and every later arrival finds all
+    of them free.
     """
     starts = np.empty(len(arrivals), dtype=np.int64)
-    chosen = np.empty(len(arrivals), dtype=np.int64)
-    heap = [(0, i) for i in range(c)]  # (free-at slot, server index)
-    idle: list[int] = []
-    pick_random = assignment == "random"
+    free = [0] * c
+    replace = heapq.heapreplace
     for lo in range(0, len(arrivals), _FIFO_BLOCK):
         a_blk = arrivals[lo : lo + _FIFO_BLOCK].tolist()
         s_blk = services[lo : lo + _FIFO_BLOCK].tolist()
         st_blk: list[int] = []
+        keep = st_blk.append
+        for a, s in zip(a_blk, s_blk):
+            t = free[0]
+            if a > t:
+                t = a
+            replace(free, t + s)
+            keep(t)
+        starts[lo : lo + len(st_blk)] = st_blk
+    return starts
+
+
+def _fifo_labels(trace, c, assignment, seed):
+    """Server index per customer of a FIFO trace with c servers, replayed
+    from its known departures under the assignment policy.
+
+    Busy servers sit in a heap of (free-at slot, server index).  "lowest"
+    takes the heap minimum: the server that frees up first, lowest index
+    on ties.  "random" picks uniformly among the servers idle at the
+    arrival, one uniform of ``default_rng(seed)`` per customer: a server
+    leaves the busy heap for the idle list once it is free by the arrival
+    slot, which stays valid because later arrivals come no earlier, and
+    the pick is swapped out of the list.
+    """
+    arrivals, departures = trace.arrivals, trace.departures
+    chosen = np.empty(len(arrivals), dtype=np.int64)
+    # (free-at slot, server index); a sentinel above every slot keeps the
+    # heap nonempty and is never popped
+    heap = [(0, i) for i in range(c)] + [(1 << 63, c)]
+    idle: list[int] = []
+    rng = np.random.default_rng(seed) if assignment == "random" else None
+    pop, push, replace, to_idle = heapq.heappop, heapq.heappush, heapq.heapreplace, idle.append
+    for lo in range(0, len(arrivals), _FIFO_BLOCK):
+        a_blk = arrivals[lo : lo + _FIFO_BLOCK].tolist()
+        d_blk = departures[lo : lo + _FIFO_BLOCK].tolist()
         ch_blk: list[int] = []
-        if pick_random:
-            u_blk = rng.random(len(a_blk)).tolist()
-            for a, s, u in zip(a_blk, s_blk, u_blk):
-                while heap and heap[0][0] <= a:
-                    idle.append(heapq.heappop(heap)[1])
+        keep = ch_blk.append
+        if rng is not None:
+            for a, d, u in zip(a_blk, d_blk, rng.random(len(a_blk)).tolist()):
+                while heap[0][0] <= a:
+                    to_idle(pop(heap)[1])
                 if idle:
                     j = int(u * len(idle))
                     i = idle[j]
                     idle[j] = idle[-1]
                     idle.pop()
-                    start = a
                 else:
-                    start, i = heapq.heappop(heap)
-                heapq.heappush(heap, (start + s, i))
-                st_blk.append(start)
-                ch_blk.append(i)
+                    i = pop(heap)[1]
+                push(heap, (d, i))
+                keep(i)
         else:
-            for a, s in zip(a_blk, s_blk):
-                t_free, i = heap[0]
-                start = a if a > t_free else t_free
-                heapq.heapreplace(heap, (start + s, i))
-                st_blk.append(start)
-                ch_blk.append(i)
-        starts[lo : lo + len(st_blk)] = st_blk
+            for d in d_blk:
+                i = heap[0][1]
+                replace(heap, (d, i))
+                keep(i)
         chosen[lo : lo + len(ch_blk)] = ch_blk
-    return starts, chosen
+    return chosen
 
 
 def run_discipline(
@@ -492,6 +557,13 @@ def run_discipline(
     Arrival slots must be nondecreasing.  Simultaneous arrivals are served
     in customer-index order.  For External the given departures are copied
     verbatim and the sojourn is recorded as the service requirement.
+
+    FIFO with one server gets its departures from prefix sums and all-zero
+    server labels.  With c > 1 servers the starts come from
+    :func:`_fifo_starts` at once, while the server labels are left to a
+    deferred :func:`_fifo_labels` replay of (c, policy, seed) that runs on
+    the first read of ``trace.servers``.  A "random" policy needs the seed
+    here all the same.
     """
     arrivals = np.asarray(arrivals, dtype=np.int64)
     if np.any(arrivals[1:] < arrivals[:-1]):
@@ -519,13 +591,11 @@ def run_discipline(
                 starts = deps - services
                 servers = np.zeros(len(arrivals), dtype=np.int64)
             else:
-                rng = None
-                if disc.assignment == "random":
-                    if seed is None:
-                        raise ValueError("random server assignment needs a seed")
-                    rng = np.random.default_rng(seed)
-                starts, servers = _fifo_multi(
-                    arrivals, services, disc.servers, disc.assignment, rng
+                if disc.assignment == "random" and seed is None:
+                    raise ValueError("random server assignment needs a seed")
+                starts = _fifo_starts(arrivals, services, disc.servers)
+                servers = partial(
+                    _fifo_labels, c=disc.servers, assignment=disc.assignment, seed=seed
                 )
         else:
             raise TypeError(f"unknown discipline {disc!r}")

@@ -204,7 +204,8 @@ def oracle_cost_profile(trace, rate):
 def oracle_fifo_multi(arrivals, services, c, assignment, rng):
     """FIFO with c servers, one heap step per customer on numpy scalars;
     "random" rescans the heap for idle servers and draws with
-    ``rng.integers``, so only its start slots are comparable."""
+    ``rng.integers``, so only its start slots are comparable; see
+    :func:`oracle_fifo_servers` for the labels."""
     starts = np.empty(len(arrivals), dtype=np.int64)
     chosen = np.empty(len(arrivals), dtype=np.int64)
     free = [(0, i) for i in range(c)]  # (free-at slot, server index)
@@ -225,6 +226,61 @@ def oracle_fifo_multi(arrivals, services, c, assignment, rng):
         starts[k] = start
         chosen[k] = i
         heapq.heappush(free, (start + int(s), i))
+    return starts, chosen
+
+
+_FIFO_BLOCK = 1 << 16  # customers converted to plain ints per block
+
+
+def oracle_fifo_servers(arrivals, services, c, assignment, rng):
+    """Start slots and servers for FIFO with c servers, arrivals nondecreasing.
+
+    "lowest" takes the server that frees up first (lowest index on ties).
+    "random" picks uniformly among the servers idle at the arrival: a server
+    leaves the busy heap for the idle list once it is free by the arrival
+    slot, which stays valid because later arrivals come no earlier.  The
+    start slot never depends on which idle server is picked.
+
+    Starts and labels in one pass, where the engine splits them into
+    :func:`dtq.engine._fifo_starts` and a label replay.  It draws its
+    uniforms as ``rng.random`` per block, the stream of one
+    ``rng.random(n)``, so "random" labels compare bit for bit.
+    """
+    starts = np.empty(len(arrivals), dtype=np.int64)
+    chosen = np.empty(len(arrivals), dtype=np.int64)
+    heap = [(0, i) for i in range(c)]  # (free-at slot, server index)
+    idle: list[int] = []
+    pick_random = assignment == "random"
+    for lo in range(0, len(arrivals), _FIFO_BLOCK):
+        a_blk = arrivals[lo : lo + _FIFO_BLOCK].tolist()
+        s_blk = services[lo : lo + _FIFO_BLOCK].tolist()
+        st_blk: list[int] = []
+        ch_blk: list[int] = []
+        if pick_random:
+            u_blk = rng.random(len(a_blk)).tolist()
+            for a, s, u in zip(a_blk, s_blk, u_blk):
+                while heap and heap[0][0] <= a:
+                    idle.append(heapq.heappop(heap)[1])
+                if idle:
+                    j = int(u * len(idle))
+                    i = idle[j]
+                    idle[j] = idle[-1]
+                    idle.pop()
+                    start = a
+                else:
+                    start, i = heapq.heappop(heap)
+                heapq.heappush(heap, (start + s, i))
+                st_blk.append(start)
+                ch_blk.append(i)
+        else:
+            for a, s in zip(a_blk, s_blk):
+                t_free, i = heap[0]
+                start = a if a > t_free else t_free
+                heapq.heapreplace(heap, (start + s, i))
+                st_blk.append(start)
+                ch_blk.append(i)
+        starts[lo : lo + len(st_blk)] = st_blk
+        chosen[lo : lo + len(ch_blk)] = ch_blk
     return starts, chosen
 
 
@@ -283,6 +339,23 @@ def oracle_trace_csv(trace, path):
         w.writerow(header)
         for k in range(trace.n):
             w.writerow([k + 1] + [int(c[k]) for c in cols])
+
+
+@pytest.fixture()
+def label_replays(monkeypatch):
+    """Every server-label replay run while the test lasts, one entry per
+    call of :func:`dtq.engine._fifo_labels`."""
+    import dtq.engine as engine_mod
+
+    calls = []
+    replay = engine_mod._fifo_labels
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "_fifo_labels", counted)
+    return calls
 
 
 def small_random_traces(seed, count):

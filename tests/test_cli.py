@@ -293,6 +293,40 @@ class TestPathBuilds:
         assert calls["shift_path"] == 0
 
 
+    FIFO2_RANDOM = (
+        SMALL_CONFIG.replace("alpha = 0.3", "alpha = 0.6")
+        .replace("servers = 1", "servers = 2\nassignment = random")
+        .replace("horizon = 40000", "horizon = 20000")
+        .replace("warmup = 4000", "warmup = 2000")
+    )
+
+    @pytest.mark.parametrize(
+        "checks,extra,replays",
+        [
+            ("little, little-observed, busy", [], 0),
+            ("little, little-observed, busy, utilization", [], 1),
+            ("little, little-observed, busy", ["--trace", "trace.csv"], 1),
+        ],
+        ids=["model-free", "utilization", "trace-out"],
+    )
+    def test_fifo2_verify_replays_labels_only_on_demand(
+        self, tmp_path, monkeypatch, label_replays, checks, extra, replays
+    ):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "fifo2.ini"
+        path.write_text(self.FIFO2_RANDOM.replace("names = little, busy", f"names = {checks}"))
+        # exit 1 is a failed row: "1-pi(0) vs rho" misses for c > 1 servers
+        assert main(["--config", str(path), "--out", "bundle.json", "verify", *extra]) in (0, 1)
+        assert json.loads((tmp_path / "bundle.json").read_text())["checks"] == checks.split(", ")
+        assert len(label_replays) == replays
+
+    def test_fifo2_simulate_replays_labels_once(self, tmp_path, label_replays):
+        path = tmp_path / "fifo2.ini"
+        path.write_text(self.FIFO2_RANDOM)
+        assert main(["--config", str(path), "--out", str(tmp_path / "trace.csv"), "simulate"]) == 0
+        assert len(label_replays) == 1
+
+
 class TestDist:
     @pytest.mark.parametrize(
         "klass,pi0",

@@ -1,9 +1,16 @@
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields
+from functools import cache
 
 import numpy as np
 import pytest
-from conftest import oracle_fifo_multi, oracle_finite_population, oracle_trace_csv
+from conftest import (
+    oracle_fifo_multi,
+    oracle_fifo_servers,
+    oracle_finite_population,
+    oracle_trace_csv,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -277,6 +284,102 @@ class TestRandomAssignment:
         tr = run_discipline([1, 2, 3], [10, 1, 1], Fifo(2, "random"), seed=0)
         assert tr.servers[1] != tr.servers[0]
         assert tr.servers[2] != tr.servers[0]
+
+
+@cache
+def _oracle_starts(c, assignment):
+    """The oracle's start slots on the 70 000-customer input for c servers."""
+    arr, svc = _multi_input(40 + c, 70_000)
+    return oracle_fifo_multi(arr, svc, c, assignment, np.random.default_rng(c))[0]
+
+
+def _tie_inputs():
+    """Short inputs full of ties: several arrivals per slot, and unit
+    services that free several servers in one slot."""
+    rng = np.random.default_rng(31)
+    yield [1, 1, 1, 1, 2, 2, 5, 5, 5, 5, 5, 6], [1] * 12
+    yield [0, 0, 0, 3, 3, 3, 3, 4], [2, 2, 2, 1, 1, 1, 1, 3]
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        yield np.sort(rng.integers(0, 12, size=n)), rng.integers(1, 3, size=n)
+
+
+class TestFifoStarts:
+    @pytest.mark.parametrize("c", [1, 2, 3, 5])
+    @pytest.mark.parametrize("block", [None, 1, 2, 3, 7])
+    def test_oracle_starts_under_both_policies(self, monkeypatch, c, block):
+        arr, svc = _multi_input(40 + c, 70_000)
+        assert len(arr) > engine_mod._FIFO_BLOCK
+        if block:
+            monkeypatch.setattr(engine_mod, "_FIFO_BLOCK", block)
+        starts = engine_mod._fifo_starts(arr, svc, c)
+        assert starts.dtype == np.int64
+        for assignment in ("lowest", "random"):
+            assert np.array_equal(starts, _oracle_starts(c, assignment)), assignment
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 5])
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_ties(self, monkeypatch, c, block):
+        monkeypatch.setattr(engine_mod, "_FIFO_BLOCK", block)
+        for arrivals, services in _tie_inputs():
+            arr = np.asarray(arrivals, dtype=np.int64)
+            svc = np.asarray(services, dtype=np.int64)
+            starts = engine_mod._fifo_starts(arr, svc, c)
+            for assignment in ("lowest", "random"):
+                want = oracle_fifo_multi(arr, svc, c, assignment, np.random.default_rng(block))[0]
+                assert np.array_equal(starts, want), (arrivals, services, assignment)
+
+
+class TestFifoLabels:
+    @pytest.mark.parametrize("c", [2, 3])
+    @pytest.mark.parametrize("assignment", ["lowest", "random"])
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_replay_is_the_one_pass_oracle(self, c, assignment, seed):
+        arr, svc = _multi_input(seed + c, 70_000)  # across a 1 << 16 block edge
+        assert len(arr) > engine_mod._FIFO_BLOCK
+        tr = run_discipline(arr, svc, Fifo(c, assignment), seed=seed)
+        starts, chosen = oracle_fifo_servers(arr, svc, c, assignment, np.random.default_rng(seed))
+        assert np.array_equal(tr.starts, starts)
+        assert tr.servers.dtype == np.int64 and np.array_equal(tr.servers, chosen)
+
+    @pytest.mark.parametrize("assignment", ["lowest", "random"])
+    def test_replay_in_small_blocks(self, monkeypatch, assignment):
+        monkeypatch.setattr(engine_mod, "_FIFO_BLOCK", 7)
+        arr, svc = _multi_input(8, 5_000)
+        tr = run_discipline(arr, svc, Fifo(3, assignment), seed=8)
+        chosen = oracle_fifo_servers(arr, svc, 3, assignment, np.random.default_rng(8))[1]
+        assert np.array_equal(tr.servers, chosen)
+
+    @pytest.mark.parametrize("assignment", ["lowest", "random"])
+    def test_build_and_validate_run_no_replay(self, label_replays, assignment):
+        tr = build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), Fifo(2, assignment), 4, 3_000)
+        deferred = vars(tr)["servers"]
+        Trace(tr.arrivals, tr.services, tr.starts, tr.departures, tr.horizon, deferred)
+        tr.queue_path()
+        tr.counting_processes()
+        assert label_replays == []
+
+    def test_reads_replay_once(self, label_replays):
+        tr = build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), Fifo(2, "random"), 4, 3_000)
+        first = tr.servers
+        assert tr.servers is first and tr.servers is first
+        utilization(tr)
+        assert len(label_replays) == 1
+
+    def test_single_server_labels_are_stored(self, label_replays):
+        tr = run_discipline([1, 1, 2], [3, 1, 1], Fifo(1))
+        assert list(vars(tr)["servers"]) == [0, 0, 0]
+        assert label_replays == []
+
+    def test_field_and_constructor_unchanged(self):
+        assert [f.name for f in fields(Trace)] == [
+            "arrivals", "services", "starts", "departures", "horizon", "servers",
+        ]
+        assert Trace(np.array([1]), np.array([1]), np.array([1]), np.array([2]), 3).servers is None
+        labelled = Trace(np.array([1]), np.array([1]), np.array([1]), np.array([2]), 3, servers=np.array([4]))
+        assert list(labelled.servers) == [4]
+        with pytest.raises(FrozenInstanceError):
+            labelled.servers = None
 
 
 class TestTraceServers:

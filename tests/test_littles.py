@@ -22,6 +22,7 @@ from dtq.engine import (
     DiscreteDist,
     External,
     Fifo,
+    InfiniteServer,
     Trace,
     build_trace,
     run_discipline,
@@ -41,7 +42,7 @@ from dtq.littles import (
     workload_moments,
     workload_path,
 )
-from dtq.observer import InsufficientDataError, time_averages
+from dtq.observer import _SHIFTS, InsufficientDataError, time_averages
 from dtq.timebase import ObservationEpoch as E, SchedulingRule as R
 
 
@@ -141,6 +142,33 @@ class TestBasicInequality:
 
     def test_blocks_match_oracle_long(self, bgeom1_trace):
         self._assert_blocks_match_oracle(bgeom1_trace)  # 200 000 slots: four blocks
+
+
+class TestExactLittleIdentity:
+    """The sample-path identity behind L = λW, exact on every window: the
+    slots (w, T] summed over the observed path of a span shift equal the
+    customers' spans A + s0 .. D + e0 clipped to (w, T], summed per
+    customer.  Multi-server starts reach the left side only through the
+    counting processes and the right side only through each customer's
+    own span."""
+
+    @pytest.mark.parametrize(
+        "disc,alpha",
+        [(Fifo(2, "random"), 0.6), (Fifo(3, "lowest"), 0.6), (InfiniteServer(), 0.3)],
+        ids=["fifo2-random", "fifo3-lowest", "infinite"],
+    )
+    def test_path_sum_is_clipped_span_sum(self, disc, alpha):
+        T = 20_000
+        tr = build_trace(Bernoulli(alpha), DiscreteDist.geometric(0.5), disc, 61, T)
+        assert np.any(tr.departures > T)  # spans cut at the horizon
+        assert len(_SHIFTS) == 5
+        for s0, e0 in _SHIFTS:
+            path = tr.shift_path(s0, e0)
+            for w in (0, 1, 999, T // 2, T - 1):
+                lo = np.maximum(tr.arrivals + s0, w + 1)
+                hi = np.minimum(tr.departures + e0, T)
+                spans = int(np.maximum(hi - lo + 1, 0).sum())
+                assert int(path[w + 1 :].sum()) == spans, (s0, e0, w)
 
 
 class TestHLambdaG:
