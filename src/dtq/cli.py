@@ -251,8 +251,12 @@ def _table61(exp, trace):
 def _utilization(exp, trace):
     target = exp.alpha * exp.service.mean()
     yield "busy servers", littles.utilization(trace).total, target, 0.02 * target
-    est = observer.time_averages(trace, warmup=exp.warmup)
-    yield "1-pi(0) vs rho", 1.0 - float(est.pi[0]), target / exp.servers, 0.01 * target
+    # the per-server busy fraction E[min(N, c)]/c, which is 1 - pi(0) when c = 1
+    c = exp.servers
+    pi = observer.time_averages(trace, warmup=exp.warmup).pi[:c]
+    busy_fraction = (c - float((c - np.arange(len(pi))) @ pi)) / c
+    name = "1-pi(0) vs rho" if c == 1 else "E[min(N,c)]/c vs rho/c"
+    yield name, busy_fraction, target / c, 0.01 * target
 
 
 CHECKS = {

@@ -118,7 +118,7 @@ class DiscreteDist:
         vals, cdf = self._arrays
         u = rng.random(n)
         idx = np.searchsorted(cdf, u, side="right")
-        return vals[np.minimum(idx, len(vals) - 1)]
+        return vals[np.minimum(idx, len(vals) - 1, out=idx)]
 
 
 # --- model specs -----------------------------------------------------------
@@ -371,8 +371,9 @@ def convention_shift(convention: str) -> tuple[int, int]:
         raise ValueError(f"unknown indicator convention {convention!r}") from None
 
 
-# slots per block of every slot pass: a block's count arrays (~0.5 MB each)
-# stay in cache, and no pass holds an array of slot length
+# slots per block of every slot pass, and customers or bytes per block of the
+# blocked customer and file passes: a block's arrays (~0.5 MB each) stay in
+# cache, and no pass holds an array of slot length
 _SLOT_BLOCK = 1 << 16
 
 
@@ -383,17 +384,19 @@ def _slot_blocks(first: int, end: int):
         yield x0, min(x0 + _SLOT_BLOCK, end)
 
 
-def _running_count(events: np.ndarray, x0: int, x1: int) -> np.ndarray:
-    """Running count #{events <= x} for x = x0..x1-1 (x1 > x0) of a
-    sorted array of nonnegative event slots.
+def _running_count(events: np.ndarray, x0: int, x1: int, sorter=None) -> np.ndarray:
+    """Running count #{events <= x} for x = x0..x1-1 (x1 > x0) of an
+    array of nonnegative event slots, sorted or read in the order
+    ``sorter`` sorts it, as in ``np.searchsorted``.
 
     The events before x0 are the carry-in, found by ``searchsorted``; the
     events inside the block add one cumulative ``bincount``.  The running
     weight sum of the same events is the prefix sum of their weights, in
     event order, read at this count.
     """
-    lo, hi = np.searchsorted(events, (x0, x1))
-    counts = np.bincount(events[lo:hi] - x0, minlength=x1 - x0)
+    lo, hi = np.searchsorted(events, (x0, x1), sorter=sorter)
+    inside = events[lo:hi] if sorter is None else events[sorter[lo:hi]]
+    counts = np.bincount(inside - x0, minlength=x1 - x0)
     counts[0] += lo
     return np.cumsum(counts, out=counts)
 
@@ -773,6 +776,19 @@ def write_trace_csv(trace: Trace, path) -> None:
             fh.write(_csv_encode(np.column_stack([k] + [c[i : i + _CSV_CHUNK] for c in cols])))
 
 
+def _line_ends(path) -> int:
+    """LF count of a file, or its CR count when it has no LF, read in
+    blocks of ``_SLOT_BLOCK`` bytes: an upper bound on the rows after the
+    header of a file with LF, CRLF or CR line ends.  Blank lines only
+    over-count; bare CR line ends among LF ones under-count."""
+    for end in (b"\n", b"\r"):
+        with open(path, "rb") as fh:
+            n = sum(block.count(end) for block in iter(partial(fh.read, _SLOT_BLOCK), b""))
+        if n:
+            return n
+    return 0
+
+
 def read_trace_csv(path, disc: DisciplineSpec | None = None, horizon: int | None = None) -> Trace:
     """Load a trace file.
 
@@ -782,23 +798,38 @@ def read_trace_csv(path, disc: DisciplineSpec | None = None, horizon: int | None
     verbatim, server assignment included when the file has a ``server``
     column; files carrying only (A, S) columns are re-run through the
     given discipline (FIFO single server when omitted).
+
+    The rows are parsed ``_CSV_CHUNK`` at a time into one int64 row per
+    kept column, preallocated for :func:`_line_ends` rows; the ``k``
+    column is dropped.  So the call holds the trace's columns plus one
+    chunk of rows, or plus the trace's own validation temporaries: on the
+    3·10^5-row reference file, 11.4 MB of columns and a 14.2 MB peak.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header not in _CSV_HEADERS:
             known = " or ".join(",".join(h) for h in _CSV_HEADERS)
             raise ValueError(f"{path}: header {','.join(header)!r} is not a trace header ({known})")
+        cols = np.empty((len(header) - 1, _line_ends(path)), dtype=np.int64)
+        n = 0
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header-only file has no rows
-            body = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-    if body.size == 0:
-        body = body.reshape(0, len(header))
-    if body.shape[1] != len(header):
-        raise ValueError(f"{path}: rows have {body.shape[1]} values, the header {len(header)}")
-    cols = body.T.copy()  # one contiguous row per column
-    if len(cols) > 3:  # full rows
-        deps = cols[4]
-        T = horizon if horizon is not None else (int(deps.max()) if len(deps) else 1)
-        servers = cols[5] if len(cols) == 6 else None
-        return Trace(cols[1], cols[2], cols[3], deps, T, servers)
-    return run_discipline(cols[1], cols[2], disc or Fifo(1), horizon)
+            warnings.simplefilter("ignore", UserWarning)  # the last chunk may have no rows
+            while True:  # each call resumes at the next row of fh and skips blank lines
+                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, max_rows=_CSV_CHUNK)
+                if not rows.size:
+                    break
+                if rows.shape[1] != len(header):
+                    raise ValueError(f"{path}: rows have {rows.shape[1]} values, the header {len(header)}")
+                if n + len(rows) > cols.shape[1]:  # bare CR line ends among LF ones
+                    cols = np.hstack((cols[:, :n], np.empty((len(cols), n + len(rows)), np.int64)))
+                cols[:, n : n + len(rows)] = rows.T[1:]
+                n += len(rows)
+                if len(rows) < _CSV_CHUNK:
+                    break
+    cols = cols[:, :n]  # blank lines were counted as rows
+    if len(cols) > 2:  # full rows
+        deps = cols[3]
+        T = horizon if horizon is not None else (int(deps.max()) if n else 1)
+        servers = cols[4] if len(cols) == 5 else None
+        return Trace(cols[0], cols[1], cols[2], deps, T, servers)
+    return run_discipline(cols[0], cols[1], disc or Fifo(1), horizon)

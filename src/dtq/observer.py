@@ -165,8 +165,9 @@ def window(trace: Trace, warmup: int | None = None) -> Window:
             raise InsufficientDataError(f"no customer arrives and departs inside ({warmup}, {T}]")
         span = T - warmup
         lam = int(end - first) / span
-        # an integer sum below 2**53 makes W equal the float mean
-        W = int(trace.waits[completed].sum()) / n
+        # an integer sum below 2**53 makes W equal the float mean; the waits
+        # are the one customer-length temporary, summed under the mask
+        W = int(trace.waits.sum(where=completed)) / n
         win = trace._memo["window", warmup] = Window(warmup, span, lam, W, completed, n)
     return win
 

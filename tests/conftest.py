@@ -8,6 +8,7 @@ an independent check on the production encoding.
 """
 import csv
 import heapq
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -376,6 +377,22 @@ def small_random_traces(seed, count):
         else:
             disc = External(tuple((arrivals + services).tolist()))
         yield run_discipline(arrivals, services, disc, horizon=T)
+
+
+def reference_trace():
+    """ROADMAP's reference path: Bernoulli(0.3) arrivals, geometric(0.5)
+    services, one FIFO server, 10^6 slots, seed 42 (~3·10^5 customers)."""
+    return build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 42, 1_000_000)
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """Peak of the memory ``fn(*args)`` allocates, in MB; numpy buffers are traced."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

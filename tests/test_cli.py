@@ -137,6 +137,32 @@ class TestVerify:
             else:
                 assert got == want, f.name
 
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_utilization_row_is_the_per_server_busy_fraction(self, tmp_path, capsys, servers):
+        import numpy as np
+        from conftest import oracle_queue_path
+
+        from dtq.observer import time_averages
+
+        config = tmp_path / "util.ini"
+        config.write_text(
+            SMALL_CONFIG.replace("alpha = 0.3", f"alpha = {0.3 * servers}")
+            .replace("servers = 1", f"servers = {servers}\nassignment = random")
+            .replace("names = little, busy", "names = utilization")
+        )
+        assert main(["--config", str(config), "verify"]) in (0, 1)
+        row = json.loads(capsys.readouterr().out)["replications"][0]["rows"][1]
+        trace = cli.load_experiment(str(config)).make_trace(42)
+        if servers == 1:  # the c = 1 row is 1 - pi(0), bit for bit
+            assert row["quantity"] == "1-pi(0) vs rho"
+            assert row["simulated"] == 1.0 - float(time_averages(trace, warmup=4000).pi[0])
+        else:  # P(N > 0) read 0.81 here against the per-server load 0.6
+            assert row["quantity"] == "E[min(N,c)]/c vs rho/c"
+            assert row["pass"]
+        busy = np.minimum(oracle_queue_path(trace)[4001:], servers).mean() / servers
+        assert row["simulated"] == pytest.approx(busy, abs=1e-12)
+        assert row["formula"] == pytest.approx(0.6)
+
     def test_unknown_check_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(SMALL_CONFIG.replace("little, busy", "little, nonsense"))
@@ -315,7 +341,7 @@ class TestPathBuilds:
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "fifo2.ini"
         path.write_text(self.FIFO2_RANDOM.replace("names = little, busy", f"names = {checks}"))
-        # exit 1 is a failed row: "1-pi(0) vs rho" misses for c > 1 servers
+        # exit 1 is a failed statistical row
         assert main(["--config", str(path), "--out", "bundle.json", "verify", *extra]) in (0, 1)
         assert json.loads((tmp_path / "bundle.json").read_text())["checks"] == checks.split(", ")
         assert len(label_replays) == replays

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 from functools import cache
 
@@ -10,6 +9,8 @@ from conftest import (
     oracle_fifo_servers,
     oracle_finite_population,
     oracle_trace_csv,
+    reference_trace,
+    traced_peak_mb,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,21 @@ class TestDiscreteDist:
         d = DiscreteDist.from_pmf({2: 0.5, 5: 0.5})
         s = d.sample(np.random.default_rng(0), 1000)
         assert set(np.unique(s)) == {2, 5}
+
+    def test_sampling_is_the_clipped_inverse_cdf(self):
+        d = DiscreteDist.geometric(0.3)
+        u = np.random.default_rng(11).random(50_000)
+        cdf = np.cumsum(d.probs)
+        cdf[-1] = 1.0
+        want = np.array(d.values)[np.clip(np.searchsorted(cdf, u, side="right"), 0, len(d.values) - 1)]
+        got = d.sample(np.random.default_rng(11), 50_000)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_sampling_holds_three_draw_length_arrays(self):
+        # the uniforms, the table index clipped in place, and the draws
+        n = 300_000
+        peak = traced_peak_mb(DiscreteDist.geometric(0.5).sample, np.random.default_rng(1), n)
+        assert peak < 3.2 * n * 8 / 2**20
 
 
 class TestArrivals:
@@ -418,21 +434,12 @@ class TestSlotBlocks:
     def test_slot_passes_hold_no_slot_length_array(self):
         # one int64 array over 2·10^6 slots is 16 MB; numpy buffers are traced
         T = 2_000_000
-
-        def peak_mb(fn, *args):
-            tracemalloc.start()
-            try:
-                fn(*args)
-                return tracemalloc.get_traced_memory()[1] / 2**20
-            finally:
-                tracemalloc.stop()
-
-        assert peak_mb(gen_arrivals, Bernoulli(0.001), 5, T) < 6
+        assert traced_peak_mb(gen_arrivals, Bernoulli(0.001), 5, T) < 6
         arrivals = gen_arrivals(Bernoulli(0.001), 5, T)
         services = sample_services(DiscreteDist.geometric(0.5), 6, len(arrivals))
         tr = run_discipline(arrivals, services, Fifo(1), horizon=T)
-        assert peak_mb(time_averages, tr, R.LAS_DA, E.RANDOM_OBSERVER) < 6
-        assert peak_mb(basic_inequality_path, tr) < 6
+        assert traced_peak_mb(time_averages, tr, R.LAS_DA, E.RANDOM_OBSERVER) < 6
+        assert traced_peak_mb(basic_inequality_path, tr) < 6
 
 
 class TestShiftTrace:
@@ -656,3 +663,94 @@ class TestTraceCsv:
             read_trace_csv(path)
         assert "'k,A,S,D'" in str(info.value)
         assert "k,A,S or k,A,S,Astart,D or k,A,S,Astart,D,server" in str(info.value)
+
+
+def _assert_columns(tr):
+    for name in _TRACE_FIELDS + ("servers",):
+        col = getattr(tr, name)
+        if col is not None:
+            assert col.dtype == np.int64 and col.flags.c_contiguous, name
+
+
+class TestTraceCsvChunks:
+    """The reader parses ``_CSV_CHUNK`` rows at a time into preallocated
+    columns; a file reads the same wherever its chunk edges fall."""
+
+    HEADER = "k,A,S,Astart,D"
+    ROWS = ["1,1,5,1,6", "2,3,4,6,10", "3,4,1,10,11", "4,9,2,11,13", "5,12,3,13,16"]
+
+    @pytest.fixture(params=[1, 2, 3], autouse=True)
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_CSV_CHUNK", request.param)
+        return request.param
+
+    @staticmethod
+    def _write(tmp_path, lines, end, final=True):
+        path = tmp_path / "t.csv"
+        path.write_bytes((end.join(lines) + (end if final else "")).encode())
+        return path
+
+    @pytest.mark.parametrize("final", [True, False], ids=["final-end", "no-final-end"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_blank_lines_at_every_edge(self, tmp_path, end, final):
+        for at in range(len(self.ROWS) + 1):  # two blank lines after `at` rows
+            rows = self.ROWS[:at] + ["", ""] + self.ROWS[at:]
+            if at == len(self.ROWS) and not final:
+                rows = rows[:-1]  # the file then ends in one blank line
+            tr = read_trace_csv(self._write(tmp_path, [self.HEADER] + rows, end, final))
+            assert list(tr.arrivals) == [1, 3, 4, 9, 12], at
+            assert list(tr.departures) == [6, 10, 11, 13, 16], at
+            assert tr.horizon == 16 and tr.servers is None
+            _assert_columns(tr)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("row", ["6,14,1,16,17,0", "6,14,1,16"], ids=["wider", "narrower"])
+    def test_odd_row_in_a_later_chunk(self, tmp_path, end, row):
+        path = self._write(tmp_path, [self.HEADER] + self.ROWS + [row], end)
+        with pytest.raises(ValueError):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", "\r\n\r\n"], ids=["bare", "lf", "crlf-blank"])
+    @pytest.mark.parametrize("header", list(engine_mod._CSV_HEADERS), ids=len)
+    def test_header_only(self, tmp_path, header, text):
+        path = tmp_path / "empty.csv"
+        path.write_bytes((",".join(header) + text).encode())
+        tr = read_trace_csv(path, horizon=9)
+        assert tr.n == 0 and tr.horizon == 9
+        # a k,A,S file is re-run through FIFO(1), which labels its server
+        assert (tr.servers is None) == (len(header) == 5)
+        _assert_columns(tr)
+
+    @pytest.mark.parametrize("disc", [Fifo(1), InfiniteServer()], ids=["fifo1", "inf"])
+    def test_arrival_service_file_is_rerun(self, tmp_path, disc):
+        lines = ["k,A,S", "1,1,5", "", "2,3,4", "3,9,2", "4,9,1"]
+        tr = read_trace_csv(self._write(tmp_path, lines, "\r\n", final=False), disc)
+        want = run_discipline([1, 3, 9, 9], [5, 4, 2, 1], disc)
+        for name in _TRACE_FIELDS:
+            assert np.array_equal(getattr(tr, name), getattr(want, name)), name
+        _assert_columns(tr)
+
+    def test_roundtrip(self, tmp_path):
+        tr = build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), Fifo(2, "random"), 3, 40)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(tr, path)
+        back = read_trace_csv(path, horizon=tr.horizon)
+        for name in _TRACE_FIELDS + ("servers",):
+            assert np.array_equal(getattr(tr, name), getattr(back, name)), name
+        _assert_columns(back)
+
+    def test_bare_cr_among_lf_line_ends(self, tmp_path):
+        # 2 LFs bound 4 rows, so the columns grow while they are read
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(b"k,A,S\r1,1,5\n2,3,4\r3,9,2\r4,9,1\n")
+        tr = read_trace_csv(path)
+        assert list(tr.arrivals) == [1, 3, 9, 9] and list(tr.services) == [5, 4, 2, 1]
+        _assert_columns(tr)
+
+
+def test_read_holds_the_columns_and_one_chunk(tmp_path):
+    # the reference file's five kept columns are 11.4 MB; the whole-file body
+    # and its transposed copy, k column included, peaked at 30 MB
+    path = tmp_path / "ref.csv"
+    write_trace_csv(reference_trace(), path)
+    assert traced_peak_mb(read_trace_csv, path) <= 15

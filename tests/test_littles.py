@@ -12,7 +12,9 @@ from conftest import (
     oracle_sandwich,
     oracle_workload_lindley,
     prefix_trace,
+    reference_trace,
     small_random_traces,
+    traced_peak_mb,
 )
 from dtq import engine as engine_mod
 from dtq import littles as littles_mod
@@ -142,6 +144,11 @@ class TestBasicInequality:
 
     def test_blocks_match_oracle_long(self, bgeom1_trace):
         self._assert_blocks_match_oracle(bgeom1_trace)  # 200 000 slots: four blocks
+
+    def test_reference_trace_holds_one_customer_length_array(self):
+        # the stable departure order is 2.3 MB; prefix sums over all customers
+        # in both orders, with the sorted copies, peaked at 13.2 MB
+        assert traced_peak_mb(basic_inequality_path, reference_trace()) <= 6
 
 
 class TestExactLittleIdentity:
@@ -348,6 +355,20 @@ class TestWorkloadMomentsMemo:
         ev = workload_moments(tr, warmup).EV
         assert ev == float(workload_path(tr)[warmup + 1 :].mean())
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
+    def test_customer_blocks_match_whole_trace_sums(self, monkeypatch, block):
+        monkeypatch.setattr(engine_mod, "_SLOT_BLOCK", block)
+        tr = build_trace(Bernoulli(0.7), DiscreteDist.geometric(0.4), Fifo(2), 8, 400)
+        warmup = 40
+        m = workload_moments(tr, warmup)
+        done = (tr.arrivals > warmup) & (tr.departures <= tr.horizon)
+        s, wq = tr.services[done], (tr.starts - tr.arrivals)[done]
+        n = int(done.sum())
+        assert (m.ES, m.ES2, m.EWq, m.ESWq) == (
+            int(s.sum()) / n, int(s @ s) / n, int(wq.sum()) / n, int(s @ wq) / n,
+        )
+        assert m.EV == float(workload_path(tr)[warmup + 1 :].mean())
+
     def test_matches_memo_free_computation(self, small_bgeom1_trace):
         tr = small_bgeom1_trace
         for warmup in (0, 1_000):
@@ -380,6 +401,11 @@ class TestVerifyPk:
         tr = build_trace(Bernoulli(0.7), DiscreteDist.geometric(0.5), Fifo(1), 5, 20_000)
         with pytest.raises(ValueError):
             verify_pk(tr)
+
+    def test_fresh_reference_trace_holds_one_customer_length_array(self):
+        # the window's waits are 2.3 MB; whole-trace piece sums and
+        # completed-customer copies peaked at 6.9 MB
+        assert traced_peak_mb(verify_pk, reference_trace()) <= 5
 
     def test_sojourn_decomposition(self, bgeom1_trace):
         m = workload_moments(bgeom1_trace)
