@@ -428,10 +428,9 @@ def cmd_table61(args) -> int:
 
 def cmd_simulate(args) -> int:
     exp = load_experiment(args.config, args.seed)
-    trace = exp.make_trace(exp.seed)
     if not args.out:
         raise ConfigError("simulate needs --out PATH for the trace file")
-    write_trace_csv(trace, args.out)
+    write_trace_csv(exp.make_trace(exp.seed), args.out)
     return 0
 
 

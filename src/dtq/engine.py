@@ -309,39 +309,24 @@ class Trace:
         """Actual sojourn times D_k - A_k."""
         return self.departures - self.arrivals
 
-    @property
-    def queue_waits(self) -> np.ndarray:
-        """Waiting times in queue, start minus arrival."""
-        return self.starts - self.arrivals
-
-    def counting_processes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative counts N_A[x] = #{A <= x} and N_D[x] = #{D <= x}
-        for x = 0..horizon+1, each one full-range call of
-        :func:`_running_count`.
-
-        A materializer of slot-length arrays: only :meth:`shift_path` and
-        the tests read it.  Checks and time averages take the same counts
-        block by block and never hold them whole.
-        """
-        T = self.horizon
-        return (
-            _running_count(self.arrivals, 0, T + 2),
-            _running_count(np.sort(self.departures, kind="stable"), 0, T + 2),
-        )
-
     def shift_path(self, s0: int, e0: int, first: int = 0) -> np.ndarray:
         """Number of customers whose span A + s0 .. D + e0 covers j, for
         j = first..horizon: N_A[j - s0] - N_D[j - e0 - 1], a count at a
-        negative index being 0.
+        negative index being 0, for the counting processes
+        N_A[x] = #{A <= x} and N_D[x] = #{D <= x}, x = 0..horizon+1, each
+        one full-range call of :func:`_running_count`.
 
-        A materializer of a slot-length path, read by :meth:`queue_path`,
-        :func:`dtq.observer.observed_queue_path` and the tests.
+        The one materializer of a slot-length path, read by
+        :meth:`queue_path`, :func:`dtq.observer.observed_queue_path` and
+        the tests.  Checks and time averages take the same counts block by
+        block and never hold them whole.
         """
         T = self.horizon
         k = e0 + 1  # departures leave the count k slots after D
         if not (0 <= s0 <= 1 and -1 <= k <= 1 and 0 <= first <= T):
             raise ValueError(f"span shift ({s0}, {e0}) from slot {first} is out of range")
-        n_a, n_d = self.counting_processes()
+        n_a = _running_count(self.arrivals, 0, T + 2)
+        n_d = _running_count(np.sort(self.departures, kind="stable"), 0, T + 2)
         path = np.empty(T + 1 - first, dtype=np.int64)
         j0 = max(first, s0, k)  # from j0 on, both count indices are nonnegative
         np.subtract(n_a[j0 - s0 : T + 1 - s0], n_d[j0 - k : T + 1 - k], out=path[j0 - first :])

@@ -33,7 +33,6 @@ __all__ = [
     "indicator_cost",
     "remaining_work_cost",
     "check_h_lambda_g",
-    "workload_path",
     "workload_moments",
     "verify_pk",
     "utilization",
@@ -313,24 +312,6 @@ def check_h_lambda_g(trace: Trace, cost: CostFunction, warmup: int | None = None
     return HLGReport(H, win.lam, G, residual, tol, residual <= tol)
 
 
-def workload_path(trace: Trace) -> np.ndarray:
-    """Workload at every slot index 0..horizon: the remaining-work cost
-    rate summed over customers, as ``C(tau) - tau * S(tau)`` for the
-    prefix sums C and S of two difference arrays of the pieces' constant
-    and slope terms, clipped to the horizon."""
-    T = trace.horizon
-    lo, hi, const, slope = _remaining_work_pieces(trace)[1:]
-    lo_c = np.clip(lo, 0, T + 1)
-    hi_c = np.clip(np.maximum(hi + 1, lo), 0, T + 1)  # an empty piece cancels
-
-    def prefix(w):
-        delta = np.bincount(lo_c, weights=w, minlength=T + 2)
-        delta -= np.bincount(hi_c, weights=w, minlength=T + 2)
-        return np.cumsum(delta[: T + 1], dtype=float)
-
-    return prefix(const) - np.arange(T + 1) * prefix(slope)
-
-
 @dataclass(frozen=True)
 class WorkloadMoments:
     ES: float
@@ -346,8 +327,10 @@ def workload_moments(trace: Trace, warmup: int | None = None) -> WorkloadMoments
     customers, EV the remaining work of every customer summed over its
     slots by :func:`_piece_sums`, in int64, per window slot.  No workload
     path is built.  Every sum is an integer below 2**53, so each moment
-    equals its float mean, and EV the mean of :func:`workload_path` over
-    the window, bit for bit.  Memoized on the trace per warmup.
+    equals its float mean, and EV, bit for bit, the mean over the window
+    of the workload path V(tau), the remaining work summed over customers
+    slot by slot (the tests' ``oracle_cost_profile`` with the
+    remaining-work rate).  Memoized on the trace per warmup.
 
     The sums are taken over blocks of ``_SLOT_BLOCK`` customers, so the
     call holds no customer-length temporary besides the window's

@@ -45,7 +45,6 @@ from .timebase import (
     RULES,
     ObservationEpoch,
     SchedulingRule,
-    observation_span,
     span_shift,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "Window",
     "observed_waits",
     "observed_queue_path",
-    "observed_service_spans",
     "time_averages",
     "window",
 ]
@@ -87,25 +85,6 @@ def observed_queue_path(
     path = trace.shift_path(*span_shift(rule, epoch))
     path[0] = 0
     return path
-
-
-def observed_service_spans(
-    trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch
-) -> np.ndarray:
-    """Observed in-service slot counts per customer.
-
-    A customer that waits begins service at the previous departure
-    instant, so its service-start shifts like a departure; a customer
-    entering an idle system starts at its own (shifted) arrival.
-    """
-    waited = trace.starts > trace.arrivals
-    s_arr, e_arr = observation_span(rule, epoch, trace.starts, trace.departures)
-    # re-derive the span with the start treated as a departure-tagged event
-    dep_spans = observation_span(rule, epoch, trace.starts, trace.starts)
-    # dep_spans[1] is the last index seeing a departure at the start slot,
-    # so the in-service window opens one index later
-    start = np.where(waited, dep_spans[1] + 1, s_arr)
-    return np.maximum(0, e_arr - np.maximum(start, 1) + 1)
 
 
 @dataclass(frozen=True)

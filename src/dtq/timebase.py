@@ -45,7 +45,6 @@ __all__ = [
     "departure_shift",
     "epoch_phase",
     "span_shift",
-    "observation_span",
     "render_grid",
 ]
 
@@ -171,17 +170,6 @@ def span_shift(rule: SchedulingRule, epoch: ObservationEpoch) -> tuple[int, int]
     s0 = 1 if arr_coord >= obs_coord else 0
     e0 = d_delta - (1 if obs_coord > dep_coord else 0)
     return s0, e0
-
-
-def observation_span(rule, epoch, arrival_slot, departure_slot):
-    """Inclusive slot range whose observation instants see the customer.
-
-    Accepts scalars or numpy arrays for the slots; returns
-    (arrival + s0, departure + e0) for the combo's :func:`span_shift`,
-    empty when end < start.
-    """
-    s0, e0 = span_shift(rule, epoch)
-    return arrival_slot + s0, departure_slot + e0
 
 
 _EPOCH_HEADERS = ("Random", "Outside", "Pre-Arr", "Post-Arr", "Pre-Dep", "Post-Dep")

@@ -8,12 +8,17 @@ an independent check on the production encoding.
 """
 import csv
 import heapq
+import importlib
+import sys
 import tracemalloc
 from fractions import Fraction
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dtq import engine as engine_mod
 from dtq.engine import (
     Bernoulli,
     DiscreteDist,
@@ -26,6 +31,21 @@ from dtq.engine import (
     run_discipline,
 )
 from dtq.timebase import EPOCHS, Phase, SchedulingRule
+
+
+def _import_unrewritten(name):
+    """Import library module ``name`` past pytest's assertion rewriter, which
+    re-parses all of hypothesis (it ships a pytest plugin) on each run with
+    no bytecode cache: ~1 s of tier-1 on a 2-core host.  Tests still rewrite."""
+    rewriters = [f for f in sys.meta_path if type(f).__module__ == "_pytest.assertion.rewrite"]
+    sys.meta_path[:] = [f for f in sys.meta_path if f not in rewriters]
+    try:
+        importlib.import_module(name)
+    finally:
+        sys.meta_path[:0] = rewriters
+
+
+_import_unrewritten("hypothesis.strategies")
 
 R = SchedulingRule
 
@@ -193,9 +213,13 @@ def oracle_cost_profile(trace, rate):
     T = trace.horizon
     path = np.zeros(T + 1)
     totals = np.zeros(trace.n)
+    # the rate reads the columns as lists, which index faster than arrays
+    columns = SimpleNamespace(
+        **{name: getattr(trace, name).tolist() for name in ("arrivals", "services", "starts", "departures")}
+    )
     for k in range(trace.n):
-        for tau in range(int(trace.arrivals[k]) + 1, int(trace.departures[k]) + 1):
-            r = rate(trace, k, tau)
+        for tau in range(columns.arrivals[k] + 1, columns.departures[k] + 1):
+            r = rate(columns, k, tau)
             totals[k] += r
             if tau <= T:
                 path[tau] += r
@@ -290,7 +314,7 @@ def oracle_finite_population(n_sources, alpha, service, seed, horizon, arrival_f
     streams as :func:`dtq.engine.simulate_finite_population`."""
     spec = FinitePopulation(n_sources, alpha)
     rng = np.random.default_rng(seed)
-    u = rng.random(horizon + 1)
+    u = rng.random(horizon + 1).tolist()
     svc_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
     arrivals: list[int] = []
@@ -343,11 +367,27 @@ def oracle_trace_csv(trace, path):
 
 
 @pytest.fixture()
+def engine_block(request, monkeypatch):
+    """One block size of :mod:`dtq.engine` (``_SLOT_BLOCK``, ``_FIFO_BLOCK``
+    or ``_CSV_CHUNK``) set for the test from its (name, size) parameter;
+    returns the size.  Parametrize it through :func:`engine_blocks`."""
+    name, size = request.param
+    monkeypatch.setattr(engine_mod, name, size)
+    return size
+
+
+def engine_blocks(name, *sizes):
+    """Run a test that takes ``engine_block`` once per block size of
+    :mod:`dtq.engine`'s ``name``, the size as the test id."""
+    return pytest.mark.parametrize(
+        "engine_block", [(name, size) for size in sizes], indirect=True, ids=map(str, sizes)
+    )
+
+
+@pytest.fixture()
 def label_replays(monkeypatch):
     """Every server-label replay run while the test lasts, one entry per
     call of :func:`dtq.engine._fifo_labels`."""
-    import dtq.engine as engine_mod
-
     calls = []
     replay = engine_mod._fifo_labels
 
@@ -379,20 +419,45 @@ def small_random_traces(seed, count):
         yield run_discipline(arrivals, services, disc, horizon=T)
 
 
+@cache
+def _reference_columns():
+    tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 42, 1_000_000)
+    columns = tr.arrivals, tr.services, tr.starts, tr.departures, tr.servers
+    for column in columns:
+        column.flags.writeable = False
+    return columns, tr.horizon
+
+
 def reference_trace():
     """ROADMAP's reference path: Bernoulli(0.3) arrivals, geometric(0.5)
-    services, one FIFO server, 10^6 slots, seed 42 (~3·10^5 customers)."""
-    return build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 42, 1_000_000)
+    services, one FIFO server, 10^6 slots, seed 42 (~3·10^5 customers).
+    Each call returns a fresh trace, with nothing memoized, over columns
+    simulated once per session."""
+    (a, s, b, d, servers), horizon = _reference_columns()
+    return Trace(a, s, b, d, horizon, servers)
 
 
 def traced_peak_mb(fn, *args) -> float:
-    """Peak of the memory ``fn(*args)`` allocates, in MB; numpy buffers are traced."""
+    """Peak of the memory ``fn(*args)`` allocates, in MB; numpy buffers are traced.
+
+    A no-op profile hook runs alongside: it makes CPython 3.11 keep a line
+    array per code object it sees, so tracemalloc finds each allocation's
+    line number by one lookup instead of a scan of the line table.  That
+    makes numpy's ``loadtxt`` six times faster under tracing; the hook's
+    own allocations are transient, ~0.01 MB at a peak.  A profiler already
+    installed (cProfile, say) has the same effect and is left in place.
+    """
+    hooked = sys.getprofile() is None
+    if hooked:
+        sys.setprofile(lambda frame, event, arg: None)
     tracemalloc.start()
     try:
         fn(*args)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+        if hooked:
+            sys.setprofile(None)
 
 
 @pytest.fixture(scope="session")

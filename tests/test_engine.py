@@ -5,6 +5,7 @@ from functools import cache
 import numpy as np
 import pytest
 from conftest import (
+    engine_blocks,
     oracle_fifo_multi,
     oracle_fifo_servers,
     oracle_finite_population,
@@ -148,9 +149,8 @@ class TestArrivals:
         got = gen_arrivals(Bernoulli(0.3), 17, horizon)
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 7])
-    def test_bernoulli_across_block_edges(self, monkeypatch, block):
-        monkeypatch.setattr(engine_mod, "_SLOT_BLOCK", block)
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7)
+    def test_bernoulli_across_block_edges(self, engine_block):
         for horizon in (1, 2, 3, 7, 8, 50):
             want = np.flatnonzero(np.random.default_rng(horizon).random(horizon) < 0.5) + 1
             assert np.array_equal(gen_arrivals(Bernoulli(0.5), horizon, horizon), want), horizon
@@ -243,21 +243,23 @@ class TestDisciplines:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
+@cache
 def _multi_input(seed, n):
     """Bernoulli(0.6) arrivals and geometric(0.5) services for n customers:
     heavy enough for queueing on two or three servers."""
     horizon = int(n / 0.6 * 1.1) + 100
     slots = gen_arrivals(Bernoulli(0.6), seed, horizon)[:n]
-    return slots, sample_services(DiscreteDist.geometric(0.5), seed + 1, len(slots))
+    services = sample_services(DiscreteDist.geometric(0.5), seed + 1, len(slots))
+    slots.flags.writeable = services.flags.writeable = False  # shared by every caller
+    return slots, services
 
 
 class TestFifoMultiOracle:
-    @pytest.mark.parametrize("c", [2, 3])
-    def test_lowest_bit_identical(self, c):
-        arr, svc = _multi_input(17 + c, 70_000)  # more than one 1 << 16 block
+    def test_across_the_real_block_edge(self):
+        arr, svc = _multi_input(43, 70_000)
         assert len(arr) > engine_mod._FIFO_BLOCK
-        tr = run_discipline(arr, svc, Fifo(c))
-        starts, chosen = oracle_fifo_multi(arr, svc, c, "lowest", None)
+        tr = run_discipline(arr, svc, Fifo(3))
+        starts, chosen = oracle_fifo_multi(arr, svc, 3, "lowest", None)
         assert np.array_equal(tr.starts, starts)
         assert np.array_equal(tr.departures, starts + svc)
         assert np.array_equal(tr.servers, chosen)
@@ -265,18 +267,15 @@ class TestFifoMultiOracle:
         assert np.array_equal(tr.services, svc)
         assert tr.horizon == int((starts + svc).max())
         assert tr.servers.dtype == np.int64 and tr.starts.dtype == np.int64
+        # the random policy: the same starts, its labels from the one-pass oracle
+        rnd = run_discipline(arr, svc, Fifo(3, "random"), seed=29)
+        assert np.array_equal(rnd.starts, starts)
+        chosen = oracle_fifo_servers(arr, svc, 3, "random", np.random.default_rng(29))[1]
+        assert rnd.servers.dtype == np.int64 and np.array_equal(rnd.servers, chosen)
+        assert set(np.unique(rnd.servers).tolist()) == {0, 1, 2}
 
 
 class TestRandomAssignment:
-    @pytest.mark.parametrize("c", [2, 3])
-    def test_same_starts_as_lowest(self, c):
-        arr, svc = _multi_input(5 + c, 70_000)
-        low = run_discipline(arr, svc, Fifo(c))
-        rnd = run_discipline(arr, svc, Fifo(c, "random"), seed=3)
-        assert np.array_equal(rnd.starts, low.starts)
-        assert np.array_equal(rnd.departures, low.departures)
-        assert set(np.unique(rnd.servers).tolist()) == set(range(c))
-
     def test_deterministic_for_seed(self):
         arr, svc = _multi_input(9, 5_000)
         a = run_discipline(arr, svc, Fifo(3, "random"), seed=11)
@@ -302,13 +301,6 @@ class TestRandomAssignment:
         assert tr.servers[2] != tr.servers[0]
 
 
-@cache
-def _oracle_starts(c, assignment):
-    """The oracle's start slots on the 70 000-customer input for c servers."""
-    arr, svc = _multi_input(40 + c, 70_000)
-    return oracle_fifo_multi(arr, svc, c, assignment, np.random.default_rng(c))[0]
-
-
 def _tie_inputs():
     """Short inputs full of ties: several arrivals per slot, and unit
     services that free several servers in one slot."""
@@ -321,50 +313,30 @@ def _tie_inputs():
 
 
 class TestFifoStarts:
+    @engine_blocks("_FIFO_BLOCK", 1, 2, 3, 7, 1 << 16)
     @pytest.mark.parametrize("c", [1, 2, 3, 5])
-    @pytest.mark.parametrize("block", [None, 1, 2, 3, 7])
-    def test_oracle_starts_under_both_policies(self, monkeypatch, c, block):
-        arr, svc = _multi_input(40 + c, 70_000)
-        assert len(arr) > engine_mod._FIFO_BLOCK
-        if block:
-            monkeypatch.setattr(engine_mod, "_FIFO_BLOCK", block)
-        starts = engine_mod._fifo_starts(arr, svc, c)
-        assert starts.dtype == np.int64
-        for assignment in ("lowest", "random"):
-            assert np.array_equal(starts, _oracle_starts(c, assignment)), assignment
-
-    @pytest.mark.parametrize("c", [1, 2, 3, 5])
-    @pytest.mark.parametrize("block", [1, 2, 3, 7])
-    def test_ties(self, monkeypatch, c, block):
-        monkeypatch.setattr(engine_mod, "_FIFO_BLOCK", block)
-        for arrivals, services in _tie_inputs():
+    def test_oracle_starts_under_both_policies(self, engine_block, c):
+        for arrivals, services in [_multi_input(40 + c, 300), *_tie_inputs()]:
             arr = np.asarray(arrivals, dtype=np.int64)
             svc = np.asarray(services, dtype=np.int64)
             starts = engine_mod._fifo_starts(arr, svc, c)
+            assert starts.dtype == np.int64
             for assignment in ("lowest", "random"):
-                want = oracle_fifo_multi(arr, svc, c, assignment, np.random.default_rng(block))[0]
+                want = oracle_fifo_multi(arr, svc, c, assignment, np.random.default_rng(engine_block))[0]
                 assert np.array_equal(starts, want), (arrivals, services, assignment)
 
 
 class TestFifoLabels:
+    @engine_blocks("_FIFO_BLOCK", 1, 2, 3, 7)
     @pytest.mark.parametrize("c", [2, 3])
     @pytest.mark.parametrize("assignment", ["lowest", "random"])
     @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_replay_is_the_one_pass_oracle(self, c, assignment, seed):
-        arr, svc = _multi_input(seed + c, 70_000)  # across a 1 << 16 block edge
-        assert len(arr) > engine_mod._FIFO_BLOCK
+    def test_replay_is_the_one_pass_oracle(self, engine_block, c, assignment, seed):
+        arr, svc = _multi_input(seed + c, 500)
         tr = run_discipline(arr, svc, Fifo(c, assignment), seed=seed)
         starts, chosen = oracle_fifo_servers(arr, svc, c, assignment, np.random.default_rng(seed))
         assert np.array_equal(tr.starts, starts)
         assert tr.servers.dtype == np.int64 and np.array_equal(tr.servers, chosen)
-
-    @pytest.mark.parametrize("assignment", ["lowest", "random"])
-    def test_replay_in_small_blocks(self, monkeypatch, assignment):
-        monkeypatch.setattr(engine_mod, "_FIFO_BLOCK", 7)
-        arr, svc = _multi_input(8, 5_000)
-        tr = run_discipline(arr, svc, Fifo(3, assignment), seed=8)
-        chosen = oracle_fifo_servers(arr, svc, 3, assignment, np.random.default_rng(8))[1]
-        assert np.array_equal(tr.servers, chosen)
 
     @pytest.mark.parametrize("assignment", ["lowest", "random"])
     def test_build_and_validate_run_no_replay(self, label_replays, assignment):
@@ -372,7 +344,7 @@ class TestFifoLabels:
         deferred = vars(tr)["servers"]
         Trace(tr.arrivals, tr.services, tr.starts, tr.departures, tr.horizon, deferred)
         tr.queue_path()
-        tr.counting_processes()
+        tr.shift_path(0, -2)
         assert label_replays == []
 
     def test_reads_replay_once(self, label_replays):
@@ -499,9 +471,8 @@ class TestFinitePopulation:
         assert tr.n > 0
         _assert_same_trace(tr, oracle_finite_population(n, alpha, svc, seed, horizon, form))
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 7])
-    def test_bit_identical_across_block_edges(self, monkeypatch, block):
-        monkeypatch.setattr(engine_mod, "_SLOT_BLOCK", block)
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7)
+    def test_bit_identical_across_block_edges(self, engine_block):
         svc = DiscreteDist.geometric(0.5)
         for horizon, form in ((1, "linear"), (2, "linear"), (300, "linear"), (301, "at-least-one")):
             tr = simulate_finite_population(4, 0.2, svc, 9, horizon, form)
@@ -557,13 +528,13 @@ class TestTraceCsv:
             assert np.array_equal(getattr(tr, name), getattr(back, name))
         assert utilization(back).total == utilization(tr).total
 
+    @engine_blocks("_CSV_CHUNK", 1_000)  # several blocks, the last partial
     @pytest.mark.parametrize(
         "disc", [Fifo(1), Fifo(2, "random"), InfiniteServer()], ids=["fifo1", "fifo2", "inf"]
     )
-    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, disc):
-        monkeypatch.setattr(engine_mod, "_CSV_CHUNK", 1_000)  # several blocks, the last partial
+    def test_bytes_match_csv_writer(self, tmp_path, engine_block, disc):
         tr = build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), disc, 8, 3_000)
-        assert tr.n % 1_000 != 0
+        assert tr.n % engine_block != 0
         ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
         write_trace_csv(tr, ours)
         oracle_trace_csv(tr, ref)
@@ -579,10 +550,10 @@ class TestTraceCsv:
         oracle_trace_csv(tr, ref)
         assert ours.read_bytes() == ref.read_bytes()
 
+    @engine_blocks("_CSV_CHUNK", 4)  # a partial last block
     @pytest.mark.parametrize("servers", ["none", "zeros", "edges"])
     @pytest.mark.parametrize("n", [0, 1, len(_GROUP_EDGES)], ids=["header-only", "one-row", "all"])
-    def test_group_edges_match_csv_writer(self, tmp_path, monkeypatch, n, servers):
-        monkeypatch.setattr(engine_mod, "_CSV_CHUNK", 4)  # a partial last block
+    def test_group_edges_match_csv_writer(self, tmp_path, engine_block, n, servers):
         edges = np.array(_GROUP_EDGES[:n], dtype=np.int64)
         column = {"none": None, "zeros": np.zeros(n, dtype=np.int64), "edges": edges}[servers]
         tr = Trace(edges, edges + 1, edges, 2 * edges + 1, 1, column)
@@ -672,17 +643,14 @@ def _assert_columns(tr):
             assert col.dtype == np.int64 and col.flags.c_contiguous, name
 
 
+@pytest.mark.usefixtures("engine_block")
+@engine_blocks("_CSV_CHUNK", 1, 2, 3)
 class TestTraceCsvChunks:
     """The reader parses ``_CSV_CHUNK`` rows at a time into preallocated
     columns; a file reads the same wherever its chunk edges fall."""
 
     HEADER = "k,A,S,Astart,D"
     ROWS = ["1,1,5,1,6", "2,3,4,6,10", "3,4,1,10,11", "4,9,2,11,13", "5,12,3,13,16"]
-
-    @pytest.fixture(params=[1, 2, 3], autouse=True)
-    def chunk(self, request, monkeypatch):
-        monkeypatch.setattr(engine_mod, "_CSV_CHUNK", request.param)
-        return request.param
 
     @staticmethod
     def _write(tmp_path, lines, end, final=True):

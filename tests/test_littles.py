@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    engine_blocks,
     oracle_cost_profile,
     oracle_indicator_rate,
     oracle_remaining_work_rate,
@@ -16,7 +17,6 @@ from conftest import (
     small_random_traces,
     traced_peak_mb,
 )
-from dtq import engine as engine_mod
 from dtq import littles as littles_mod
 from dtq.coherence import CoherenceClass
 from dtq.engine import (
@@ -42,7 +42,6 @@ from dtq.littles import (
     utilization,
     verify_pk,
     workload_moments,
-    workload_path,
 )
 from dtq.observer import _SHIFTS, InsufficientDataError, time_averages
 from dtq.timebase import ObservationEpoch as E, SchedulingRule as R
@@ -136,13 +135,12 @@ class TestBasicInequality:
         holds = bool(np.all(want[0] >= want[1]) and np.all(want[1] >= want[2]))
         assert basic_inequality_path(tr) == holds
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 7])
-    def test_blocks_match_oracle_across_block_edges(self, monkeypatch, block):
-        monkeypatch.setattr(engine_mod, "_SLOT_BLOCK", block)
-        for tr in small_random_traces(20251014, 300):
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
+    def test_blocks_match_oracle_across_block_edges(self, engine_block):
+        for tr in small_random_traces(20251014, 25):
             self._assert_blocks_match_oracle(tr)
 
-    def test_blocks_match_oracle_long(self, bgeom1_trace):
+    def test_blocks_match_oracle_across_the_real_block_edge(self, bgeom1_trace):
         self._assert_blocks_match_oracle(bgeom1_trace)  # 200 000 slots: four blocks
 
     def test_reference_trace_holds_one_customer_length_array(self):
@@ -266,66 +264,62 @@ class TestCostKernel:
                 assert total == oracle_path[warmup + 1 :].sum(), warmup
                 assert np.array_equal(totals, oracle_totals)
 
-    def test_workload_path_is_remaining_work(self):
-        for tr in self._traces(0):
-            oracle_path, _ = oracle_cost_profile(tr, oracle_remaining_work_rate)
-            assert np.array_equal(workload_path(tr), oracle_path)
-
     def test_no_slot_path_built(self, monkeypatch):
         tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 5, 20_000)
 
         def no_path(*args, **kwargs):
             raise AssertionError("slot path built")
 
-        monkeypatch.setattr(Trace, "counting_processes", no_path)
+        monkeypatch.setattr(Trace, "shift_path", no_path)
         monkeypatch.setattr(Trace, "queue_path", no_path)
-        monkeypatch.setattr(littles_mod, "workload_path", no_path)
         for cost in (indicator_cost(), remaining_work_cost()):
             assert check_h_lambda_g(tr, cost, 2_000).passed
         assert verify_pk(tr, 2_000, rel_tol=0.1).passed
 
 
+def _work_at(trace, tau):
+    """Workload V(tau), the remaining work summed over customers at slot
+    tau, from the production piece sums: the cost charged over
+    (tau - 1, T] minus that over (tau, T]."""
+    cost = remaining_work_cost()
+    return littles_mod._cost_profile(trace, cost, tau - 1)[0] - littles_mod._cost_profile(trace, cost, tau)[0]
+
+
 class TestWorkload:
     def test_single_customer_profile(self):
         tr = run_discipline([1], [3], Fifo(1), horizon=6)
-        assert [workload_path(tr)[t] for t in (1, 2, 3, 4, 5)] == [0, 2, 1, 0, 0]
+        assert [_work_at(tr, t) for t in (1, 2, 3, 4, 5)] == [0, 2, 1, 0, 0]
 
     def test_empty_trace(self):
         tr = run_discipline([], [], Fifo(1), horizon=50)
-        path = workload_path(tr)
-        assert path.dtype == float and np.array_equal(path, np.zeros(51))
+        assert littles_mod._cost_profile(tr, remaining_work_cost(), 0)[0] == 0
         for cost in (indicator_cost(), remaining_work_cost()):
             with pytest.raises(InsufficientDataError):
                 check_h_lambda_g(tr, cost)
 
     def test_before_any_arrival(self, worked_example_trace):
-        assert workload_path(worked_example_trace)[1] == 0
+        assert _work_at(worked_example_trace, 1) == 0
 
     def test_path_matches_per_customer_rates(self, small_bgeom1_trace):
         tr = small_bgeom1_trace
-        path = workload_path(tr)
         for tau in (1, 9, 100, 5_000, 9_999):
-            assert path[tau] == sum(oracle_remaining_work_rate(tr, k, tau) for k in range(tr.n))
-
-    def test_matches_lindley_recursion(self, small_bgeom1_trace):
-        assert np.array_equal(
-            workload_path(small_bgeom1_trace),
-            oracle_workload_lindley(small_bgeom1_trace),
-        )
+            assert _work_at(tr, tau) == sum(oracle_remaining_work_rate(tr, k, tau) for k in range(tr.n))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_matches_lindley_recursion_random(self, seed):
         tr = build_trace(Bernoulli(0.4), DiscreteDist.geometric(0.55), Fifo(1), seed, 2_000)
-        assert np.array_equal(workload_path(tr), oracle_workload_lindley(tr))
+        v = oracle_workload_lindley(tr)
+        for warmup in (0, 200, 1_000):
+            assert workload_moments(tr, warmup).EV == float(v[warmup + 1 :].mean()), warmup
 
     def test_waiting_customer_counts_full_service(self):
         # second customer queues: its full requirement stays in the backlog
         tr = run_discipline([1, 2], [3, 2], Fifo(1), horizon=8)
         # slot 3: first customer has 1 left, second still waiting with 2
-        assert workload_path(tr)[3] == 3
+        assert _work_at(tr, 3) == 3
         # a queued arrival at slot 2 would wait exactly the backlog it sees
-        assert workload_path(tr)[2] == int(tr.starts[1] - tr.arrivals[1])
+        assert _work_at(tr, 2) == int(tr.starts[1] - tr.arrivals[1])
 
 
 class TestWorkloadMomentsMemo:
@@ -333,7 +327,7 @@ class TestWorkloadMomentsMemo:
         tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 5, 20_000)
         calls = []
         monkeypatch.setattr(littles_mod, "_remaining_work_pieces", lambda t: calls.append("pieces"))
-        monkeypatch.setattr(littles_mod, "workload_path", lambda t: calls.append("path"))
+        monkeypatch.setattr(Trace, "shift_path", lambda *args: calls.append("path"))
         verify_pk(tr, 2_000)
         m = workload_moments(tr, 2_000)
         assert workload_moments(tr, 2_000) is m
@@ -352,12 +346,11 @@ class TestWorkloadMomentsMemo:
         if kind == "prefix":
             tr = prefix_trace(tr, int(tr.arrivals[tr.n // 2]))
             assert np.any(tr.departures > tr.horizon)
-        ev = workload_moments(tr, warmup).EV
-        assert ev == float(workload_path(tr)[warmup + 1 :].mean())
+        path = oracle_cost_profile(tr, oracle_remaining_work_rate)[0]
+        assert workload_moments(tr, warmup).EV == float(path[warmup + 1 :].mean())
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
-    def test_customer_blocks_match_whole_trace_sums(self, monkeypatch, block):
-        monkeypatch.setattr(engine_mod, "_SLOT_BLOCK", block)
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
+    def test_customer_blocks_match_whole_trace_sums(self, engine_block):
         tr = build_trace(Bernoulli(0.7), DiscreteDist.geometric(0.4), Fifo(2), 8, 400)
         warmup = 40
         m = workload_moments(tr, warmup)
@@ -367,7 +360,8 @@ class TestWorkloadMomentsMemo:
         assert (m.ES, m.ES2, m.EWq, m.ESWq) == (
             int(s.sum()) / n, int(s @ s) / n, int(wq.sum()) / n, int(s @ wq) / n,
         )
-        assert m.EV == float(workload_path(tr)[warmup + 1 :].mean())
+        path = oracle_cost_profile(tr, oracle_remaining_work_rate)[0]
+        assert m.EV == float(path[warmup + 1 :].mean())
 
     def test_matches_memo_free_computation(self, small_bgeom1_trace):
         tr = small_bgeom1_trace

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    engine_blocks,
     oracle_observed_path,
     oracle_observed_wait,
     oracle_queue_length,
@@ -15,7 +17,6 @@ from conftest import (
     prefix_trace,
     small_random_traces,
 )
-from dtq import engine as engine_mod
 from dtq.coherence import CoherenceClass, classify, verify_on_trace
 from dtq.engine import (
     Bernoulli,
@@ -31,7 +32,6 @@ from dtq.observer import (
     InsufficientDataError,
     _window_block,
     observed_queue_path,
-    observed_service_spans,
     observed_waits,
     time_averages,
     window,
@@ -41,7 +41,6 @@ from dtq.timebase import (
     RULES,
     ObservationEpoch as E,
     SchedulingRule as R,
-    observation_span,
     span_shift,
 )
 
@@ -145,12 +144,6 @@ class TestCountingKernel:
         yield run_discipline([0, 0, 2], [1, 3, 1], Fifo(1), horizon=4)  # arrivals at slot 0
         yield run_discipline([], [], Fifo(1), horizon=5)
 
-    def test_counts(self):
-        tr = run_discipline([0, 2, 2], [1, 1, 9], InfiniteServer(), horizon=4)
-        n_a, n_d = tr.counting_processes()
-        assert n_a.tolist() == [1, 1, 3, 3, 3, 3]
-        assert n_d.tolist() == [0, 1, 1, 2, 2, 2]
-
     @pytest.mark.parametrize("convention", ["strict-left", "strict-right"])
     def test_queue_path_matches_difference_arrays(self, small_bgeom1_trace, convention):
         for tr in self._traces(small_bgeom1_trace):
@@ -160,11 +153,15 @@ class TestCountingKernel:
 
     @pytest.mark.parametrize("first", [0, 1, 3])
     def test_shift_path_counts_covering_spans(self, first):
-        tr = run_discipline([0, 0, 2, 3], [1, 3, 1, 4], Fifo(1), horizon=9)
-        a, d = tr.arrivals, tr.departures
-        for s0, e0 in {span_shift(rule, epoch) for rule, epoch in ALL_COMBOS}:
-            want = [int(np.count_nonzero((a + s0 <= j) & (j <= d + e0))) for j in range(first, 10)]
-            assert tr.shift_path(s0, e0, first).tolist() == want, (s0, e0)
+        # arrivals at slot 0; in the second trace a departure past T + 1
+        for tr in (
+            run_discipline([0, 0, 2, 3], [1, 3, 1, 4], Fifo(1), horizon=9),
+            run_discipline([0, 2, 2], [1, 1, 9], InfiniteServer(), horizon=4),
+        ):
+            a, d = tr.arrivals, tr.departures
+            for s0, e0 in {span_shift(rule, epoch) for rule, epoch in ALL_COMBOS}:
+                want = [int(np.count_nonzero((a + s0 <= j) & (j <= d + e0))) for j in range(first, tr.horizon + 1)]
+                assert tr.shift_path(s0, e0, first).tolist() == want, (s0, e0)
 
     def test_slot_zero_entries(self):
         tr = run_discipline([0, 0, 2], [1, 3, 1], Fifo(1), horizon=4)
@@ -197,7 +194,8 @@ class TestObservedQueue:
     def test_scalar_queries(self, two_customer_trace):
         # each entry counts the customers whose observation span covers it
         tr = two_customer_trace
-        start, end = observation_span(R.EAS, E.RANDOM_OBSERVER, tr.arrivals, tr.departures)
+        s0, e0 = span_shift(R.EAS, E.RANDOM_OBSERVER)
+        start, end = tr.arrivals + s0, tr.departures + e0
         path = observed_queue_path(tr, R.EAS, E.RANDOM_OBSERVER)
         for tau in range(1, tr.horizon + 1):
             assert path[tau] == np.count_nonzero((start <= tau) & (tau <= end))
@@ -274,7 +272,7 @@ class TestWindow:
 
 
 def _memo_free_averages(trace, rule, epoch, warmup, convention):
-    """Per-combo bincount over observation_span, as computed before the memo."""
+    """Per-combo bincount over the observation span, as computed before the memo."""
     T = trace.horizon
     span = T - warmup
     inside = trace.arrivals > warmup
@@ -282,7 +280,8 @@ def _memo_free_averages(trace, rule, epoch, warmup, convention):
     completed = inside & (trace.departures <= T)
     W = float(trace.waits[completed].mean())
     path = oracle_queue_path(trace, convention)[warmup + 1 :]
-    start, end = observation_span(rule, epoch, trace.arrivals, trace.departures)
+    s0, e0 = span_shift(rule, epoch)
+    start, end = trace.arrivals + s0, trace.departures + e0
     W_obs = float(np.maximum(0, end - np.maximum(start, 1) + 1)[completed].mean())
     lo = np.clip(start, 1, T + 1)
     hi = np.clip(end + 1, 1, T + 1)
@@ -309,18 +308,20 @@ def _assert_bitwise_equal(est, ref):
             assert got == want, name
 
 
-def _assert_windows_match_shift_paths(trace, warmup):
+def _assert_windows_match_shift_paths(trace, *warmups):
     """Every shift's L and pi in the shared-window block against its own
-    path's mean and bincount over (warmup, T], bit for bit."""
-    span = trace.horizon - warmup
-    block = _window_block(trace, warmup)
-    assert sorted(block) == sorted(_SHIFTS)
-    for shift in _SHIFTS:
-        path = oracle_shift_path(trace, *shift)[warmup + 1 :]
-        L, pi = block[shift]
-        want = np.bincount(path) / span
-        assert L == float(path.mean()), shift
-        assert pi.dtype == want.dtype and np.array_equal(pi, want), shift
+    path's mean and bincount over (warmup, T], bit for bit, per warmup."""
+    paths = {shift: oracle_shift_path(trace, *shift) for shift in _SHIFTS}
+    for warmup in warmups:
+        span = trace.horizon - warmup
+        block = _window_block(trace, warmup)
+        assert sorted(block) == sorted(_SHIFTS)
+        for shift, path in paths.items():
+            path = path[warmup + 1 :]
+            L, pi = block[shift]
+            want = np.bincount(path) / span
+            assert L == float(path.mean()), (shift, warmup)
+            assert pi.dtype == want.dtype and np.array_equal(pi, want), (shift, warmup)
 
 
 # arrivals in slot 0 and past the horizon, batches, departures past T
@@ -337,35 +338,23 @@ WINDOW_TRACES = {
 
 
 class TestTimeAveragesMemo:
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
     @pytest.mark.parametrize("name", sorted(WINDOW_TRACES))
-    def test_shared_windows_match_shift_paths(self, name):
-        T = WINDOW_TRACES[name]().horizon
-        for warmup in range(T):
-            _assert_windows_match_shift_paths(WINDOW_TRACES[name](), warmup)
+    def test_shared_windows_match_shift_paths(self, name, engine_block):
+        tr = WINDOW_TRACES[name]()
+        _assert_windows_match_shift_paths(tr, *range(tr.horizon))
 
-    def test_shared_windows_match_shift_paths_long(self, small_bgeom1_trace):
-        tr = _late_prefix(small_bgeom1_trace)
-        for warmup in (0, 1_000, tr.horizon - 1):
-            _assert_windows_match_shift_paths(tr, warmup)
-
-    def test_shared_windows_random_small_traces(self):
-        rng = np.random.default_rng(20250902)
-        for tr in small_random_traces(20250903, 1500):
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
+    def test_shared_windows_across_block_edges(self, engine_block):
+        rng = np.random.default_rng(20251015 + engine_block)
+        for tr in small_random_traces(20251016, 25):
             T = tr.horizon
-            _assert_windows_match_shift_paths(tr, int(rng.choice([0, T - 1, rng.integers(0, T)])))
+            _assert_windows_match_shift_paths(tr, 0, T - 1, int(rng.integers(0, T)))
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 7])
-    def test_shared_windows_across_block_edges(self, monkeypatch, block):
-        monkeypatch.setattr(engine_mod, "_SLOT_BLOCK", block)
-        rng = np.random.default_rng(20251015 + block)
-        for name in sorted(WINDOW_TRACES):
-            T = WINDOW_TRACES[name]().horizon
-            for warmup in (0, T - 1, int(rng.integers(0, T))):
-                _assert_windows_match_shift_paths(WINDOW_TRACES[name](), warmup)
-        for tr in small_random_traces(20251016, 300):
-            T = tr.horizon
-            for warmup in (0, T - 1, int(rng.integers(0, T))):
-                _assert_windows_match_shift_paths(tr, warmup)
+    def test_shared_windows_across_the_real_block_edge(self, bgeom1_trace):
+        tr = _late_prefix(bgeom1_trace)
+        assert tr.horizon > 1 << 16
+        _assert_windows_match_shift_paths(tr, 0, 1_000, (1 << 16) - 1, tr.horizon - 1)
 
     @pytest.mark.parametrize("convention", ["strict-left", "strict-right"])
     @pytest.mark.parametrize("warmup", [0, 1_000])
@@ -441,6 +430,15 @@ _LAG_TRACES = {
 }
 
 
+@cache
+def _lag_trace(name):
+    """The trace and its strict-left path, built once for all coherent combos."""
+    tr = _LAG_TRACES[name]()
+    actual = oracle_queue_path(tr)
+    actual.flags.writeable = False
+    return tr, actual
+
+
 @pytest.mark.parametrize(
     "rule,epoch", [c for c in ALL_COMBOS if classify(*c) is CoherenceClass.COHERENT]
 )
@@ -449,21 +447,10 @@ def test_coherent_path_is_the_actual_path_or_one_slot_earlier(name, rule, epoch)
     """A coherent combo sees the strict-left actual path (shift (1, 0)) or
     that path one slot earlier (shift (0, -1)), so its busy cycles and
     per-cycle state visits are the actual ones."""
-    tr = _LAG_TRACES[name]()
-    actual = oracle_queue_path(tr)
+    tr, actual = _lag_trace(name)
     seen = observed_queue_path(tr, rule, epoch)
     if not np.array_equal(seen, actual):
         assert seen[0] == 0 and np.array_equal(seen[1:-1], actual[2:])
-
-
-class TestObservedServiceSpans:
-    @pytest.mark.parametrize(
-        "rule,epoch",
-        [(r, e) for (r, e) in ALL_COMBOS if classify(r, e) is CoherenceClass.COHERENT],
-    )
-    def test_coherent_in_service_time_equals_service(self, rule, epoch, small_bgeom1_trace):
-        spans = observed_service_spans(small_bgeom1_trace, rule, epoch)
-        assert np.array_equal(spans, small_bgeom1_trace.services), (rule, epoch)
 
 
 class TestEventSampledStates:
