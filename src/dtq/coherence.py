@@ -98,12 +98,16 @@ def verify_on_trace(trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch)
     key = ("offsets", *span_shift(rule, epoch))
     hist = trace._memo.get(key)
     if hist is None:
-        offsets = observed_waits(trace, rule, epoch) - trace.waits
+        # observed minus actual wait, in place on observed_waits' fresh array
+        offsets = observed_waits(trace, rule, epoch)
+        offsets -= trace.departures
+        offsets += trace.arrivals
         if trace.n and (offsets.min() < -1 or offsets.max() > 1):
             raise OffsetViolation(
                 f"offsets {np.unique(offsets).tolist()} for ({rule.label}, {epoch.label})"
             )
-        counts = np.bincount(offsets + 1, minlength=3)
+        offsets += 1
+        counts = np.bincount(offsets, minlength=3)
         hist = trace._memo[key] = {v - 1: int(c) for v, c in enumerate(counts) if c}
     want = classify(rule, epoch).offset
     passed = hist == ({want: trace.n} if trace.n else {})

@@ -395,6 +395,86 @@ class TestTraceServers:
             read_trace_csv(path)
 
 
+# the column checks of Trace in their order, each as a way to break one
+# customer k of valid columns (a, s, b, d, servers)
+def _break_nondecreasing(c, k):
+    c["a"][k] = c["a"][k - 1] - 1 if k else c["a"][1] + 1
+
+
+def _break_nonnegative(c, k):
+    c["a"][: k + 1] = -1
+
+
+def _break_service(c, k):
+    c["s"][k] = 0
+    c["d"][k] = c["b"][k]
+
+
+def _break_start(c, k):
+    c["b"][k] = c["a"][k] - 1
+    c["d"][k] = c["b"][k] + c["s"][k]
+
+
+def _break_departure(c, k):
+    c["d"][k] += 1
+
+
+def _break_server(c, k):
+    c["servers"][k] = -1
+
+
+_TRACE_CHECKS = [
+    (_break_nondecreasing, "arrival slots must be nondecreasing"),
+    (_break_nonnegative, "arrival slots must be nonnegative"),
+    (_break_service, "service times must be at least one slot"),
+    (_break_start, "service cannot start before arrival"),
+    (_break_departure, "departures must equal start plus service"),
+    (_break_server, "server indices must be nonnegative"),
+]
+
+
+def _valid_columns(n):
+    k = np.arange(n, dtype=np.int64)
+    a = 5 + 3 * (k // 2)  # ties in pairs
+    s = 1 + k % 4
+    b = a + k % 3
+    return {"a": a, "s": s, "b": b, "d": b + s, "servers": k % 2}
+
+
+def _trace_of(c):
+    return Trace(c["a"], c["s"], c["b"], c["d"], 100, c["servers"])
+
+
+@pytest.mark.usefixtures("engine_block")
+@engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7)
+class TestTraceChecks:
+    """Trace checks its columns ``_SLOT_BLOCK`` customers at a time; a
+    broken customer is found wherever the block edges fall, and the
+    checks keep their order across blocks."""
+
+    N = 20
+
+    def test_valid_columns_pass(self):
+        assert _trace_of(_valid_columns(self.N)).n == self.N
+
+    @pytest.mark.parametrize("check", range(len(_TRACE_CHECKS)))
+    def test_broken_customer_anywhere(self, check):
+        brk, message = _TRACE_CHECKS[check]
+        for k in range(self.N):
+            c = _valid_columns(self.N)
+            brk(c, k)
+            with pytest.raises(ValueError, match=message):
+                _trace_of(c)
+
+    @pytest.mark.parametrize("first, later", [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    def test_earlier_check_wins_from_a_later_block(self, first, later):
+        c = _valid_columns(self.N)
+        _TRACE_CHECKS[later][0](c, 0)
+        _TRACE_CHECKS[first][0](c, self.N - 1)
+        with pytest.raises(ValueError, match=_TRACE_CHECKS[first][1]):
+            _trace_of(c)
+
+
 class TestSlotBlocks:
     def test_running_count_is_searchsorted(self):
         events = np.sort(np.random.default_rng(23).integers(0, 40, size=30))
@@ -562,6 +642,38 @@ class TestTraceCsv:
         oracle_trace_csv(tr, ref)
         assert ours.read_bytes() == ref.read_bytes()
 
+    @engine_blocks("_CSV_CHUNK", 4)
+    @pytest.mark.parametrize("servers", [False, True], ids=["no-server", "server"])
+    def test_group_count_is_fixed_per_trace(self, tmp_path, engine_block, servers):
+        # the first block fits one digit group, the second needs three and
+        # the third is partial: all are encoded at three groups
+        arrivals = np.array([0, 1, 2, 3, 10**8, 10**8, 10**8 + 7, 2 * 10**8, 10**9, 10**9 + 1])
+        services = np.array([1, 2, 9, 3, 1, 10**4, 5, 10**8, 1, 2])
+        column = np.array([0, 1, 0, 1, 0, 0, 1, 0, 1, 0]) if servers else None
+        tr = Trace(arrivals, services, arrivals, arrivals + services, 1, column)
+        assert tr.departures[:engine_block].max() < 10**4 <= 10**8 <= tr.departures[engine_block:].max()
+        assert tr.n % engine_block != 0
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        write_trace_csv(tr, ours)
+        oracle_trace_csv(tr, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    @engine_blocks("_CSV_CHUNK", 1_000)
+    @pytest.mark.parametrize("order", [1, -1], ids=["long-first", "short-first"])
+    def test_back_to_back_writes(self, tmp_path, engine_block, order):
+        # one call's scratch (row count, columns, group count) never
+        # carries into the next
+        edges = np.array(_GROUP_EDGES, dtype=np.int64)
+        traces = [
+            build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), Fifo(2, "random"), 8, 3_000),
+            Trace(edges, edges + 1, edges, 2 * edges + 1, 1),
+        ][::order]
+        for i, tr in enumerate(traces):
+            write_trace_csv(tr, tmp_path / f"ours{i}.csv")
+        for i, tr in enumerate(traces):
+            oracle_trace_csv(tr, tmp_path / "ref.csv")
+            assert (tmp_path / f"ours{i}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_no_server_column_without_assignment(self, tmp_path):
         tr = run_discipline([1, 2], None, External((3, 6)), horizon=6)
         path = tmp_path / "trace.csv"
@@ -714,6 +826,12 @@ class TestTraceCsvChunks:
         tr = read_trace_csv(path)
         assert list(tr.arrivals) == [1, 3, 9, 9] and list(tr.services) == [5, 4, 2, 1]
         _assert_columns(tr)
+
+
+def test_write_holds_one_block_of_scratch(tmp_path):
+    # 6.3 MB: the scratch of one block, allocated once, plus one block's
+    # text twice over, its cells' bytes and their translation
+    assert traced_peak_mb(write_trace_csv, reference_trace(), tmp_path / "ref.csv") <= 7
 
 
 def test_read_holds_the_columns_and_one_chunk(tmp_path):
