@@ -3,8 +3,9 @@
 Configs are sectioned key = value files ([model], [sim], [checks],
 [output]); any other section or key is a config error.  Each check is
 one entry of the CHECKS registry: a function of (experiment, trace) that
-yields (quantity, simulated, formula, tolerance) tuples, which
-_run_check turns into report rows with the residual and a pass flag.
+yields :class:`dtq.littles.Row` verdicts, the library's own rows where a
+library check decides them, which _run_check turns into report rows with
+the residual and a pass flag.
 Subcommands:
 
   classify   30-combo classification grid against the reference
@@ -42,6 +43,7 @@ from .engine import (
     build_trace,
     write_trace_csv,
 )
+from .littles import Row
 from .timebase import RULES, ObservationEpoch, SchedulingRule
 
 # one representative rule/epoch combo per coherence class
@@ -139,13 +141,7 @@ class Experiment:
         self.warmup = int(float(sim.get("warmup", str(self.horizon // 10))))
         if not 0 <= self.warmup < self.horizon:
             raise ConfigError("need horizon > warmup >= 0")
-        env_seed = os.environ.get("DTQ_SEED")
-        if seed_override is not None:
-            self.seed = int(seed_override)
-        elif env_seed is not None:
-            self.seed = int(env_seed)
-        else:
-            self.seed = int(sim.get("seed", "42"))
+        self.seed = int(seed_override if seed_override is not None else sim.get("seed", "42"))
         self.replications = int(sim.get("replications", "1"))
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
@@ -175,15 +171,18 @@ def load_experiment(path: str | None, seed_override=None) -> Experiment:
     return Experiment(cp, seed_override)
 
 
-_ROW_FIELDS = ("check", "quantity", "simulated", "formula", "residual", "tolerance", "pass")
-
-
-def _row(check, name, simulated, formula, tolerance):
+def _row(check: str, row: Row) -> dict:
     """One report row; numbers become Python floats, so CSV writes plain reprs."""
-    simulated, formula, tolerance = float(simulated), float(formula), float(tolerance)
-    residual = abs(simulated - formula)
-    passed = residual <= tolerance
-    return dict(zip(_ROW_FIELDS, (check, name, simulated, formula, residual, tolerance, passed)))
+    row = Row(row.quantity, float(row.simulated), float(row.formula), float(row.tolerance))
+    return {
+        "check": check,
+        "quantity": row.quantity,
+        "simulated": row.simulated,
+        "formula": row.formula,
+        "residual": row.residual,
+        "tolerance": row.tolerance,
+        "pass": row.passed,
+    }
 
 
 def _class_pi(exp: Experiment, trace, klass: CoherenceClass):
@@ -196,33 +195,23 @@ def _class_pi(exp: Experiment, trace, klass: CoherenceClass):
     return est, np.pad(est.pi_obs, (0, width - len(est.pi_obs))), np.pad(ana, (0, width - len(ana)))
 
 
-# --- checks: each yields (quantity, simulated, formula, tolerance) -----------
+# --- checks: each yields Row verdicts ----------------------------------------
 
 def _little(exp, trace):
-    rep = littles.check_little(trace, exp.warmup)
-    yield "L - lam*W", rep.L, rep.lam * rep.W, rep.tolerance
+    return littles.check_little(trace, exp.warmup)
 
 
 def _little_observed(exp, trace):
-    for klass, (rule, epoch) in _CLASS_COMBOS.items():
-        rep = littles.check_little_observed(trace, rule, epoch, exp.warmup)
-        combo = f"{rule.label}/{epoch.label}"
-        yield f"L_obs[{combo}] ({klass.label})", rep.L_obs, rep.class_target, rep.tolerance
-        yield f"L_obs - lam*W_obs [{combo}]", rep.L_obs, rep.lam * rep.W_obs, rep.tolerance
+    for rule, epoch in _CLASS_COMBOS.values():
+        yield from littles.check_little_observed(trace, rule, epoch, exp.warmup)
 
 
 def _pk(exp, trace):
-    rep = littles.verify_pk(trace, exp.warmup)
-    tol = rep.tolerance * max(abs(rep.EWq_formula), 1e-9) + 30.0 / np.sqrt(exp.horizon - exp.warmup)
-    yield "EWq", rep.EWq_sim, rep.EWq_formula, tol
-    yield "EV", rep.EV_sim, rep.EV_formula, tol
+    return littles.verify_pk(trace, exp.warmup)
 
 
 def _workload(exp, trace):
-    # FIFO Bernoulli input: mean workload matches mean queueing delay
-    m = littles.workload_moments(trace, exp.warmup)
-    tol = 0.02 * max(abs(m.EWq), 1e-9) + 30.0 / np.sqrt(exp.horizon - exp.warmup)
-    yield "EV vs EWq", m.EV, m.EWq, tol
+    return littles.check_workload(trace, exp.warmup)
 
 
 def _busy(exp, trace):
@@ -231,32 +220,32 @@ def _busy(exp, trace):
     means = busy.cycle_means_from_rates(*busy.empty_state_rates(trace))
     for field in ("idle", "cycle", "busy", "customers"):
         ref = getattr(means, field)
-        yield field, getattr(sim, field), ref, 0.01 * abs(ref) + 3.0 / np.sqrt(stats.n_cycles)
+        yield Row(field, getattr(sim, field), ref, 0.01 * abs(ref) + 3.0 / np.sqrt(stats.n_cycles))
 
 
 def _dist(exp, trace):
     tol = 3.0 / np.sqrt(exp.horizon - exp.warmup)
     for klass in _CLASS_COMBOS:
         _, sim, ana = _class_pi(exp, trace, klass)
-        yield f"max|pi_obs - pi| ({klass.label})", float(np.abs(sim - ana).max()), 0.0, tol
+        yield Row(f"max|pi_obs - pi| ({klass.label})", float(np.abs(sim - ana).max()), 0.0, tol)
 
 
 def _table61(exp, trace):
     for (rule, epoch), ref in birthdeath.occupancy_grid(exp.alpha, exp.beta).items():
         est = observer.time_averages(trace, rule, epoch, exp.warmup)
         sim = 1.0 - float(est.pi_obs[0])
-        yield f"1-pi_obs(0) [{rule.label}/{epoch.label}]", sim, ref, 0.01 * ref
+        yield Row(f"1-pi_obs(0) [{rule.label}/{epoch.label}]", sim, ref, 0.01 * ref)
 
 
 def _utilization(exp, trace):
     target = exp.alpha * exp.service.mean()
-    yield "busy servers", littles.utilization(trace).total, target, 0.02 * target
+    yield Row("busy servers", littles.utilization(trace).total, target, 0.02 * target)
     # the per-server busy fraction E[min(N, c)]/c, which is 1 - pi(0) when c = 1
     c = exp.servers
     pi = observer.time_averages(trace, warmup=exp.warmup).pi[:c]
     busy_fraction = (c - float((c - np.arange(len(pi))) @ pi)) / c
     name = "1-pi(0) vs rho" if c == 1 else "E[min(N,c)]/c vs rho/c"
-    yield name, busy_fraction, target / c, 0.01 * target
+    yield Row(name, busy_fraction, target / c, 0.01 * target)
 
 
 CHECKS = {
@@ -273,7 +262,7 @@ CHECK_NAMES = tuple(CHECKS)
 
 
 def _run_check(name: str, exp: Experiment, trace) -> list[dict]:
-    return [_row(name, *quantity) for quantity in CHECKS[name](exp, trace)]
+    return [_row(name, row) for row in CHECKS[name](exp, trace)]
 
 
 def run_verify(exp: Experiment, trace_out: str | None = None) -> dict:

@@ -1,30 +1,28 @@
 """Little's-law checks, cost-rate identities, workload, and utilization.
 
-Every check reports the simulated value, the predicted value, the
-residual and the tolerance it was held to, so failures are diagnosable
-from the report alone.
+Every check returns its verdict as :class:`Rows`, one :class:`Row` per
+quantity: simulated value, formula value and tolerance, so failures are
+diagnosable from the rows alone and the CLI reports them as they are.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coherence import CoherenceClass, classify
+from .coherence import classify
 from .engine import Trace, _running_count, _slot_blocks
 from .observer import time_averages, window
 from .timebase import ObservationEpoch, SchedulingRule
 
 __all__ = [
-    "LittleReport",
-    "ObservedLittleReport",
+    "Row",
+    "Rows",
     "CostFunction",
     "CostContractError",
-    "HLGReport",
     "WorkloadMoments",
-    "PKReport",
     "UtilizationReport",
     "check_little",
     "check_little_observed",
@@ -35,51 +33,48 @@ __all__ = [
     "check_h_lambda_g",
     "workload_moments",
     "verify_pk",
+    "check_workload",
     "utilization",
 ]
+
+
+class Row(NamedTuple):
+    """One quantity of a check: simulated against formula, within a tolerance."""
+
+    quantity: str
+    simulated: float
+    formula: float
+    tolerance: float
+
+    @property
+    def residual(self) -> float:
+        return abs(self.simulated - self.formula)
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
+
+
+class Rows(tuple):
+    """A check's rows; the check passes when every row does."""
+
+    @property
+    def passed(self) -> bool:
+        return all(row.passed for row in self)
 
 
 def _tolerance(span: int, level: float, target: float) -> float:
     return max(3.0 * (level + 1.0) / math.sqrt(span), 0.01 * abs(target))
 
 
-@dataclass(frozen=True)
-class LittleReport:
-    L: float
-    lam: float
-    W: float
-    residual: float
-    tolerance: float
-    passed: bool
-    n_completed: int
-
-
-def check_little(trace: Trace, warmup: int | None = None) -> LittleReport:
+def check_little(trace: Trace, warmup: int | None = None) -> Rows:
     """Time-average number in system against arrival rate times mean wait."""
     if trace.n == 0:
-        return LittleReport(0.0, 0.0, 0.0, 0.0, 0.0, True, 0)
+        return Rows([Row("L - lam*W", 0.0, 0.0, 0.0)])
     est = time_averages(trace, warmup=warmup)
-    residual = abs(est.L - est.lam * est.W)
-    tol = _tolerance(est.horizon - est.warmup, est.L, est.lam * est.W)
-    return LittleReport(est.L, est.lam, est.W, residual, tol, residual <= tol, est.n_completed)
-
-
-@dataclass(frozen=True)
-class ObservedLittleReport:
-    rule: SchedulingRule
-    epoch: ObservationEpoch
-    klass: CoherenceClass
-    lam: float
-    W: float
-    W_obs: float
-    L: float
-    L_obs: float
-    residual_obs: float      # |L_obs - lam * W_obs|
-    class_target: float      # lam * (W + class offset)
-    residual_class: float    # |L_obs - class_target|
-    shift_residual: float    # |(L_obs - L) - lam * offset|
-    tolerance: float
-    passed: bool
+    target = est.lam * est.W
+    tol = _tolerance(est.horizon - est.warmup, est.L, target)
+    return Rows([Row("L - lam*W", est.L, target, tol)])
 
 
 def check_little_observed(
@@ -87,26 +82,19 @@ def check_little_observed(
     rule: SchedulingRule,
     epoch: ObservationEpoch,
     warmup: int | None = None,
-) -> ObservedLittleReport:
-    """Observed-system law L_obs = lam * W_obs plus the class identities.
-
-    The observed mean queue length must also match lam*(W + offset) for
-    the combo's coherence class and sit exactly offset*lam away from the
-    actual L.
+) -> Rows:
+    """The observed mean queue length of a combo against lam*(W + offset)
+    for its coherence class, then the observed-system law L_obs = lam * W_obs.
     """
     est = time_averages(trace, rule, epoch, warmup=warmup)
     klass = classify(rule, epoch)
-    offset = klass.offset
-    target = est.lam * (est.W + offset)
-    residual_obs = abs(est.L_obs - est.lam * est.W_obs)
-    residual_class = abs(est.L_obs - target)
-    shift_residual = abs((est.L_obs - est.L) - est.lam * offset)
+    target = est.lam * (est.W + klass.offset)
     tol = _tolerance(est.horizon - est.warmup, est.L_obs, target)
-    passed = residual_obs <= tol and residual_class <= tol and shift_residual <= tol
-    return ObservedLittleReport(
-        rule, epoch, klass, est.lam, est.W, est.W_obs, est.L, est.L_obs,
-        residual_obs, target, residual_class, shift_residual, tol, passed,
-    )
+    combo = f"{rule.label}/{epoch.label}"
+    return Rows([
+        Row(f"L_obs[{combo}] ({klass.label})", est.L_obs, target, tol),
+        Row(f"L_obs - lam*W_obs [{combo}]", est.L_obs, est.lam * est.W_obs, tol),
+    ])
 
 
 def basic_inequality(trace: Trace, tau: int) -> tuple[int, int, int, bool]:
@@ -284,17 +272,7 @@ def _cost_profile(trace: Trace, cost: CostFunction, warmup: int):
     return total, totals
 
 
-@dataclass(frozen=True)
-class HLGReport:
-    H: float
-    lam: float
-    G: float
-    residual: float
-    tolerance: float
-    passed: bool
-
-
-def check_h_lambda_g(trace: Trace, cost: CostFunction, warmup: int | None = None) -> HLGReport:
+def check_h_lambda_g(trace: Trace, cost: CostFunction, warmup: int | None = None) -> Rows:
     """Cost-rate law: time-average total cost rate equals arrival rate
     times mean per-customer cost.
 
@@ -306,10 +284,8 @@ def check_h_lambda_g(trace: Trace, cost: CostFunction, warmup: int | None = None
     win = window(trace, warmup)
     total, totals = _cost_profile(trace, cost, win.warmup)
     H = float(total / win.span)
-    G = float(np.mean(totals[win.completed]))
-    residual = abs(H - win.lam * G)
-    tol = _tolerance(win.span, H, win.lam * G)
-    return HLGReport(H, win.lam, G, residual, tol, residual <= tol)
+    target = win.lam * float(np.mean(totals[win.completed]))
+    return Rows([Row("H - lam*G", H, target, _tolerance(win.span, H, target))])
 
 
 @dataclass(frozen=True)
@@ -363,24 +339,17 @@ def workload_moments(trace: Trace, warmup: int | None = None) -> WorkloadMoments
     return moments
 
 
-@dataclass(frozen=True)
-class PKReport:
-    lam: float
-    rho: float
-    EWq_sim: float
-    EWq_formula: float
-    EV_sim: float
-    EV_formula: float
-    uncorrelated_gap: float  # ESWq - ES * EWq, near zero for FIFO
-    tolerance: float
-    passed: bool
+def _pk_tolerance(ewq: float, span: int) -> float:
+    # delay averages are serially correlated, hence the wide noise floor
+    return 0.02 * max(abs(ewq), 1e-9) + 30.0 / math.sqrt(span)
 
 
-def verify_pk(trace: Trace, warmup: int | None = None, rel_tol: float = 0.02) -> PKReport:
+def verify_pk(trace: Trace, warmup: int | None = None) -> Rows:
     """Mean queueing delay and mean workload against their closed forms.
 
     Uses the trace's own arrival rate and service moments, so the check
     compares two different path functionals rather than restating one.
+    Both rows are held to :func:`_pk_tolerance` of the delay formula.
     """
     win = window(trace, warmup)
     m = workload_moments(trace, win.warmup)
@@ -390,16 +359,15 @@ def verify_pk(trace: Trace, warmup: int | None = None, rel_tol: float = 0.02) ->
         raise ValueError(f"unstable trace: utilization {rho} >= 1")
     ewq_formula = lam * (m.ES2 - m.ES) / (2.0 * (1.0 - rho))
     ev_formula = lam * m.ES * m.EWq + lam * (m.ES2 - m.ES) / 2.0
-    gap = m.ESWq - m.ES * m.EWq
+    tol = _pk_tolerance(ewq_formula, win.span)
+    return Rows([Row("EWq", m.EWq, ewq_formula, tol), Row("EV", m.EV, ev_formula, tol)])
 
-    def ok(sim, ref):
-        # delay averages are heavily serially correlated, hence the wide
-        # noise floor; at the reference horizon the relative term dominates
-        scale = max(abs(ref), 1e-9)
-        return abs(sim - ref) <= rel_tol * scale + 30.0 / math.sqrt(win.span)
 
-    passed = ok(m.EWq, ewq_formula) and ok(m.EV, ev_formula)
-    return PKReport(lam, rho, m.EWq, ewq_formula, m.EV, ev_formula, gap, rel_tol, passed)
+def check_workload(trace: Trace, warmup: int | None = None) -> Rows:
+    """Mean workload against mean queueing delay, equal under FIFO Bernoulli input."""
+    win = window(trace, warmup)
+    m = workload_moments(trace, win.warmup)
+    return Rows([Row("EV vs EWq", m.EV, m.EWq, _pk_tolerance(m.EWq, win.span))])
 
 
 @dataclass(frozen=True)

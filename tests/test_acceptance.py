@@ -125,9 +125,9 @@ def test_criterion_03_worked_example():
 
 
 def test_criterion_04_little_family(ref_trace):
-    rep = littles.check_little(ref_trace, WARMUP)
+    (rep,) = littles.check_little(ref_trace, WARMUP)
     ok = rep.passed
-    detail = [f"L={rep.L:.4f}"]
+    detail = [f"L={rep.simulated:.4f}"]
     targets = {
         (R.LAS_IA, E.RANDOM_OBSERVER): 1.05,
         (R.EAS, E.RANDOM_OBSERVER): 0.75,
@@ -136,8 +136,8 @@ def test_criterion_04_little_family(ref_trace):
     for (rule, epoch), target in targets.items():
         orep = littles.check_little_observed(ref_trace, rule, epoch, WARMUP)
         ok &= orep.passed
-        ok &= abs(orep.L_obs - target) <= 0.01 * target
-        detail.append(f"{target}:{orep.L_obs:.4f}")
+        ok &= abs(orep[0].simulated - target) <= 0.01 * target
+        detail.append(f"{target}:{orep[0].simulated:.4f}")
     report(4, "L = lam*W and class targets 1.05/0.75/1.35 within 1%", ok, " ".join(detail))
 
 
@@ -250,12 +250,12 @@ def test_criterion_09_sigma_solver():
 
 
 def test_criterion_10_pk_and_workload(ref_trace):
-    rep = littles.verify_pk(ref_trace, WARMUP)
-    ok = abs(rep.EWq_sim - 1.5) <= 0.02 * 1.5
-    ok &= abs(rep.EV_sim - 1.5) <= 0.02 * 1.5
+    ewq, ev = littles.verify_pk(ref_trace, WARMUP)
+    ok = abs(ewq.simulated - 1.5) <= 0.02 * 1.5
+    ok &= abs(ev.simulated - 1.5) <= 0.02 * 1.5
     unit = build_trace(Bernoulli(0.6), DiscreteDist.point(1), Fifo(1), 5, 100_000)
-    urep = littles.verify_pk(unit, 10_000)
-    ok &= urep.EWq_sim == 0.0 and urep.EWq_formula == 0.0
+    urep, _ = littles.verify_pk(unit, 10_000)
+    ok &= urep.simulated == 0.0 and urep.formula == 0.0
     m = littles.workload_moments(ref_trace, WARMUP)
     est = observer.time_averages(ref_trace, warmup=WARMUP)
     ok &= abs(est.W - (m.EWq + m.ES)) <= 0.01 * est.W
@@ -263,7 +263,7 @@ def test_criterion_10_pk_and_workload(ref_trace):
         10,
         "EWq and EV at 1.5 within 2%; unit-service delay exactly 0; W = Wq + ES within 1%",
         ok,
-        f"EWq={rep.EWq_sim:.4f} EV={rep.EV_sim:.4f}",
+        f"EWq={ewq.simulated:.4f} EV={ev.simulated:.4f}",
     )
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dtq import cli
+from dtq import cli, littles
 from dtq.cli import main
 from dtq.coherence import CoherenceClass, classify
 
@@ -247,11 +247,10 @@ class TestVerify:
     def test_missing_config_rejected(self, capsys):
         assert main(["--config", "/does/not/exist.ini", "verify"]) == 2
 
-    def test_env_seed_override(self, small_config, tmp_path, monkeypatch):
+    def test_seed_override(self, small_config, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["--config", small_config, "--out", str(out1), "verify"]) == 0
-        monkeypatch.setenv("DTQ_SEED", "77")
-        assert main(["--config", small_config, "--out", str(out2), "verify"]) == 0
+        assert main(["--config", small_config, "--seed", "77", "--out", str(out2), "verify"]) == 0
         b1, b2 = json.loads(out1.read_text()), json.loads(out2.read_text())
         assert b1["sim"]["seed"] == 42
         assert b2["sim"]["seed"] == 77
@@ -475,6 +474,31 @@ class TestCheckRegistry:
     @pytest.mark.parametrize("klass", list(CoherenceClass))
     def test_class_combo_represents_its_class(self, klass):
         assert classify(*cli._CLASS_COMBOS[klass]) is klass
+
+    # the library calls whose rows a check reports, one Rows per call
+    LIBRARY_ROWS = {
+        "little": lambda trace, w: [littles.check_little(trace, w)],
+        "little-observed": lambda trace, w: [
+            littles.check_little_observed(trace, rule, epoch, w)
+            for rule, epoch in cli._CLASS_COMBOS.values()
+        ],
+        "pk": lambda trace, w: [littles.verify_pk(trace, w)],
+        "workload": lambda trace, w: [littles.check_workload(trace, w)],
+    }
+
+    @pytest.mark.parametrize("name", list(LIBRARY_ROWS))
+    def test_bundle_rows_are_the_library_rows(self, small_config, name):
+        # the library decides every verdict; the bundle only reports it
+        exp = cli.load_experiment(small_config)
+        trace = exp.make_trace(exp.seed)
+        calls = self.LIBRARY_ROWS[name](trace, exp.warmup)
+        library = [row for rows in calls for row in rows]
+        got = cli._run_check(name, exp, trace)
+        assert got == [cli._row(name, row) for row in library]
+        for r, row in zip(got, library):
+            assert (r["quantity"], r["simulated"], r["formula"], r["tolerance"]) == tuple(row)
+            assert (r["residual"], r["pass"]) == (row.residual, row.passed)
+        assert all(rows.passed for rows in calls) == all(r["pass"] for r in got)
 
 
 class TestPublicSurface:

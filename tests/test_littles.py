@@ -18,7 +18,7 @@ from conftest import (
     traced_peak_mb,
 )
 from dtq import littles as littles_mod
-from dtq.coherence import CoherenceClass
+from dtq.coherence import CoherenceClass, classify
 from dtq.engine import (
     Bernoulli,
     DiscreteDist,
@@ -37,34 +37,37 @@ from dtq.littles import (
     check_h_lambda_g,
     check_little,
     check_little_observed,
+    check_workload,
     indicator_cost,
     remaining_work_cost,
     utilization,
     verify_pk,
     workload_moments,
 )
-from dtq.observer import _SHIFTS, InsufficientDataError, time_averages
+from dtq.observer import _SHIFTS, InsufficientDataError, time_averages, window
 from dtq.timebase import ObservationEpoch as E, SchedulingRule as R
 
 
 class TestCheckLittle:
     def test_worked_example_exact(self, worked_example_trace):
-        rep = check_little(worked_example_trace, warmup=0)
-        assert rep.L == pytest.approx(8 / 7, abs=1e-12)
-        assert rep.lam == pytest.approx(3 / 7, abs=1e-12)
-        assert rep.W == pytest.approx(8 / 3, abs=1e-12)
-        assert rep.residual < 1e-12
-        assert rep.passed
+        (row,) = check_little(worked_example_trace, warmup=0)
+        lam = window(worked_example_trace, 0).lam
+        assert row.simulated == pytest.approx(8 / 7, abs=1e-12)
+        assert lam == pytest.approx(3 / 7, abs=1e-12)
+        assert row.formula / lam == pytest.approx(8 / 3, abs=1e-12)
+        assert row.residual < 1e-12
+        assert row.passed
 
     def test_reference_trace(self, bgeom1_trace):
-        rep = check_little(bgeom1_trace)
-        assert rep.passed
-        assert rep.L == pytest.approx(1.05, rel=0.03)
+        rows = check_little(bgeom1_trace)
+        assert rows.passed
+        assert rows[0].simulated == pytest.approx(1.05, rel=0.03)
 
     def test_empty_trace(self):
         tr = run_discipline([], [], Fifo(1), horizon=100)
-        rep = check_little(tr)
-        assert rep.passed and rep.L == 0.0 and rep.lam == 0.0
+        rows = check_little(tr)
+        (row,) = rows
+        assert rows.passed and row.simulated == 0.0 and row.formula == 0.0
 
     def test_residual_shrinks_with_horizon(self):
         # matched seeds, two decades apart; majority of pairs must improve
@@ -72,8 +75,9 @@ class TestCheckLittle:
         for seed in range(10):
             small = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), seed, 10_000)
             big = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), seed, 1_000_000)
-            r_small = check_little(small, warmup=1_000).residual
-            r_big = check_little(big, warmup=100_000).residual
+            (small_row,) = check_little(small, warmup=1_000)
+            (big_row,) = check_little(big, warmup=100_000)
+            r_small, r_big = small_row.residual, big_row.residual
             wins += r_big < r_small
         assert wins > 5
 
@@ -88,17 +92,24 @@ class TestCheckLittleObserved:
         ],
     )
     def test_class_targets(self, bgeom1_trace, rule, epoch, target):
-        rep = check_little_observed(bgeom1_trace, rule, epoch)
-        assert rep.passed
-        assert rep.L_obs == pytest.approx(target, rel=0.03)
-        assert rep.residual_obs <= rep.tolerance
-        assert rep.shift_residual <= rep.tolerance
+        rows = check_little_observed(bgeom1_trace, rule, epoch)
+        class_row, observed_row = rows
+        assert rows.passed
+        assert class_row.simulated == pytest.approx(target, rel=0.03)
+        assert observed_row.residual <= observed_row.tolerance
+        # the observed path sits offset*lam away from the actual one
+        est = time_averages(bgeom1_trace, rule, epoch)
+        shift_residual = abs((est.L_obs - est.L) - est.lam * classify(rule, epoch).offset)
+        assert shift_residual <= class_row.tolerance
 
     def test_observed_rate_equality(self, worked_example_trace):
-        rep = check_little_observed(worked_example_trace, R.LA_DF, E.RANDOM_OBSERVER, warmup=0)
+        class_row, observed_row = check_little_observed(
+            worked_example_trace, R.LA_DF, E.RANDOM_OBSERVER, warmup=0
+        )
         # coherent combo on the closed example: everything exact
-        assert rep.klass is CoherenceClass.COHERENT
-        assert rep.L_obs == pytest.approx(rep.lam * rep.W_obs, abs=1e-12)
+        assert classify(R.LA_DF, E.RANDOM_OBSERVER) is CoherenceClass.COHERENT
+        assert class_row.quantity.endswith("(coherent)")
+        assert observed_row.simulated == pytest.approx(observed_row.formula, abs=1e-12)
 
 
 class TestBasicInequality:
@@ -178,11 +189,12 @@ class TestExactLittleIdentity:
 
 class TestHLambdaG:
     def test_indicator_cost_reduces_to_little(self, worked_example_trace):
-        hg = check_h_lambda_g(worked_example_trace, indicator_cost(), warmup=0)
-        little = check_little(worked_example_trace, warmup=0)
-        assert hg.H == pytest.approx(little.L, abs=1e-12)
-        assert hg.G == pytest.approx(little.W, abs=1e-12)
-        assert hg.lam == pytest.approx(little.lam, abs=1e-12)
+        (hg,) = check_h_lambda_g(worked_example_trace, indicator_cost(), warmup=0)
+        (little,) = check_little(worked_example_trace, warmup=0)
+        lam = window(worked_example_trace, 0).lam
+        assert hg.simulated == pytest.approx(little.simulated, abs=1e-12)
+        assert hg.formula == pytest.approx(little.formula, abs=1e-12)  # lam*G against lam*W
+        assert lam == pytest.approx(time_averages(worked_example_trace, warmup=0).lam, abs=1e-12)
         assert hg.passed
 
     def test_zero_cost(self, worked_example_trace):
@@ -191,14 +203,14 @@ class TestHLambdaG:
             return np.arange(tr.n), tr.arrivals + 1, tr.departures, zeros, zeros
 
         zero = CostFunction(pieces, lambda tr: tr.waits, "zero")
-        hg = check_h_lambda_g(worked_example_trace, zero, warmup=0)
-        assert hg.H == 0.0 and hg.G == 0.0 and hg.passed
+        (hg,) = check_h_lambda_g(worked_example_trace, zero, warmup=0)
+        assert hg.simulated == 0.0 and hg.formula == 0.0 and hg.passed
 
     def test_remaining_work_cost(self, bgeom1_trace):
-        hg = check_h_lambda_g(bgeom1_trace, remaining_work_cost())
+        (hg,) = check_h_lambda_g(bgeom1_trace, remaining_work_cost())
         m = workload_moments(bgeom1_trace)
         assert hg.passed
-        assert hg.H == pytest.approx(m.EV, rel=1e-9)
+        assert hg.simulated == pytest.approx(m.EV, rel=1e-9)
 
     def test_support_violation_reported(self, worked_example_trace):
         # one unit per slot on [A + lo_shift, D + hi_shift]: a charge at the
@@ -224,15 +236,16 @@ class TestHLambdaG:
         cost = CostFunction(pieces, lambda tr: tr.waits, "with-empty")
         hg = check_h_lambda_g(worked_example_trace, cost, warmup=0)
         ref = check_h_lambda_g(worked_example_trace, indicator_cost(), warmup=0)
-        assert (hg.H, hg.lam, hg.G) == (ref.H, ref.lam, ref.G)
+        assert hg == ref
 
     def test_arrivals_past_the_horizon_not_in_rate(self):
         # one-slot customers in every odd slot up to 199, horizon 100: H = 0.5
         # and G = 1 exactly, and lambda counts only the arrivals in (10, 100]
         tr = run_discipline(np.arange(1, 200, 2), np.ones(100, dtype=np.int64), Fifo(1), horizon=100)
-        hg = check_h_lambda_g(tr, indicator_cost(), warmup=10)
-        assert (hg.H, hg.lam, hg.G) == (0.5, 0.5, 1.0)
-        assert hg.lam == time_averages(tr, warmup=10).lam == verify_pk(tr, 10).lam
+        (hg,) = check_h_lambda_g(tr, indicator_cost(), warmup=10)
+        lam = window(tr, 10).lam
+        assert (hg.simulated, lam, hg.formula / lam) == (0.5, 0.5, 1.0)
+        assert lam == time_averages(tr, warmup=10).lam
         assert hg.residual == 0.0 and hg.passed
 
 
@@ -274,7 +287,8 @@ class TestCostKernel:
         monkeypatch.setattr(Trace, "queue_path", no_path)
         for cost in (indicator_cost(), remaining_work_cost()):
             assert check_h_lambda_g(tr, cost, 2_000).passed
-        assert verify_pk(tr, 2_000, rel_tol=0.1).passed
+        for row in verify_pk(tr, 2_000):
+            assert abs(row.simulated - row.formula) <= 0.1 * abs(row.formula) + 30.0 / math.sqrt(18_000)
 
 
 def _work_at(trace, tau):
@@ -377,19 +391,42 @@ class TestVerifyPk:
     def test_reference_trace(self, bgeom1_trace):
         # the 2 percent gate needs the long acceptance horizon; at this
         # scale the delay estimate carries a few percent of noise
-        rep = verify_pk(bgeom1_trace, rel_tol=0.05)
-        assert rep.passed
-        assert rep.EWq_formula == pytest.approx(1.5, rel=0.05)
-        assert rep.EWq_sim == pytest.approx(1.5, rel=0.05)
-        assert rep.EV_sim == pytest.approx(rep.EV_formula, rel=0.03)
-        assert abs(rep.uncorrelated_gap) < 0.08
+        ewq, ev = verify_pk(bgeom1_trace)
+        floor = 30.0 / math.sqrt(180_000)
+        for row in (ewq, ev):
+            assert abs(row.simulated - row.formula) <= 0.05 * abs(row.formula) + floor
+        assert ewq.formula == pytest.approx(1.5, rel=0.05)
+        assert ewq.simulated == pytest.approx(1.5, rel=0.05)
+        assert ev.simulated == pytest.approx(ev.formula, rel=0.03)
+        # FIFO: a customer's service is uncorrelated with its queueing delay
+        m = workload_moments(bgeom1_trace)
+        assert abs(m.ESWq - m.ES * m.EWq) < 0.08
+
+    def test_arrivals_past_the_horizon_not_in_rate(self):
+        # customers every third slot up to 598, horizon 300: lambda counts only
+        # the 90 arrivals in (30, 300]; services of 1 and 3 make ES2 > ES
+        arrivals = np.arange(1, 600, 3)
+        tr = run_discipline(arrivals, np.tile([1, 3], 100), Fifo(1), horizon=300)
+        ewq, ev = verify_pk(tr, 30)
+        lam, m = window(tr, 30).lam, workload_moments(tr, 30)
+        assert lam == 90 / 270 and m.ES2 > m.ES and lam * m.ES < 1.0
+        assert ewq.formula == lam * (m.ES2 - m.ES) / (2 * (1 - lam * m.ES))
+        assert ev.formula == lam * m.ES * m.EWq + lam * (m.ES2 - m.ES) / 2
+
+    def test_workload_row_shares_the_delay_tolerance(self, bgeom1_trace):
+        # EV against EWq, held to the P-K rule scaled by the simulated delay
+        (row,) = check_workload(bgeom1_trace)
+        m = workload_moments(bgeom1_trace)
+        tol = 0.02 * abs(m.EWq) + 30.0 / math.sqrt(180_000)
+        assert tuple(row) == ("EV vs EWq", m.EV, m.EWq, tol) and row.passed
 
     def test_deterministic_unit_service_no_queueing(self):
         tr = build_trace(Bernoulli(0.6), DiscreteDist.point(1), Fifo(1), 3, 50_000)
-        rep = verify_pk(tr)
-        assert rep.EWq_sim == 0.0
-        assert rep.EWq_formula == 0.0
-        assert rep.passed
+        rows = verify_pk(tr)
+        ewq, _ = rows
+        assert ewq.simulated == 0.0
+        assert ewq.formula == 0.0
+        assert rows.passed
 
     def test_unstable_rejected(self):
         tr = build_trace(Bernoulli(0.7), DiscreteDist.geometric(0.5), Fifo(1), 5, 20_000)
