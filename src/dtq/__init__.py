@@ -24,7 +24,7 @@ from .engine import (
     run_discipline,
     sample_services,
 )
-from .littles import basic_inequality, check_little, check_little_observed, utilization, verify_pk
+from .littles import check_little, check_little_observed, utilization, verify_pk
 from .observer import QueueEstimates, time_averages
 from .timebase import ObservationEpoch, SchedulingRule
 

@@ -127,13 +127,16 @@ class Experiment:
         else:
             raise ConfigError(f"unknown discipline {disc!r}")
 
-        # stability is known from the specs alone, so reject before any simulation
-        if isinstance(self.arrival, (Bernoulli, Renewal)) and isinstance(self.discipline, Fifo):
-            if isinstance(self.arrival, Bernoulli):
-                lam = self.alpha
-            else:
-                lam = 1.0 / self.arrival.interarrival.mean()
-            rho = lam * self.service.mean() / self.servers
+        # the offered load lambda*E[S] is known from the specs alone, so an
+        # unstable queue or formula is rejected before any simulation
+        lam = None
+        if isinstance(self.arrival, Bernoulli):
+            lam = self.alpha
+        elif isinstance(self.arrival, Renewal):
+            lam = 1.0 / self.arrival.interarrival.mean()
+        self.load = None if lam is None else lam * self.service.mean()
+        if self.load is not None and isinstance(self.discipline, Fifo):
+            rho = self.load / self.servers
             if rho >= 1.0:
                 raise ConfigError(f"unstable configuration: utilization {rho:.3f} >= 1")
 
@@ -153,9 +156,21 @@ class Experiment:
         for n in self.checks:
             if n not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {n!r}; known: {', '.join(CHECK_NAMES)}")
+            self.require(n)
 
         self.format = out.get("format", "text")
         self.out_path = out.get("path")
+
+    def require(self, check: str) -> None:
+        """Raise ConfigError when this model leaves the formula of ``check``
+        undefined: P-K needs lambda*E[S] < 1, dist and table61 alpha < beta."""
+        try:
+            if check == "pk" and self.load is not None and self.load >= 1.0:
+                raise ValueError(f"unstable: lambda*E[S] = {self.load:.4g} >= 1")
+            if check in ("dist", "table61"):
+                birthdeath._check_stable(self.alpha, self.beta)
+        except ValueError as exc:
+            raise ConfigError(f"check {check!r}: {exc}") from None
 
     def make_trace(self, seed: int):
         return build_trace(self.arrival, self.service, self.discipline, seed, self.horizon)
@@ -369,6 +384,7 @@ def cmd_verify(args) -> int:
 def cmd_check(args) -> int:
     """One registered check, named by the subcommand, on one trace."""
     exp = load_experiment(args.config, args.seed)
+    exp.require(args.command)
     rows = _run_check(args.command, exp, exp.make_trace(exp.seed))
     _emit(rows, _rows_text(rows), args.format or "text", args.out)
     return 0 if all(r["pass"] for r in rows) else 1

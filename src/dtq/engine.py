@@ -327,29 +327,26 @@ class Trace:
         """Actual sojourn times D_k - A_k."""
         return self.departures - self.arrivals
 
-    def shift_path(self, s0: int, e0: int, first: int = 0) -> np.ndarray:
+    def shift_path(self, s0: int, e0: int) -> np.ndarray:
         """Number of customers whose span A + s0 .. D + e0 covers j, for
-        j = first..horizon: N_A[j - s0] - N_D[j - e0 - 1], a count at a
-        negative index being 0, for the counting processes
-        N_A[x] = #{A <= x} and N_D[x] = #{D <= x}, x = 0..horizon+1, each
-        one full-range call of :func:`_running_count`.
+        j = 0..horizon: N_A(j - s0) - N_D(j - e0 - 1), each block of
+        :func:`_counts` read at the two lags into its run of the path.
 
         The one materializer of a slot-length path, read by
         :meth:`queue_path`, :func:`dtq.observer.observed_queue_path` and
         the tests.  Checks and time averages take the same counts block by
         block and never hold them whole.
         """
-        T = self.horizon
         k = e0 + 1  # departures leave the count k slots after D
-        if not (0 <= s0 <= 1 and -1 <= k <= 1 and 0 <= first <= T):
-            raise ValueError(f"span shift ({s0}, {e0}) from slot {first} is out of range")
-        n_a = _running_count(self.arrivals, 0, T + 2)
-        n_d = _running_count(np.sort(self.departures, kind="stable"), 0, T + 2)
-        path = np.empty(T + 1 - first, dtype=np.int64)
-        j0 = max(first, s0, k)  # from j0 on, both count indices are nonnegative
-        np.subtract(n_a[j0 - s0 : T + 1 - s0], n_d[j0 - k : T + 1 - k], out=path[j0 - first :])
-        for j in range(first, j0):
-            path[j - first] = (n_a[j - s0] if j >= s0 else 0) - (n_d[j - k] if j >= k else 0)
+        if not (0 <= s0 <= 1 and -1 <= k <= 1):
+            raise ValueError(f"span shift ({s0}, {e0}) is out of range")
+        d = np.sort(self.departures, kind="stable")
+        path = np.empty(self.horizon + 1, dtype=np.int64)
+        j = 0
+        for n_a, n_d in _counts(self.arrivals, d, 0, len(path)):
+            m = len(n_a) - 2
+            np.subtract(n_a[1 - s0 : m + 1 - s0], n_d[1 - k : m + 1 - k], out=path[j : j + m])
+            j += m
         return path
 
     def queue_path(self, convention: str = "strict-left") -> np.ndarray:
@@ -387,21 +384,23 @@ def _slot_blocks(first: int, end: int):
         yield x0, min(x0 + _SLOT_BLOCK, end)
 
 
-def _running_count(events: np.ndarray, x0: int, x1: int, sorter=None) -> np.ndarray:
-    """Running count #{events <= x} for x = x0..x1-1 (x1 > x0) of an
-    array of nonnegative event slots, sorted or read in the order
-    ``sorter`` sorts it, as in ``np.searchsorted``.
-
-    The events before x0 are the carry-in, found by ``searchsorted``; the
-    events inside the block add one cumulative ``bincount``.  The running
-    weight sum of the same events is the prefix sum of their weights, in
-    event order, read at this count.
-    """
-    lo, hi = np.searchsorted(events, (x0, x1), sorter=sorter)
-    inside = events[lo:hi] if sorter is None else events[sorter[lo:hi]]
-    counts = np.bincount(inside - x0, minlength=x1 - x0)
-    counts[0] += lo
-    return np.cumsum(counts, out=counts)
+def _counts(a: np.ndarray, d: np.ndarray, first: int, end: int, order=None):
+    """The one builder of the counting processes N_A(x) = #{A <= x} and
+    N_D(x) = #{D <= x}: a pair of int64 arrays per block [x0, x1) of
+    ``_slot_blocks(first, end)``, each at x = x0-1..x1 (a count at -1 is
+    0), of the sorted arrival slots ``a`` and the departure slots ``d``,
+    sorted or read in the order ``order`` sorts them.  Per block, the
+    events before it are the carry-in, found by ``searchsorted``, and the
+    events inside it add one cumulative ``bincount``."""
+    for x0, x1 in _slot_blocks(first, end):
+        pair = []
+        for events, sorter in ((a, None), (d, order)):
+            lo, hi = np.searchsorted(events, (x0 - 1, x1 + 1), sorter=sorter)
+            inside = events[lo:hi] if sorter is None else events[sorter[lo:hi]]
+            counts = np.bincount(inside - (x0 - 1), minlength=x1 - x0 + 2)
+            counts[0] += lo
+            pair.append(np.cumsum(counts, out=counts))
+        yield pair
 
 
 def _uniform_blocks(rng: np.random.Generator, n: int):

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .coherence import classify
-from .engine import Trace, _running_count, _slot_blocks
+from .engine import Trace, _counts, _slot_blocks
 from .observer import time_averages, window
 from .timebase import ObservationEpoch, SchedulingRule
 
@@ -26,7 +26,6 @@ __all__ = [
     "UtilizationReport",
     "check_little",
     "check_little_observed",
-    "basic_inequality",
     "basic_inequality_path",
     "indicator_cost",
     "remaining_work_cost",
@@ -97,28 +96,14 @@ def check_little_observed(
     ])
 
 
-def basic_inequality(trace: Trace, tau: int) -> tuple[int, int, int, bool]:
-    """Exact sandwich at slot index tau: the waits of the customers arrived
-    by tau >= the cumulative number in system sum_{j <= tau} L(j) >= the
-    waits of those departed by tau.  Each sum is a closed form over the
-    customers; customer k is in the system at the min(D_k, tau) - A_k
-    indices A_k < j <= tau, when that is positive."""
-    if not 0 <= tau <= trace.horizon:
-        raise ValueError(f"slot index {tau} outside [0, {trace.horizon}]")
-    a, d, waits = trace.arrivals, trace.departures, trace.waits
-    upper = int(waits[a <= tau].sum())
-    middle = int(np.maximum(np.minimum(d, tau) - a, 0).sum())
-    lower = int(waits[d <= tau].sum())
-    return upper, middle, lower, upper >= middle >= lower
-
-
 def _inequality_blocks(trace: Trace):
-    """The three sums of :func:`basic_inequality` at every slot index
-    0..horizon, as int64 arrays over consecutive blocks of
-    ``_SLOT_BLOCK`` indices.
+    """The exact sandwich at every slot index tau = 0..horizon, as int64
+    arrays over consecutive blocks of ``_SLOT_BLOCK`` indices: the waits of
+    the customers arrived by tau >= sum_{j <= tau} L(j) >= the waits of
+    those departed by tau.
 
-    Per block, :func:`dtq.engine._running_count` gives N_A and N_D at
-    x = x0-1..x1-1, so the customers that arrive in the block are
+    Each block of :func:`dtq.engine._counts`, read at x = x0-1..x1-1,
+    gives N_A and N_D, so the customers that arrive in the block are
     N_A(x0-1)..N_A(x1-1) - 1 in arrival order, and those that depart in it
     the same run of the departure order.  The outer sums are prefix sums
     of those customers' waits, carried from block to block and read at
@@ -132,9 +117,8 @@ def _inequality_blocks(trace: Trace):
     a, d = trace.arrivals, trace.departures
     order = np.argsort(d, kind="stable")
     upper = middle = lower = 0  # the sums before the block
-    for x0, x1 in _slot_blocks(0, trace.horizon + 1):
-        n_a = _running_count(a, x0 - 1, x1)
-        n_d = _running_count(d, x0 - 1, x1, order)
+    for n_a, n_d in _counts(a, d, 0, trace.horizon + 1, order):
+        n_a, n_d = n_a[:-1], n_d[:-1]  # x = x0-1..x1-1
         in_system = np.subtract(n_a[:-1], n_d[:-1])
         np.cumsum(in_system, out=in_system)
         in_system += middle
@@ -143,6 +127,7 @@ def _inequality_blocks(trace: Trace):
         upper = _read_carried_sums(upper, n_a, d[n_a[0] : n_a[-1]] - a[n_a[0] : n_a[-1]])
         lower = _read_carried_sums(lower, n_d, d[departed] - a[departed])
         yield n_a[1:], in_system, n_d[1:]
+        del n_a, n_d  # let go of this block before _counts builds the next
 
 
 def _read_carried_sums(carry: int, counts: np.ndarray, values: np.ndarray) -> int:
@@ -171,37 +156,28 @@ def basic_inequality_path(trace: Trace) -> bool:
 
 
 class CostContractError(ValueError):
-    """A cost function charged outside its declared support window."""
+    """A cost function charged a customer outside its sojourn."""
 
 
 @dataclass(frozen=True)
 class CostFunction:
-    """Per-customer cost rate, piecewise linear in the slot index, with a
-    declared finite support.
+    """Per-customer cost rate, piecewise linear in the slot index.
 
-    ``pieces(trace)`` returns five equal-length arrays
-    ``(owner, lo, hi, const, slope)``: piece i charges customer
-    ``owner[i]`` the rate ``const[i] - slope[i] * tau`` at every slot
-    index ``lo[i] <= tau <= hi[i]`` (a piece with ``hi < lo`` is empty).
-    A customer's rate is the sum of its pieces.  ``support(trace)`` gives
-    each customer's window length w_k; every nonempty piece must lie in
-    (A_k, A_k + w_k], or :func:`check_h_lambda_g` raises
-    :class:`CostContractError`.
+    ``pieces(trace)`` yields groups ``(lo, hi, const, slope)`` aligned with
+    the customers, each entry one value per customer or a scalar for all:
+    customer k pays ``const[k] - slope[k] * tau`` at each slot index
+    ``lo[k] <= tau <= hi[k]`` (none if hi < lo), and its rate is the sum
+    over the groups.  Every charge must lie in the sojourn (A_k, D_k], or
+    :func:`check_h_lambda_g` raises :class:`CostContractError`.
     """
 
-    pieces: Callable[[Trace], tuple[np.ndarray, ...]]
-    support: Callable[[Trace], np.ndarray]
+    pieces: Callable[[Trace], Iterable[tuple]]
     name: str = "cost"
-
-
-def _indicator_pieces(trace: Trace):
-    n = trace.n
-    return np.arange(n), trace.arrivals + 1, trace.departures, np.ones(n), np.zeros(n)
 
 
 def indicator_cost() -> CostFunction:
     """One unit per slot while in the system; reduces to Little's law."""
-    return CostFunction(_indicator_pieces, lambda trace: trace.waits, "indicator")
+    return CostFunction(lambda t: [(t.arrivals + 1, t.departures, np.ones(t.n), 0)], "indicator")
 
 
 def _work_pieces(a, b, s, d):
@@ -213,17 +189,11 @@ def _work_pieces(a, b, s, d):
     yield b + 1, d, d, 1
 
 
-def _remaining_work_pieces(trace: Trace):
-    owner = np.arange(trace.n)
-    columns = trace.arrivals, trace.starts, trace.services, trace.departures
-    waiting, serving = (np.broadcast_arrays(owner, *piece) for piece in _work_pieces(*columns))
-    return tuple(np.concatenate(arrays) for arrays in zip(waiting, serving))
-
-
 def remaining_work_cost() -> CostFunction:
     """Work still owed to the customer: full service while waiting, then
     decreasing by one per served slot."""
-    return CostFunction(_remaining_work_pieces, lambda trace: trace.waits, "remaining-work")
+    return CostFunction(lambda t: _work_pieces(t.arrivals, t.starts, t.services, t.departures),
+                        "remaining-work")
 
 
 def _piece_sums(lo, hi, const, slope, first=None, last=None):
@@ -256,19 +226,17 @@ def _piece_sums(lo, hi, const, slope, first=None, last=None):
 
 def _cost_profile(trace: Trace, cost: CostFunction, warmup: int):
     """Total cost charged over the window (warmup, horizon] and each
-    customer's total over its full support, unclipped by the horizon.
-    Raises CostContractError when a nonempty piece leaves the support."""
-    owner, lo, hi, const, slope = (np.asarray(x) for x in cost.pieces(trace))
-    w = np.asarray(cost.support(trace))
-    a = trace.arrivals[owner]
-    bad = (lo <= hi) & ((lo <= a) | (hi > a + w[owner]))
-    if np.any(bad):
-        k = int(owner[np.argmax(bad)])
-        raise CostContractError(
-            f"{cost.name}: customer {k} charged outside (A, A + {int(w[k])}]"
-        )
-    total = _piece_sums(lo, hi, const, slope, warmup + 1, trace.horizon)
-    totals = np.bincount(owner, weights=_piece_sums(lo, hi, const, slope), minlength=trace.n)
+    customer's total over its sojourn, unclipped by the horizon, group by
+    group.  Raises CostContractError when a nonempty piece leaves it."""
+    a, d = trace.arrivals, trace.departures
+    total, totals = 0, np.zeros(trace.n)
+    for lo, hi, const, slope in cost.pieces(trace):
+        bad = (lo <= hi) & ((lo <= a) | (hi > d))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise CostContractError(f"{cost.name}: customer {k} charged outside ({a[k]}, {d[k]}]")
+        total += _piece_sums(lo, hi, const, slope, warmup + 1, trace.horizon)
+        totals += _piece_sums(lo, hi, const, slope)
     return total, totals
 
 
@@ -278,8 +246,9 @@ def check_h_lambda_g(trace: Trace, cost: CostFunction, warmup: int | None = None
 
     H is the cost charged over the :func:`dtq.observer.window` per window
     slot, G the mean cost of its completed customers, both closed-form
-    piece sums, so no slot path is built.  Raises CostContractError when
-    a piece leaves its declared support.
+    piece sums over the cost's customer-aligned groups, so no slot path is
+    built.  Raises CostContractError when a piece leaves its customer's
+    sojourn (A, D].
     """
     win = window(trace, warmup)
     total, totals = _cost_profile(trace, cost, win.warmup)

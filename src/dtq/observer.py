@@ -10,12 +10,10 @@ shifts, so every observed quantity is a function of the shift alone.
 Every queue path is a difference of the two counting processes of a
 trace: the path of shift (s0, e0) is N_A(j - s0) - N_D(j - e0 - 1), and
 the actual path is shift (1, 0) (strict-left) or (0, -1) (strict-right).
-No time average holds a slot-length array: the slots are taken in
-blocks of ``dtq.engine._SLOT_BLOCK``, and each block's counts come from
-:func:`dtq.engine._running_count` on the sorted arrival and departure
-slots, with the counts before the block as its carry-in.  Only the
-materializers :meth:`dtq.engine.Trace.shift_path` and
-:func:`observed_queue_path` build a whole path.
+Both come block by block from :func:`dtq.engine._counts`, the one
+builder of N_A and N_D, so no time average holds a slot-length array.
+Only the materializers :meth:`dtq.engine.Trace.shift_path` and
+:func:`observed_queue_path` join the blocks into a whole path.
 
 :func:`window` owns the averaging window (warmup, T]: the default
 warmup T // 10 and its range check, lambda, W and the completed-customer
@@ -39,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Trace, _running_count, _slot_blocks, convention_shift
+from .engine import Trace, _counts, convention_shift
 from .timebase import (
     EPOCHS,
     RULES,
@@ -187,8 +185,8 @@ def _window_block(trace: Trace, warmup: int) -> dict:
     coherence class.
 
     The window of shift (0, e0) is N_A(j) - N_D(j - e0 - 1); each block
-    takes N_A and one run of N_D from :func:`dtq.engine._running_count`
-    and reads the three class windows off them.  Shift (1, e0 + 1) is
+    of :func:`dtq.engine._counts` holds N_A and N_D one slot past both
+    ends, and the three class windows are slices of it.  Shift (1, e0 + 1) is
     shift (0, e0) one slot later, so the window of (0, e0) over slots
     warmup..T serves both: (0, e0) reads its last span entries and
     (1, e0 + 1) its first; the head (slot warmup) and the tail (slot T)
@@ -208,15 +206,14 @@ def _window_block(trace: Trace, warmup: int) -> dict:
     ends = {k: arrived - np.searchsorted(d, (warmup - k, T - k), "right") for k in lags}
     totals = dict.fromkeys(lags, 0)
     hists = {k: np.zeros(int(ends[k][0]) + 1, dtype=np.int64) for k in lags}
-    for x0, x1 in _slot_blocks(warmup + 1, T + 1):
-        n_a = _running_count(a, x0, x1)
-        n_d = _running_count(d, x0 - 1, x1 + 1)  # N_D(j - k) for k = 1, 0, -1
+    for n_a, n_d in _counts(a, d, warmup + 1, T + 1):  # N_A(j) and N_D(j - k) at j = x0..x1-1
         for k in lags:
-            window = n_a - n_d[1 - k : 1 - k + x1 - x0]
+            window = n_a[1:-1] - n_d[1 - k : len(n_d) - 1 - k]
             totals[k] += int(window.sum())
             hist = np.bincount(window, minlength=len(hists[k]))
             hist[: len(hists[k])] += hists[k]
             hists[k] = hist
+        del n_a, n_d, window  # let go of this block before _counts builds the next
     block = {}
     for k in lags:
         total, hist, (head, tail) = totals[k], hists[k], map(int, ends[k])

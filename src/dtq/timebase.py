@@ -25,9 +25,9 @@ combination to one integer pair (s0, e0): a customer with actual slots
 five pairs occur over the 30 combinations: (0, -1) x 9, (1, 0) x 8,
 (1, -1) x 7, (0, 0) x 5 and (0, -2) x 1.  Everything observed depends on
 the pair alone: the observed queue path is N_A(j - s0) - N_D(j - e0 - 1)
-for the trace's arrival and departure counting processes, so every
-pair's time averages come from one blocked pass over those counts (see
-:mod:`dtq.observer`), and the
+for the trace's arrival and departure counting processes, the blocks of
+:func:`dtq.engine._counts`, so every pair's time averages come from one
+blocked pass over those counts (see :mod:`dtq.observer`), and the
 observed-wait offset e0 - s0 + 1 gives the coherence class (see
 :mod:`dtq.coherence`).
 """

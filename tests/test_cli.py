@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -188,6 +189,43 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "unstable" in err and "utilization 2.000" in err
 
+    # each check's formula needs lambda*E[S] < 1 (pk) or alpha < beta (dist,
+    # table61), which the model settles before any simulation
+    UNEVALUABLE = {
+        "fifo2-random": "alpha = 0.6\nservice = geometric:0.5\nservers = 2\nassignment = random",
+        "infinite-server": "alpha = 0.6\nservice = geometric:0.5\ndiscipline = infinite-server",
+        "renewal-c2": "arrival = renewal\ninterarrival = pmf:1:0.5,2:0.5\nservice = geometric:0.5\nservers = 2",
+    }
+
+    @pytest.mark.parametrize(
+        "model,check,message",
+        [
+            ("fifo2-random", "pk", "check 'pk': unstable: lambda*E[S] = 1.2 >= 1"),
+            ("fifo2-random", "dist", "check 'dist': unstable: alpha/beta = 1.2 >= 1"),
+            ("fifo2-random", "table61", "check 'table61': unstable: alpha/beta = 1.2 >= 1"),
+            ("infinite-server", "pk", "check 'pk': unstable: lambda*E[S] = 1.2 >= 1"),
+            ("renewal-c2", "pk", "check 'pk': unstable: lambda*E[S] = 1.333 >= 1"),
+        ],
+    )
+    def test_unevaluable_formula_rejected_before_simulation(
+        self, tmp_path, capsys, monkeypatch, model, check, message
+    ):
+        built = []
+        monkeypatch.setattr(cli, "build_trace", lambda *args: built.append(args))
+        path = tmp_path / "model.ini"
+        path.write_text(
+            f"[model]\n{self.UNEVALUABLE[model]}\n\n[sim]\nhorizon = 20000\n\n"
+            f"[checks]\nnames = little, {check}\n"
+        )
+        assert main(["--config", str(path), "verify"]) == 2
+        assert message in capsys.readouterr().err
+        assert built == []
+        # the subcommand of the same name runs it whatever the config lists
+        path.write_text(path.read_text().replace(f"little, {check}", "little"))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), check]) == 2
+        assert message.partition(": ")[2] in capsys.readouterr().err
+        assert built == []
+
     def test_empty_check_list_rejected_before_simulation(self, tmp_path, capsys, monkeypatch):
         def no_simulation(*args, **kwargs):
             raise AssertionError("build_trace called for a verify with no checks")
@@ -288,7 +326,7 @@ class TestPathBuilds:
             (Trace, "shift_path"),
             (Trace, "queue_path"),
             (observer, "observed_queue_path"),
-            (littles, "_remaining_work_pieces"),
+            (littles, "_cost_profile"),
         ):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         exp = cli.load_experiment(str(path))
@@ -458,18 +496,78 @@ class TestOutputFormats:
                 float(cell)
 
 
-def _bench_tracer():
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer_for_test", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def _bench_module(name):
+    """bench/<name>.py, loaded by path; the module is registered while it
+    runs, because dataclasses look their module up."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}_for_test", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+# sha256 of the `dtq verify` output on the benchmark's models at a tenth of
+# their bench horizon.  A change that keeps every simulated number and every
+# format keeps these; a change that moves them on purpose re-baselines them.
+GOLDEN_VERIFY_SHA256 = {
+    ("ref", 42, "json"): "37222e8e3182b7f446ba7899cac422da64074391327e9f7bb0bee727c232615f",
+    ("ref", 42, "csv"): "ba904a3a6dfd1005bee49849e9075a9cdc2cb9223fc30ba3f8fba8601ea096b6",
+    ("ref", 42, "text"): "01c6774723070df7bbfaaf7df4de5f6bb6889901e13b262db8f9af0bcadd8511",
+    ("ref", 7, "json"): "b281070615dc357d26f49e3297567977fe73796e4ec33923f4805bc8027dab2c",
+    ("ref", 7, "csv"): "6f737261e2b201d6f90746cdaf8ff0fbc59dfb332279e134c450a12dda9dbf7f",
+    ("ref", 7, "text"): "fea49454990a8b0014f946a3f35e07ae160ab7fa92cc4ac513a88e79cf28ce09",
+    ("fifo2-random", 42, "json"): "063c8a89f88b5e44a8e641e847eb945beb49b09d932e14956b0df27ba6d1a343",
+    ("fifo2-random", 42, "csv"): "16aa8ae3ba4e663960ef2c54370970fa4fba04efe7536562fe81d632f95430d3",
+    ("fifo2-random", 42, "text"): "c295574d4f62495748d896b754c8fcf8072cfb8cc2f3929b771e02cca26a613d",
+    ("fifo2-random", 7, "json"): "5a28552808c83e49f28f00b12c8dfa2df340720795b5e4e8d2232d26b7a8e7ad",
+    ("fifo2-random", 7, "csv"): "3f8e44d24554fe69e4b6a017b0412dd1e589fa3d97f5e3b62d0a4ba2457ece31",
+    ("fifo2-random", 7, "text"): "c91f3ee2bb55e76bb0bfe25532eb40087988eefc9615c8a6afd8e34f8d18eb40",
+    ("finite-population", 42, "json"): "2b9745aa9065aa8f8ca03fb56dd8213a321ac44b0f560ee7549e5e89cba83116",
+    ("finite-population", 42, "csv"): "c43abd29176729bc4ffda9e9ef53f19c44e0c6208694a88ea2aa2137669f81d8",
+    ("finite-population", 42, "text"): "029e7522a3a5e1f210ebb5c01fa596a01fb561547b37b1187c08e8402f10c6cb",
+    ("finite-population", 7, "json"): "835ee0c8d6525e6fc80f8bfaae1480ce7b99663d291eb93327b1675988c80c98",
+    ("finite-population", 7, "csv"): "cc5cd9eef0042781c9fe8a767e5cfdeefa86cb7521f487a64daa7f76cd3a4ecb",
+    ("finite-population", 7, "text"): "b5c4a590f5cca735f860201aa0e664dc90980df00ad4ed5fdae9110e5685b96b",
+}
+
+
+class TestGoldenBytes:
+    # config name -> (model, checks, horizon), by bench/workloads.py's names
+    CONFIGS = {
+        "ref": ("REF_MODEL", "ALL_CHECKS", 100_000),
+        "fifo2-random": ("FIFO2_RANDOM_MODEL", "MODEL_FREE_CHECKS", 50_000),
+        "finite-population": ("FINITE_POPULATION_MODEL", "MODEL_FREE_CHECKS", 50_000),
+    }
+
+    @pytest.fixture(scope="class")
+    def configs(self, tmp_path_factory):
+        workloads = _bench_module("workloads")
+        folder = tmp_path_factory.mktemp("golden")
+        paths = {}
+        for name, (model, checks, horizon) in self.CONFIGS.items():
+            path = folder / f"{name}.ini"
+            path.write_text(
+                workloads.config_text(getattr(workloads, model), horizon, getattr(workloads, checks))
+            )
+            paths[name] = str(path)
+        return paths
+
+    @pytest.mark.parametrize("name,seed,fmt", list(GOLDEN_VERIFY_SHA256))
+    def test_verify_output_bytes(self, configs, capsys, name, seed, fmt):
+        argv = ["--config", configs[name], "--seed", str(seed), "--format", fmt, "verify"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == GOLDEN_VERIFY_SHA256[name, seed, fmt]
 
 
 class TestCheckRegistry:
     def test_names_match_bench_tracer(self):
         # the benchmark names one cli.check.<name> span per entry of its CHECKS
-        assert cli.CHECK_NAMES == _bench_tracer().CHECKS
+        assert cli.CHECK_NAMES == _bench_module("tracer").CHECKS
 
     @pytest.mark.parametrize("klass", list(CoherenceClass))
     def test_class_combo_represents_its_class(self, klass):
@@ -507,7 +605,7 @@ class TestPublicSurface:
         # slot-path layers that no check called: its span list names them
         # until its per-layer refresh; the wrappers are undone afterwards by
         # re-setting each original through monkeypatch
-        tracer = _bench_tracer()
+        tracer = _bench_module("tracer")
         for _, module_name, attr, _ in tracer.SPANS:
             module = importlib.import_module(module_name)
             owner_name, _, leaf = attr.rpartition(".")

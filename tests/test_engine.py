@@ -476,12 +476,26 @@ class TestTraceChecks:
 
 
 class TestSlotBlocks:
-    def test_running_count_is_searchsorted(self):
-        events = np.sort(np.random.default_rng(23).integers(0, 40, size=30))
-        for x0 in range(-3, 42):
-            for x1 in range(x0 + 1, 46):
-                want = np.searchsorted(events, np.arange(x0, x1), side="right")
-                assert np.array_equal(engine_mod._running_count(events, x0, x1), want), (x0, x1)
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
+    @pytest.mark.parametrize("with_order", [False, True], ids=["sorted", "order"])
+    def test_counts_are_searchsorted(self, engine_block, with_order):
+        # events at slot 0, ties, and past every end; N(-1) must read 0
+        rng = np.random.default_rng(23)
+        a = np.sort(np.append(rng.integers(0, 40, size=29), 0))
+        d = np.append(rng.integers(1, 50, size=29), 0)
+        order = np.argsort(d, kind="stable")
+        d_read, sorter = (d, order) if with_order else (d[order], None)
+        for first in (0, 1, 2, 5, 40):
+            for end in range(first + 1, 46):
+                x0 = first
+                for n_a, n_d in engine_mod._counts(a, d_read, first, end, sorter):
+                    assert len(n_a) == len(n_d) <= engine_block + 2
+                    x = np.arange(x0 - 1, x0 + len(n_a) - 1)  # x0-1..x1
+                    for got, events in ((n_a, a), (n_d, np.sort(d))):
+                        want = np.searchsorted(events, x, side="right")
+                        assert got.dtype == np.int64 and np.array_equal(got, want), (first, end, x0)
+                    x0 += len(n_a) - 2
+                assert x0 == end, (first, end)
 
     def test_slot_passes_hold_no_slot_length_array(self):
         # one int64 array over 2·10^6 slots is 16 MB; numpy buffers are traced

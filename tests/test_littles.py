@@ -32,7 +32,6 @@ from dtq.engine import (
 from dtq.littles import (
     CostContractError,
     CostFunction,
-    basic_inequality,
     basic_inequality_path,
     check_h_lambda_g,
     check_little,
@@ -112,14 +111,19 @@ class TestCheckLittleObserved:
         assert observed_row.simulated == pytest.approx(observed_row.formula, abs=1e-12)
 
 
+def _sandwich(trace):
+    """The three sandwich sums at every slot index, joined from the blocks."""
+    return [np.concatenate(sums) for sums in zip(*littles_mod._inequality_blocks(trace))]
+
+
 class TestBasicInequality:
     def test_worked_example_at_five(self, worked_example_trace):
-        upper, middle, lower, ok = basic_inequality(worked_example_trace, 5)
+        upper, middle, lower = (int(sums[5]) for sums in _sandwich(worked_example_trace))
         assert (upper, middle, lower) == (8, 6, 6)
-        assert ok
+        assert basic_inequality_path(worked_example_trace)
 
     def test_at_zero(self, worked_example_trace):
-        assert basic_inequality(worked_example_trace, 0) == (0, 0, 0, True)
+        assert [int(sums[0]) for sums in _sandwich(worked_example_trace)] == [0, 0, 0]
 
     def test_every_slot_on_random_traces(self):
         for seed in range(10):
@@ -132,15 +136,13 @@ class TestBasicInequality:
 
     def test_closed_form_matches_oracle_at_every_slot(self):
         for tr in small_random_traces(20251013, 300):
-            upper, middle, lower = oracle_sandwich(tr)
-            for tau in range(tr.horizon + 1):
-                want = (int(upper[tau]), int(middle[tau]), int(lower[tau]))
-                assert basic_inequality(tr, tau) == (*want, want[0] >= want[1] >= want[2])
+            self._assert_blocks_match_oracle(tr)
 
     @staticmethod
     def _assert_blocks_match_oracle(tr):
         want = oracle_sandwich(tr)
-        got = [np.concatenate(sums) for sums in zip(*littles_mod._inequality_blocks(tr))]
+        got = _sandwich(tr)
+        assert len(got) == len(want) == 3
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         holds = bool(np.all(want[0] >= want[1]) and np.all(want[1] >= want[2]))
@@ -200,9 +202,9 @@ class TestHLambdaG:
     def test_zero_cost(self, worked_example_trace):
         def pieces(tr):
             zeros = np.zeros(tr.n)
-            return np.arange(tr.n), tr.arrivals + 1, tr.departures, zeros, zeros
+            return [(tr.arrivals + 1, tr.departures, zeros, zeros)]
 
-        zero = CostFunction(pieces, lambda tr: tr.waits, "zero")
+        zero = CostFunction(pieces, "zero")
         (hg,) = check_h_lambda_g(worked_example_trace, zero, warmup=0)
         assert hg.simulated == 0.0 and hg.formula == 0.0 and hg.passed
 
@@ -218,22 +220,32 @@ class TestHLambdaG:
         for lo_shift, hi_shift in [(0, 0), (1, 1), (0, 1)]:
             def pieces(tr):
                 ones = np.ones(tr.n)
-                return np.arange(tr.n), tr.arrivals + lo_shift, tr.departures + hi_shift, ones, 0 * ones
+                return [(tr.arrivals + lo_shift, tr.departures + hi_shift, ones, 0 * ones)]
 
-            bad = CostFunction(pieces, lambda tr: tr.waits, "bad")
+            bad = CostFunction(pieces, "bad")
             with pytest.raises(CostContractError):
                 check_h_lambda_g(worked_example_trace, bad, warmup=0)
+
+    def test_violation_in_a_later_group_reported(self, worked_example_trace):
+        # every group is checked, not only the first: the second charges
+        # the last customer one slot past its departure
+        def pieces(tr):
+            d, last = tr.departures, np.arange(tr.n) == tr.n - 1
+            yield tr.arrivals + 1, d, np.ones(tr.n), 0
+            yield d + 1, d + last, np.ones(tr.n), 0
+
+        late = CostFunction(pieces, "late")
+        with pytest.raises(CostContractError, match=f"customer {worked_example_trace.n - 1} "):
+            check_h_lambda_g(worked_example_trace, late, warmup=0)
 
     def test_empty_pieces_ignored(self, worked_example_trace):
         # an empty piece (hi < lo) outside the support charges nothing
         def pieces(tr):
-            owner = np.arange(tr.n)
-            lo = np.concatenate((tr.arrivals + 1, tr.arrivals))
-            hi = np.concatenate((tr.departures, tr.arrivals - 5))
-            ones = np.ones(2 * tr.n)
-            return np.concatenate((owner, owner)), lo, hi, ones, 0 * ones
+            ones = np.ones(tr.n)
+            yield tr.arrivals + 1, tr.departures, ones, 0 * ones
+            yield tr.arrivals, tr.arrivals - 5, ones, 0 * ones
 
-        cost = CostFunction(pieces, lambda tr: tr.waits, "with-empty")
+        cost = CostFunction(pieces, "with-empty")
         hg = check_h_lambda_g(worked_example_trace, cost, warmup=0)
         ref = check_h_lambda_g(worked_example_trace, indicator_cost(), warmup=0)
         assert hg == ref
@@ -340,7 +352,8 @@ class TestWorkloadMomentsMemo:
     def test_computed_once_per_warmup_without_pieces_or_path(self, monkeypatch):
         tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 5, 20_000)
         calls = []
-        monkeypatch.setattr(littles_mod, "_remaining_work_pieces", lambda t: calls.append("pieces"))
+        monkeypatch.setattr(littles_mod, "_cost_profile", lambda *args: calls.append("pieces"))
+        monkeypatch.setattr(littles_mod, "remaining_work_cost", lambda: calls.append("cost"))
         monkeypatch.setattr(Trace, "shift_path", lambda *args: calls.append("path"))
         verify_pk(tr, 2_000)
         m = workload_moments(tr, 2_000)
@@ -519,8 +532,3 @@ def test_warmup_outside_the_horizon_rejected(check, worked_example_trace):
     for warmup in (-1, worked_example_trace.horizon):
         with pytest.raises(ValueError, match="warmup"):
             check(worked_example_trace, warmup)
-
-
-def test_basic_inequality_rejects_out_of_range(worked_example_trace):
-    with pytest.raises(ValueError):
-        basic_inequality(worked_example_trace, 99)

@@ -151,17 +151,25 @@ class TestCountingKernel:
             want = oracle_queue_path(tr, convention)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("first", [0, 1, 3])
-    def test_shift_path_counts_covering_spans(self, first):
+    @staticmethod
+    def _covering_traces():
         # arrivals at slot 0; in the second trace a departure past T + 1
-        for tr in (
-            run_discipline([0, 0, 2, 3], [1, 3, 1, 4], Fifo(1), horizon=9),
-            run_discipline([0, 2, 2], [1, 1, 9], InfiniteServer(), horizon=4),
-        ):
+        yield run_discipline([0, 0, 2, 3], [1, 3, 1, 4], Fifo(1), horizon=9)
+        yield run_discipline([0, 2, 2], [1, 1, 9], InfiniteServer(), horizon=4)
+
+    def test_shift_path_counts_covering_spans(self):
+        for tr in self._covering_traces():
             a, d = tr.arrivals, tr.departures
             for s0, e0 in {span_shift(rule, epoch) for rule, epoch in ALL_COMBOS}:
-                want = [int(np.count_nonzero((a + s0 <= j) & (j <= d + e0))) for j in range(first, tr.horizon + 1)]
-                assert tr.shift_path(s0, e0, first).tolist() == want, (s0, e0)
+                want = [int(np.count_nonzero((a + s0 <= j) & (j <= d + e0))) for j in range(tr.horizon + 1)]
+                assert tr.shift_path(s0, e0).tolist() == want, (s0, e0)
+
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
+    def test_shift_path_is_the_oracle_across_block_edges(self, engine_block):
+        for tr in (*self._covering_traces(), *small_random_traces(20251017, 25)):
+            for shift in _SHIFTS:
+                got, want = tr.shift_path(*shift), oracle_shift_path(tr, *shift)
+                assert got.dtype == want.dtype and np.array_equal(got, want), shift
 
     def test_slot_zero_entries(self):
         tr = run_discipline([0, 0, 2], [1, 3, 1], Fifo(1), horizon=4)
