@@ -11,6 +11,9 @@ arrival order it opens a busy period exactly when A_k exceeds every
 earlier departure.  :func:`detect_cycles` and :func:`empty_state_rates`
 read cycles and the empty-state rates off those openers in O(customers);
 :func:`cycles_from_path` and :func:`rates_from_path` are the path forms.
+Either form returns a :class:`CycleStats` that keeps only the cycle
+boundaries; the per-cycle lengths and counts are derived on access, and
+its means are telescoping integer sums over the boundaries.
 """
 from __future__ import annotations
 
@@ -45,26 +48,61 @@ class CycleMeans(NamedTuple):
 
 @dataclass(frozen=True)
 class CycleStats:
-    """Per-cycle quantities: start U, clear V, lengths C/B/I, customers E."""
+    """Complete busy cycles, stored as their boundaries.
 
-    U: np.ndarray
+    ``starts`` holds the m + 1 cycle starts U_0..U_m, ``V`` the m clears
+    V_0..V_{m-1}, and ``openers`` the index of each start's first customer
+    (None for path-only cycles).  Cycle k runs from U_k to U_{k+1}: the
+    lengths C = U_{k+1} - U_k, B = V_k - U_k and I = C - B and the
+    customers E = opener_{k+1} - opener_k are derived on access.
+    """
+
+    starts: np.ndarray
     V: np.ndarray
-    C: np.ndarray
-    B: np.ndarray
-    I: np.ndarray
-    E: np.ndarray | None
+    openers: np.ndarray | None
 
     @property
     def n_cycles(self) -> int:
-        return len(self.C)
+        return len(self.V)
+
+    @property
+    def U(self) -> np.ndarray:
+        return self.starts[:-1]
+
+    @property
+    def C(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+    @property
+    def B(self) -> np.ndarray:
+        return self.V - self.U
+
+    @property
+    def I(self) -> np.ndarray:
+        return self.starts[1:] - self.V
+
+    @property
+    def E(self) -> np.ndarray | None:
+        return None if self.openers is None else np.diff(self.openers)
 
     def means(self) -> CycleMeans:
-        """Mean idle, cycle and busy lengths and customers per cycle."""
-        if self.n_cycles == 0:
+        """Mean idle, cycle and busy lengths and customers per cycle.
+
+        The sums telescope, so no per-cycle array is built: sum C =
+        U_m - U_0, sum E = opener_m - opener_0, sum B = sum V - sum U and
+        sum I = sum C - sum B.  Each is an integer below 2**53 divided
+        once by m, the same float as the mean of the per-cycle array.
+        """
+        m = self.n_cycles
+        if m == 0:
             raise ValueError("no complete busy cycle on the path: no cycle means to take")
-        if self.E is None:
+        if self.openers is None:
             raise ValueError("customer counts not available for path-only cycles")
-        return CycleMeans(*(float(x.mean()) for x in (self.I, self.C, self.B, self.E)))
+        starts, openers = self.starts, self.openers
+        cycle = int(starts[-1]) - int(starts[0])
+        busy = int(self.V.sum()) - int(starts[:-1].sum())
+        customers = int(openers[-1]) - int(openers[0])
+        return CycleMeans((cycle - busy) / m, cycle / m, busy / m, customers / m)
 
 
 def cycles_from_path(path: np.ndarray, arrivals: np.ndarray | None = None) -> CycleStats:
@@ -88,17 +126,13 @@ def cycles_from_path(path: np.ndarray, arrivals: np.ndarray | None = None) -> Cy
     m = len(starts) - 1
     if m < 1:
         empty = np.empty(0, dtype=np.int64)
-        return CycleStats(empty, empty, empty, empty, empty, empty if arrivals is not None else None)
+        return CycleStats(empty, empty, empty if arrivals is not None else None)
     U = starts[: m + 1].astype(np.int64)
     V = clears[:m].astype(np.int64)
-    C = U[1:] - U[:-1]
-    B = V - U[:-1]
-    I = U[1:] - V
-    E = None
+    openers = None
     if arrivals is not None:
-        counts = np.searchsorted(arrivals, U - 1, side="left")
-        E = (counts[1:] - counts[:-1]).astype(np.int64)
-    return CycleStats(U[:-1], V, C, B, I, E)
+        openers = np.searchsorted(arrivals, U - 1, side="left").astype(np.int64)
+    return CycleStats(U, V, openers)
 
 
 def _busy_runs(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
@@ -135,14 +169,16 @@ def detect_cycles(trace: Trace) -> CycleStats:
     if len(a) and a[0] < 1:
         raise ValueError("cycle detection needs the system empty at slot 0")
     first, last = _busy_runs(trace)
-    first = first[a[first] < trace.horizon]
-    m = len(first) - 1
+    # openers arrive in order: those by the horizon are a prefix
+    U = a[first]
+    m = int(np.searchsorted(U, trace.horizon, side="left")) - 1
     if m < 1:
         empty = np.empty(0, dtype=np.int64)
-        return CycleStats(empty, empty, empty, empty, empty, empty)
-    U = a[first] + 1
+        return CycleStats(empty, empty, empty)
+    U = U[: m + 1]
+    U += 1
     V = last[:m] + 1
-    return CycleStats(U[:-1], V, np.diff(U), V - U[:-1], U[1:] - V, np.diff(first))
+    return CycleStats(U, V, first[: m + 1])
 
 
 def empty_state_rates(trace: Trace) -> tuple[float, float, float]:

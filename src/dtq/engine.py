@@ -310,15 +310,16 @@ class Trace:
     def _memo(self) -> dict:
         """Derived summaries, filled lazily: per warmup, the averaging
         window of :func:`dtq.observer.window`, which every time average and
-        cost-rate law reads; L and pi of all five span shifts, from one
-        blocked pass over the slots with one window per coherence class;
-        :func:`dtq.littles.workload_moments`, whose EV is a closed-form
-        piece sum over customers; under ``("offsets", s0, e0)``, the
-        observed-minus-actual wait histogram of
-        :func:`dtq.coherence.verify_on_trace`, one per span shift; and the
-        busy periods of :mod:`dtq.busy`.  Entries never go stale because a
-        trace is immutable; they hold scalars, state histograms and
-        read-only customer-length arrays, never a slot-length array.
+        cost-rate law reads, and whose sojourn total gives W_obs of every
+        combo, so no entry is kept per combo; L and pi of all five span
+        shifts, from one blocked pass over the slots with one window per
+        coherence class; :func:`dtq.littles.workload_moments`, whose EV is
+        a closed-form piece sum over customers; under
+        ``("offsets", s0, e0)``, the observed-minus-actual wait histogram
+        of :func:`dtq.coherence.verify_on_trace`, one per span shift; and
+        the busy periods of :mod:`dtq.busy`.  Entries never go stale
+        because a trace is immutable; they hold scalars, state histograms
+        and read-only customer-length arrays, never a slot-length array.
         """
         return {}
 

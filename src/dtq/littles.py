@@ -352,9 +352,10 @@ def utilization(trace: Trace, servers: int | None = None) -> UtilizationReport:
     c = servers if servers is not None else int(trace.servers.max(initial=-1)) + 1
     c = max(c, 1)
     T = trace.horizon
-    spans = np.maximum(
-        0, np.minimum(trace.departures, T) - np.maximum(trace.starts, 0)
-    )
+    # one span array, clipped at T in place; a Trace has starts >= 0
+    spans = np.minimum(trace.departures, T)
+    spans -= trace.starts
+    np.maximum(spans, 0, out=spans)
     busy = np.bincount(trace.servers, weights=spans, minlength=c)
     if len(busy) > c:
         raise ValueError(f"server index {len(busy) - 1} outside the {c} servers")

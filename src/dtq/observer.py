@@ -25,11 +25,16 @@ makes one blocked pass over the window and sums one window per
 coherence class: the two shifts of a class, (0, e0) and (1, e0 + 1), are
 one-slot lags of each other, so one window gives L and pi of both.  It
 keeps those five as integer totals and histograms carried from block to
-block; W_obs is kept per (s0, e0, warmup).  The memo relies on traces
-being immutable: a Trace is frozen and its arrays must not be modified
-in place once averages are taken.  It holds scalars, state histograms
-and one read-only customer-length mask, never a slot-length array, and
-it hands out copies of the histograms, so callers cannot alter it.
+block.  W_obs needs no pass of its own: a completed customer arrives
+after the warmup, so A + s0 >= 1, and serves at least one slot, so it is
+seen at exactly W + k slots for the class offset k = e0 + 1 - s0, and
+W_obs is the window's integer sojourn total plus n * k, divided once by
+n.  The memo
+relies on traces being immutable: a Trace is frozen and its arrays must
+not be modified in place once averages are taken.  It holds scalars,
+state histograms and one read-only customer-length mask, never a
+slot-length array, and it hands out copies of the histograms, so callers
+cannot alter it.
 """
 from __future__ import annotations
 
@@ -109,7 +114,12 @@ _SHIFTS = tuple(sorted({span_shift(rule, epoch) for rule in RULES for epoch in E
 
 @dataclass(frozen=True)
 class Window:
-    """The averaging window (warmup, T] and its actual-customer summaries."""
+    """The averaging window (warmup, T] and its actual-customer summaries.
+
+    ``sojourn`` is the integer sum of D - A over the completed customers;
+    it is below 2**53, so W = sojourn / n equals their float mean, and any
+    class offset k gives their observed mean wait (sojourn + n * k) / n.
+    """
 
     warmup: int
     span: int  # T - warmup slots
@@ -117,6 +127,7 @@ class Window:
     W: float  # mean sojourn of the completed customers
     completed: np.ndarray  # read-only mask: arrived and departed in the window
     n_completed: int
+    sojourn: int  # total sojourn of the completed customers
 
 
 def window(trace: Trace, warmup: int | None = None) -> Window:
@@ -142,10 +153,11 @@ def window(trace: Trace, warmup: int | None = None) -> Window:
             raise InsufficientDataError(f"no customer arrives and departs inside ({warmup}, {T}]")
         span = T - warmup
         lam = int(end - first) / span
-        # an integer sum below 2**53 makes W equal the float mean; the waits
-        # are the one customer-length temporary, summed under the mask
-        W = int(trace.waits.sum(where=completed)) / n
-        win = trace._memo["window", warmup] = Window(warmup, span, lam, W, completed, n)
+        # masked sums of D and of A: no customer-length D - A is built
+        sojourn = int(trace.departures.sum(where=completed)) - int(trace.arrivals.sum(where=completed))
+        win = trace._memo["window", warmup] = Window(
+            warmup, span, lam, sojourn / n, completed, n, sojourn
+        )
     return win
 
 
@@ -160,9 +172,12 @@ def time_averages(
     over the :func:`window` of the given warmup.
 
     W averages only the window's completed customers; lambda counts
-    arrivals per window slot.  With no rule/epoch the observed columns
-    coincide with the actual ones.  Results are memoized on the trace
-    (see the module docstring).
+    arrivals per window slot.  W_obs is (sojourn + n * k) / n for the
+    combo's class offset k = e0 + 1 - s0: each completed customer is seen
+    at exactly W + k slots, because neither clip of :func:`observed_waits`
+    binds on it (see the module docstring).  With no rule/epoch the
+    observed columns coincide with the actual ones.  Results are memoized
+    on the trace.
     """
     actual = convention_shift(convention)
     win = window(trace, warmup)
@@ -171,8 +186,10 @@ def time_averages(
     if rule is None or epoch is None:
         W_obs, L_obs, pi_obs = win.W, L, pi
     else:
-        W_obs = _observed_wait(trace, rule, epoch, win)
-        L_obs, pi_obs = windows[span_shift(rule, epoch)]
+        s0, e0 = span_shift(rule, epoch)
+        n = win.n_completed
+        W_obs = (win.sojourn + n * (e0 + 1 - s0)) / n
+        L_obs, pi_obs = windows[s0, e0]
     return QueueEstimates(
         win.lam, win.W, L, W_obs, L_obs, pi.copy(), pi_obs.copy(),
         trace.horizon, win.warmup, rule, epoch, win.n_completed,
@@ -199,7 +216,7 @@ def _window_block(trace: Trace, warmup: int) -> dict:
         return block
     T = trace.horizon
     span = T - warmup
-    a, d = trace.arrivals, np.sort(trace.departures, kind="stable")
+    a, d = trace.arrivals, _in_order(trace.departures)
     lags = [e0 + 1 for s0, e0 in _SHIFTS if not s0]  # N_D lags behind N_A by k slots
     # each window's head, at slot warmup before the blocks, and its tail at slot T
     arrived = np.searchsorted(a, (warmup, T), "right")
@@ -226,13 +243,7 @@ def _window_block(trace: Trace, warmup: int) -> dict:
     return block
 
 
-def _observed_wait(trace: Trace, rule, epoch, win: Window) -> float:
-    # the completed mask depends on the warmup alone, so the key needs no convention
-    s0, e0 = span_shift(rule, epoch)
-    key = ("observed", s0, e0, win.warmup)
-    W_obs = trace._memo.get(key)
-    if W_obs is None:
-        done = win.completed
-        seen = _seen_slots(trace.arrivals[done], trace.departures[done], s0, e0)
-        W_obs = trace._memo[key] = float(seen.mean())
-    return W_obs
+def _in_order(d: np.ndarray) -> np.ndarray:
+    """``d`` itself when it is nondecreasing, else a sorted copy: FIFO-1
+    and finite-population departures come in order and skip the sort."""
+    return np.sort(d, kind="stable") if (d[1:] < d[:-1]).any() else d

@@ -197,6 +197,69 @@ class TestCustomerKernel:
         assert not any(arr.flags.writeable for arr in runs)
 
 
+def _eager_cycles(path, arrivals=None):
+    """U, V, C, B, I and E of a path's complete cycles as per-cycle arrays,
+    built eagerly as before they were derived from the boundaries (E is
+    None without arrivals)."""
+    occ = np.asarray(path) >= 1
+    flips = np.flatnonzero(occ[1:] != occ[:-1]) + 1
+    starts, clears = flips[~occ[flips - 1]], flips[occ[flips - 1]]
+    m = max(len(starts) - 1, 0)
+    U = starts[: m + 1].astype(np.int64) if m else np.empty(0, dtype=np.int64)
+    V = clears[:m].astype(np.int64)
+    fields = {"U": U[:-1], "V": V, "C": U[1:] - U[:-1], "B": V - U[:-1], "I": U[1:] - V}
+    fields["E"] = None
+    if arrivals is not None:
+        counts = np.searchsorted(arrivals, U - 1, side="left")
+        fields["E"] = (counts[1:] - counts[:-1]).astype(np.int64)
+    return fields
+
+
+class TestCycleStats:
+    """Cycle lengths derived from the boundaries and means from telescoping
+    sums, against the per-cycle arrays they replace."""
+
+    @staticmethod
+    def _assert_matches_eager(stats, want):
+        for name, b in want.items():
+            a = getattr(stats, name)
+            if b is None:
+                assert a is None, name
+            else:
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert stats.n_cycles == len(want["C"])
+        if stats.n_cycles == 0:
+            with pytest.raises(ValueError, match="no complete busy cycle"):
+                stats.means()
+        elif want["E"] is None:
+            with pytest.raises(ValueError, match="customer counts not available"):
+                stats.means()
+        else:
+            eager = CycleMeans(*(float(want[x].mean()) for x in "ICBE"))
+            assert stats.means() == eager
+            assert stats.means() == CycleMeans(*(float(getattr(stats, x).mean()) for x in "ICBE"))
+
+    def _assert_trace(self, tr) -> int:
+        """Both cycle builders against the eager arrays; the number of
+        complete cycles with customer counts."""
+        path = tr.queue_path()
+        self._assert_matches_eager(cycles_from_path(path), _eager_cycles(path))
+        if len(tr.arrivals) and tr.arrivals[0] < 1:
+            return 0
+        want = _eager_cycles(path, tr.arrivals)
+        self._assert_matches_eager(cycles_from_path(path, tr.arrivals), want)
+        self._assert_matches_eager(detect_cycles(tr), want)
+        return len(want["C"])
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
+    def test_oracle_traces(self, name):
+        self._assert_trace(ORACLE_TRACES[name]())
+
+    def test_random_small_traces(self):
+        with_means = sum(self._assert_trace(tr) > 0 for tr in small_random_traces(20251019, 400))
+        assert with_means >= 100
+
+
 class TestStateRates:
     def test_bernoulli_sees_time_averages(self, bgeom1_trace):
         rates = state_rates(bgeom1_trace)

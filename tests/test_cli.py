@@ -326,6 +326,7 @@ class TestPathBuilds:
             (Trace, "shift_path"),
             (Trace, "queue_path"),
             (observer, "observed_queue_path"),
+            (observer, "_seen_slots"),
             (littles, "_cost_profile"),
         ):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
@@ -520,18 +521,27 @@ GOLDEN_VERIFY_SHA256 = {
     ("ref", 7, "json"): "b281070615dc357d26f49e3297567977fe73796e4ec33923f4805bc8027dab2c",
     ("ref", 7, "csv"): "6f737261e2b201d6f90746cdaf8ff0fbc59dfb332279e134c450a12dda9dbf7f",
     ("ref", 7, "text"): "fea49454990a8b0014f946a3f35e07ae160ab7fa92cc4ac513a88e79cf28ce09",
+    ("ref", 99, "json"): "6404bf38f5625e39d7a3de5bd35b4d162181234dbce3fd374e195a156f063de1",
+    ("ref", 99, "csv"): "9b116e06ac015ff7df11ed6a036d3749e927c708792b0d62f326c347d9427197",
+    ("ref", 99, "text"): "49d0ccd6d1bd66a0b4e6a368e18d53ac650462f6fa3ed52155923455a1433053",
     ("fifo2-random", 42, "json"): "063c8a89f88b5e44a8e641e847eb945beb49b09d932e14956b0df27ba6d1a343",
     ("fifo2-random", 42, "csv"): "16aa8ae3ba4e663960ef2c54370970fa4fba04efe7536562fe81d632f95430d3",
     ("fifo2-random", 42, "text"): "c295574d4f62495748d896b754c8fcf8072cfb8cc2f3929b771e02cca26a613d",
     ("fifo2-random", 7, "json"): "5a28552808c83e49f28f00b12c8dfa2df340720795b5e4e8d2232d26b7a8e7ad",
     ("fifo2-random", 7, "csv"): "3f8e44d24554fe69e4b6a017b0412dd1e589fa3d97f5e3b62d0a4ba2457ece31",
     ("fifo2-random", 7, "text"): "c91f3ee2bb55e76bb0bfe25532eb40087988eefc9615c8a6afd8e34f8d18eb40",
+    ("fifo2-random", 99, "json"): "af4292141e5faba7649fe072621a5939248e41e65a9e24697b0a052a197a8713",
+    ("fifo2-random", 99, "csv"): "dfa8bdc4a56b49b479e14ec355a3d77f5f7c03dc69e27eb0b280243c2b1a547c",
+    ("fifo2-random", 99, "text"): "540cba0ee83a797422552190f98396b2a8410f01421804375e40235ee51040d5",
     ("finite-population", 42, "json"): "2b9745aa9065aa8f8ca03fb56dd8213a321ac44b0f560ee7549e5e89cba83116",
     ("finite-population", 42, "csv"): "c43abd29176729bc4ffda9e9ef53f19c44e0c6208694a88ea2aa2137669f81d8",
     ("finite-population", 42, "text"): "029e7522a3a5e1f210ebb5c01fa596a01fb561547b37b1187c08e8402f10c6cb",
     ("finite-population", 7, "json"): "835ee0c8d6525e6fc80f8bfaae1480ce7b99663d291eb93327b1675988c80c98",
     ("finite-population", 7, "csv"): "cc5cd9eef0042781c9fe8a767e5cfdeefa86cb7521f487a64daa7f76cd3a4ecb",
     ("finite-population", 7, "text"): "b5c4a590f5cca735f860201aa0e664dc90980df00ad4ed5fdae9110e5685b96b",
+    ("finite-population", 99, "json"): "0cf961e89f852eb8f90a297f8cd7cb3232b1dfbe3939f12c380bbf6dfbe153f4",
+    ("finite-population", 99, "csv"): "3ef23fcb87e529205c44640dc32d11a431d524c9b249591d247fa14047864121",
+    ("finite-population", 99, "text"): "6570ba1fe50b6bb5abf35c120566176e97e031a1f253f7bd497d8c973992d959",
 }
 
 

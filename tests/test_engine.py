@@ -16,6 +16,7 @@ from conftest import (
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dtq import cli
 from dtq import engine as engine_mod
 from dtq.engine import (
     Bernoulli,
@@ -854,3 +855,23 @@ def test_read_holds_the_columns_and_one_chunk(tmp_path):
     path = tmp_path / "ref.csv"
     write_trace_csv(reference_trace(), path)
     assert traced_peak_mb(read_trace_csv, path) <= 15
+
+
+def test_reference_checks_hold_no_per_cycle_arrays(tmp_path):
+    # busy sets the peak over the eight checks: its memoized busy periods
+    # and the cycle boundaries beside the window's completed mask; with
+    # five eager per-cycle arrays in CycleStats it was 10.4 MB
+    path = tmp_path / "ref.ini"
+    path.write_text(
+        "[model]\narrival = bernoulli\nalpha = 0.3\nservice = geometric:0.5\n"
+        "discipline = fifo\nservers = 1\n\n[sim]\nhorizon = 1000000\nwarmup = 100000\n\n"
+        f"[checks]\nnames = {', '.join(cli.CHECK_NAMES)}\n"
+    )
+    exp = cli.load_experiment(str(path))
+
+    def checks(trace):
+        for name in exp.checks:
+            cli._run_check(name, exp, trace)
+
+    assert len(exp.checks) == 8
+    assert traced_peak_mb(checks, reference_trace()) <= 9.5

@@ -26,10 +26,12 @@ from dtq.engine import (
     InfiniteServer,
     build_trace,
     run_discipline,
+    simulate_finite_population,
 )
 from dtq.observer import (
     _SHIFTS,
     InsufficientDataError,
+    _in_order,
     _window_block,
     observed_queue_path,
     observed_waits,
@@ -384,6 +386,36 @@ class TestTimeAveragesMemo:
             _assert_bitwise_equal(est, _memo_free_averages(tr, rule, epoch, warmup, convention))
             if classify(rule, epoch) is CoherenceClass.SUB_COHERENT:
                 assert est.L_obs == 0.0 and est.pi_obs.tolist() == [1.0]
+
+    @pytest.mark.parametrize("convention", ["strict-left", "strict-right"])
+    def test_observed_wait_is_the_class_offset_on_edge_traces(self, convention):
+        # W_obs = (sojourn + n * k) / n against the oracle's per-customer
+        # mean over the clipped spans: slot-0 arrivals, batches, departures
+        # out of order or past T and one-slot services leave it exact
+        checked = 0
+        edge = [make() for make in WINDOW_TRACES.values()]
+        for tr in (*edge, *small_random_traces(20251018, 40)):
+            T = tr.horizon
+            for warmup in sorted({0, 1, T - 1} & set(range(T))):
+                if not np.any((tr.arrivals > warmup) & (tr.departures <= T)):
+                    with pytest.raises(InsufficientDataError):
+                        time_averages(tr, R.EAS, E.RANDOM_OBSERVER, warmup, convention)
+                    continue
+                for rule, epoch in ALL_COMBOS:
+                    est = time_averages(tr, rule, epoch, warmup, convention)
+                    _assert_bitwise_equal(est, _memo_free_averages(tr, rule, epoch, warmup, convention))
+                checked += 1
+        assert checked >= 60
+
+    def test_departures_sorted_only_out_of_order(self, small_bgeom1_trace):
+        # FIFO-1, finite-population and tied FIFO-2 departures are read in place
+        batch = WINDOW_TRACES["batch"]()
+        assert np.any(np.diff(batch.departures) == 0)
+        finite = simulate_finite_population(5, 0.05, DiscreteDist.geometric(0.5), 11, 2_000)
+        for tr in (small_bgeom1_trace, finite, batch):
+            assert _in_order(tr.departures) is tr.departures
+        late = WINDOW_TRACES["external-late"]().departures
+        assert _in_order(late).tolist() == sorted(late.tolist())
 
     def test_memo_holds_no_slot_length_array(self):
         tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 9, 10_000)
