@@ -9,12 +9,13 @@ the class straight off the shift; of the five shifts the 30 combos
 share, (0, -1) and (1, 0) are coherent, (1, -1) and (0, -2) sub-coherent
 and (0, 0) super-coherent.  Anything outside {-1, 0, +1} indicates a
 broken time base and raises.  :func:`verify_on_trace` checks the class
-against every customer of a trace.  It reads the per-customer observed
-waits directly and memoizes their offset histogram, at most three counts,
-on the trace once per span shift, so the 30 combos cost five passes over
-the customers.  The entry sits beside the averages that
-:func:`dtq.observer.time_averages` memoizes; that memo relies on traces
-being immutable and never holds a slot-length path.
+against every customer of a trace.  It sums the per-customer offset
+histogram, at most three counts, block by block over two reused buffers,
+with no customer-length temporary, and memoizes it on the trace once per
+span shift, so the 30 combos cost five passes over the customers.  The
+entry sits beside the averages that :func:`dtq.observer.time_averages`
+memoizes; that memo relies on traces being immutable and never holds a
+slot-length path.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .engine import Trace
-from .observer import observed_waits
+from .engine import Trace, _slot_blocks
+from .observer import _seen_slots
 from .timebase import EPOCHS, RULES, ObservationEpoch, SchedulingRule, render_grid, span_shift
 
 __all__ = [
@@ -88,26 +89,52 @@ class OffsetReport:
     passed: bool
 
 
+def _offset_blocks(trace: Trace, s0: int, e0: int):
+    """Every customer's observed minus actual wait plus one under span
+    shift (s0, e0), one block of ``_SLOT_BLOCK`` customers at a time.
+
+    Each block is a view of the same reused buffer, overwritten by the
+    next, so the caller reads it before it asks for another; the two
+    buffers of :func:`dtq.observer._seen_slots` are the only arrays made.
+    """
+    a, d = trace.arrivals, trace.departures
+    bufs = None
+    for i0, i1 in _slot_blocks(0, trace.n):
+        if bufs is None:  # the first block is the longest
+            bufs = np.empty((2, i1 - i0), dtype=np.int64)
+        first, seen = bufs[:, : i1 - i0]
+        offsets = _seen_slots(a[i0:i1], d[i0:i1], s0, e0, first, seen)
+        offsets -= d[i0:i1]
+        offsets += a[i0:i1]
+        offsets += 1
+        yield offsets
+
+
 def verify_on_trace(trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch) -> OffsetReport:
     """Check every customer's observed-minus-actual wait against the class.
 
     The offset histogram depends on the combo only through its span
     shift, so it is computed once per shift and memoized on the trace;
-    each report holds its own copy.
+    each report holds its own copy.  It is summed block by block over
+    :func:`_offset_blocks`, with no customer-length temporary.  An offset
+    outside {-1, 0, +1} raises OffsetViolation with the trace's whole
+    sorted offset set, found by a second pass only then, and memoizes
+    nothing.
     """
-    key = ("offsets", *span_shift(rule, epoch))
+    s0, e0 = span_shift(rule, epoch)
+    key = ("offsets", s0, e0)
     hist = trace._memo.get(key)
     if hist is None:
-        # observed minus actual wait, in place on observed_waits' fresh array
-        offsets = observed_waits(trace, rule, epoch)
-        offsets -= trace.departures
-        offsets += trace.arrivals
-        if trace.n and (offsets.min() < -1 or offsets.max() > 1):
-            raise OffsetViolation(
-                f"offsets {np.unique(offsets).tolist()} for ({rule.label}, {epoch.label})"
-            )
-        offsets += 1
-        counts = np.bincount(offsets, minlength=3)
+        counts = np.zeros(3, dtype=np.int64)
+        for offsets in _offset_blocks(trace, s0, e0):
+            if offsets.min() < 0 or offsets.max() > 2:
+                found = set()
+                for block in _offset_blocks(trace, s0, e0):
+                    found.update(np.unique(block).tolist())
+                raise OffsetViolation(
+                    f"offsets {[v - 1 for v in sorted(found)]} for ({rule.label}, {epoch.label})"
+                )
+            counts += np.bincount(offsets, minlength=3)
         hist = trace._memo[key] = {v - 1: int(c) for v, c in enumerate(counts) if c}
     want = classify(rule, epoch).offset
     passed = hist == ({want: trace.n} if trace.n else {})

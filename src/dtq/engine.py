@@ -8,7 +8,6 @@ micro-time shifts applied on top (see :mod:`dtq.timebase`).
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -316,7 +315,9 @@ class Trace:
         coherence class; :func:`dtq.littles.workload_moments`, whose EV is
         a closed-form piece sum over customers; under
         ``("offsets", s0, e0)``, the observed-minus-actual wait histogram
-        of :func:`dtq.coherence.verify_on_trace`, one per span shift; and
+        of :func:`dtq.coherence.verify_on_trace`, one per span shift,
+        summed in blocks of ``_SLOT_BLOCK`` customers with no
+        customer-length temporary; and
         the busy periods of :mod:`dtq.busy`.  Entries never go stale
         because a trace is immutable; they hold scalars, state histograms
         and read-only customer-length arrays, never a slot-length array.
@@ -372,9 +373,10 @@ def convention_shift(convention: str) -> tuple[int, int]:
         raise ValueError(f"unknown indicator convention {convention!r}") from None
 
 
-# slots per block of every slot pass, and customers or bytes per block of the
-# blocked customer and file passes: a block's arrays (~0.5 MB each) stay in
-# cache, and no pass holds an array of slot length
+# slots per block of every slot pass, customers per block of the blocked
+# customer passes, and bytes per block of the file passes, the trace reader's
+# included: a block's arrays (~0.5 MB each) stay in cache, and no pass holds
+# an array of slot length
 _SLOT_BLOCK = 1 << 16
 
 
@@ -822,6 +824,137 @@ def _line_ends(path) -> int:
     return 0
 
 
+def _line_of(path, offset: int) -> int:
+    """The 1-based line of a file that byte ``offset`` sits on; a CRLF
+    ends one line.  Read only to name the line of an error."""
+    with open(path, "rb") as fh:
+        head = fh.read(offset)
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+
+
+# zero bytes in front of the reader's block, so that the eight bytes up to
+# any value's last digit lie inside the buffer
+_PAD = 8
+_MAX_DIGITS = 18  # so every value is below 10^18 and exact in int64
+# per value length L = 0..8, the low nibbles of the top L bytes of a word:
+# masking with it keeps the value's own bytes and subtracts ASCII 0 from each
+_DIGIT_MASKS = np.array(
+    [(0x0F0F0F0F0F0F0F0F << 8 * (8 - L)) & (2**64 - 1) for L in range(9)], dtype=np.uint64
+)
+
+
+def _swar8(w: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The values of the last ``lengths`` (1 to 8, more count as 8) bytes of
+    the little-endian words ``w``, read as ASCII digits, most significant
+    first: Lemire's eight-digit SWAR parse ("Number parsing at a gigabyte
+    per second", 2021), in place on ``w``.  Each step adds neighbouring
+    digit groups, 1 to 2, 2 to 4 and 4 to 8 digits, in every lane at once."""
+    w &= _DIGIT_MASKS.take(lengths, mode="clip")  # lengths above 8 read 8
+    low = w >> 8
+    w *= 10
+    w += low  # 10 w + (w >> 8): digit pairs in bytes 0, 2, 4, 6
+    w &= 0x00FF00FF00FF00FF
+    w *= 6553601  # 100 * 2^16 + 1: four-digit groups in bytes 2-3 and 6-7
+    w >>= 16
+    w &= 0x0000FFFF0000FFFF
+    w *= 42949672960001  # 10^4 * 2^32 + 1: the eight digits in bytes 4-7
+    w >>= 32
+    return w
+
+
+def _csv_rows(fh, body: bytes, width: int, path, offset: int):
+    """The rows of a trace file's body as (rows, ``width``) int64 blocks.
+
+    ``body`` is what was read past the header, from its line end on, and
+    ``offset`` the file position of that line end; ``fh`` reads the rest.
+    The body goes through one reused uint8 buffer, ``_SLOT_BLOCK`` bytes
+    per ``readinto``, behind ``_PAD`` zero bytes; the rows after a block's
+    last line end carry over to the next block, which always starts with
+    that line end, and the buffer doubles when a row is longer than a
+    block.  Per block, the non-digits (``b - 48 > 9`` on uint8) are found
+    at once; the bytes between two of them are one value, parsed by
+    :func:`_swar8` from the word that ends at its last digit (a second and
+    third word serve values of 9 to 18 digits).  See
+    :func:`read_trace_csv` for the grammar and its errors.
+    """
+    if not body:  # the header has no line end: the file holds no rows
+        return
+    buf = np.zeros(_PAD + 2 * _SLOT_BLOCK + 1, dtype=np.uint8)
+    carry = len(body)
+    buf[_PAD : _PAD + carry] = np.frombuffer(body, dtype=np.uint8)
+    while True:
+        if _PAD + carry + _SLOT_BLOCK + 1 > len(buf):  # a row longer than a block
+            grown = np.zeros(2 * (_PAD + carry + _SLOT_BLOCK + 1), dtype=np.uint8)
+            grown[: _PAD + carry] = buf[: _PAD + carry]
+            buf = grown
+        got = fh.readinto(memoryview(buf)[_PAD + carry : _PAD + carry + _SLOT_BLOCK])
+        end = _PAD + carry + got
+        if not got and int(buf[end - 1]) not in b"\r\n":
+            buf[end] = ord("\n")  # the last row's line end
+            end += 1
+        data = buf[_PAD:end]
+        sep = np.flatnonzero((data - 48) > 9)
+        byte = data[sep]
+        is_end = (byte == ord("\n")) | (byte == ord("\r"))
+        known = is_end | (byte == ord(","))
+        if not known.all():
+            at = int(sep[np.argmin(known)])
+            line = _line_of(path, offset + at)
+            if data[at] == ord("-"):
+                raise ValueError(f"{path}: line {line}: a negative value; trace values are nonnegative")
+            raise ValueError(
+                f"{path}: line {line}: byte {bytes(data[at : at + 1])!r} is not a digit, ',' or a line end"
+            )
+        last = len(is_end) - 1 - int(np.argmax(is_end[::-1]))  # sep[0] is a line end
+        if last:
+            yield _parse_rows(buf, sep[: last + 1], is_end[: last + 1], width, path, offset)
+        if not got:
+            return
+        cut = int(sep[last])
+        carry = len(data) - cut
+        buf[_PAD : _PAD + carry] = data[cut:]
+        offset += cut
+
+
+def _parse_rows(buf, sep, is_end, width, path, offset) -> np.ndarray:
+    """The rows between the separators at ``sep`` of ``buf[_PAD:]``, the
+    first and last of them line ends, as a (rows, ``width``) int64 array."""
+    lengths = np.diff(sep)
+    lengths -= 1
+    ends, ended = sep[1:], is_end[1:]
+    empty = lengths == 0
+    if empty.any():
+        blank = empty & is_end[:-1] & ended  # a line end on both sides
+        if not np.array_equal(empty, blank):
+            at = int(ends[np.argmax(empty != blank)])
+            raise ValueError(f"{path}: line {_line_of(path, offset + at)}: an empty value")
+        keep = np.flatnonzero(lengths)
+        lengths, ends, ended = lengths[keep], ends[keep], ended[keep]
+    n = len(lengths) // width
+    if len(lengths) != n * width or np.count_nonzero(ended) != n or not ended[width - 1 :: width].all():
+        firsts = np.flatnonzero(ended) + 1  # each row's first value, one past the last row
+        widths = np.diff(firsts, prepend=0)
+        row = int(np.argmax(widths != width))
+        at = int(ends[firsts[row] - widths[row]] - lengths[firsts[row] - widths[row]])
+        raise ValueError(
+            f"{path}: rows have {widths[row]} values, the header {width}"
+            f" (line {_line_of(path, offset + at)})"
+        )
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    values = _swar8(words[ends], lengths)  # word i ends at buf[i + 7] = data[i - 1]
+    if lengths.max(initial=0) > 8:
+        if lengths.max() > _MAX_DIGITS:
+            i = int(np.argmax(lengths > _MAX_DIGITS))
+            line = _line_of(path, offset + int(ends[i] - lengths[i]))
+            raise ValueError(f"{path}: line {line}: a value of {lengths[i]} digits; at most {_MAX_DIGITS} are read")
+        for k in (1, 2):  # the second word, then the third
+            long = np.flatnonzero(lengths > 8 * k)
+            if not long.size:
+                break
+            values[long] += _swar8(words[ends[long] - 8 * k], lengths[long] - 8 * k) * 10 ** (8 * k)
+    return values.view(np.int64).reshape(n, width)
+
+
 def read_trace_csv(path, disc: DisciplineSpec | None = None, horizon: int | None = None) -> Trace:
     """Load a trace file.
 
@@ -832,34 +965,51 @@ def read_trace_csv(path, disc: DisciplineSpec | None = None, horizon: int | None
     column; files carrying only (A, S) columns are re-run through the
     given discipline (FIFO single server when omitted).
 
-    The rows are parsed ``_CSV_CHUNK`` at a time into one int64 row per
-    kept column, preallocated for :func:`_line_ends` rows; the ``k``
-    column is dropped.  So the call holds the trace's columns plus one
-    chunk of rows; the trace's own checks take less, one block of
-    ``_SLOT_BLOCK`` customers (0.6 MB).  On the 3·10^5-row reference
-    file: 11.4 MB of columns and a 13.0 MB peak.
+    The grammar is what :func:`write_trace_csv` writes: the header line
+    ends at the first CR or LF; each later line is a row of ``,``-separated
+    values of 1 to 18 ASCII digits (leading zeros allowed), or blank.
+    Line ends are LF, CRLF or CR, mixed freely, and the last line needs
+    none.  Each of these raises ValueError naming the file and line:
+
+    - a ``-``: "a negative value; trace values are nonnegative"
+    - any other byte that is not a digit, ``,``, CR or LF, such as a
+      space, a tab, ``+`` or ``#``: "byte ... is not a digit, ',' or a
+      line end"
+    - a value of no digits that is not a blank line, as in ``1,,2`` or a
+      row ending in ``,``: "an empty value"
+    - a value of more than 18 digits: "a value of ... digits"
+    - a row of other than the header's number of values: "rows have w
+      values, the header h"
+
+    The body is decoded block by block without a Python loop per row or
+    value (see :func:`_csv_rows`) into one int64 row per kept column,
+    preallocated for :func:`_line_ends` rows and doubled when bare CR line
+    ends under-count them; the ``k`` column is dropped.  So the call holds
+    the trace's columns plus one block's scratch; the trace's own checks
+    take less, one block of ``_SLOT_BLOCK`` customers (0.6 MB).  On the
+    3·10^5-row reference file: 11.4 MB of columns and a 13.0 MB peak.
     """
-    with open(path) as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
+    with open(path, "rb") as fh:
+        head = bytearray()
+        while True:  # the header is the bytes before the first CR or LF
+            block = fh.read(_SLOT_BLOCK)
+            cut = min((i for i in (block.find(b"\r"), block.find(b"\n")) if i >= 0), default=len(block))
+            head += block[:cut]
+            if cut < len(block) or not block:
+                break
+        header = head.decode("latin-1").split(",")
         if header not in _CSV_HEADERS:
             known = " or ".join(",".join(h) for h in _CSV_HEADERS)
             raise ValueError(f"{path}: header {','.join(header)!r} is not a trace header ({known})")
         cols = np.empty((len(header) - 1, _line_ends(path)), dtype=np.int64)
         n = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the last chunk may have no rows
-            while True:  # each call resumes at the next row of fh and skips blank lines
-                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, max_rows=_CSV_CHUNK)
-                if not rows.size:
-                    break
-                if rows.shape[1] != len(header):
-                    raise ValueError(f"{path}: rows have {rows.shape[1]} values, the header {len(header)}")
-                if n + len(rows) > cols.shape[1]:  # bare CR line ends among LF ones
-                    cols = np.hstack((cols[:, :n], np.empty((len(cols), n + len(rows)), np.int64)))
-                cols[:, n : n + len(rows)] = rows.T[1:]
-                n += len(rows)
-                if len(rows) < _CSV_CHUNK:
-                    break
+        for rows in _csv_rows(fh, block[cut:], len(header), path, len(head)):
+            if n + len(rows) > cols.shape[1]:  # bare CR line ends among LF ones
+                grown = np.empty((len(cols), max(2 * cols.shape[1], n + len(rows))), dtype=np.int64)
+                grown[:, :n] = cols[:, :n]
+                cols = grown
+            cols[:, n : n + len(rows)] = rows[:, 1:].T
+            n += len(rows)
     cols = cols[:, :n]  # blank lines were counted as rows
     if len(cols) > 2:  # full rows
         deps = cols[3]

@@ -68,17 +68,22 @@ class InsufficientDataError(ValueError):
 
 def observed_waits(trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch) -> np.ndarray:
     """Per-customer observed waiting times as an array."""
-    return _seen_slots(trace.arrivals.copy(), trace.departures.copy(), *span_shift(rule, epoch))
+    a, d = trace.arrivals, trace.departures
+    return _seen_slots(a, d, *span_shift(rule, epoch), np.empty_like(a), np.empty_like(d))
 
 
-def _seen_slots(a: np.ndarray, d: np.ndarray, s0: int, e0: int) -> np.ndarray:
+def _seen_slots(
+    a: np.ndarray, d: np.ndarray, s0: int, e0: int, first: np.ndarray, seen: np.ndarray
+) -> np.ndarray:
     """Slot indices from max(A + s0, 1) to D + e0 per customer, at least
-    0, computed in place on the caller's fresh copies ``a`` and ``d``."""
-    a += s0
-    np.maximum(a, 1, out=a)
-    d += e0 + 1
-    d -= a
-    return np.maximum(d, 0, out=d)
+    0, written into ``seen``; ``first`` receives max(A + s0, 1).  Both are
+    the caller's buffers of the length of ``a``, so the caller decides
+    whether a customer-length array is made.  Returns ``seen``."""
+    np.add(a, s0, out=first)
+    np.maximum(first, 1, out=first)
+    np.add(d, e0 + 1, out=seen)
+    seen -= first
+    return np.maximum(seen, 0, out=seen)
 
 
 def observed_queue_path(

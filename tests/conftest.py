@@ -11,6 +11,7 @@ import heapq
 import importlib
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
@@ -366,6 +367,40 @@ def oracle_trace_csv(trace, path):
             w.writerow([k + 1] + [int(c[k]) for c in cols])
 
 
+def oracle_read_trace_csv(path, disc=None, horizon=None) -> Trace:
+    """The ``np.loadtxt`` trace reader, kept as the oracle of the byte
+    decoder: it parses ``_CSV_CHUNK`` rows per call in text mode, which
+    reads LF, CRLF and CR line ends and skips blank lines."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header not in engine_mod._CSV_HEADERS:
+            known = " or ".join(",".join(h) for h in engine_mod._CSV_HEADERS)
+            raise ValueError(f"{path}: header {','.join(header)!r} is not a trace header ({known})")
+        cols = np.empty((len(header) - 1, engine_mod._line_ends(path)), dtype=np.int64)
+        n = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the last chunk may have no rows
+            while True:  # each call resumes at the next row of fh and skips blank lines
+                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, max_rows=engine_mod._CSV_CHUNK)
+                if not rows.size:
+                    break
+                if rows.shape[1] != len(header):
+                    raise ValueError(f"{path}: rows have {rows.shape[1]} values, the header {len(header)}")
+                if n + len(rows) > cols.shape[1]:  # bare CR line ends among LF ones
+                    cols = np.hstack((cols[:, :n], np.empty((len(cols), n + len(rows)), np.int64)))
+                cols[:, n : n + len(rows)] = rows.T[1:]
+                n += len(rows)
+                if len(rows) < engine_mod._CSV_CHUNK:
+                    break
+    cols = cols[:, :n]  # blank lines were counted as rows
+    if len(cols) > 2:  # full rows
+        deps = cols[3]
+        T = horizon if horizon is not None else (int(deps.max()) if n else 1)
+        servers = cols[4] if len(cols) == 5 else None
+        return Trace(cols[0], cols[1], cols[2], deps, T, servers)
+    return run_discipline(cols[0], cols[1], disc or Fifo(1), horizon)
+
+
 @pytest.fixture()
 def engine_block(request, monkeypatch):
     """One block size of :mod:`dtq.engine` (``_SLOT_BLOCK``, ``_FIFO_BLOCK``
@@ -443,7 +478,8 @@ def traced_peak_mb(fn, *args) -> float:
     A no-op profile hook runs alongside: it makes CPython 3.11 keep a line
     array per code object it sees, so tracemalloc finds each allocation's
     line number by one lookup instead of a scan of the line table.  That
-    makes numpy's ``loadtxt`` six times faster under tracing; the hook's
+    makes Python-heavy callees, numpy's ``loadtxt`` in the trace reader's
+    oracle say, six times faster under tracing; the hook's
     own allocations are transient, ~0.01 MB at a peak.  A profiler already
     installed (cProfile, say) has the same effect and is left in place.
     """

@@ -544,6 +544,20 @@ GOLDEN_VERIFY_SHA256 = {
     ("finite-population", 99, "text"): "6570ba1fe50b6bb5abf35c120566176e97e031a1f253f7bd497d8c973992d959",
 }
 
+# sha256 of the `dtq simulate --out` file on the same models and seeds: the
+# trace writer's bytes, which the benchmark's trace-roundtrip reads back
+GOLDEN_SIMULATE_SHA256 = {
+    ("ref", 42): "4e7f2132c79885f9adae17d127b178237472ea06bec09f9eeb52488a1cb9f3c1",
+    ("ref", 7): "d4f7e8125796b59d86dcd6fc229637b77e8fb239a307266e30afe66c314bfd8a",
+    ("ref", 99): "239d7c631310ceadc4bad0e32bd4fc91de4c28ba0956bb9f07f217b3438ad4e5",
+    ("fifo2-random", 42): "89fce3ca0cfe34e36d3dc73f3a3bf4a292996646954d98868b8509a42aa09dbb",
+    ("fifo2-random", 7): "3e6fa59139fb0be4edb56913acf3dc0c1d29fda8260519e6170b8ac5805190f4",
+    ("fifo2-random", 99): "d967f6981f612737f5d8790f375b36ddd385cab55c5637b925ad70c4b07d86d4",
+    ("finite-population", 42): "2b6af58c23af67b6d8e067c6abc42c8fd6ac5a690bac47c386ce762f24406ac2",
+    ("finite-population", 7): "5981021857da31048cd6898c4bd14fafd1ffbafb5cfb6dccff3f950c452e9c9f",
+    ("finite-population", 99): "78550d8e1b00456af88c83b1e08ef515d8d324ed0e412c343f75e9376d9c955c",
+}
+
 
 class TestGoldenBytes:
     # config name -> (model, checks, horizon), by bench/workloads.py's names
@@ -572,6 +586,27 @@ class TestGoldenBytes:
         assert main(argv) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == GOLDEN_VERIFY_SHA256[name, seed, fmt]
+
+    @pytest.mark.parametrize("name,seed", list(GOLDEN_SIMULATE_SHA256))
+    def test_simulate_output_bytes(self, configs, tmp_path, name, seed):
+        from dataclasses import fields
+
+        import numpy as np
+
+        from dtq.engine import Trace, read_trace_csv
+
+        path = tmp_path / "trace.csv"
+        assert main(["--config", configs[name], "--seed", str(seed), "--out", str(path), "simulate"]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SIMULATE_SHA256[name, seed]
+        exp = cli.load_experiment(configs[name], seed)
+        written = exp.make_trace(exp.seed)
+        back = read_trace_csv(path, horizon=exp.horizon)
+        for f in fields(Trace):
+            got, want = getattr(back, f.name), getattr(written, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
 
 
 class TestCheckRegistry:

@@ -1,9 +1,10 @@
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import oracle_observed_wait
+from conftest import engine_blocks, oracle_observed_wait, small_random_traces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,20 +157,19 @@ class TestOffsetMemo:
         from dtq import coherence
 
         calls = []
+        blocks = coherence._offset_blocks
 
-        def counted(*args):
-            calls.append(args[1:])
-            return observed_waits(*args)
+        def counted(trace, s0, e0):
+            calls.append((s0, e0))
+            return blocks(trace, s0, e0)
 
-        monkeypatch.setattr(coherence, "observed_waits", counted)
+        monkeypatch.setattr(coherence, "_offset_blocks", counted)
         tr = self._trace()
         for rule, epoch in itertools.product(RULES, EPOCHS):
             assert verify_on_trace(tr, rule, epoch).passed
         assert len(calls) == 5
-        assert len({span_shift(*combo) for combo in calls}) == 5
-        assert sorted(k for k in tr._memo if k[0] == "offsets") == sorted(
-            ("offsets", *span_shift(r, e)) for r, e in calls
-        )
+        assert set(calls) == {span_shift(r, e) for r, e in itertools.product(RULES, EPOCHS)}
+        assert sorted(k for k in tr._memo if k[0] == "offsets") == sorted(("offsets", *c) for c in calls)
 
     def test_reports_do_not_alias_the_memo(self):
         tr = self._trace()
@@ -216,9 +216,29 @@ class TestOffsetMemo:
         from dtq import coherence
 
         tr = self._trace()
-        monkeypatch.setattr(
-            coherence, "observed_waits", lambda trace, rule, epoch: trace.waits + 2 * (trace.waits > 3)
-        )
+        # offsets 0 and 2, plus one: the second pass finds the same set
+        monkeypatch.setattr(coherence, "_offset_blocks", lambda trace, s0, e0: iter([1 + 2 * (trace.waits > 3)]))
         with pytest.raises(OffsetViolation, match=r"offsets \[0, 2\] for \(EAS, random-observer\)"):
             verify_on_trace(tr, R.EAS, E.RANDOM_OBSERVER)
         assert not any(k[0] == "offsets" for k in tr._memo)
+
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
+    def test_histogram_is_the_bincount_of_the_offsets(self, engine_block):
+        # arrivals at slot 0 make the clip at slot 1 bind: those traces fail
+        # some combos and take others out of range, at every block size
+        slot_zero = run_discipline([0, 0, 3, 4], [2, 3, 1, 5], Fifo(1), horizon=20)
+        outcomes = Counter()
+        for tr in (slot_zero, *small_random_traces(20251020, 100)):
+            for rule, epoch in itertools.product(RULES, EPOCHS):
+                offsets = observed_waits(tr, rule, epoch) - tr.waits
+                if tr.n and offsets.min() < -1:
+                    found = re.escape(f"offsets {np.unique(offsets).tolist()} for")
+                    with pytest.raises(OffsetViolation, match=found):
+                        verify_on_trace(tr, rule, epoch)
+                    outcomes["raised"] += 1
+                    continue
+                counts = np.bincount(offsets + 1, minlength=3)
+                report = verify_on_trace(tr, rule, epoch)
+                assert report.offset_counts == {v - 1: int(c) for v, c in enumerate(counts) if c}
+                outcomes[report.passed] += 1
+        assert outcomes["raised"] and outcomes[False] and outcomes[True]

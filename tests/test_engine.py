@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import FrozenInstanceError, fields
 from functools import cache
@@ -9,6 +10,7 @@ from conftest import (
     oracle_fifo_multi,
     oracle_fifo_servers,
     oracle_finite_population,
+    oracle_read_trace_csv,
     oracle_trace_csv,
     reference_trace,
     traced_peak_mb,
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from dtq import cli
 from dtq import engine as engine_mod
+from dtq.coherence import verify_on_trace
 from dtq.engine import (
     Bernoulli,
     DiscreteDist,
@@ -39,6 +42,8 @@ from dtq.engine import (
 from dtq.littles import basic_inequality_path, utilization
 from dtq.observer import time_averages
 from dtq.timebase import (
+    EPOCHS,
+    RULES,
     ObservationEpoch as E,
     Phase,
     SchedulingRule as R,
@@ -580,16 +585,20 @@ class TestFinitePopulation:
 
 _TRACE_FIELDS = ("arrivals", "services", "starts", "departures")
 
-# the ends of each base-10^4 digit group the encoder splits a value into
-_GROUP_EDGES = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12, 10**16]
-_edge_or_any = st.one_of(st.sampled_from(_GROUP_EDGES), st.integers(0, 10**16))
+# the ends of each base-10^4 digit group the encoder splits a value into,
+# and of each eight-digit word the decoder reads (at most 18 digits)
+_GROUP_EDGES = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12, 10**16 - 1, 10**16, 10**18 - 1]
 
 
 @st.composite
-def _csv_traces(draw):
-    """Small traces whose columns hit every digit-group edge."""
+def _csv_traces(draw, top=10**18 - 1):
+    """Small traces whose columns hit every digit-group edge up to ``top``;
+    a start is an arrival plus a drawn delay, and a departure adds the
+    service, so the columns reach three times ``top``."""
     n = draw(st.integers(0, 12))
-    column = st.lists(_edge_or_any, min_size=n, max_size=n)
+    edges = [e for e in _GROUP_EDGES if e <= top]
+    values = st.one_of(st.sampled_from(edges), st.integers(0, min(top, 10**16)))
+    column = st.lists(values, min_size=n, max_size=n)
     arrivals = np.sort(np.array(draw(column), dtype=np.int64))
     starts = arrivals + np.array(draw(column), dtype=np.int64)
     services = 1 + np.array(draw(column), dtype=np.int64)
@@ -644,6 +653,36 @@ class TestTraceCsv:
             write_trace_csv(tr, ours)
         oracle_trace_csv(tr, ref)
         assert ours.read_bytes() == ref.read_bytes()
+
+    # below 10^17, a departure (arrival + delay + service) stays below
+    # 3 * 10^17, so every value the property writes has at most 18 digits
+    @given(_csv_traces(top=10**17 - 1), st.data())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reads_what_the_loadtxt_reader_reads(self, tmp_path, tr, data):
+        # the written rows again, each with a drawn line end, blank lines
+        # drawn before and after every row, and the last line end optional
+        path = tmp_path / "t.csv"
+        write_trace_csv(tr, path)
+        header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+        ends = st.sampled_from([b"\n", b"\r\n", b"\r"])
+        lines = [header]
+        for row in rows + [None]:
+            lines += [b""] * data.draw(st.integers(0, 2))
+            lines += [] if row is None else [row]
+        text = b"".join(line + data.draw(ends) for line in lines)
+        if not data.draw(st.booleans()):
+            text = text[: -1 - text.endswith(b"\r\n")]
+        path.write_bytes(text)
+        want = oracle_read_trace_csv(path)
+        for block in (1, 2, 3, 7, 1 << 16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine_mod, "_SLOT_BLOCK", block)
+                back = read_trace_csv(path)
+            assert back.horizon == want.horizon, block
+            assert back.servers is want.servers is None or np.array_equal(back.servers, want.servers), block
+            _assert_columns(back)
+            for name in _TRACE_FIELDS:
+                assert np.array_equal(getattr(back, name), getattr(want, name)), (block, name)
 
     @engine_blocks("_CSV_CHUNK", 4)  # a partial last block
     @pytest.mark.parametrize("servers", ["none", "zeros", "edges"])
@@ -771,10 +810,12 @@ def _assert_columns(tr):
 
 
 @pytest.mark.usefixtures("engine_block")
-@engine_blocks("_CSV_CHUNK", 1, 2, 3)
+@engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7)
 class TestTraceCsvChunks:
-    """The reader parses ``_CSV_CHUNK`` rows at a time into preallocated
-    columns; a file reads the same wherever its chunk edges fall."""
+    """The reader decodes ``_SLOT_BLOCK`` bytes at a time into preallocated
+    columns, carrying the last unfinished row to the next block; a file
+    reads the same wherever its block edges fall, rows longer than a
+    block included."""
 
     HEADER = "k,A,S,Astart,D"
     ROWS = ["1,1,5,1,6", "2,3,4,6,10", "3,4,1,10,11", "4,9,2,11,13", "5,12,3,13,16"]
@@ -842,6 +883,51 @@ class TestTraceCsvChunks:
         assert list(tr.arrivals) == [1, 3, 9, 9] and list(tr.services) == [5, 4, 2, 1]
         _assert_columns(tr)
 
+    def test_word_edges_read_back(self, tmp_path):
+        # A and Astart take every edge but the top one, S and D every edge
+        # but 0 (a departure after 10^18 - 1 has 19 digits), server all
+        e = np.array(_GROUP_EDGES, dtype=np.int64)
+        arrivals = np.concatenate([np.zeros(len(e) - 1, dtype=np.int64), e[:-1]])
+        services = np.concatenate([e[1:], np.ones(len(e) - 1, dtype=np.int64)])
+        servers = np.concatenate([e[1:], e[:-1]])
+        tr = Trace(arrivals, services, arrivals, arrivals + services, 1, servers)
+        path = tmp_path / "edges.csv"
+        write_trace_csv(tr, path)
+        back = read_trace_csv(path, horizon=1)
+        for name in _TRACE_FIELDS + ("servers",):
+            assert np.array_equal(getattr(back, name), getattr(tr, name)), name
+        _assert_columns(back)
+        assert {int(v) for name in _TRACE_FIELDS + ("servers",) for v in getattr(back, name)} >= set(_GROUP_EDGES)
+
+    def test_leading_zeros(self, tmp_path):
+        path = self._write(tmp_path, [self.HEADER, "001,007,2,0007,000000000000000009"], "\r\n")
+        tr = read_trace_csv(path)
+        assert [list(getattr(tr, f)) for f in _TRACE_FIELDS] == [[7], [2], [7], [9]]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,3,4,6,1000000000000000000", "line 3: a value of 19 digits"),
+            ("2, 3,4,6,10", r"line 3: byte b' ' is not a digit, ',' or a line end"),
+            ("2,3,4,6,10 ", r"line 3: byte b' '"),
+            ("2,\t3,4,6,10", r"line 3: byte b'\\t'"),
+            ("2,+3,4,6,10", r"line 3: byte b'\+'"),
+            ("# 2,3,4,6,10", r"line 3: byte b'#'"),
+            ("2,3,,4,6,10", "line 3: an empty value"),
+            ("2,3,4,6,10,", "line 3: an empty value"),
+            (",2,3,4,6,10", "line 3: an empty value"),
+            ("2,3,4,6,1\r0", r"rows have 1 values, the header 5 \(line 4\)"),
+            ("-2,3,4,6,10", "line 3: a negative value; trace values are nonnegative"),
+        ],
+        ids=["19-digits", "space", "trailing-space", "tab", "plus", "hash", "double-comma",
+             "trailing-comma", "leading-comma", "stray-cr", "negative-k"],
+    )
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_rejects_what_the_writer_never_writes(self, tmp_path, end, row, message):
+        lines = [self.HEADER, self.ROWS[0], row] + self.ROWS[2:]
+        with pytest.raises(ValueError, match=message):
+            read_trace_csv(self._write(tmp_path, lines, end))
+
 
 def test_write_holds_one_block_of_scratch(tmp_path):
     # 6.3 MB: the scratch of one block, allocated once, plus one block's
@@ -855,6 +941,16 @@ def test_read_holds_the_columns_and_one_chunk(tmp_path):
     path = tmp_path / "ref.csv"
     write_trace_csv(reference_trace(), path)
     assert traced_peak_mb(read_trace_csv, path) <= 15
+
+
+def test_offsets_hold_no_customer_length_array():
+    # the 30 combos take two blocks of _SLOT_BLOCK customers (1 MB); with
+    # observed_waits' two customer-length copies per shift they took 4.6 MB
+    def offsets(trace):
+        for rule, epoch in itertools.product(RULES, EPOCHS):
+            verify_on_trace(trace, rule, epoch)
+
+    assert traced_peak_mb(offsets, reference_trace()) <= 1.5
 
 
 def test_reference_checks_hold_no_per_cycle_arrays(tmp_path):
