@@ -5,7 +5,9 @@ Configs are sectioned key = value files ([model], [sim], [checks],
 one entry of the CHECKS registry: a function of (experiment, trace) that
 yields :class:`dtq.littles.Row` verdicts, the library's own rows where a
 library check decides them, which _run_check turns into report rows with
-the residual and a pass flag.
+the residual and a pass flag, and a precondition on the :class:`Model`: the
+reason the check does not apply, or None.  Such a check is one skip row
+(pass null, numbers 0) when [checks] names no list, else a config error.
 Subcommands:
 
   classify   30-combo classification grid against the reference
@@ -17,8 +19,8 @@ Subcommands:
 
 Every subcommand but simulate writes one table: its rows as JSON or CSV
 (a header of field names, then strings as they are and numbers as repr),
-or its own text.  Exit codes: 0 all checks pass, 1 a check failed, 2
-usage or config error.
+or its own text.  Exit codes: 0 every row passes or is skipped, 1 a
+check failed, 2 usage or config error.
 """
 from __future__ import annotations
 
@@ -27,13 +29,16 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import birthdeath, busy, coherence, littles, observer
 from .coherence import CoherenceClass
 from .engine import (
+    ArrivalSpec,
     Bernoulli,
+    DisciplineSpec,
     DiscreteDist,
     Explicit,
     Fifo,
@@ -84,8 +89,23 @@ _CONFIG_KEYS = {
 }
 
 
+@dataclass(frozen=True)
+class Model:
+    """The engine specs a [model] section resolves to.  ``lam`` is alpha of
+    Bernoulli input and 1/E[gap] of renewal input, ``beta`` the parameter of
+    a ``geometric:beta`` service spec; each is None for any other spec."""
+
+    arrival: ArrivalSpec
+    service: DiscreteDist
+    discipline: DisciplineSpec
+    lam: float | None
+    beta: float | None
+
+
 class Experiment:
-    """Validated model/sim/checks/output settings."""
+    """Validated settings.  ``model`` is the resolved :class:`Model`, and
+    ``alpha`` (None where the arrivals have none) and ``service`` are read off
+    it.  An unstable FIFO model or a named check that does not apply raises."""
 
     def __init__(self, cp: configparser.ConfigParser, seed_override=None):
         for section in cp.sections():
@@ -102,41 +122,43 @@ class Experiment:
         out = cp["output"] if cp.has_section("output") else {}
 
         kind = model.get("arrival", "bernoulli").strip()
-        self.alpha = float(model.get("alpha", "0.3"))
-        self.beta = float(model.get("beta", "0.5"))
-        self.service_spec = model.get("service", f"geometric:{self.beta}")
-        self.service = _parse_dist(self.service_spec)
+        alpha = float(model.get("alpha", "0.3"))
+        beta_key = float(model.get("beta", "0.5"))
+        service = model.get("service", f"geometric:{beta_key}")
+        dist_kind, _, rest = service.partition(":")
+        beta = float(rest) if dist_kind.strip() == "geometric" else None
+        if "beta" in model and beta_key != beta:
+            raise ConfigError(f"beta = {model['beta']} is not the parameter of service = {service}")
+        lam = None
         if kind == "bernoulli":
-            self.arrival = Bernoulli(self.alpha)
+            arrival, lam = Bernoulli(alpha), alpha
         elif kind == "renewal":
-            self.arrival = Renewal(_parse_dist(model.get("interarrival", "")))
+            arrival = Renewal(_parse_dist(model.get("interarrival", "")))
+            lam = 1.0 / arrival.interarrival.mean()
         elif kind == "finite-population":
-            self.arrival = FinitePopulation(int(model.get("sources", "1")), self.alpha)
+            arrival = FinitePopulation(int(model.get("sources", "1")), alpha)
         elif kind == "explicit":
             slots = tuple(int(x) for x in model.get("slots", "").split(","))
-            self.arrival = Explicit(slots)
+            arrival = Explicit(slots)
         else:
             raise ConfigError(f"unknown arrival kind {kind!r}")
 
         disc = model.get("discipline", "fifo").strip()
-        self.servers = int(model.get("servers", "1"))
+        servers = int(model.get("servers", "1"))
         if disc == "fifo":
-            self.discipline = Fifo(self.servers, model.get("assignment", "lowest"))
+            discipline = Fifo(servers, model.get("assignment", "lowest"))
         elif disc == "infinite-server":
-            self.discipline = InfiniteServer()
+            discipline = InfiniteServer()
         else:
             raise ConfigError(f"unknown discipline {disc!r}")
-
-        # the offered load lambda*E[S] is known from the specs alone, so an
-        # unstable queue or formula is rejected before any simulation
-        lam = None
-        if isinstance(self.arrival, Bernoulli):
-            lam = self.alpha
-        elif isinstance(self.arrival, Renewal):
-            lam = 1.0 / self.arrival.interarrival.mean()
-        self.load = None if lam is None else lam * self.service.mean()
-        if self.load is not None and isinstance(self.discipline, Fifo):
-            rho = self.load / self.servers
+        self.model = Model(arrival, _parse_dist(service), discipline, lam, beta)
+        self.alpha = getattr(arrival, "alpha", None)
+        self.service = self.model.service
+        # the config with its defaults, as the bundle records it
+        self.recorded = {"alpha": alpha, "beta": beta_key, "service": service, "servers": servers}
+        # an unstable FIFO queue is rejected before any simulation
+        if lam is not None and isinstance(discipline, Fifo):
+            rho = lam * self.service.mean() / servers
             if rho >= 1.0:
                 raise ConfigError(f"unstable configuration: utilization {rho:.3f} >= 1")
 
@@ -149,31 +171,27 @@ class Experiment:
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
 
-        names = cp.get("checks", "names", fallback=", ".join(CHECK_NAMES))
-        self.checks = tuple(n.strip() for n in names.split(",") if n.strip())
-        if not self.checks:
-            raise ConfigError("[checks] names is empty: a verify must run at least one check")
-        for n in self.checks:
-            if n not in CHECK_NAMES:
-                raise ConfigError(f"unknown check {n!r}; known: {', '.join(CHECK_NAMES)}")
-            self.require(n)
+        self.checks = CHECK_NAMES
+        if cp.has_option("checks", "names"):
+            names = cp.get("checks", "names").split(",")
+            self.checks = tuple(n.strip() for n in names if n.strip())
+            if not self.checks:
+                raise ConfigError("[checks] names is empty: a verify must run at least one check")
+            for n in self.checks:
+                if n not in CHECK_NAMES:
+                    raise ConfigError(f"unknown check {n!r}; known: {', '.join(CHECK_NAMES)}")
+                self.require(n)
 
         self.format = out.get("format", "text")
         self.out_path = out.get("path")
 
     def require(self, check: str) -> None:
-        """Raise ConfigError when this model leaves the formula of ``check``
-        undefined: P-K needs lambda*E[S] < 1, dist and table61 alpha < beta."""
-        try:
-            if check == "pk" and self.load is not None and self.load >= 1.0:
-                raise ValueError(f"unstable: lambda*E[S] = {self.load:.4g} >= 1")
-            if check in ("dist", "table61"):
-                birthdeath._check_stable(self.alpha, self.beta)
-        except ValueError as exc:
-            raise ConfigError(f"check {check!r}: {exc}") from None
+        """Raise ConfigError when ``check`` does not apply to this model."""
+        if reason := CHECKS[check][1](self.model):
+            raise ConfigError(f"check {check!r} does not apply: {reason}")
 
     def make_trace(self, seed: int):
-        return build_trace(self.arrival, self.service, self.discipline, seed, self.horizon)
+        return build_trace(self.model.arrival, self.service, self.model.discipline, seed, self.horizon)
 
 
 def load_experiment(path: str | None, seed_override=None) -> Experiment:
@@ -205,7 +223,7 @@ def _class_pi(exp: Experiment, trace, klass: CoherenceClass):
     and analytic pi zero-padded to one length."""
     rule, epoch = _CLASS_COMBOS[klass]
     est = observer.time_averages(trace, rule, epoch, exp.warmup)
-    ana = birthdeath.bgeom1_pi(birthdeath.BGeom1Params(exp.alpha, exp.beta, klass))
+    ana = birthdeath.bgeom1_pi(birthdeath.BGeom1Params(exp.model.lam, exp.model.beta, klass))
     width = max(len(ana), len(est.pi_obs))
     return est, np.pad(est.pi_obs, (0, width - len(est.pi_obs))), np.pad(ana, (0, width - len(ana)))
 
@@ -246,38 +264,61 @@ def _dist(exp, trace):
 
 
 def _table61(exp, trace):
-    for (rule, epoch), ref in birthdeath.occupancy_grid(exp.alpha, exp.beta).items():
+    for (rule, epoch), ref in birthdeath.occupancy_grid(exp.model.lam, exp.model.beta).items():
         est = observer.time_averages(trace, rule, epoch, exp.warmup)
         sim = 1.0 - float(est.pi_obs[0])
         yield Row(f"1-pi_obs(0) [{rule.label}/{epoch.label}]", sim, ref, 0.01 * ref)
 
 
 def _utilization(exp, trace):
-    target = exp.alpha * exp.service.mean()
+    target = exp.model.lam * exp.model.service.mean()
     yield Row("busy servers", littles.utilization(trace).total, target, 0.02 * target)
     # the per-server busy fraction E[min(N, c)]/c, which is 1 - pi(0) when c = 1
-    c = exp.servers
+    c = exp.model.discipline.servers
     pi = observer.time_averages(trace, warmup=exp.warmup).pi[:c]
     busy_fraction = (c - float((c - np.arange(len(pi))) @ pi)) / c
-    name = "1-pi(0) vs rho" if c == 1 else "E[min(N,c)]/c vs rho/c"
+    name = "1-pi(0) vs rho" if c == 1 else "E[min(N;c)]/c vs rho/c"
     yield Row(name, busy_fraction, target / c, 0.01 * target)
 
 
+# --- preconditions: what a check needs of the model, and the reason it gives --
+
+_BERNOULLI = (lambda m: isinstance(m.arrival, Bernoulli), "needs Bernoulli input")
+_ONE_FIFO = (
+    lambda m: isinstance(m.discipline, Fifo) and m.discipline.servers == 1, "needs one FIFO server"
+)
+_STABLE = (lambda m: m.lam * m.service.mean() < 1.0, "needs lambda*E[S] < 1")
+_GEOMETRIC = (lambda m: m.beta is not None, "needs geometric service")
+_ALPHA_BELOW_BETA = (lambda m: m.lam < m.beta < 1.0, "needs alpha < beta < 1")
+_FIFO = (lambda m: isinstance(m.discipline, Fifo), "needs a FIFO discipline")
+_KNOWN_RATE = (lambda m: m.lam is not None, "needs a known arrival rate")
+
+
+def _needs(*conditions):
+    """A check's precondition: the reason of the first condition the model
+    fails, tested in order, or None when the check applies."""
+    return lambda m: next((reason for holds, reason in conditions if not holds(m)), None)
+
+
 CHECKS = {
-    "little": _little,
-    "little-observed": _little_observed,
-    "pk": _pk,
-    "workload": _workload,
-    "busy": _busy,
-    "dist": _dist,
-    "table61": _table61,
-    "utilization": _utilization,
+    "little": (_little, _needs()),
+    "little-observed": (_little_observed, _needs()),
+    "pk": (_pk, _needs(_BERNOULLI, _ONE_FIFO, _STABLE)),
+    "workload": (_workload, _needs(_BERNOULLI, _ONE_FIFO, _STABLE)),
+    "busy": (_busy, _needs()),
+    "dist": (_dist, _needs(_BERNOULLI, _ONE_FIFO, _STABLE, _GEOMETRIC, _ALPHA_BELOW_BETA)),
+    "table61": (_table61, _needs(_BERNOULLI, _ONE_FIFO, _STABLE, _GEOMETRIC, _ALPHA_BELOW_BETA)),
+    "utilization": (_utilization, _needs(_FIFO, _KNOWN_RATE)),
 }
 CHECK_NAMES = tuple(CHECKS)
 
 
 def _run_check(name: str, exp: Experiment, trace) -> list[dict]:
-    return [_row(name, row) for row in CHECKS[name](exp, trace)]
+    """The check's rows, or one skip row if it does not apply (default list only)."""
+    check, applies = CHECKS[name]
+    if reason := applies(exp.model):
+        return [{**_row(name, Row(f"skipped: {reason}", 0.0, 0.0, 0.0)), "pass": None}]
+    return [_row(name, row) for row in check(exp, trace)]
 
 
 def run_verify(exp: Experiment, trace_out: str | None = None) -> dict:
@@ -288,14 +329,10 @@ def run_verify(exp: Experiment, trace_out: str | None = None) -> dict:
         if i == 0 and trace_out:
             write_trace_csv(trace, trace_out)
         rows = [row for name in exp.checks for row in _run_check(name, exp, trace)]
-        replications.append({"seed": seed, "rows": rows, "pass": all(r["pass"] for r in rows)})
+        passed = all(r["pass"] is not False for r in rows)  # a skip row's pass is None
+        replications.append({"seed": seed, "rows": rows, "pass": passed})
     return {
-        "model": {
-            "alpha": exp.alpha,
-            "beta": exp.beta,
-            "service": exp.service_spec,
-            "servers": exp.servers,
-        },
+        "model": exp.recorded,
         "sim": {
             "horizon": exp.horizon,
             "warmup": exp.warmup,
@@ -334,7 +371,7 @@ def _rows_text(rows: list[dict]) -> str:
         lines.append(
             f"{r['check']:<14}{r['quantity']:<44}{r['simulated']:>14.6g}"
             f"{r['formula']:>14.6g}{r['residual']:>12.3g}{r['tolerance']:>10.3g}"
-            f"  {'PASS' if r['pass'] else 'FAIL'}"
+            f"  {'SKIP' if r['pass'] is None else 'PASS' if r['pass'] else 'FAIL'}"
         )
     return "\n".join(lines) + "\n"
 
@@ -397,8 +434,8 @@ def cmd_dist(args) -> int:
     klass = spellings.get(args.klass)
     if klass is None:
         raise ConfigError(f"unknown class {args.klass!r}")
-    # BGeom1Params rejects a bad (alpha, beta) before any simulation
-    L_analytic = birthdeath.bgeom1_L(birthdeath.BGeom1Params(exp.alpha, exp.beta, klass))
+    exp.require("dist")
+    L_analytic = birthdeath.bgeom1_L(birthdeath.BGeom1Params(exp.model.lam, exp.model.beta, klass))
     est, sim, ana = _class_pi(exp, exp.make_trace(exp.seed), klass)
     rows = [
         {"n": n, "pi_analytic": float(a), "pi_simulated": float(s), "abs_diff": float(abs(a - s))}
@@ -424,9 +461,10 @@ def cmd_dist(args) -> int:
 
 def cmd_table61(args) -> int:
     exp = load_experiment(args.config, args.seed)
-    grid = birthdeath.occupancy_grid(exp.alpha, exp.beta)
+    exp.require("table61")
+    grid = birthdeath.occupancy_grid(exp.model.lam, exp.model.beta)
     rows = [{"rule": r.label, "epoch": e.label, "value": v} for (r, e), v in grid.items()]
-    text = birthdeath.render_occupancy_text(exp.alpha, exp.beta) + "\n"
+    text = birthdeath.render_occupancy_text(exp.model.lam, exp.model.beta) + "\n"
     _emit(rows, text, args.format or "text", args.out)
     return 0
 

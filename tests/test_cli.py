@@ -158,7 +158,7 @@ class TestVerify:
             assert row["quantity"] == "1-pi(0) vs rho"
             assert row["simulated"] == 1.0 - float(time_averages(trace, warmup=4000).pi[0])
         else:  # P(N > 0) read 0.81 here against the per-server load 0.6
-            assert row["quantity"] == "E[min(N,c)]/c vs rho/c"
+            assert row["quantity"] == "E[min(N;c)]/c vs rho/c"
             assert row["pass"]
         busy = np.minimum(oracle_queue_path(trace)[4001:], servers).mean() / servers
         assert row["simulated"] == pytest.approx(busy, abs=1e-12)
@@ -189,22 +189,34 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "unstable" in err and "utilization 2.000" in err
 
-    # each check's formula needs lambda*E[S] < 1 (pk) or alpha < beta (dist,
-    # table61), which the model settles before any simulation
+    # pk needs Bernoulli input to one FIFO server, dist and table61 also
+    # geometric service: the model settles it before any simulation
     UNEVALUABLE = {
         "fifo2-random": "alpha = 0.6\nservice = geometric:0.5\nservers = 2\nassignment = random",
         "infinite-server": "alpha = 0.6\nservice = geometric:0.5\ndiscipline = infinite-server",
         "renewal-c2": "arrival = renewal\ninterarrival = pmf:1:0.5,2:0.5\nservice = geometric:0.5\nservers = 2",
+        "finite-population": (
+            "arrival = finite-population\nsources = 5\nalpha = 0.2\nservice = geometric:0.2"
+        ),
+        "explicit-infinite-server": (
+            "arrival = explicit\nslots = 1,1,1,1,2,2,2,2,3,3,3,3\nservice = point:5\n"
+            "discipline = infinite-server"
+        ),
+        "pmf-service": "alpha = 0.3\nservice = pmf:1:0.5,2:0.3,4:0.2",
     }
 
     @pytest.mark.parametrize(
         "model,check,message",
         [
-            ("fifo2-random", "pk", "check 'pk': unstable: lambda*E[S] = 1.2 >= 1"),
-            ("fifo2-random", "dist", "check 'dist': unstable: alpha/beta = 1.2 >= 1"),
-            ("fifo2-random", "table61", "check 'table61': unstable: alpha/beta = 1.2 >= 1"),
-            ("infinite-server", "pk", "check 'pk': unstable: lambda*E[S] = 1.2 >= 1"),
-            ("renewal-c2", "pk", "check 'pk': unstable: lambda*E[S] = 1.333 >= 1"),
+            ("fifo2-random", "pk", "check 'pk' does not apply: needs one FIFO server"),
+            ("fifo2-random", "dist", "check 'dist' does not apply: needs one FIFO server"),
+            ("fifo2-random", "table61", "check 'table61' does not apply: needs one FIFO server"),
+            ("infinite-server", "pk", "check 'pk' does not apply: needs one FIFO server"),
+            ("renewal-c2", "pk", "check 'pk' does not apply: needs Bernoulli input"),
+            ("finite-population", "pk", "check 'pk' does not apply: needs Bernoulli input"),
+            ("explicit-infinite-server", "pk", "check 'pk' does not apply: needs Bernoulli input"),
+            ("pmf-service", "dist", "check 'dist' does not apply: needs geometric service"),
+            ("pmf-service", "table61", "check 'table61' does not apply: needs geometric service"),
         ],
     )
     def test_unevaluable_formula_rejected_before_simulation(
@@ -225,6 +237,25 @@ class TestVerify:
         assert main(["--config", str(path), "--out", str(tmp_path / "out"), check]) == 2
         assert message.partition(": ")[2] in capsys.readouterr().err
         assert built == []
+
+    def test_utilization_on_infinite_server(self, tmp_path, capsys, monkeypatch):
+        # an infinite-server model has no server count and no FIFO busy fraction
+        model = "[model]\nalpha = 0.6\ndiscipline = infinite-server\n\n[sim]\nhorizon = 20000\n"
+        path = tmp_path / "inf.ini"
+        path.write_text(model + "\n[checks]\nnames = little, utilization\n")
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_trace", lambda *args: built.append(args))
+            assert main(["--config", str(path), "verify"]) == 2
+        assert "check 'utilization' does not apply: needs a FIFO discipline" in capsys.readouterr().err
+        assert built == []  # rejected before any simulation
+        # the default list reports it as one skip row and still passes
+        path.write_text(model)
+        assert main(["--config", str(path), "--format", "json", "verify"]) == 0
+        rows = json.loads(capsys.readouterr().out)["replications"][0]["rows"]
+        assert [r for r in rows if r["check"] == "utilization"] == [
+            _skip_row("utilization", "needs a FIFO discipline")
+        ]
 
     def test_empty_check_list_rejected_before_simulation(self, tmp_path, capsys, monkeypatch):
         def no_simulation(*args, **kwargs):
@@ -300,6 +331,138 @@ class TestVerify:
         assert main(["--config", str(path), "verify"]) == 0
         bundle = json.loads(capsys.readouterr().out)
         assert [r["seed"] for r in bundle["replications"]] == [42, 43, 44]
+
+
+# every combination of arrival, service and discipline, and the checks that
+# apply to it beyond little, little-observed and busy, which apply to every
+# model: P pk, W workload, D dist, T table61, U utilization, - none of these
+APPLICABILITY = """
+    bernoulli          fifo1         PWDTU  PWU  PWU
+    bernoulli          fifo2-lowest  U      U    U
+    bernoulli          fifo2-random  U      U    U
+    bernoulli          infinite      -      -    -
+    renewal            fifo1         U      U    U
+    renewal            fifo2-lowest  U      U    U
+    renewal            fifo2-random  U      U    U
+    renewal            infinite      -      -    -
+    finite-population  fifo1         -      -    -
+    finite-population  fifo2-lowest  -      -    -
+    finite-population  fifo2-random  -      -    -
+    finite-population  infinite      -      -    -
+    explicit           fifo1         -      -    -
+    explicit           fifo2-lowest  -      -    -
+    explicit           fifo2-random  -      -    -
+    explicit           infinite      -      -    -
+"""
+ARRIVALS = {
+    "bernoulli": "arrival = bernoulli\nalpha = 0.3",
+    "renewal": "arrival = renewal\ninterarrival = pmf:2:0.5,4:0.5",
+    "finite-population": "arrival = finite-population\nsources = 5\nalpha = 0.1",
+    "explicit": "arrival = explicit\nslots = " + ",".join(str(k) for k in range(1, 6000, 5)),
+}
+SERVICES = {"geometric": "geometric:0.5", "point": "point:2", "pmf": "pmf:1:0.5,2:0.3,4:0.2"}
+DISCIPLINES = {
+    "fifo1": "discipline = fifo\nservers = 1",
+    "fifo2-lowest": "discipline = fifo\nservers = 2\nassignment = lowest",
+    "fifo2-random": "discipline = fifo\nservers = 2\nassignment = random",
+    "infinite": "discipline = infinite-server",
+}
+_LETTERS = {"P": "pk", "W": "workload", "D": "dist", "T": "table61", "U": "utilization"}
+
+
+def _applicability():
+    for line in APPLICABILITY.strip().splitlines():
+        arrival, disc, *cells = line.split()
+        for service, cell in zip(SERVICES, cells, strict=True):
+            extra = {_LETTERS[c] for c in cell.strip("-")}
+            yield arrival, service, disc, {"little", "little-observed", "busy"} | extra
+
+
+def _skip_row(name, reason):
+    return {
+        "check": name, "quantity": f"skipped: {reason}", "simulated": 0.0, "formula": 0.0,
+        "residual": 0.0, "tolerance": 0.0, "pass": None,
+    }
+
+
+class TestApplicability:
+    """Each check's precondition against the hand-written table above."""
+
+    def test_table_covers_every_combination(self):
+        combos = [(a, s, d) for a, s, d, _ in _applicability()]
+        every = [(a, s, d) for a in ARRIVALS for s in SERVICES for d in DISCIPLINES]
+        assert sorted(combos) == sorted(every)
+
+    @pytest.mark.parametrize(
+        "arrival,service,disc,applies",
+        list(_applicability()),
+        ids=[f"{a}-{s}-{d}" for a, s, d, _ in _applicability()],
+    )
+    def test_precondition_matches_the_table(self, tmp_path, arrival, service, disc, applies):
+        path = tmp_path / "model.ini"
+        path.write_text(
+            f"[model]\n{ARRIVALS[arrival]}\nservice = {SERVICES[service]}\n{DISCIPLINES[disc]}\n\n"
+            "[sim]\nhorizon = 6000\nseed = 42\n"
+        )
+        exp = cli.load_experiment(str(path))
+        assert exp.checks == cli.CHECK_NAMES
+        reasons = {name: precondition(exp.model) for name, (_, precondition) in cli.CHECKS.items()}
+        assert {name for name, reason in reasons.items() if reason is None} == applies
+        for name, reason in reasons.items():
+            if reason is not None:  # one CSV cell, and a config error when named
+                assert isinstance(reason, str) and reason and "," not in reason
+                with pytest.raises(cli.ConfigError) as err:
+                    exp.require(name)
+                assert str(err.value) == f"check {name!r} does not apply: {reason}"
+        if arrival == "finite-population" and disc != "fifo1":
+            with pytest.raises(ValueError, match="requires a single FIFO server"):
+                exp.make_trace(exp.seed)
+            return
+        trace = exp.make_trace(exp.seed)
+        for name, reason in reasons.items():
+            rows = cli._run_check(name, exp, trace)
+            if reason is None:  # the check runs to rows, each quantity one CSV cell
+                assert rows, name
+                assert all(r["pass"] in (True, False) and "," not in r["quantity"] for r in rows), name
+            else:
+                assert rows == [_skip_row(name, reason)]
+
+
+class TestWrongModels:
+    """Models whose Geo/Geo/1 rows used to be checked with defaulted
+    parameters: with the default check list each row passes, or skips with
+    its reason."""
+
+    # name -> (model, horizon, the checks that skip)
+    MODELS = {
+        "pmf-service": ("alpha = 0.3\nservice = pmf:1:0.5,2:0.3,4:0.2", 300_000, "dist, table61"),
+        "renewal": (
+            "arrival = renewal\ninterarrival = pmf:2:0.5,4:0.5", 100_000, "pk, workload, dist, table61"
+        ),
+        "finite-population": (
+            "arrival = finite-population\nsources = 5\nalpha = 0.1", 200_000,
+            "pk, workload, dist, table61, utilization",
+        ),
+        "fifo2-random": (
+            "alpha = 0.6\nservers = 2\nassignment = random", 100_000, "pk, workload, dist, table61"
+        ),
+        "infinite-server": (
+            "alpha = 0.6\ndiscipline = infinite-server", 100_000, "pk, workload, dist, table61, utilization"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_default_list_passes_or_skips(self, tmp_path, name):
+        model, horizon, skipped = self.MODELS[name]
+        path, out = tmp_path / "model.ini", tmp_path / "bundle.json"
+        path.write_text(f"[model]\n{model}\n\n[sim]\nhorizon = {horizon}\n")
+        assert main(["--config", str(path), "--format", "json", "--out", str(out), "verify"]) == 0
+        bundle = json.loads(out.read_text())
+        assert bundle["overall_pass"] is True and bundle["checks"] == list(cli.CHECK_NAMES)
+        rows = bundle["replications"][0]["rows"]
+        assert [r["check"] for r in rows if r["pass"] is None] == skipped.split(", ")
+        for r in rows:
+            assert r["pass"] is True or r["quantity"].startswith("skipped: needs "), r
 
 
 class TestPathBuilds:
@@ -393,7 +556,7 @@ class TestDist:
         path = tmp_path / "beta.ini"
         path.write_text(SMALL_CONFIG.replace("alpha = 0.3", "alpha = 0.3\nbeta = 0.2"))
         assert main(["--config", str(path), "dist", "--class", "sub"]) == 2
-        assert "unstable" in capsys.readouterr().err
+        assert "beta = 0.2 is not the parameter of service = geometric:0.5" in capsys.readouterr().err
 
     def test_text_mode(self, small_config, capsys):
         assert main(["--config", small_config, "dist"]) == 0
@@ -482,19 +645,68 @@ class TestOutputFormats:
         assert len(lines) == len(rows) + 1
         assert outs["text"] and outs["text"] not in (outs["json"], outs["csv"])
 
-    def test_verify_csv_cells_parse(self, tmp_path, capsys):
+    # the default check list on FIFO c = 2: pk, workload, dist and table61 skip
+    FIFO2_DEFAULT = (
+        "[model]\nalpha = 0.6\nservers = 2\nassignment = random\n\n"
+        "[sim]\nhorizon = 20000\nwarmup = 2000\nseed = 42\n"
+    )
+
+    @pytest.mark.parametrize("skips", [False, True], ids=["named", "default-with-skips"])
+    def test_verify_csv_cells_parse(self, tmp_path, capsys, skips):
         path = tmp_path / "all.ini"
-        path.write_text(SMALL_CONFIG.replace("little, busy", ", ".join(cli.CHECK_NAMES)))
+        path.write_text(
+            self.FIFO2_DEFAULT if skips else SMALL_CONFIG.replace("little, busy", ", ".join(cli.CHECK_NAMES))
+        )
         rc, out = self._run(capsys, str(path), "csv", ["verify"])
         assert rc in (0, 1)
         lines = out.splitlines()
         assert lines[0] == "check,quantity,simulated,formula,residual,tolerance,pass"
         assert {line.split(",")[0] for line in lines[1:]} == set(cli.CHECK_NAMES)
+        results = []
         for line in lines[1:]:
-            *numbers, passed = line.split(",")[2:]
-            assert passed in ("True", "False"), line
+            cells = line.split(",")
+            assert len(cells) == 7, line
+            *numbers, passed = cells[2:]
+            assert passed in ("True", "False", "None"), line
+            assert (passed == "None") == cells[1].startswith("skipped: "), line
+            results.append(passed)
             for cell in numbers:
                 float(cell)
+        assert ("None" in results) == skips
+
+    def test_skip_rows_in_every_format(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "fifo2.ini"
+        path.write_text(self.FIFO2_DEFAULT)
+
+        def no_constants(name):
+            raise AssertionError(f"{name} in a bundle")
+
+        outs = {}
+        for fmt in ("json", "text"):
+            rc, outs[fmt] = self._run(capsys, str(path), fmt, ["verify"])
+            assert rc == 0, fmt  # only pass and skip rows
+        bundle = json.loads(outs["json"], parse_constant=no_constants)
+        rows = bundle["replications"][0]["rows"]
+        skips = [r for r in rows if r["pass"] is None]
+        assert [r["check"] for r in skips] == ["pk", "workload", "dist", "table61"]
+        assert skips == [_skip_row(r["check"], "needs one FIFO server") for r in skips]
+        assert all(list(r) == list(rows[0]) for r in rows)
+        assert bundle["replications"][0]["pass"] is True and bundle["overall_pass"] is True
+        lines = outs["text"].splitlines()
+        assert [line.split()[0] for line in lines if line.endswith("  SKIP")] == [r["check"] for r in skips]
+        assert lines[-1] == "overall: PASS"
+        # one failing row beside the skip rows fails the run
+        def failing(exp, trace):
+            return [littles.Row("L", 1.0, 0.0, 0.0)]
+
+        monkeypatch.setitem(cli.CHECKS, "little", (failing, cli.CHECKS["little"][1]))
+        rc, out = self._run(capsys, str(path), "json", ["verify"])
+        assert rc == 1
+        bundle = json.loads(out, parse_constant=no_constants)
+        assert bundle["replications"][0]["pass"] is False and bundle["overall_pass"] is False
+        assert [r["check"] for r in bundle["replications"][0]["rows"] if r["pass"] is None] == [
+            r["check"] for r in skips
+        ]
 
 
 def _bench_module(name):
@@ -607,6 +819,26 @@ class TestGoldenBytes:
                 assert got.dtype == want.dtype and np.array_equal(got, want), f.name
             else:
                 assert got == want, f.name
+
+
+    # what bench/workloads.py reads of an Experiment: alpha and service.mean()
+    # (trace-roundtrip's utilization target), warmup and seed, at its horizons
+    BENCH_READS = {"ref": 0.3, "fifo2-random": 0.6, "finite-population": 0.05}
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_bench_reads_of_the_experiment(self, configs, name, seed):
+        from dtq.engine import DiscreteDist
+
+        exp = cli.load_experiment(configs[name], seed)
+        horizon = self.CONFIGS[name][2]
+        assert exp.alpha == self.BENCH_READS[name]
+        assert exp.service.mean() == DiscreteDist.geometric(0.5).mean()
+        assert (exp.horizon, exp.warmup, exp.seed) == (horizon, horizon // 10, 42 if seed is None else seed)
+        # every check the bench names applies, so none is a config error
+        checks = getattr(_bench_module("workloads"), self.CONFIGS[name][1])
+        assert exp.checks == tuple(checks.split(", "))
+        assert [cli.CHECKS[n][1](exp.model) for n in exp.checks] == [None] * len(exp.checks)
 
 
 class TestCheckRegistry:
