@@ -135,23 +135,12 @@ def class_profile(p: BGeom1Params) -> BDParams:
     return BDParams(alpha_fn=lambda n: p.alpha, beta_fn=beta_fn)
 
 
-def finite_population_profile(
-    n_sources: int, alpha: float, beta: float, form: str = "linear"
-) -> BDParams:
-    """Profile for the finite-source single-server model.
-
-    "linear" uses arrival probability (n_sources - n) * alpha, matching
-    the single-arrival closed-loop dynamics; "at-least-one" uses
-    1 - (1-alpha)^(n_sources - n).
-    """
-    if form == "linear":
-        alpha_fn = lambda n: max(0.0, (n_sources - n) * alpha)
-    elif form == "at-least-one":
-        alpha_fn = lambda n: 1.0 - (1.0 - alpha) ** max(0, n_sources - n)
-    else:
-        raise ValueError(f"unknown arrival form {form!r}")
+def finite_population_profile(n_sources: int, alpha: float, beta: float) -> BDParams:
+    """Profile for the finite-source single-server model: arrival
+    probability (n_sources - n) * alpha with n in the system, the law of
+    :func:`dtq.engine.simulate_finite_population`."""
     return BDParams(
-        alpha_fn=alpha_fn,
+        alpha_fn=lambda n: max(0.0, (n_sources - n) * alpha),
         beta_fn=lambda n: 0.0 if n == 0 else beta,
         n_max=n_sources,
     )
@@ -206,7 +195,6 @@ def one_or_more(p: BGeom1Params) -> float:
 
 def occupancy_grid(alpha: float, beta: float) -> dict:
     """Per rule/epoch value of the nonempty-system probability."""
-    _check_stable(alpha, beta)
     table = classification_table()
     return {
         key: one_or_more(BGeom1Params(alpha, beta, cls))

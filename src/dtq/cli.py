@@ -1,7 +1,9 @@
 """Command-line front end: experiments from config files, reports out.
 
 Configs are sectioned key = value files ([model], [sim], [checks],
-[output]); any other section or key is a config error.  Each check is
+[output]); any other section or key, an output format other than text,
+json or csv, and a FIFO model with load rho = lambda E[S]/c >= 1 (E[S] =
+1/beta for geometric:beta service) are config errors.  Each check is
 one entry of the CHECKS registry: a function of (experiment, trace) that
 yields :class:`dtq.littles.Row` verdicts, the library's own rows where a
 library check decides them, which _run_check turns into report rows with
@@ -49,7 +51,7 @@ from .engine import (
     write_trace_csv,
 )
 from .littles import Row
-from .timebase import RULES, ObservationEpoch, SchedulingRule
+from .timebase import ObservationEpoch, SchedulingRule
 
 # one representative rule/epoch combo per coherence class
 _CLASS_COMBOS = {
@@ -78,6 +80,20 @@ def _parse_dist(text: str) -> DiscreteDist:
         return DiscreteDist.from_pmf(pmf)
     raise ConfigError(f"unknown distribution spec {text!r}")
 
+
+def _arrival_key(model, key: str, kind: str, parse):
+    """``parse`` of the [model] value that ``arrival = kind`` needs; a
+    missing or unparsable value is a ConfigError naming the key and kind."""
+    text = model.get(key, "").strip()
+    if not text:
+        raise ConfigError(f"arrival = {kind} needs {key}")
+    try:
+        return parse(text)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{key} = {text} for arrival = {kind}: {exc}") from None
+
+
+_FORMATS = ("text", "json", "csv")
 
 # every key a config may set, by section
 _CONFIG_KEYS = {
@@ -133,13 +149,13 @@ class Experiment:
         if kind == "bernoulli":
             arrival, lam = Bernoulli(alpha), alpha
         elif kind == "renewal":
-            arrival = Renewal(_parse_dist(model.get("interarrival", "")))
+            arrival = _arrival_key(model, "interarrival", kind, lambda t: Renewal(_parse_dist(t)))
             lam = 1.0 / arrival.interarrival.mean()
         elif kind == "finite-population":
             arrival = FinitePopulation(int(model.get("sources", "1")), alpha)
         elif kind == "explicit":
-            slots = tuple(int(x) for x in model.get("slots", "").split(","))
-            arrival = Explicit(slots)
+            parse = lambda t: Explicit(tuple(int(x) for x in t.split(",")))
+            arrival = _arrival_key(model, "slots", kind, parse)
         else:
             raise ConfigError(f"unknown arrival kind {kind!r}")
 
@@ -156,10 +172,12 @@ class Experiment:
         self.service = self.model.service
         # the config with its defaults, as the bundle records it
         self.recorded = {"alpha": alpha, "beta": beta_key, "service": service, "servers": servers}
-        # an unstable FIFO queue is rejected before any simulation
+        # an unstable FIFO queue is rejected before any simulation: geometric
+        # service has mean 1/beta, above its truncated law's, and a load of 1
+        # in decimals may round to just below 1
         if lam is not None and isinstance(discipline, Fifo):
-            rho = lam * self.service.mean() / servers
-            if rho >= 1.0:
+            rho = (lam / beta if beta is not None else lam * self.service.mean()) / servers
+            if rho >= 1.0 - 1e-12:
                 raise ConfigError(f"unstable configuration: utilization {rho:.3f} >= 1")
 
         self.horizon = int(float(sim.get("horizon", "100000")))
@@ -183,6 +201,8 @@ class Experiment:
                 self.require(n)
 
         self.format = out.get("format", "text")
+        if self.format not in _FORMATS:
+            raise ConfigError(f"unknown output format {self.format!r}; known: {', '.join(_FORMATS)}")
         self.out_path = out.get("path")
 
     def require(self, check: str) -> None:
@@ -287,7 +307,6 @@ _BERNOULLI = (lambda m: isinstance(m.arrival, Bernoulli), "needs Bernoulli input
 _ONE_FIFO = (
     lambda m: isinstance(m.discipline, Fifo) and m.discipline.servers == 1, "needs one FIFO server"
 )
-_STABLE = (lambda m: m.lam * m.service.mean() < 1.0, "needs lambda*E[S] < 1")
 _GEOMETRIC = (lambda m: m.beta is not None, "needs geometric service")
 _ALPHA_BELOW_BETA = (lambda m: m.lam < m.beta < 1.0, "needs alpha < beta < 1")
 _FIFO = (lambda m: isinstance(m.discipline, Fifo), "needs a FIFO discipline")
@@ -303,11 +322,11 @@ def _needs(*conditions):
 CHECKS = {
     "little": (_little, _needs()),
     "little-observed": (_little_observed, _needs()),
-    "pk": (_pk, _needs(_BERNOULLI, _ONE_FIFO, _STABLE)),
-    "workload": (_workload, _needs(_BERNOULLI, _ONE_FIFO, _STABLE)),
+    "pk": (_pk, _needs(_BERNOULLI, _ONE_FIFO)),
+    "workload": (_workload, _needs(_BERNOULLI, _ONE_FIFO)),
     "busy": (_busy, _needs()),
-    "dist": (_dist, _needs(_BERNOULLI, _ONE_FIFO, _STABLE, _GEOMETRIC, _ALPHA_BELOW_BETA)),
-    "table61": (_table61, _needs(_BERNOULLI, _ONE_FIFO, _STABLE, _GEOMETRIC, _ALPHA_BELOW_BETA)),
+    "dist": (_dist, _needs(_BERNOULLI, _ONE_FIFO, _GEOMETRIC, _ALPHA_BELOW_BETA)),
+    "table61": (_table61, _needs(_BERNOULLI, _ONE_FIFO, _GEOMETRIC, _ALPHA_BELOW_BETA)),
     "utilization": (_utilization, _needs(_FIFO, _KNOWN_RATE)),
 }
 CHECK_NAMES = tuple(CHECKS)
@@ -390,16 +409,6 @@ def cmd_classify(args) -> int:
         for (r, e), got in table.items()
         if got is not golden[(r, e)]
     ]
-    edge_center = {
-        rule: (
-            table[(rule, ObservationEpoch.RANDOM_OBSERVER)] is CoherenceClass.COHERENT,
-            table[(rule, ObservationEpoch.OUTSIDE_OBSERVER)] is CoherenceClass.COHERENT,
-        )
-        for rule in RULES
-    }
-    if edge_center != coherence.GOLDEN_EDGE_CENTER_OK:
-        sys.stderr.write("edge/center correctness summary does not match the reference\n")
-        return 1
     if mismatches:
         for rule, epoch, got, want in mismatches:
             sys.stderr.write(f"cell ({rule}, {epoch}): computed {got};  reference {want}\n")
@@ -429,9 +438,7 @@ def cmd_check(args) -> int:
 
 def cmd_dist(args) -> int:
     exp = load_experiment(args.config, args.seed)
-    spellings = {k.label: k for k in CoherenceClass}
-    spellings.update(sub=spellings["sub-coherent"], super=spellings["super-coherent"])
-    klass = spellings.get(args.klass)
+    klass = {s: k for k in CoherenceClass for s in (k.label, k.short)}.get(args.klass)
     if klass is None:
         raise ConfigError(f"unknown class {args.klass!r}")
     exp.require("dist")
@@ -494,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--config", help="experiment config file")
     ap.add_argument("--seed", type=int, help="override the config seed")
-    ap.add_argument("--format", choices=("text", "json", "csv"))
+    ap.add_argument("--format", choices=_FORMATS)
     ap.add_argument("--out", help="write output to this path")
     sub = ap.add_subparsers(dest="command", required=True)
     parsers = {name: sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items()}

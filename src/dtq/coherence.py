@@ -43,22 +43,20 @@ __all__ = [
 
 
 class CoherenceClass(Enum):
-    COHERENT = "coherent"      # observed wait equals the actual wait
-    SUB_COHERENT = "sub-coherent"    # observed wait is one slot short
-    SUPER_COHERENT = "super-coherent"  # observed wait is one slot long
+    """A combo's class, one member per observed-wait offset: ``label`` is
+    its name, ``short`` its spelling in the grids and ``offset`` the
+    observed minus actual waiting time of every customer, in slots."""
 
-    @property
-    def label(self) -> str:
-        return self.value
+    COHERENT = ("coherent", "coh", 0)  # observed wait equals the actual wait
+    SUB_COHERENT = ("sub-coherent", "sub", -1)  # observed wait is one slot short
+    SUPER_COHERENT = ("super-coherent", "super", 1)  # observed wait is one slot long
 
-    @property
-    def short(self) -> str:
-        return {"coherent": "coh", "sub-coherent": "sub", "super-coherent": "super"}[self.value]
+    def __init__(self, label: str, short: str, offset: int):
+        self.label, self.short, self.offset = label, short, offset
 
-    @property
-    def offset(self) -> int:
-        """Observed minus actual waiting time of every customer, in slots."""
-        return {"coherent": 0, "sub-coherent": -1, "super-coherent": 1}[self.value]
+
+_BY_OFFSET = {c.offset: c for c in CoherenceClass}
+_BY_SHORT = {c.short: c for c in CoherenceClass}
 
 
 class OffsetViolation(RuntimeError):
@@ -68,12 +66,11 @@ class OffsetViolation(RuntimeError):
 def classify(rule: SchedulingRule, epoch: ObservationEpoch) -> CoherenceClass:
     s0, e0 = span_shift(rule, epoch)
     offset = e0 - s0 + 1
-    for cls in CoherenceClass:
-        if cls.offset == offset:
-            return cls
-    raise OffsetViolation(
-        f"offset {offset} for ({rule.label}, {epoch.label}); expected -1, 0 or +1"
-    )
+    if offset not in _BY_OFFSET:
+        raise OffsetViolation(
+            f"offset {offset} for ({rule.label}, {epoch.label}); expected -1, 0 or +1"
+        )
+    return _BY_OFFSET[offset]
 
 
 def classification_table() -> dict[tuple[SchedulingRule, ObservationEpoch], CoherenceClass]:
@@ -143,20 +140,12 @@ def verify_on_trace(trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch)
 
 # Reference grids the computed classification must reproduce; the
 # per-customer verification above cross-checks them on every test trace.
-_G = ("sub", "coh", "super")
-
-
 def _grid(rows: dict[SchedulingRule, str]):
-    out = {}
-    for rule, cells in rows.items():
-        names = cells.split()
-        for epoch, name in zip(EPOCHS, names):
-            out[(rule, epoch)] = {
-                "coh": CoherenceClass.COHERENT,
-                "sub": CoherenceClass.SUB_COHERENT,
-                "super": CoherenceClass.SUPER_COHERENT,
-            }[name]
-    return out
+    return {
+        (rule, epoch): _BY_SHORT[name]
+        for rule, cells in rows.items()
+        for epoch, name in zip(EPOCHS, cells.split())
+    }
 
 
 GOLDEN_CLASS_GRID = _grid(

@@ -103,9 +103,6 @@ class DiscreteDist:
     def mean(self) -> float:
         return float(sum(v * p for v, p in zip(self.values, self.probs)))
 
-    def second_moment(self) -> float:
-        return float(sum(v * v * p for v, p in zip(self.values, self.probs)))
-
     def pgf(self, z: float) -> float:
         """Evaluate sum_n P(n) z^n for z in [0, 1]."""
         if not 0.0 <= z <= 1.0:
@@ -574,8 +571,6 @@ def run_discipline(
     here all the same.
     """
     arrivals = np.asarray(arrivals, dtype=np.int64)
-    if np.any(arrivals[1:] < arrivals[:-1]):
-        raise ValueError("arrival slots must be nondecreasing")
     servers = deps = None
     if isinstance(disc, External):
         given = np.asarray(disc.departures, dtype=np.int64)
@@ -589,8 +584,6 @@ def run_discipline(
         services = np.asarray(services, dtype=np.int64)
         if len(services) != len(arrivals):
             raise ValueError("need one service time per arrival")
-        if np.any(services < 1):
-            raise ValueError("service times must be at least one slot")
         if isinstance(disc, InfiniteServer):
             starts = arrivals.copy()
         elif isinstance(disc, Fifo):
@@ -610,7 +603,7 @@ def run_discipline(
     if deps is None:
         deps = starts + services
     if horizon is None:
-        horizon = int(deps.max()) if len(deps) else 1
+        horizon = int(deps.max(initial=1))
     return Trace(arrivals, services, starts, deps, horizon, servers)
 
 
@@ -620,35 +613,29 @@ def simulate_finite_population(
     service: DiscreteDist,
     seed: int,
     horizon: int,
-    arrival_form: str = "linear",
 ) -> Trace:
     """Closed-loop single-server FIFO path for a finite source population.
 
     At most one customer arrives per slot; with n in the system the
-    per-slot arrival probability is (n_sources - n) * alpha ("linear",
-    the default, which makes the path an exact state-dependent chain) or
-    1 - (1-alpha)^(n_sources - n) ("at-least-one").  Slot t has an
-    arrival when u[t] falls below that probability, one uniform u[t] per
-    slot t = 0..horizon, drawn in blocks of ``_SLOT_BLOCK``.
+    per-slot arrival probability is (n_sources - n) * alpha, which makes
+    the path an exact state-dependent chain.  Slot t has an arrival when
+    u[t] falls below that probability, one uniform u[t] per slot
+    t = 0..horizon, drawn in blocks of ``_SLOT_BLOCK``.
 
-    Only candidate slots, those with u[t] below the largest per-state
-    probability, are visited: no other slot can hold an arrival whatever
-    the state, and the state changes only at arrivals and departures.  So
-    the path equals a slot-by-slot walk over the same uniforms.
+    Only candidate slots, those with u[t] below the empty-system
+    probability n_sources * alpha, the largest, are visited: no other slot
+    can hold an arrival whatever the state, and the state changes only at
+    arrivals and departures.  So the path equals a slot-by-slot walk over
+    the same uniforms.
     """
     FinitePopulation(n_sources, alpha)  # validates parameters
     if service.support_min < 1:
         raise ValueError("service distributions must have support >= 1")
-    if arrival_form not in ("linear", "at-least-one"):
-        raise ValueError(f"unknown arrival form {arrival_form!r}")
     rng = np.random.default_rng(seed)
     rng.random()  # the uniform of slot 0, drawn to keep the stream, holds no arrival
     svc_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    if arrival_form == "linear":
-        p = [(n_sources - n) * alpha for n in range(n_sources)]
-    else:
-        p = [1.0 - (1.0 - alpha) ** (n_sources - n) for n in range(n_sources)]
-    p_max = max(p)
+    p = [(n_sources - n) * alpha for n in range(n_sources)]
+    p_max = p[0]
 
     arrivals: list[int] = []
     services: list[int] = []

@@ -345,19 +345,18 @@ class UtilizationReport:
     total: float
 
 
-def utilization(trace: Trace, servers: int | None = None) -> UtilizationReport:
-    """Fraction of slots each server spends busy, clipped to the horizon."""
+def utilization(trace: Trace) -> UtilizationReport:
+    """Fraction of slots each server spends busy, clipped to the horizon.
+
+    The trace's labels give the servers: 0 up to the largest label, and
+    one server when the trace has no customer."""
     if trace.servers is None:
         raise ValueError("trace carries no server assignment")
-    c = servers if servers is not None else int(trace.servers.max(initial=-1)) + 1
-    c = max(c, 1)
     T = trace.horizon
     # one span array, clipped at T in place; a Trace has starts >= 0
     spans = np.minimum(trace.departures, T)
     spans -= trace.starts
     np.maximum(spans, 0, out=spans)
-    busy = np.bincount(trace.servers, weights=spans, minlength=c)
-    if len(busy) > c:
-        raise ValueError(f"server index {len(busy) - 1} outside the {c} servers")
+    busy = np.bincount(trace.servers, weights=spans, minlength=1)
     per = busy / T
     return UtilizationReport(per, float(per.sum()))

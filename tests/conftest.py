@@ -310,7 +310,7 @@ def oracle_fifo_servers(arrivals, services, c, assignment, rng):
     return starts, chosen
 
 
-def oracle_finite_population(n_sources, alpha, service, seed, horizon, arrival_form="linear"):
+def oracle_finite_population(n_sources, alpha, service, seed, horizon):
     """Finite-population path stepped slot by slot over the same random
     streams as :func:`dtq.engine.simulate_finite_population`."""
     spec = FinitePopulation(n_sources, alpha)
@@ -332,11 +332,7 @@ def oracle_finite_population(n_sources, alpha, service, seed, horizon, arrival_f
         idle = spec.n_sources - n_in_system
         if idle <= 0:
             continue
-        if arrival_form == "linear":
-            p = idle * alpha
-        else:
-            p = 1.0 - (1.0 - alpha) ** idle
-        if u[t] < p:
+        if u[t] < idle * alpha:
             if svc_used >= len(svc_buf):
                 svc_buf = service.sample(svc_rng, 1024)
                 svc_used = 0

@@ -166,15 +166,6 @@ class TestFinitePopulationProfile:
         st = st / st.sum()
         assert np.abs(pf - st).max() < 1e-12
 
-    def test_at_least_one_form_close_for_small_alpha(self):
-        a = product_form(finite_population_profile(5, 0.01, 0.5))
-        b = product_form(finite_population_profile(5, 0.01, 0.5, form="at-least-one"))
-        assert np.abs(a - b).max() < 5e-3
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            finite_population_profile(5, 0.1, 0.5, form="binomial")
-
 
 def test_invalid_parameters():
     with pytest.raises(ValueError):

@@ -274,6 +274,7 @@ class TestVerify:
             ("seed = 42", "seed = 42\nhorzion = 5", "unknown key 'horzion' in [sim]; known: horizon,"),
             ("[checks]", "[check]", "unknown section [check]; known: model, sim, checks, output"),
             ("[model]", "[DEFAULT]\nseed = 3\n\n[model]", "unknown section [DEFAULT]"),
+            ("format = json", "format = jsno", "unknown output format 'jsno'; known: text, json, csv"),
         ],
     )
     def test_unknown_section_or_key_rejected_before_simulation(
@@ -287,6 +288,54 @@ class TestVerify:
         path.write_text(SMALL_CONFIG.replace(old, new))
         assert main(["--config", str(path), "verify"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edits,message",
+        [
+            # load exactly 1, though the truncated geometric's mean is below 1/beta
+            ({"alpha = 0.3": "alpha = 0.5"}, "unstable configuration: utilization 1.000 >= 1"),
+            (
+                {"alpha = 0.3": "alpha = 0.6", "geometric:0.5": "geometric:0.3", "servers = 1": "servers = 2"},
+                "unstable configuration: utilization 1.000 >= 1",
+            ),
+            # 0.6 / 0.2 / 3 rounds to 0.9999999999999999
+            (
+                {"alpha = 0.3": "alpha = 0.6", "geometric:0.5": "geometric:0.2", "servers = 1": "servers = 3"},
+                "unstable configuration: utilization 1.000 >= 1",
+            ),
+            # the config, not the check's precondition, rejects it
+            (
+                {"alpha = 0.3": "alpha = 0.6", "little, busy": "pk"},
+                "unstable configuration: utilization 1.200 >= 1",
+            ),
+            ({"arrival = bernoulli": "arrival = explicit"}, "arrival = explicit needs slots"),
+            (
+                {"arrival = bernoulli": "arrival = explicit\nslots = 1,,3"},
+                "slots = 1,,3 for arrival = explicit: invalid literal",
+            ),
+            ({"arrival = bernoulli": "arrival = renewal"}, "arrival = renewal needs interarrival"),
+            (
+                {"arrival = bernoulli": "arrival = renewal\ninterarrival = gamma:2"},
+                "interarrival = gamma:2 for arrival = renewal: unknown distribution spec 'gamma:2'",
+            ),
+        ],
+        ids=[
+            "rho-1", "fifo2-rho-1", "fifo3-rho-1-rounded", "pk-rho-1.2", "explicit-no-slots",
+            "explicit-empty-slot", "renewal-no-interarrival", "renewal-bad-interarrival",
+        ],
+    )
+    def test_bad_model_rejected_before_simulation(self, tmp_path, capsys, monkeypatch, edits, message):
+        built = []
+        monkeypatch.setattr(cli, "build_trace", lambda *args: built.append(args))
+        text = SMALL_CONFIG
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "model.ini"
+        path.write_text(text)
+        assert main(["--config", str(path), "verify"]) == 2
+        assert message in capsys.readouterr().err
+        assert built == []
 
     def test_busy_without_complete_cycle_rejected(self, tmp_path, capsys):
         # one customer, never cleared inside the horizon: no cycle means exist
@@ -839,6 +888,32 @@ class TestGoldenBytes:
         checks = getattr(_bench_module("workloads"), self.CONFIGS[name][1])
         assert exp.checks == tuple(checks.split(", "))
         assert [cli.CHECKS[n][1](exp.model) for n in exp.checks] == [None] * len(exp.checks)
+
+
+class TestBenchWorkloads:
+    @pytest.mark.parametrize("name", list(_bench_module("workloads").WORKLOADS))
+    def test_smoke_unit_fails_no_operation(self, tmp_path, name):
+        # one smoke-size unit of work of the benchmark, in process, as its
+        # worker runs it: every dtq call it makes must still work
+        import numpy
+
+        from dtq import coherence, engine, timebase
+
+        workloads = _bench_module("workloads")
+        workload = workloads.WORKLOADS[name]
+        configs = {}
+        for config, text in workload.inputs(smoke=True).items():
+            configs[config] = str(tmp_path / f"{config}.ini")
+            pathlib.Path(configs[config]).write_text(text)
+        modules = {"numpy": numpy, "cli": cli, "coherence": coherence, "engine": engine,
+                   "littles": littles, "timebase": timebase}
+        experiments = {config: cli.load_experiment(path, 42) for config, path in configs.items()}
+        ctx = workloads.Context(
+            modules, 42, configs, experiments, str(tmp_path), hlg_slots=workload.smoke_hlg_slots
+        )
+        workload.check(ctx, workload.work(ctx))
+        assert ctx.ops.attempted > 0
+        assert ctx.ops.failed == []
 
 
 class TestCheckRegistry:

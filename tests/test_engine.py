@@ -65,7 +65,6 @@ class TestDiscreteDist:
         d = DiscreteDist.geometric(0.5)
         assert d.support_min == 1
         assert math.isclose(d.mean(), 2.0, rel_tol=1e-12)
-        assert math.isclose(d.second_moment(), 6.0, rel_tol=1e-11)
 
     def test_geometric_degenerate(self):
         d = DiscreteDist.geometric(1.0)
@@ -236,6 +235,9 @@ class TestDisciplines:
     def test_rejects_zero_service(self):
         with pytest.raises(ValueError):
             run_discipline([1], [0], Fifo(1))
+        # a horizon taken from the departures does not mask the service check
+        with pytest.raises(ValueError, match="service times must be at least one slot"):
+            run_discipline([0], [0], Fifo(1))
 
     @pytest.mark.parametrize("disc", [Fifo(1), Fifo(2), Fifo(2, "random")], ids=["c1", "c2", "c2-random"])
     def test_rejects_decreasing_arrivals(self, disc):
@@ -547,36 +549,32 @@ class TestFinitePopulation:
         assert abs(rate - n * alpha) <= 0.01
 
     @pytest.mark.parametrize(
-        "n, alpha, seed, horizon, form",
+        "n, alpha, seed, horizon",
         [
-            (5, 0.05, 1, 60_000, "linear"),
-            (5, 0.05, 1, 60_000, "at-least-one"),
-            (3, 0.2, 4, 40_000, "linear"),
-            (3, 0.2, 4, 40_000, "at-least-one"),
-            (4, 0.25, 8, 30_000, "linear"),  # N * alpha = 1: every slot is a candidate
-            (4, 0.25, 8, 30_000, "at-least-one"),
-            (1, 0.5, 2, 20_000, "linear"),
-            (7, 0.1, 6, 500, "linear"),  # fewer arrivals than one service block
-            (7, 0.1, 6, 500, "at-least-one"),
+            (5, 0.05, 1, 60_000),
+            (3, 0.2, 4, 40_000),
+            (4, 0.25, 8, 30_000),  # N * alpha = 1: every slot is a candidate
+            (1, 0.5, 2, 20_000),
+            (7, 0.1, 6, 500),  # fewer arrivals than one service block
             # slots 1..horizon end just before, on and just after the edge
             # of a slot block
-            (5, 0.05, 1, (1 << 16) - 1, "linear"),
-            (4, 0.25, 8, 1 << 16, "at-least-one"),
-            (4, 0.25, 8, (1 << 16) + 1, "linear"),
+            (5, 0.05, 1, (1 << 16) - 1),
+            (4, 0.25, 8, 1 << 16),
+            (4, 0.25, 8, (1 << 16) + 1),
         ],
     )
-    def test_bit_identical_to_slot_walk(self, n, alpha, seed, horizon, form):
+    def test_bit_identical_to_slot_walk(self, n, alpha, seed, horizon):
         svc = DiscreteDist.geometric(0.5)
-        tr = simulate_finite_population(n, alpha, svc, seed, horizon, form)
+        tr = simulate_finite_population(n, alpha, svc, seed, horizon)
         assert tr.n > 0
-        _assert_same_trace(tr, oracle_finite_population(n, alpha, svc, seed, horizon, form))
+        _assert_same_trace(tr, oracle_finite_population(n, alpha, svc, seed, horizon))
 
     @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7)
     def test_bit_identical_across_block_edges(self, engine_block):
         svc = DiscreteDist.geometric(0.5)
-        for horizon, form in ((1, "linear"), (2, "linear"), (300, "linear"), (301, "at-least-one")):
-            tr = simulate_finite_population(4, 0.2, svc, 9, horizon, form)
-            _assert_same_trace(tr, oracle_finite_population(4, 0.2, svc, 9, horizon, form))
+        for horizon in (1, 2, 300, 301):
+            tr = simulate_finite_population(4, 0.2, svc, 9, horizon)
+            _assert_same_trace(tr, oracle_finite_population(4, 0.2, svc, 9, horizon))
 
     def test_rate_cap_validated(self):
         with pytest.raises(ValueError):

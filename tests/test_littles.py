@@ -473,7 +473,7 @@ class TestUtilization:
 
     def test_empty_trace(self):
         tr = run_discipline([], [], Fifo(1), horizon=50)
-        assert utilization(tr, servers=1).total == 0.0
+        assert utilization(tr).total == 0.0
 
     def test_matches_per_server_accumulation(self):
         tr = build_trace(Bernoulli(0.8), DiscreteDist.geometric(0.35), Fifo(3), 11, 5_000)
@@ -486,11 +486,6 @@ class TestUtilization:
         assert rep.per_server.dtype == busy.dtype
         assert np.array_equal(rep.per_server, busy / T)
         assert rep.total == float((busy / T).sum())
-
-    def test_server_index_beyond_count_rejected(self):
-        tr = build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), Fifo(2), 7, 2_000)
-        with pytest.raises(ValueError, match="server index"):
-            utilization(tr, servers=1)
 
     def test_random_assignment_same_total(self):
         arr = np.arange(1, 2_001) * 2
