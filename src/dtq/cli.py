@@ -2,13 +2,13 @@
 
 Configs are sectioned key = value files ([model], [sim], [checks],
 [output]); any other section or key, an output format other than text,
-json or csv, and a FIFO model with load rho = lambda E[S]/c >= 1 (E[S] =
-1/beta for geometric:beta service) are config errors.  Each check is
-one entry of the CHECKS registry: a function of (experiment, trace) that
-yields :class:`dtq.littles.Row` verdicts, the library's own rows where a
-library check decides them, which _run_check turns into report rows with
-the residual and a pass flag, and a precondition on the :class:`Model`: the
-reason the check does not apply, or None.  Such a check is one skip row
+json or csv, and a FIFO model with load rho = lambda E[S]/c >= 1 are
+config errors.  Each check is one entry of the CHECKS registry: a
+function of (experiment, trace) that yields :class:`dtq.littles.Row`
+verdicts, the library's own rows where a library check decides them,
+which _run_check turns into report rows with the residual and a pass
+flag, and a precondition on the :class:`Model`: the reason the check does
+not apply, or None.  Such a check is one skip row
 (pass null, numbers 0) when [checks] names no list, else a config error.
 Subcommands:
 
@@ -172,11 +172,10 @@ class Experiment:
         self.service = self.model.service
         # the config with its defaults, as the bundle records it
         self.recorded = {"alpha": alpha, "beta": beta_key, "service": service, "servers": servers}
-        # an unstable FIFO queue is rejected before any simulation: geometric
-        # service has mean 1/beta, above its truncated law's, and a load of 1
-        # in decimals may round to just below 1
+        # an unstable FIFO queue is rejected before any simulation; a load of
+        # 1 from a truncated service law or from decimals can round just below 1
         if lam is not None and isinstance(discipline, Fifo):
-            rho = (lam / beta if beta is not None else lam * self.service.mean()) / servers
+            rho = lam * self.service.mean() / servers
             if rho >= 1.0 - 1e-12:
                 raise ConfigError(f"unstable configuration: utilization {rho:.3f} >= 1")
 
@@ -308,7 +307,9 @@ _ONE_FIFO = (
     lambda m: isinstance(m.discipline, Fifo) and m.discipline.servers == 1, "needs one FIFO server"
 )
 _GEOMETRIC = (lambda m: m.beta is not None, "needs geometric service")
-_ALPHA_BELOW_BETA = (lambda m: m.lam < m.beta < 1.0, "needs alpha < beta < 1")
+# Experiment rejects lam E[S] >= 1, so Bernoulli input to one FIFO server
+# already has alpha < beta
+_BETA_BELOW_ONE = (lambda m: m.beta < 1.0, "needs beta < 1")
 _FIFO = (lambda m: isinstance(m.discipline, Fifo), "needs a FIFO discipline")
 _KNOWN_RATE = (lambda m: m.lam is not None, "needs a known arrival rate")
 
@@ -325,8 +326,8 @@ CHECKS = {
     "pk": (_pk, _needs(_BERNOULLI, _ONE_FIFO)),
     "workload": (_workload, _needs(_BERNOULLI, _ONE_FIFO)),
     "busy": (_busy, _needs()),
-    "dist": (_dist, _needs(_BERNOULLI, _ONE_FIFO, _GEOMETRIC, _ALPHA_BELOW_BETA)),
-    "table61": (_table61, _needs(_BERNOULLI, _ONE_FIFO, _GEOMETRIC, _ALPHA_BELOW_BETA)),
+    "dist": (_dist, _needs(_BERNOULLI, _ONE_FIFO, _GEOMETRIC, _BETA_BELOW_ONE)),
+    "table61": (_table61, _needs(_BERNOULLI, _ONE_FIFO, _GEOMETRIC, _BETA_BELOW_ONE)),
     "utilization": (_utilization, _needs(_FIFO, _KNOWN_RATE)),
 }
 CHECK_NAMES = tuple(CHECKS)

@@ -308,6 +308,11 @@ class TestVerify:
                 {"alpha = 0.3": "alpha = 0.6", "little, busy": "pk"},
                 "unstable configuration: utilization 1.200 >= 1",
             ),
+            # beta = 1 is the one case that the load check leaves to dist's precondition
+            (
+                {"geometric:0.5": "geometric:1.0", "little, busy": "dist"},
+                "check 'dist' does not apply: needs beta < 1",
+            ),
             ({"arrival = bernoulli": "arrival = explicit"}, "arrival = explicit needs slots"),
             (
                 {"arrival = bernoulli": "arrival = explicit\nslots = 1,,3"},
@@ -320,8 +325,8 @@ class TestVerify:
             ),
         ],
         ids=[
-            "rho-1", "fifo2-rho-1", "fifo3-rho-1-rounded", "pk-rho-1.2", "explicit-no-slots",
-            "explicit-empty-slot", "renewal-no-interarrival", "renewal-bad-interarrival",
+            "rho-1", "fifo2-rho-1", "fifo3-rho-1-rounded", "pk-rho-1.2", "dist-beta-1",
+            "explicit-no-slots", "explicit-empty-slot", "renewal-no-interarrival", "renewal-bad-interarrival",
         ],
     )
     def test_bad_model_rejected_before_simulation(self, tmp_path, capsys, monkeypatch, edits, message):
@@ -905,6 +910,7 @@ class TestBenchWorkloads:
         for config, text in workload.inputs(smoke=True).items():
             configs[config] = str(tmp_path / f"{config}.ini")
             pathlib.Path(configs[config]).write_text(text)
+        # mirrors the modules and Context that bench/worker.py builds for a unit
         modules = {"numpy": numpy, "cli": cli, "coherence": coherence, "engine": engine,
                    "littles": littles, "timebase": timebase}
         experiments = {config: cli.load_experiment(path, 42) for config, path in configs.items()}
