@@ -202,5 +202,5 @@ def occupancy_grid(alpha: float, beta: float) -> dict:
     }
 
 
-def render_occupancy_text(alpha: float, beta: float) -> str:
-    return render_grid({k: f"{v:.6f}" for k, v in occupancy_grid(alpha, beta).items()}, 10)
+def render_occupancy_text(grid) -> str:
+    return render_grid({k: f"{v:.6f}" for k, v in grid.items()}, 10)

@@ -1,9 +1,11 @@
 """Command-line front end: experiments from config files, reports out.
 
 Configs are sectioned key = value files ([model], [sim], [checks],
-[output]); any other section or key, an output format other than text,
-json or csv, and a FIFO model with load rho = lambda E[S]/c >= 1 are
-config errors.  Each check is one entry of the CHECKS registry: a
+[output]); any other section or key, a [model] or [sim] value that does
+not parse (the error names the key and its text), a service law with
+support below one slot, a negative seed, an output format other than
+text, json or csv, and a FIFO model with load rho = lambda E[S]/c >= 1
+are config errors.  Each check is one entry of the CHECKS registry: a
 function of (experiment, trace) that yields :class:`dtq.littles.Row`
 verdicts, the library's own rows where a library check decides them,
 which _run_check turns into report rows with the residual and a pass
@@ -81,16 +83,18 @@ def _parse_dist(text: str) -> DiscreteDist:
     raise ConfigError(f"unknown distribution spec {text!r}")
 
 
-def _arrival_key(model, key: str, kind: str, parse):
-    """``parse`` of the [model] value that ``arrival = kind`` needs; a
-    missing or unparsable value is a ConfigError naming the key and kind."""
-    text = model.get(key, "").strip()
-    if not text:
+def _read(section, key: str, parse, default: str | None = None, kind: str | None = None):
+    """``parse`` of a [model] or [sim] value, or of ``default`` when ``key``
+    is unset; a missing or unparsable value is a ConfigError naming the key,
+    its text and the ``arrival = kind`` that needs it, if one does."""
+    text = section.get(key, default)
+    if kind and not text:
         raise ConfigError(f"arrival = {kind} needs {key}")
     try:
         return parse(text)
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(f"{key} = {text} for arrival = {kind}: {exc}") from None
+    except (ConfigError, ValueError, OverflowError) as exc:  # int(float("inf")) overflows
+        needed_by = f" for arrival = {kind}" if kind else ""
+        raise ConfigError(f"{key} = {text}{needed_by}: {exc}") from None
 
 
 _FORMATS = ("text", "json", "csv")
@@ -138,9 +142,12 @@ class Experiment:
         out = cp["output"] if cp.has_section("output") else {}
 
         kind = model.get("arrival", "bernoulli").strip()
-        alpha = float(model.get("alpha", "0.3"))
-        beta_key = float(model.get("beta", "0.5"))
+        alpha = _read(model, "alpha", float, "0.3")
+        beta_key = _read(model, "beta", float, "0.5")
         service = model.get("service", f"geometric:{beta_key}")
+        dist = _read(model, "service", _parse_dist, service)
+        if dist.support_min < 1:
+            raise ConfigError(f"service = {service}: service times must be at least one slot")
         dist_kind, _, rest = service.partition(":")
         beta = float(rest) if dist_kind.strip() == "geometric" else None
         if "beta" in model and beta_key != beta:
@@ -149,25 +156,25 @@ class Experiment:
         if kind == "bernoulli":
             arrival, lam = Bernoulli(alpha), alpha
         elif kind == "renewal":
-            arrival = _arrival_key(model, "interarrival", kind, lambda t: Renewal(_parse_dist(t)))
+            arrival = _read(model, "interarrival", lambda t: Renewal(_parse_dist(t)), kind=kind)
             lam = 1.0 / arrival.interarrival.mean()
         elif kind == "finite-population":
-            arrival = FinitePopulation(int(model.get("sources", "1")), alpha)
+            arrival = FinitePopulation(_read(model, "sources", int, "1"), alpha)
         elif kind == "explicit":
             parse = lambda t: Explicit(tuple(int(x) for x in t.split(",")))
-            arrival = _arrival_key(model, "slots", kind, parse)
+            arrival = _read(model, "slots", parse, kind=kind)
         else:
             raise ConfigError(f"unknown arrival kind {kind!r}")
 
         disc = model.get("discipline", "fifo").strip()
-        servers = int(model.get("servers", "1"))
+        servers = _read(model, "servers", int, "1")
         if disc == "fifo":
             discipline = Fifo(servers, model.get("assignment", "lowest"))
         elif disc == "infinite-server":
             discipline = InfiniteServer()
         else:
             raise ConfigError(f"unknown discipline {disc!r}")
-        self.model = Model(arrival, _parse_dist(service), discipline, lam, beta)
+        self.model = Model(arrival, dist, discipline, lam, beta)
         self.alpha = getattr(arrival, "alpha", None)
         self.service = self.model.service
         # the config with its defaults, as the bundle records it
@@ -179,12 +186,15 @@ class Experiment:
             if rho >= 1.0 - 1e-12:
                 raise ConfigError(f"unstable configuration: utilization {rho:.3f} >= 1")
 
-        self.horizon = int(float(sim.get("horizon", "100000")))
-        self.warmup = int(float(sim.get("warmup", str(self.horizon // 10))))
+        slot_count = lambda t: int(float(t))
+        self.horizon = _read(sim, "horizon", slot_count, "100000")
+        self.warmup = _read(sim, "warmup", slot_count, str(self.horizon // 10))
         if not 0 <= self.warmup < self.horizon:
             raise ConfigError("need horizon > warmup >= 0")
-        self.seed = int(seed_override if seed_override is not None else sim.get("seed", "42"))
-        self.replications = int(sim.get("replications", "1"))
+        self.seed = int(seed_override) if seed_override is not None else _read(sim, "seed", int, "42")
+        if self.seed < 0:
+            raise ConfigError(f"seed = {self.seed}: seed must be >= 0")
+        self.replications = _read(sim, "replications", int, "1")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
 
@@ -472,7 +482,7 @@ def cmd_table61(args) -> int:
     exp.require("table61")
     grid = birthdeath.occupancy_grid(exp.model.lam, exp.model.beta)
     rows = [{"rule": r.label, "epoch": e.label, "value": v} for (r, e), v in grid.items()]
-    text = birthdeath.render_occupancy_text(exp.model.lam, exp.model.beta) + "\n"
+    text = birthdeath.render_occupancy_text(grid) + "\n"
     _emit(rows, text, args.format or "text", args.out)
     return 0
 

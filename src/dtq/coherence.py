@@ -169,8 +169,7 @@ GOLDEN_EDGE_CENTER_OK = {
 }
 
 
-def classification_rows(table=None) -> list[dict]:
-    table = table or classification_table()
+def classification_rows(table) -> list[dict]:
     return [
         {"rule": r.label, "epoch": e.label, "class": table[(r, e)].label}
         for r in RULES
@@ -178,5 +177,5 @@ def classification_rows(table=None) -> list[dict]:
     ]
 
 
-def render_classification_text(table=None) -> str:
-    return render_grid({k: c.short for k, c in (table or classification_table()).items()}, 9)
+def render_classification_text(table) -> str:
+    return render_grid({k: c.short for k, c in table.items()}, 9)

@@ -471,9 +471,6 @@ def _fifo_single(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     return deps
 
 
-_FIFO_BLOCK = 1 << 16  # customers converted to plain ints per block
-
-
 def _fifo_starts(arrivals, services, c):
     """Start slots for FIFO with c servers, arrivals nondecreasing.
 
@@ -488,9 +485,9 @@ def _fifo_starts(arrivals, services, c):
     starts = np.empty(len(arrivals), dtype=np.int64)
     free = [0] * c
     replace = heapq.heapreplace
-    for lo in range(0, len(arrivals), _FIFO_BLOCK):
-        a_blk = arrivals[lo : lo + _FIFO_BLOCK].tolist()
-        s_blk = services[lo : lo + _FIFO_BLOCK].tolist()
+    for lo, hi in _slot_blocks(0, len(arrivals)):
+        a_blk = arrivals[lo:hi].tolist()
+        s_blk = services[lo:hi].tolist()
         st_blk: list[int] = []
         keep = st_blk.append
         for a, s in zip(a_blk, s_blk):
@@ -499,7 +496,7 @@ def _fifo_starts(arrivals, services, c):
                 t = a
             replace(free, t + s)
             keep(t)
-        starts[lo : lo + len(st_blk)] = st_blk
+        starts[lo:hi] = st_blk
     return starts
 
 
@@ -523,9 +520,9 @@ def _fifo_labels(trace, c, assignment, seed):
     idle: list[int] = []
     rng = np.random.default_rng(seed) if assignment == "random" else None
     pop, push, replace, to_idle = heapq.heappop, heapq.heappush, heapq.heapreplace, idle.append
-    for lo in range(0, len(arrivals), _FIFO_BLOCK):
-        a_blk = arrivals[lo : lo + _FIFO_BLOCK].tolist()
-        d_blk = departures[lo : lo + _FIFO_BLOCK].tolist()
+    for lo, hi in _slot_blocks(0, len(arrivals)):
+        a_blk = arrivals[lo:hi].tolist()
+        d_blk = departures[lo:hi].tolist()
         ch_blk: list[int] = []
         keep = ch_blk.append
         if rng is not None:
@@ -546,7 +543,7 @@ def _fifo_labels(trace, c, assignment, seed):
                 i = heap[0][1]
                 replace(heap, (d, i))
                 keep(i)
-        chosen[lo : lo + len(ch_blk)] = ch_blk
+        chosen[lo:hi] = ch_blk
     return chosen
 
 
@@ -670,26 +667,22 @@ def simulate_finite_population(
 
 def build_trace(
     arrival: ArrivalSpec,
-    service: DiscreteDist | None,
+    service: DiscreteDist,
     disc: DisciplineSpec,
     seed: int,
     horizon: int,
 ) -> Trace:
-    """One-stop path construction; arrival and service streams get
-    distinct seeds derived from the base seed."""
+    """One-stop path construction: arrivals seeded with ``seed``, services
+    with ``seed + 1``, random server picks with ``seed + 2``.  Finite
+    population input runs :func:`simulate_finite_population` on one FIFO
+    server; a path with given departures comes from :func:`run_discipline`."""
     if isinstance(arrival, FinitePopulation):
         if not (isinstance(disc, Fifo) and disc.servers == 1):
             raise ValueError("finite-population model requires a single FIFO server")
-        if service is None:
-            raise ValueError("finite-population model needs a service distribution")
         return simulate_finite_population(
             arrival.n_sources, arrival.alpha, service, seed, horizon
         )
     slots = gen_arrivals(arrival, seed, horizon)
-    if isinstance(disc, External):
-        return run_discipline(slots, None, disc, horizon)
-    if service is None:
-        raise ValueError("need a service distribution")
     services = sample_services(service, seed + 1, len(slots))
     return run_discipline(slots, services, disc, horizon, seed=seed + 2)
 
@@ -698,7 +691,7 @@ def build_trace(
 
 _CSV_HEADER = ["k", "A", "S", "Astart", "D"]
 _CSV_SERVER = "server"
-_CSV_HEADERS = (_CSV_HEADER[:3], _CSV_HEADER, _CSV_HEADER + [_CSV_SERVER])
+_CSV_HEADERS = (_CSV_HEADER, _CSV_HEADER + [_CSV_SERVER])
 # rows encoded per write: 2^14 keeps a block's cells (~1 MB) in cache and
 # spares a fresh process the page faults of a larger first block
 _CSV_CHUNK = 1 << 14
@@ -942,15 +935,14 @@ def _parse_rows(buf, sep, is_end, width, path, offset) -> np.ndarray:
     return values.view(np.int64).reshape(n, width)
 
 
-def read_trace_csv(path, disc: DisciplineSpec | None = None, horizon: int | None = None) -> Trace:
-    """Load a trace file.
+def read_trace_csv(path, horizon: int | None = None) -> Trace:
+    """Load a trace file that :func:`write_trace_csv` wrote.
 
-    The header is ``k,A,S``, the full ``k,A,S,Astart,D`` or the full
-    header plus ``server``, and every row has one value per header name;
-    any other file raises ValueError.  Full rows reproduce the stored path
-    verbatim, server assignment included when the file has a ``server``
-    column; files carrying only (A, S) columns are re-run through the
-    given discipline (FIFO single server when omitted).
+    The header is ``k,A,S,Astart,D``, or that header plus ``server``, and
+    every row has one value per header name; any other file raises
+    ValueError.  The rows are the stored path verbatim, server assignment
+    included when the file has a ``server`` column.  The horizon is
+    ``horizon``, or else the last departure (1 for a file of no rows).
 
     The grammar is what :func:`write_trace_csv` writes: the header line
     ends at the first CR or LF; each later line is a row of ``,``-separated
@@ -998,9 +990,5 @@ def read_trace_csv(path, disc: DisciplineSpec | None = None, horizon: int | None
             cols[:, n : n + len(rows)] = rows[:, 1:].T
             n += len(rows)
     cols = cols[:, :n]  # blank lines were counted as rows
-    if len(cols) > 2:  # full rows
-        deps = cols[3]
-        T = horizon if horizon is not None else (int(deps.max()) if n else 1)
-        servers = cols[4] if len(cols) == 5 else None
-        return Trace(cols[0], cols[1], cols[2], deps, T, servers)
-    return run_discipline(cols[0], cols[1], disc or Fifo(1), horizon)
+    T = horizon if horizon is not None else (int(cols[3].max()) if n else 1)
+    return Trace(cols[0], cols[1], cols[2], cols[3], T, cols[4] if len(cols) == 5 else None)

@@ -67,9 +67,8 @@ def _tolerance(span: int, level: float, target: float) -> float:
 
 
 def check_little(trace: Trace, warmup: int | None = None) -> Rows:
-    """Time-average number in system against arrival rate times mean wait."""
-    if trace.n == 0:
-        return Rows([Row("L - lam*W", 0.0, 0.0, 0.0)])
+    """Time-average number in system against arrival rate times mean wait;
+    InsufficientDataError when no customer arrives and departs in the window."""
     est = time_averages(trace, warmup=warmup)
     target = est.lam * est.W
     tol = _tolerance(est.horizon - est.warmup, est.L, target)
@@ -172,7 +171,7 @@ class CostFunction:
     """
 
     pieces: Callable[[Trace], Iterable[tuple]]
-    name: str = "cost"
+    name: str
 
 
 def indicator_cost() -> CostFunction:

@@ -255,7 +255,7 @@ def oracle_fifo_multi(arrivals, services, c, assignment, rng):
     return starts, chosen
 
 
-_FIFO_BLOCK = 1 << 16  # customers converted to plain ints per block
+_BLOCK = 1 << 16  # customers converted to plain ints per block
 
 
 def oracle_fifo_servers(arrivals, services, c, assignment, rng):
@@ -277,9 +277,9 @@ def oracle_fifo_servers(arrivals, services, c, assignment, rng):
     heap = [(0, i) for i in range(c)]  # (free-at slot, server index)
     idle: list[int] = []
     pick_random = assignment == "random"
-    for lo in range(0, len(arrivals), _FIFO_BLOCK):
-        a_blk = arrivals[lo : lo + _FIFO_BLOCK].tolist()
-        s_blk = services[lo : lo + _FIFO_BLOCK].tolist()
+    for lo in range(0, len(arrivals), _BLOCK):
+        a_blk = arrivals[lo : lo + _BLOCK].tolist()
+        s_blk = services[lo : lo + _BLOCK].tolist()
         st_blk: list[int] = []
         ch_blk: list[int] = []
         if pick_random:
@@ -363,7 +363,7 @@ def oracle_trace_csv(trace, path):
             w.writerow([k + 1] + [int(c[k]) for c in cols])
 
 
-def oracle_read_trace_csv(path, disc=None, horizon=None) -> Trace:
+def oracle_read_trace_csv(path, horizon=None) -> Trace:
     """The ``np.loadtxt`` trace reader, kept as the oracle of the byte
     decoder: it parses ``_CSV_CHUNK`` rows per call in text mode, which
     reads LF, CRLF and CR line ends and skips blank lines."""
@@ -389,18 +389,17 @@ def oracle_read_trace_csv(path, disc=None, horizon=None) -> Trace:
                 if len(rows) < engine_mod._CSV_CHUNK:
                     break
     cols = cols[:, :n]  # blank lines were counted as rows
-    if len(cols) > 2:  # full rows
-        deps = cols[3]
-        T = horizon if horizon is not None else (int(deps.max()) if n else 1)
-        servers = cols[4] if len(cols) == 5 else None
-        return Trace(cols[0], cols[1], cols[2], deps, T, servers)
-    return run_discipline(cols[0], cols[1], disc or Fifo(1), horizon)
+    deps = cols[3]
+    T = horizon if horizon is not None else (int(deps.max()) if n else 1)
+    servers = cols[4] if len(cols) == 5 else None
+    return Trace(cols[0], cols[1], cols[2], deps, T, servers)
 
 
 @pytest.fixture()
 def engine_block(request, monkeypatch):
-    """One block size of :mod:`dtq.engine` (``_SLOT_BLOCK``, ``_FIFO_BLOCK``
-    or ``_CSV_CHUNK``) set for the test from its (name, size) parameter;
+    """One block size of :mod:`dtq.engine` set for the test from its (name,
+    size) parameter: ``_SLOT_BLOCK``, the slots, customers or file bytes of
+    every blocked pass, or ``_CSV_CHUNK``, the rows per trace-file write;
     returns the size.  Parametrize it through :func:`engine_blocks`."""
     name, size = request.param
     monkeypatch.setattr(engine_mod, name, size)

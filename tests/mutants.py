@@ -1,0 +1,194 @@
+"""The mutation table: faults the tests are known to kill, kept as data so
+that a later change can run them again.
+
+Each :class:`Mutant` is one edit of one file: ``old`` must occur exactly
+once in it and is replaced by ``new``.  ``killer`` is the pytest node id of
+a test that fails on the mutant, and ``origin`` the change, as CHANGES.md
+describes it, whose guard the mutant breaks.  A change that rewrites the
+guarded code updates its entries to the same fault in the new code.
+
+    python tests/mutants.py [--only ID]
+
+copies the repository to a temporary directory, checks that every killer
+passes there, then per mutant writes the edited file, runs its killer and,
+only when the killer passes, the whole tier-1 suite, and restores the
+file.  It prints each mutant as killed or survived and exits 1 on a
+survivor or on an entry whose snippet no longer occurs exactly once.
+pytest does not collect this file: its name has no ``test_`` prefix.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+_TIMEOUT = 900  # seconds per pytest run; a mutant that hangs counts as killed
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    killer: str  # pytest node id
+    origin: str
+
+
+_DECODER = "trace files read with a loop-free byte decoder"
+_READER = "trace reader reads only what the writer writes"
+_CONFIG = "config values read through one reader that names the key"
+
+MUTANTS = (
+    Mutant(
+        "reader-admits-k-A-S",
+        "src/dtq/engine.py",
+        "_CSV_HEADERS = (_CSV_HEADER, _CSV_HEADER + [_CSV_SERVER])",
+        "_CSV_HEADERS = (_CSV_HEADER[:3], _CSV_HEADER, _CSV_HEADER + [_CSV_SERVER])",
+        "tests/test_engine.py::TestTraceCsv::test_rejects_other_files",
+        _READER,
+    ),
+    Mutant(
+        "service-support-unchecked",
+        "src/dtq/cli.py",
+        "        if dist.support_min < 1:\n",
+        "        if False:\n",
+        "tests/test_cli.py::TestVerify::test_malformed_value_names_its_key[service-point-0]",
+        _CONFIG,
+    ),
+    Mutant(
+        "negative-seed-accepted",
+        "src/dtq/cli.py",
+        "        if self.seed < 0:\n",
+        "        if False:\n",
+        "tests/test_cli.py::TestVerify::test_malformed_value_names_its_key[seed]",
+        _CONFIG,
+    ),
+    Mutant(
+        "error-without-key",
+        "src/dtq/cli.py",
+        'raise ConfigError(f"{key} = {text}{needed_by}: {exc}") from None',
+        "raise ConfigError(str(exc)) from None",
+        "tests/test_cli.py::TestVerify::test_malformed_value_names_its_key[alpha]",
+        _CONFIG,
+    ),
+    Mutant(
+        "little-passes-without-data",
+        "src/dtq/littles.py",
+        "    est = time_averages(trace, warmup=warmup)\n    target = est.lam * est.W\n",
+        '    if trace.n == 0:\n        return Rows([Row("L - lam*W", 0.0, 0.0, 0.0)])\n'
+        "    est = time_averages(trace, warmup=warmup)\n    target = est.lam * est.W\n",
+        "tests/test_littles.py::TestCheckLittle::test_empty_trace",
+        "little raises where no customer completes",
+    ),
+    Mutant(
+        "digit-mask-one-byte-wide",
+        "src/dtq/engine.py",
+        'w &= _DIGIT_MASKS.take(lengths, mode="clip")',
+        'w &= _DIGIT_MASKS.take(lengths + 1, mode="clip")',
+        "tests/test_engine.py::TestTraceCsvChunks::test_word_edges_read_back",
+        _DECODER,
+    ),
+    Mutant(
+        "digit-mask-one-byte-short",
+        "src/dtq/engine.py",
+        'w &= _DIGIT_MASKS.take(lengths, mode="clip")',
+        'w &= _DIGIT_MASKS.take(lengths - 1, mode="clip")',
+        "tests/test_engine.py::TestTraceCsv::test_roundtrip",
+        _DECODER,
+    ),
+    Mutant(
+        "second-word-scale-dropped",
+        "src/dtq/engine.py",
+        "lengths[long] - 8 * k) * 10 ** (8 * k)",
+        "lengths[long] - 8 * k)",
+        "tests/test_engine.py::TestTraceCsvChunks::test_word_edges_read_back",
+        _DECODER,
+    ),
+    Mutant(
+        "blank-line-ignores-preceding-end",
+        "src/dtq/engine.py",
+        "blank = empty & is_end[:-1] & ended",
+        "blank = empty & ended",
+        "tests/test_engine.py::TestTraceCsvChunks::test_rejects_what_the_writer_never_writes",
+        _DECODER,
+    ),
+    Mutant(
+        "carry-loses-last-byte",
+        "src/dtq/engine.py",
+        "        carry = len(data) - cut\n        buf[_PAD : _PAD + carry] = data[cut:]\n",
+        "        carry = len(data) - cut - 1\n        buf[_PAD : _PAD + carry] = data[cut : cut + carry]\n",
+        "tests/test_engine.py::TestTraceCsvChunks::test_blank_lines_at_every_edge",
+        _DECODER,
+    ),
+    Mutant(
+        "offset-histogram-plus-2",
+        "src/dtq/coherence.py",
+        "        offsets += 1\n        yield offsets\n",
+        "        offsets += 2\n        yield offsets\n",
+        "tests/test_coherence.py::TestOffsetMemo::test_histogram_is_the_bincount_of_the_offsets",
+        _DECODER,
+    ),
+)
+
+
+def _pytest(root: Path, *args: str) -> int:
+    """pytest's exit code on ``args`` in the copy at ``root``, stopping at
+    the first failure; -1 when the run times out."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args]
+    try:
+        return subprocess.run(cmd, cwd=root, env=env, capture_output=True, timeout=_TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return -1
+
+
+def _verdict(root: Path, m: Mutant) -> str:
+    code = _pytest(root, m.killer)
+    if code in (4, 5):  # usage error or nothing collected: the node id is gone
+        return f"STALE: no test {m.killer}"
+    if code:
+        return "killed"
+    if _pytest(root, "--continue-on-collection-errors"):
+        return "killed by tier-1 (its killer passed)"
+    return "SURVIVED"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Apply each mutant and run the test that should kill it.")
+    ap.add_argument("--only", metavar="ID", help="run this mutant alone")
+    args = ap.parse_args(argv)
+    mutants = [m for m in MUTANTS if args.only in (None, m.id)]
+    if not mutants:
+        ap.error(f"no mutant {args.only!r}; known: {', '.join(m.id for m in MUTANTS)}")
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "repo"
+        shutil.copytree(REPO, root, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        if _pytest(root, *dict.fromkeys(m.killer for m in mutants)):
+            print("a killer test fails on the unmutated copy; fix it before reading verdicts")
+            return 1
+        for m in mutants:
+            path = root / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                verdict = f"STALE: the old snippet occurs {text.count(m.old)} times in {m.file}"
+            else:
+                path.write_text(text.replace(m.old, m.new))
+                try:
+                    verdict = _verdict(root, m)
+                finally:
+                    path.write_text(text)
+            failed += not verdict.startswith("killed")
+            print(f"{m.id:<34} {verdict}", flush=True)
+    print(f"{len(mutants) - failed} of {len(mutants)} killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

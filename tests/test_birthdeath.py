@@ -142,7 +142,7 @@ class TestOccupancy:
             assert grid[key] == pytest.approx(values[klass], abs=1e-12)
 
     def test_render(self):
-        text = render_occupancy_text(**REF)
+        text = render_occupancy_text(occupancy_grid(**REF))
         assert "0.600000" in text and "0.428571" in text and "0.720000" in text
 
 

@@ -342,6 +342,48 @@ class TestVerify:
         assert message in capsys.readouterr().err
         assert built == []
 
+    @pytest.mark.parametrize(
+        "line, argv, message",
+        [
+            ("alpha = abc", [], "alpha = abc: could not convert string to float: 'abc'"),
+            ("service = pmf:1:0.5,2", [], "service = pmf:1:0.5,2: could not convert string to float: ''"),
+            ("servers = two", [], "servers = two: invalid literal for int() with base 10: 'two'"),
+            ("horizon = 1e3x", [], "horizon = 1e3x: could not convert string to float: '1e3x'"),
+            ("horizon = inf", [], "horizon = inf: cannot convert float infinity to integer"),
+            ("replications = 0.5", [], "replications = 0.5: invalid literal for int() with base 10: '0.5'"),
+            ("seed = -1", [], "seed = -1: seed must be >= 0"),
+            ("seed = 42", ["--seed", "-1"], "seed = -1: seed must be >= 0"),
+            ("service = point:0", [], "service = point:0: service times must be at least one slot"),
+            ("service = pmf:0:0.5,1:0.5", [], "service = pmf:0:0.5,1:0.5: service times must be at least one slot"),
+        ],
+        ids=["alpha", "service-pmf", "servers", "horizon", "horizon-inf", "replications", "seed", "seed-override",
+             "service-point-0", "service-pmf-0"],
+    )
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, monkeypatch, line, argv, message):
+        built = []
+        monkeypatch.setattr(cli, "build_trace", lambda *args: built.append(args))
+        key = line.split(" = ")[0]
+        lines = [line if l.startswith(f"{key} = ") else l for l in SMALL_CONFIG.splitlines()]
+        assert line in lines
+        path = tmp_path / "value.ini"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["--config", str(path), *argv, "verify"]) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert built == []
+
+    @pytest.mark.parametrize("check", ["little", "little-observed"])
+    def test_no_completed_customer_rejected(self, tmp_path, capsys, check):
+        # the only arrival falls after the horizon: no W to set against L
+        path = tmp_path / "empty.ini"
+        path.write_text(
+            "[model]\narrival = explicit\nslots = 2000\n\n"
+            f"[sim]\nhorizon = 1000\n\n[checks]\nnames = {check}\n"
+        )
+        assert main(["--config", str(path), "verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no customer arrives and departs inside (100, 1000]" in captured.err
+
     def test_busy_without_complete_cycle_rejected(self, tmp_path, capsys):
         # one customer, never cleared inside the horizon: no cycle means exist
         path = tmp_path / "nocycle.ini"

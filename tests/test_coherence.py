@@ -132,10 +132,11 @@ def test_observed_busy_span_two_customer_example():
 
 
 def test_rows_and_text_render():
-    rows = classification_rows()
+    table = classification_table()
+    rows = classification_rows(table)
     assert len(rows) == 30
     assert {"rule", "epoch", "class"} == set(rows[0])
-    text = render_classification_text()
+    text = render_classification_text(table)
     assert text.count("coh") == 17
     assert "LAS-IA" in text
 

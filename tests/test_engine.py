@@ -265,7 +265,7 @@ def _multi_input(seed, n):
 class TestFifoMultiOracle:
     def test_across_the_real_block_edge(self):
         arr, svc = _multi_input(43, 70_000)
-        assert len(arr) > engine_mod._FIFO_BLOCK
+        assert len(arr) > engine_mod._SLOT_BLOCK
         tr = run_discipline(arr, svc, Fifo(3))
         starts, chosen = oracle_fifo_multi(arr, svc, 3, "lowest", None)
         assert np.array_equal(tr.starts, starts)
@@ -321,7 +321,7 @@ def _tie_inputs():
 
 
 class TestFifoStarts:
-    @engine_blocks("_FIFO_BLOCK", 1, 2, 3, 7, 1 << 16)
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
     @pytest.mark.parametrize("c", [1, 2, 3, 5])
     def test_oracle_starts_under_both_policies(self, engine_block, c):
         for arrivals, services in [_multi_input(40 + c, 300), *_tie_inputs()]:
@@ -335,7 +335,7 @@ class TestFifoStarts:
 
 
 class TestFifoLabels:
-    @engine_blocks("_FIFO_BLOCK", 1, 2, 3, 7)
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7)
     @pytest.mark.parametrize("c", [2, 3])
     @pytest.mark.parametrize("assignment", ["lowest", "random"])
     @pytest.mark.parametrize("seed", [3, 11, 29])
@@ -766,24 +766,20 @@ class TestTraceCsv:
         tr = read_trace_csv(path)
         assert list(tr.arrivals) == [1, 3] and list(tr.departures) == [6, 10]
 
-    def test_arrival_service_only_import(self, tmp_path):
-        path = tmp_path / "partial.csv"
-        path.write_text("k,A,S\n1,1,5\n2,3,4\n")
-        tr = read_trace_csv(path)
-        assert list(tr.departures) == [6, 10]
-
     @pytest.mark.parametrize(
         "text, message",
         [
             ("x,y\n1,2\n", "not a trace header"),
-            # names D but not Astart: re-running the A, S columns would replace D = 9, 12
+            # the writer never writes A and S alone
+            ("k,A,S\n1,1,5\n", "not a trace header"),
+            # names D but not Astart
             ("k,A,S,D\n1,1,5,9\n2,3,4,12\n", "not a trace header"),
             # a sixth value the header does not name
             ("k,A,S,Astart,D\n1,1,2,1,3,1\n2,2,2,2,4,0\n", "rows have 6 values, the header 5"),
             # a server header over rows that carry no server
             ("k,A,S,Astart,D,server\n1,1,5,2,7\n2,3,4,7,11\n", "rows have 5 values, the header 6"),
         ],
-        ids=["junk", "unknown-header", "rows-wider", "rows-narrower"],
+        ids=["junk", "arrival-service", "unknown-header", "rows-wider", "rows-narrower"],
     )
     def test_rejects_other_files(self, tmp_path, text, message):
         path = tmp_path / "junk.csv"
@@ -797,7 +793,7 @@ class TestTraceCsv:
         with pytest.raises(ValueError) as info:
             read_trace_csv(path)
         assert "'k,A,S,D'" in str(info.value)
-        assert "k,A,S or k,A,S,Astart,D or k,A,S,Astart,D,server" in str(info.value)
+        assert "(k,A,S,Astart,D or k,A,S,Astart,D,server)" in str(info.value)
 
 
 def _assert_columns(tr):
@@ -851,17 +847,7 @@ class TestTraceCsvChunks:
         path.write_bytes((",".join(header) + text).encode())
         tr = read_trace_csv(path, horizon=9)
         assert tr.n == 0 and tr.horizon == 9
-        # a k,A,S file is re-run through FIFO(1), which labels its server
         assert (tr.servers is None) == (len(header) == 5)
-        _assert_columns(tr)
-
-    @pytest.mark.parametrize("disc", [Fifo(1), InfiniteServer()], ids=["fifo1", "inf"])
-    def test_arrival_service_file_is_rerun(self, tmp_path, disc):
-        lines = ["k,A,S", "1,1,5", "", "2,3,4", "3,9,2", "4,9,1"]
-        tr = read_trace_csv(self._write(tmp_path, lines, "\r\n", final=False), disc)
-        want = run_discipline([1, 3, 9, 9], [5, 4, 2, 1], disc)
-        for name in _TRACE_FIELDS:
-            assert np.array_equal(getattr(tr, name), getattr(want, name)), name
         _assert_columns(tr)
 
     def test_roundtrip(self, tmp_path):
@@ -874,11 +860,12 @@ class TestTraceCsvChunks:
         _assert_columns(back)
 
     def test_bare_cr_among_lf_line_ends(self, tmp_path):
-        # 2 LFs bound 4 rows, so the columns grow while they are read
+        # 2 LFs bound 5 rows, so the columns grow while they are read
         path = tmp_path / "mixed.csv"
-        path.write_bytes(b"k,A,S\r1,1,5\n2,3,4\r3,9,2\r4,9,1\n")
+        path.write_bytes(b"k,A,S,Astart,D\r1,1,5,1,6\n2,3,4,6,10\r3,4,1,10,11\r4,9,2,11,13\r5,12,3,13,16\n")
         tr = read_trace_csv(path)
-        assert list(tr.arrivals) == [1, 3, 9, 9] and list(tr.services) == [5, 4, 2, 1]
+        assert list(tr.arrivals) == [1, 3, 4, 9, 12] and list(tr.services) == [5, 4, 1, 2, 3]
+        assert list(tr.starts) == [1, 6, 10, 11, 13] and list(tr.departures) == [6, 10, 11, 13, 16]
         _assert_columns(tr)
 
     def test_word_edges_read_back(self, tmp_path):

@@ -63,10 +63,10 @@ class TestCheckLittle:
         assert rows[0].simulated == pytest.approx(1.05, rel=0.03)
 
     def test_empty_trace(self):
+        # no completed customer: no W to compare, as for check_little_observed
         tr = run_discipline([], [], Fifo(1), horizon=100)
-        rows = check_little(tr)
-        (row,) = rows
-        assert rows.passed and row.simulated == 0.0 and row.formula == 0.0
+        with pytest.raises(InsufficientDataError, match=r"no customer arrives and departs inside \(10, 100\]"):
+            check_little(tr)
 
     def test_residual_shrinks_with_horizon(self):
         # matched seeds, two decades apart; majority of pairs must improve
