@@ -850,6 +850,19 @@ class TestTraceCsvChunks:
         assert (tr.servers is None) == (len(header) == 5)
         _assert_columns(tr)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["k,A,S", "k,A,S\n", "k,A,S\r\n\r\n", "k,A,S\r\n1,1,5\r\n\r\n2,3,4\r\n3,9,2\r\n4,9,1"],
+        ids=["bare", "lf", "crlf-blank", "rows"],
+    )
+    def test_arrival_service_file_rejected(self, tmp_path, text):
+        # the header is judged whole, however many blocks it spans: a
+        # k,A,S file is the prefix of a trace header, not one
+        path = tmp_path / "partial.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match="header 'k,A,S' is not a trace header"):
+            read_trace_csv(path)
+
     def test_roundtrip(self, tmp_path):
         tr = build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), Fifo(2, "random"), 3, 40)
         path = tmp_path / "trace.csv"
