@@ -1,16 +1,18 @@
 """Command-line front end: experiments from config files, reports out.
 
 Configs are sectioned key = value files ([model], [sim], [checks],
-[output]); any other section or key, a [model] or [sim] value that does
-not parse (the error names the key and its text), a service law with
-support below one slot, a negative seed, an output format other than
-text, json or csv, and a FIFO model with load rho = lambda E[S]/c >= 1
-are config errors.  Each check is one entry of the CHECKS registry: a
-function of (experiment, trace) that yields :class:`dtq.littles.Row`
-verdicts, the library's own rows where a library check decides them,
-which _run_check turns into report rows with the residual and a pass
-flag, and a precondition on the :class:`Model`: the reason the check does
-not apply, or None.  Such a check is one skip row
+[output]).  Config errors, all raised before any simulation: any other
+section or key; a [model] or [sim] value that does not parse or that its
+engine spec rejects (a law below one slot, alpha outside (0, 1), no
+source or server, sources * alpha > 1, an unknown assignment), named by
+key and text; a horizon or warmup that is not a whole number of slots; a
+negative seed; an output format other than text, json or csv; a FIFO
+model with load rho = lambda E[S]/c >= 1.  Each check is one entry of
+the CHECKS registry: a function of (experiment, trace) that yields
+:class:`dtq.littles.Row` verdicts, the library's own rows where a library
+check decides them, which _run_check turns into report rows with the
+residual and a pass flag, and a precondition on the :class:`Model`: the
+reason the check does not apply, or None.  Such a check is one skip row
 (pass null, numbers 0) when [checks] names no list, else a config error.
 Subcommands:
 
@@ -67,26 +69,35 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_dist(text: str) -> DiscreteDist:
+def _parse_dist(text: str) -> tuple[DiscreteDist, float | None]:
+    """The law a distribution spec names, and its beta if it is geometric."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
     if kind == "geometric":
-        return DiscreteDist.geometric(float(rest))
+        return DiscreteDist.geometric(beta := float(rest)), beta
     if kind == "point":
-        return DiscreteDist.point(int(rest))
+        return DiscreteDist.point(int(rest)), None
     if kind == "pmf":
         pmf = {}
         for item in rest.split(","):
             v, _, p = item.partition(":")
             pmf[int(v)] = float(p)
-        return DiscreteDist.from_pmf(pmf)
+        return DiscreteDist.from_pmf(pmf), None
     raise ConfigError(f"unknown distribution spec {text!r}")
+
+
+def _slot_count(text: str) -> int:
+    """A whole number of slots, also when written as a float such as 1e6."""
+    if (n := int(x := float(text))) != x:
+        raise ValueError("not a whole number of slots")
+    return n
 
 
 def _read(section, key: str, parse, default: str | None = None, kind: str | None = None):
     """``parse`` of a [model] or [sim] value, or of ``default`` when ``key``
-    is unset; a missing or unparsable value is a ConfigError naming the key,
-    its text and the ``arrival = kind`` that needs it, if one does."""
+    is unset; a missing value, or one the parse or the spec it builds
+    rejects, is a ConfigError naming the key, its text and the
+    ``arrival = kind`` that needs it, if one does."""
     text = section.get(key, default)
     if kind and not text:
         raise ConfigError(f"arrival = {kind} needs {key}")
@@ -145,21 +156,20 @@ class Experiment:
         alpha = _read(model, "alpha", float, "0.3")
         beta_key = _read(model, "beta", float, "0.5")
         service = model.get("service", f"geometric:{beta_key}")
-        dist = _read(model, "service", _parse_dist, service)
-        if dist.support_min < 1:
-            raise ConfigError(f"service = {service}: service times must be at least one slot")
-        dist_kind, _, rest = service.partition(":")
-        beta = float(rest) if dist_kind.strip() == "geometric" else None
+        dist, beta = _read(model, "service", _parse_dist, service)
         if "beta" in model and beta_key != beta:
             raise ConfigError(f"beta = {model['beta']} is not the parameter of service = {service}")
+        # each spec is built in the parse of the key its check is about
         lam = None
-        if kind == "bernoulli":
-            arrival, lam = Bernoulli(alpha), alpha
+        if kind in ("bernoulli", "finite-population"):  # sources fire as Bernoulli streams
+            arrival = _read(model, "alpha", lambda t: Bernoulli(float(t)), "0.3")
+            if kind == "bernoulli":
+                lam = alpha
+            else:
+                arrival = _read(model, "sources", lambda t: FinitePopulation(int(t), alpha), "1")
         elif kind == "renewal":
-            arrival = _read(model, "interarrival", lambda t: Renewal(_parse_dist(t)), kind=kind)
+            arrival = _read(model, "interarrival", lambda t: Renewal(_parse_dist(t)[0]), kind=kind)
             lam = 1.0 / arrival.interarrival.mean()
-        elif kind == "finite-population":
-            arrival = FinitePopulation(_read(model, "sources", int, "1"), alpha)
         elif kind == "explicit":
             parse = lambda t: Explicit(tuple(int(x) for x in t.split(",")))
             arrival = _read(model, "slots", parse, kind=kind)
@@ -167,10 +177,12 @@ class Experiment:
             raise ConfigError(f"unknown arrival kind {kind!r}")
 
         disc = model.get("discipline", "fifo").strip()
-        servers = _read(model, "servers", int, "1")
         if disc == "fifo":
-            discipline = Fifo(servers, model.get("assignment", "lowest"))
+            # servers checked at the default assignment, then the assignment
+            servers = _read(model, "servers", lambda t: Fifo(int(t)), "1").servers
+            discipline = _read(model, "assignment", lambda t: Fifo(servers, t), "lowest")
         elif disc == "infinite-server":
+            servers = _read(model, "servers", int, "1")
             discipline = InfiniteServer()
         else:
             raise ConfigError(f"unknown discipline {disc!r}")
@@ -186,9 +198,8 @@ class Experiment:
             if rho >= 1.0 - 1e-12:
                 raise ConfigError(f"unstable configuration: utilization {rho:.3f} >= 1")
 
-        slot_count = lambda t: int(float(t))
-        self.horizon = _read(sim, "horizon", slot_count, "100000")
-        self.warmup = _read(sim, "warmup", slot_count, str(self.horizon // 10))
+        self.horizon = _read(sim, "horizon", _slot_count, "100000")
+        self.warmup = _read(sim, "warmup", _slot_count, str(self.horizon // 10))
         if not 0 <= self.warmup < self.horizon:
             raise ConfigError("need horizon > warmup >= 0")
         self.seed = int(seed_override) if seed_override is not None else _read(sim, "seed", int, "42")

@@ -39,7 +39,7 @@ _TAIL_TOL = 1e-15
 
 @dataclass(frozen=True)
 class DiscreteDist:
-    """Probability mass function on nonnegative integers.
+    """A service-time or inter-arrival law: a pmf on 1, 2, ... slots.
 
     Unbounded laws (geometric) are truncated where the tail drops below
     1e-15 and renormalized, so stored masses always sum to one within
@@ -55,8 +55,8 @@ class DiscreteDist:
             raise ValueError("distribution needs at least one support point")
         if len(vals) != len(self.probs):
             raise ValueError("values and probs must have equal length")
-        if any(v < 0 for v in vals):
-            raise ValueError("support must be nonnegative integers")
+        if any(v < 1 for v in vals):
+            raise ValueError("support must be at least one slot")
         if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
             raise ValueError("support must be strictly increasing")
         if any(p < 0 for p in self.probs):
@@ -88,10 +88,6 @@ class DiscreteDist:
         probs = (1.0 - p) ** (ns - 1) * p
         probs = probs / probs.sum()
         return cls(tuple(int(n) for n in ns), tuple(float(q) for q in probs))
-
-    @property
-    def support_min(self) -> int:
-        return self.values[0]
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -135,10 +131,6 @@ class Renewal:
     """Independent integer inter-arrival times, first arrival at the first gap."""
 
     interarrival: DiscreteDist
-
-    def __post_init__(self):
-        if self.interarrival.support_min < 1:
-            raise ValueError("inter-arrival times must be at least one slot")
 
 
 @dataclass(frozen=True)
@@ -453,8 +445,6 @@ def gen_arrivals(spec: ArrivalSpec, seed: int, horizon: int) -> np.ndarray:
 def sample_services(dist: DiscreteDist, seed: int, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("sample count must be nonnegative")
-    if dist.support_min < 1:
-        raise ValueError("service distributions must have support >= 1")
     return dist.sample(np.random.default_rng(seed), n)
 
 
@@ -626,8 +616,6 @@ def simulate_finite_population(
     the same uniforms.
     """
     FinitePopulation(n_sources, alpha)  # validates parameters
-    if service.support_min < 1:
-        raise ValueError("service distributions must have support >= 1")
     rng = np.random.default_rng(seed)
     rng.random()  # the uniform of slot 0, drawn to keep the stream, holds no arrival
     svc_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])

@@ -43,6 +43,10 @@ class Mutant(NamedTuple):
 _DECODER = "trace files read with a loop-free byte decoder"
 _READER = "trace reader reads only what the writer writes"
 _CONFIG = "config values read through one reader that names the key"
+_ONCE = "each model value checked once, where it is built"
+_REUSE = "the reference verify stops re-deriving what the trace already knows"
+_ORACLES = "the little rows against the conftest oracles"
+_MALFORMED = "tests/test_cli.py::TestVerify::test_malformed_value_names_its_key"
 
 MUTANTS = (
     Mutant(
@@ -55,18 +59,58 @@ MUTANTS = (
     ),
     Mutant(
         "service-support-unchecked",
+        "src/dtq/engine.py",
+        "        if any(v < 1 for v in vals):\n",
+        "        if any(v < 0 for v in vals):\n",
+        "tests/test_engine.py::TestDiscreteDist::test_support_below_one_slot_rejected[point]",
+        _ONCE,
+    ),
+    Mutant(
+        "bernoulli-built-outside-read",
         "src/dtq/cli.py",
-        "        if dist.support_min < 1:\n",
-        "        if False:\n",
-        "tests/test_cli.py::TestVerify::test_malformed_value_names_its_key[service-point-0]",
-        _CONFIG,
+        'arrival = _read(model, "alpha", lambda t: Bernoulli(float(t)), "0.3")',
+        "arrival = Bernoulli(alpha)",
+        f"{_MALFORMED}[alpha-1.5]",
+        _ONCE,
+    ),
+    Mutant(
+        "sources-built-outside-read",
+        "src/dtq/cli.py",
+        'arrival = _read(model, "sources", lambda t: FinitePopulation(int(t), alpha), "1")',
+        'arrival = FinitePopulation(_read(model, "sources", int, "1"), alpha)',
+        f"{_MALFORMED}[sources-0]",
+        _ONCE,
+    ),
+    Mutant(
+        "servers-checked-under-assignment",
+        "src/dtq/cli.py",
+        'servers = _read(model, "servers", lambda t: Fifo(int(t)), "1").servers',
+        'servers = _read(model, "servers", int, "1")',
+        f"{_MALFORMED}[servers-0]",
+        _ONCE,
+    ),
+    Mutant(
+        "fifo-built-outside-read",
+        "src/dtq/cli.py",
+        'discipline = _read(model, "assignment", lambda t: Fifo(servers, t), "lowest")',
+        'discipline = Fifo(servers, model.get("assignment", "lowest"))',
+        f"{_MALFORMED}[assignment]",
+        _ONCE,
+    ),
+    Mutant(
+        "slot-count-truncated",
+        "src/dtq/cli.py",
+        "if (n := int(x := float(text))) != x:",
+        "if (n := int(x := float(text))) != int(x):",
+        f"{_MALFORMED}[horizon-fraction]",
+        _ONCE,
     ),
     Mutant(
         "negative-seed-accepted",
         "src/dtq/cli.py",
         "        if self.seed < 0:\n",
         "        if False:\n",
-        "tests/test_cli.py::TestVerify::test_malformed_value_names_its_key[seed]",
+        f"{_MALFORMED}[seed]",
         _CONFIG,
     ),
     Mutant(
@@ -74,7 +118,7 @@ MUTANTS = (
         "src/dtq/cli.py",
         'raise ConfigError(f"{key} = {text}{needed_by}: {exc}") from None',
         "raise ConfigError(str(exc)) from None",
-        "tests/test_cli.py::TestVerify::test_malformed_value_names_its_key[alpha]",
+        f"{_MALFORMED}[alpha]",
         _CONFIG,
     ),
     Mutant(
@@ -133,6 +177,72 @@ MUTANTS = (
         "        offsets += 2\n        yield offsets\n",
         "tests/test_coherence.py::TestOffsetMemo::test_histogram_is_the_bincount_of_the_offsets",
         _DECODER,
+    ),
+    Mutant(
+        "class-offset-sign-flipped",
+        "src/dtq/observer.py",
+        "W_obs = (win.sojourn + n * (e0 + 1 - s0)) / n",
+        "W_obs = (win.sojourn - n * (e0 + 1 - s0)) / n",
+        "tests/test_acceptance.py::test_criterion_04_little_family",
+        _REUSE,
+    ),
+    Mutant(
+        "class-offset-shifts-swapped",
+        "src/dtq/observer.py",
+        "W_obs = (win.sojourn + n * (e0 + 1 - s0)) / n",
+        "W_obs = (win.sojourn + n * (s0 + 1 - e0)) / n",
+        "tests/test_acceptance.py::test_criterion_04_little_family",
+        _REUSE,
+    ),
+    Mutant(
+        "idle-sum-plus-1",
+        "src/dtq/busy.py",
+        "return CycleMeans((cycle - busy) / m,",
+        "return CycleMeans((cycle - busy + 1) / m,",
+        "tests/test_busy.py::TestCycleStats::test_random_small_traces",
+        _REUSE,
+    ),
+    Mutant(
+        "customer-sum-plus-1",
+        "src/dtq/busy.py",
+        "customers = int(openers[-1]) - int(openers[0])",
+        "customers = int(openers[-1]) - int(openers[0]) + 1",
+        "tests/test_busy.py::TestCycleStats::test_random_small_traces",
+        _REUSE,
+    ),
+    Mutant(
+        "in-order-sorts-ties",
+        "src/dtq/observer.py",
+        "if (d[1:] < d[:-1]).any() else d",
+        "if (d[1:] <= d[:-1]).any() else d",
+        "tests/test_observer.py::TestTimeAveragesMemo::test_departures_sorted_only_out_of_order",
+        _REUSE,
+    ),
+    Mutant(
+        "utilization-unclipped-at-horizon",
+        "src/dtq/littles.py",
+        "spans = np.minimum(trace.departures, T)",
+        "spans = trace.departures.copy()",
+        "tests/test_cli.py::TestGoldenBytes::test_verify_output_bytes[ref-42-json]",
+        _REUSE,
+    ),
+    Mutant(
+        "class-combos-swapped",
+        "src/dtq/cli.py",
+        "    CoherenceClass.COHERENT: (SchedulingRule.LAS_IA, ObservationEpoch.RANDOM_OBSERVER),\n"
+        "    CoherenceClass.SUB_COHERENT: (SchedulingRule.EAS, ObservationEpoch.RANDOM_OBSERVER),\n",
+        "    CoherenceClass.COHERENT: (SchedulingRule.EAS, ObservationEpoch.RANDOM_OBSERVER),\n"
+        "    CoherenceClass.SUB_COHERENT: (SchedulingRule.LAS_IA, ObservationEpoch.RANDOM_OBSERVER),\n",
+        "tests/test_cli.py::TestLittleRowsAgainstOracles::test_rows_are_the_oracle_values",
+        _ORACLES,
+    ),
+    Mutant(
+        "little-warmup-off-by-one",
+        "src/dtq/cli.py",
+        "return littles.check_little(trace, exp.warmup)",
+        "return littles.check_little(trace, exp.warmup + 1)",
+        "tests/test_cli.py::TestLittleRowsAgainstOracles::test_rows_are_the_oracle_values",
+        _ORACLES,
     ),
 )
 

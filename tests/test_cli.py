@@ -5,11 +5,18 @@ import pathlib
 import pkgutil
 import sys
 
-import pytest
+import configparser
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import oracle_observed_path, oracle_observed_wait, oracle_queue_path
 from dtq import cli, littles
 from dtq.cli import main
 from dtq.coherence import CoherenceClass, classify
+from dtq.observer import InsufficientDataError
+from dtq.timebase import ObservationEpoch, SchedulingRule
 
 
 SMALL_CONFIG = """\
@@ -353,18 +360,48 @@ class TestVerify:
             ("replications = 0.5", [], "replications = 0.5: invalid literal for int() with base 10: '0.5'"),
             ("seed = -1", [], "seed = -1: seed must be >= 0"),
             ("seed = 42", ["--seed", "-1"], "seed = -1: seed must be >= 0"),
-            ("service = point:0", [], "service = point:0: service times must be at least one slot"),
-            ("service = pmf:0:0.5,1:0.5", [], "service = pmf:0:0.5,1:0.5: service times must be at least one slot"),
+            ("service = point:0", [], "service = point:0: support must be at least one slot"),
+            ("service = pmf:0:0.5,1:0.5", [], "service = pmf:0:0.5,1:0.5: support must be at least one slot"),
+            (
+                "arrival = renewal\ninterarrival = point:0",
+                [],
+                "interarrival = point:0 for arrival = renewal: support must be at least one slot",
+            ),
+            ("alpha = 1.5", [], "alpha = 1.5: arrival probability must be in (0, 1), got 1.5"),
+            (
+                "arrival = finite-population\nalpha = 1.5",
+                [],
+                "alpha = 1.5: arrival probability must be in (0, 1), got 1.5",
+            ),
+            ("arrival = finite-population\nsources = 0", [], "sources = 0: need at least one source"),
+            (
+                "arrival = finite-population\nalpha = 0.05\nsources = 30",
+                [],
+                "sources = 30: n_sources * alpha must not exceed 1 for the single-arrival dynamics",
+            ),
+            ("servers = 0", [], "servers = 0: need at least one server"),
+            ("assignment = rnd", [], "assignment = rnd: unknown assignment policy 'rnd'"),
+            ("horizon = 20000.7", [], "horizon = 20000.7: not a whole number of slots"),
+            ("warmup = 100.5", [], "warmup = 100.5: not a whole number of slots"),
         ],
         ids=["alpha", "service-pmf", "servers", "horizon", "horizon-inf", "replications", "seed", "seed-override",
-             "service-point-0", "service-pmf-0"],
+             "service-point-0", "service-pmf-0", "interarrival-point-0", "alpha-1.5",
+             "alpha-1.5-finite-population", "sources-0", "sources-times-alpha", "servers-0", "assignment",
+             "horizon-fraction", "warmup-fraction"],
     )
     def test_malformed_value_names_its_key(self, tmp_path, capsys, monkeypatch, line, argv, message):
+        # each line replaces the line of its key, or joins [model] if the
+        # config has none
         built = []
         monkeypatch.setattr(cli, "build_trace", lambda *args: built.append(args))
-        key = line.split(" = ")[0]
-        lines = [line if l.startswith(f"{key} = ") else l for l in SMALL_CONFIG.splitlines()]
-        assert line in lines
+        lines = SMALL_CONFIG.splitlines()
+        for new in line.splitlines():
+            keys = [l.split(" = ")[0] for l in lines]
+            key = new.split(" = ")[0]
+            if key in keys:
+                lines[keys.index(key)] = new
+            else:
+                lines.insert(lines.index("[model]") + 1, new)
         path = tmp_path / "value.ini"
         path.write_text("\n".join(lines) + "\n")
         assert main(["--config", str(path), *argv, "verify"]) == 2
@@ -479,6 +516,68 @@ def _skip_row(name, reason):
         "check": name, "quantity": f"skipped: {reason}", "simulated": 0.0, "formula": 0.0,
         "residual": 0.0, "tolerance": 0.0, "pass": None,
     }
+
+
+@st.composite
+def little_configs(draw):
+    """A small config with the little checks: Bernoulli input to FIFO-1,
+    FIFO-c with random assignment or an infinite server, or a finite
+    population, a geometric service law and a random warmup."""
+    T = draw(st.integers(20, 200))
+    model = draw(st.sampled_from(["fifo-1", "fifo-c", "infinite-server", "finite-population"]))
+    beta = draw(st.sampled_from([0.3, 0.5, 0.8, 1.0]))
+    load = draw(st.floats(0.05, 0.9))
+    lines = [f"service = geometric:{beta}"]
+    if model == "finite-population":
+        sources = draw(st.integers(1, 4))
+        lines += ["arrival = finite-population", f"sources = {sources}", f"alpha = {load / sources!r}"]
+    elif model == "fifo-c":
+        c = draw(st.integers(2, 3))
+        lines += [f"alpha = {load * min(0.99, c * beta)!r}", f"servers = {c}", "assignment = random"]
+    elif model == "fifo-1":
+        lines += [f"alpha = {load * beta!r}"]
+    else:
+        lines += [f"alpha = {load!r}", "discipline = infinite-server"]
+    warmup, seed = draw(st.integers(0, T // 2)), draw(st.integers(0, 2**16))
+    return (
+        "[model]\n" + "\n".join(lines) + f"\n[sim]\nhorizon = {T}\nwarmup = {warmup}\nseed = {seed}\n"
+        "[checks]\nnames = little, little-observed\n"
+    )
+
+
+class TestLittleRowsAgainstOracles:
+    # the bundle's little-observed rows: one combo per coherence class, in
+    # class order
+    COMBOS = (
+        (SchedulingRule.LAS_IA, ObservationEpoch.RANDOM_OBSERVER),
+        (SchedulingRule.EAS, ObservationEpoch.RANDOM_OBSERVER),
+        (SchedulingRule.LAS_DA, ObservationEpoch.RANDOM_OBSERVER),
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(little_configs())
+    def test_rows_are_the_oracle_values(self, text):
+        cp = configparser.ConfigParser(default_section="")
+        cp.read_string(text)
+        exp = cli.Experiment(cp)
+        trace = exp.make_trace(exp.seed)
+        a, d, w, T = trace.arrivals, trace.departures, exp.warmup, exp.horizon
+        completed = (a > w) & (d <= T)
+        n, span = int(completed.sum()), T - w
+        if n == 0:
+            with pytest.raises(InsufficientDataError):
+                cli.run_verify(exp)
+            return
+        lam = int(((a > w) & (a <= T)).sum()) / span
+        sojourn = int(trace.waits[completed].sum())
+        W = sojourn / n
+        want = [(int(oracle_queue_path(trace)[w + 1 :].sum()) / span, lam * W)]
+        for rule, epoch in self.COMBOS:
+            L_obs = int(oracle_observed_path(trace, rule, epoch)[w + 1 :].sum()) / span
+            k = oracle_observed_wait(rule, epoch, 1, 2) - 1  # every customer is seen W + k slots
+            want += [(L_obs, lam * (W + k)), (L_obs, lam * ((sojourn + n * k) / n))]
+        rows = cli.run_verify(exp)["replications"][0]["rows"]
+        assert [(r["simulated"], r["formula"]) for r in rows] == want
 
 
 class TestApplicability:

@@ -63,8 +63,21 @@ class TestDiscreteDist:
 
     def test_geometric_mean(self):
         d = DiscreteDist.geometric(0.5)
-        assert d.support_min == 1
+        assert d.values[0] == 1
         assert math.isclose(d.mean(), 2.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DiscreteDist.point(0),
+            lambda: DiscreteDist.from_pmf({0: 0.5, 1: 0.5}),
+            lambda: DiscreteDist((0,), (1.0,)),
+        ],
+        ids=["point", "pmf", "values"],
+    )
+    def test_support_below_one_slot_rejected(self, build):
+        with pytest.raises(ValueError, match="support must be at least one slot"):
+            build()
 
     def test_geometric_degenerate(self):
         d = DiscreteDist.geometric(1.0)
