@@ -8,6 +8,8 @@ micro-time shifts applied on top (see :mod:`dtq.timebase`).
 from __future__ import annotations
 
 import heapq
+import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -35,6 +37,7 @@ __all__ = [
 
 _PROB_TOL = 1e-12
 _TAIL_TOL = 1e-15
+_BUCKETS = 1 << 12  # uniform buckets of DiscreteDist.sample's table, a power of two
 
 
 @dataclass(frozen=True)
@@ -90,11 +93,19 @@ class DiscreteDist:
         return cls(tuple(int(n) for n in ns), tuple(float(q) for q in probs))
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The support, its cdf with the last point set to 1, and the
+        bucket table of :meth:`sample`: per bucket [b, b + 1)/2^12 of the
+        uniforms, the draw every uniform in it maps to, or 0 where a cdf
+        point lies strictly inside the bucket and the draw depends on u."""
         vals = np.asarray(self.values, dtype=np.int64)
         cdf = np.cumsum(np.asarray(self.probs, dtype=float))
         cdf[-1] = 1.0
-        return vals, cdf
+        edges = np.arange(_BUCKETS + 1) / _BUCKETS
+        below = np.searchsorted(cdf, edges[:-1], side="right")  # cdf points <= b/2^12
+        short = np.searchsorted(cdf, edges[1:], side="left")  # cdf points < (b+1)/2^12
+        table = np.where(short > below, 0, vals[np.minimum(below, len(vals) - 1)])
+        return vals, cdf, table
 
     def mean(self) -> float:
         return float(sum(v * p for v, p in zip(self.values, self.probs)))
@@ -106,11 +117,32 @@ class DiscreteDist:
         return float(sum(p * z**v for v, p in zip(self.values, self.probs)))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Inverse-CDF sampling: n draws as an int64 array."""
-        vals, cdf = self._arrays
-        u = rng.random(n)
-        idx = np.searchsorted(cdf, u, side="right")
-        return vals[np.minimum(idx, len(vals) - 1, out=idx)]
+        """Inverse-CDF sampling: n draws as an int64 array, the values at
+        ``searchsorted(cdf, u, "right")``, clipped to the last point, of
+        the uniforms u of ``rng.random(n)``.
+
+        The uniforms come in blocks of :func:`_uniform_blocks`, and each
+        is first looked up in a table by its bucket b = floor(u·2^12).
+        That product is exact, u being a multiple of 2^-53 below 1, so u
+        lies in [b, b + 1)/2^12.  Where no cdf point lies strictly inside
+        that interval, the count of cdf points <= u is the same for every
+        u in it, and the table holds the value it selects.  Only the
+        uniforms of the other buckets, those the table marks 0 (no
+        support point is 0), go through ``searchsorted``: 0.3% of draws
+        for geometric(0.5), 3% for geometric(0.05).
+        """
+        vals, cdf, table = self._arrays
+        out = np.empty(n, dtype=np.int64)
+        bucket = np.empty(min(n, _SLOT_BLOCK), dtype=np.int64)
+        for x0, u in _uniform_blocks(rng, n):
+            b = bucket[: len(u)]
+            np.multiply(u, _BUCKETS, out=b, casting="unsafe")  # truncates: floor of u·2^12
+            got = np.take(table, b, out=out[x0 : x0 + len(u)], mode="clip")  # b is in range; "raise" buffers out
+            split = np.flatnonzero(got == 0)
+            if len(split):
+                idx = np.searchsorted(cdf, u[split], side="right")
+                got[split] = vals[np.minimum(idx, len(vals) - 1, out=idx)]
+        return out
 
 
 # --- model specs -----------------------------------------------------------
@@ -367,6 +399,8 @@ def convention_shift(convention: str) -> tuple[int, int]:
 # included: a block's arrays (~0.5 MB each) stay in cache, and no pass holds
 # an array of slot length
 _SLOT_BLOCK = 1 << 16
+# service draws per chunk of the finite-population service stream
+_SERVICE_CHUNK = 1 << 12
 
 
 def _slot_blocks(first: int, end: int):
@@ -607,49 +641,64 @@ def simulate_finite_population(
     per-slot arrival probability is (n_sources - n) * alpha, which makes
     the path an exact state-dependent chain.  Slot t has an arrival when
     u[t] falls below that probability, one uniform u[t] per slot
-    t = 0..horizon, drawn in blocks of ``_SLOT_BLOCK``.
+    t = 0..horizon, drawn in blocks of ``_SLOT_BLOCK``.  The k-th arrival
+    is served for the k-th draw of the service stream, a generator
+    spawned from ``seed``.
 
-    Only candidate slots, those with u[t] below the empty-system
-    probability n_sources * alpha, the largest, are visited: no other slot
-    can hold an arrival whatever the state, and the state changes only at
-    arrivals and departures.  So the path equals a slot-by-slot walk over
-    the same uniforms.
+    The loop only decides which slots hold an arrival.  It visits the
+    candidate slots, those with u[t] below the empty-system probability
+    n_sources * alpha, the largest: no other slot can hold an arrival
+    whatever the state, and the state changes only at arrivals and
+    departures.  It keeps the slot at which the server frees up and, in a
+    deque, the departure slots of the at most n_sources customers in the
+    system; a candidate after that slot finds the system empty and is an
+    arrival.  So the arrivals equal those of a slot-by-slot walk over the
+    same uniforms.  Starts and departures come afterwards from the one
+    FIFO kernel, :func:`_fifo_single`.
     """
     FinitePopulation(n_sources, alpha)  # validates parameters
+    if horizon < 1:
+        raise ValueError("horizon must be at least one slot")
     rng = np.random.default_rng(seed)
     rng.random()  # the uniform of slot 0, drawn to keep the stream, holds no arrival
     svc_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    drawn: list[np.ndarray] = []  # the service stream, in the chunks drawn
+
+    def service_draws():
+        while True:
+            drawn.append(service.sample(svc_rng, _SERVICE_CHUNK))
+            yield drawn[-1].tolist()
+
+    next_service = partial(next, itertools.chain.from_iterable(service_draws()))
     p = [(n_sources - n) * alpha for n in range(n_sources)]
     p_max = p[0]
-
-    arrivals: list[int] = []
-    services: list[int] = []
-    departures: list[int] = []
-    svc_buf: list[int] = []
-    svc_used = 0
-    dep_ptr = 0  # departures with D <= t-1, FIFO keeps them sorted
+    in_system: deque[int] = deque()  # departure slots, FIFO keeps them sorted
+    depart, leave, clear = in_system.append, in_system.popleft, in_system.clear
     last_free = 0  # slot at which the single server frees up
+    blocks: list[np.ndarray] = []
     for x0, u in _uniform_blocks(rng, horizon):
         cand = np.flatnonzero(u < p_max)
+        block: list[int] = []
+        arrive = block.append
         for t, u_t in zip((cand + (x0 + 1)).tolist(), u[cand].tolist()):
-            while dep_ptr < len(departures) and departures[dep_ptr] < t:
-                dep_ptr += 1
-            n_in_system = len(arrivals) - dep_ptr  # counts A <= t-1 minus D <= t-1
-            if n_in_system >= n_sources or u_t >= p[n_in_system]:
-                continue
-            if svc_used >= len(svc_buf):
-                svc_buf = service.sample(svc_rng, 1024).tolist()
-                svc_used = 0
-            s = svc_buf[svc_used]
-            svc_used += 1
-            start = t if t > last_free else last_free
-            last_free = start + s
-            arrivals.append(t)
-            services.append(s)
-            departures.append(last_free)
-    arr = np.asarray(arrivals, dtype=np.int64)
-    svc = np.asarray(services, dtype=np.int64)
-    dep = np.asarray(departures, dtype=np.int64)
+            if t > last_free:  # empty system: u_t < p_max is an arrival
+                clear()
+                last_free = t + next_service()
+            else:
+                while in_system[0] < t:  # departed by t-1
+                    leave()
+                n = len(in_system)
+                if n >= n_sources or u_t >= p[n]:
+                    continue
+                last_free += next_service()
+            depart(last_free)
+            arrive(t)
+        blocks.append(np.array(block, dtype=np.int64))
+    arr = np.concatenate(blocks)
+    del blocks
+    svc = np.concatenate(drawn)[: len(arr)]
+    drawn.clear()
+    dep = _fifo_single(arr, svc)
     return Trace(arr, svc, dep - svc, dep, horizon, np.zeros(len(arr), dtype=np.int64))
 
 

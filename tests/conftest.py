@@ -9,6 +9,7 @@ an independent check on the production encoding.
 import csv
 import heapq
 import importlib
+import math
 import sys
 import tracemalloc
 import warnings
@@ -126,18 +127,21 @@ def oracle_observed_wait(rule, epoch, a, d) -> int:
 
 
 def oracle_observed_path(trace, rule, epoch) -> np.ndarray:
-    """Observed number-in-system by direct per-customer comparison."""
+    """Observed number-in-system by direct per-customer comparison: a
+    customer counts at slot tau when its arrival event lies before the
+    sampling point of tau and its departure event not after it.  Only the
+    slots floor(arrival event)..ceil(departure event) are visited: the
+    sampling point of tau lies in [tau - 1/2, tau + EPS], and an event
+    within 2 EPS of its slot, so no other point falls between the two."""
     u_phase = sampling_phase(rule, epoch)
     delta, dphase = DEPARTURE_SHIFTS[rule]
     a_ph = ARRIVAL_PHASES[rule]
     out = np.zeros(trace.horizon + 1, dtype=np.int64)
-    events = [
-        (event_pos(int(a), a_ph), event_pos(int(d) + delta, dphase))
-        for a, d in zip(trace.arrivals, trace.departures)
-    ]
-    for tau in range(1, trace.horizon + 1):
-        u = point_pos(tau, u_phase)
-        out[tau] = sum(1 for a_ev, d_ev in events if a_ev < u <= d_ev)
+    for a, d in zip(trace.arrivals.tolist(), trace.departures.tolist()):
+        a_ev, d_ev = event_pos(a, a_ph), event_pos(d + delta, dphase)
+        for tau in range(max(1, math.floor(a_ev)), min(trace.horizon, math.ceil(d_ev)) + 1):
+            if a_ev < point_pos(tau, u_phase) <= d_ev:
+                out[tau] += 1
     return out
 
 

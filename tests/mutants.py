@@ -47,6 +47,9 @@ _ONCE = "each model value checked once, where it is built"
 _REUSE = "the reference verify stops re-deriving what the trace already knows"
 _ORACLES = "the little rows against the conftest oracles"
 _MALFORMED = "tests/test_cli.py::TestVerify::test_malformed_value_names_its_key"
+_ARRIVALS_ONLY = "the finite-population loop only decides arrivals"
+_TABLE = "a bucket-table service sampler"
+_SLOT_WALK = "tests/test_engine.py::TestFinitePopulation::test_bit_identical_to_slot_walk"
 
 MUTANTS = (
     Mutant(
@@ -243,6 +246,54 @@ MUTANTS = (
         "return littles.check_little(trace, exp.warmup + 1)",
         "tests/test_cli.py::TestLittleRowsAgainstOracles::test_rows_are_the_oracle_values",
         _ORACLES,
+    ),
+    Mutant(
+        "empty-system-at-free-slot",
+        "src/dtq/engine.py",
+        "            if t > last_free:",
+        "            if t >= last_free:",
+        f"{_SLOT_WALK}[3-0.2-4-40000]",
+        _ARRIVALS_ONLY,
+    ),
+    Mutant(
+        "departure-popped-at-its-slot",
+        "src/dtq/engine.py",
+        "while in_system[0] < t:",
+        "while in_system[0] <= t:",
+        f"{_SLOT_WALK}[3-0.2-4-40000]",
+        _ARRIVALS_ONLY,
+    ),
+    Mutant(
+        "full-system-guard-dropped",
+        "src/dtq/engine.py",
+        "if n >= n_sources or u_t >= p[n]:",
+        "if u_t >= p[n]:",
+        "tests/test_engine.py::TestFinitePopulation::test_population_cap",
+        _ARRIVALS_ONLY,
+    ),
+    Mutant(
+        "bucket-split-at-left-edge",
+        "src/dtq/engine.py",
+        'below = np.searchsorted(cdf, edges[:-1], side="right")',
+        'below = np.searchsorted(cdf, edges[:-1], side="left")',
+        "tests/test_engine.py::TestStreams::test_table_leaves_exactly_the_split_buckets[three-points]",
+        _TABLE,
+    ),
+    Mutant(
+        "bucket-split-at-right-edge",
+        "src/dtq/engine.py",
+        'short = np.searchsorted(cdf, edges[1:], side="left")',
+        'short = np.searchsorted(cdf, edges[1:], side="right")',
+        "tests/test_engine.py::TestStreams::test_table_leaves_exactly_the_split_buckets[three-points]",
+        _TABLE,
+    ),
+    Mutant(
+        "split-draws-searched-left",
+        "src/dtq/engine.py",
+        'idx = np.searchsorted(cdf, u[split], side="right")',
+        'idx = np.searchsorted(cdf, u[split], side="left")',
+        "tests/test_engine.py::TestStreams::test_sample_at_cdf_points_and_bucket_edges[geometric-0.05]",
+        _TABLE,
     ),
 )
 

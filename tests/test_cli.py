@@ -523,7 +523,7 @@ def little_configs(draw):
     """A small config with the little checks: Bernoulli input to FIFO-1,
     FIFO-c with random assignment or an infinite server, or a finite
     population, a geometric service law and a random warmup."""
-    T = draw(st.integers(20, 200))
+    T = draw(st.integers(20, 400))
     model = draw(st.sampled_from(["fifo-1", "fifo-c", "infinite-server", "finite-population"]))
     beta = draw(st.sampled_from([0.3, 0.5, 0.8, 1.0]))
     load = draw(st.floats(0.05, 0.9))

@@ -125,11 +125,87 @@ class TestDiscreteDist:
         got = d.sample(np.random.default_rng(11), 50_000)
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
-    def test_sampling_holds_three_draw_length_arrays(self):
-        # the uniforms, the table index clipped in place, and the draws
+    def test_sampling_holds_the_draws_and_three_blocks(self):
+        # the draws, and per block the uniforms, their buckets and the
+        # mask of those the table leaves to searchsorted
         n = 300_000
         peak = traced_peak_mb(DiscreteDist.geometric(0.5).sample, np.random.default_rng(1), n)
-        assert peak < 3.2 * n * 8 / 2**20
+        assert peak < (n + 3 * engine_mod._SLOT_BLOCK) * 8 / 2**20
+
+
+_STREAM_SIZES = [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5]
+_LAWS = {
+    "geometric-0.5": DiscreteDist.geometric(0.5),
+    "geometric-0.05": DiscreteDist.geometric(0.05),  # 674 support points
+    "three-points": DiscreteDist.from_pmf({1: 0.5, 2: 0.3, 4: 0.2}),
+    "zero-mass-point": DiscreteDist((1, 2, 3), (0.25, 0.0, 0.75)),
+    "point": DiscreteDist.point(3),
+}
+
+
+def _inverse_cdf(dist, u):
+    """The reference draw: ``searchsorted(cdf, u, "right")`` clipped to
+    the last support point."""
+    cdf = np.cumsum(dist.probs)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, u, side="right")
+    return np.array(dist.values, dtype=np.int64)[np.minimum(idx, len(dist.values) - 1)]
+
+
+class _GivenUniforms:
+    """A generator stub whose ``random(out=)`` fills the given values in order."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def random(self, out):
+        out[:] = self.values[self.used : self.used + len(out)]
+        self.used += len(out)
+        return out
+
+
+class TestStreams:
+    """The random-stream invariants that keep outputs bit-identical when
+    draws are taken in blocks or through the sampler's bucket table."""
+
+    @pytest.mark.parametrize("n", _STREAM_SIZES)
+    def test_uniform_blocks_are_rng_random(self, n):
+        offsets, got = [], []
+        for x0, u in engine_mod._uniform_blocks(np.random.default_rng(7), n):
+            offsets.append(x0)
+            got.append(u.copy())  # every block is a view of one reused buffer
+        assert offsets == list(range(0, n, engine_mod._SLOT_BLOCK))
+        want = np.random.default_rng(7).random(n)
+        assert np.array_equal(np.concatenate(got) if got else np.empty(0), want)
+
+    @pytest.mark.parametrize("law", _LAWS)
+    @pytest.mark.parametrize("n", _STREAM_SIZES)
+    def test_sample_is_the_inverse_cdf(self, law, n):
+        dist = _LAWS[law]
+        got = dist.sample(np.random.default_rng(n), n)
+        want = _inverse_cdf(dist, np.random.default_rng(n).random(n))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("law", _LAWS)
+    def test_sample_at_cdf_points_and_bucket_edges(self, law):
+        dist = _LAWS[law]
+        cdf = np.cumsum(dist.probs)
+        cdf[-1] = 1.0
+        near = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 1)])
+        edges = np.arange(engine_mod._BUCKETS) / engine_mod._BUCKETS
+        u = np.concatenate([near[(near >= 0) & (near < 1)], edges, np.nextafter(edges[1:], 0)])
+        got = dist.sample(_GivenUniforms(u), len(u))
+        assert np.array_equal(got, _inverse_cdf(dist, u))
+
+    @pytest.mark.parametrize("law", _LAWS)
+    def test_table_leaves_exactly_the_split_buckets(self, law):
+        # a bucket goes to searchsorted iff a cdf point lies strictly inside it
+        vals, cdf, table = _LAWS[law]._arrays
+        k = engine_mod._BUCKETS
+        lo, hi = np.arange(k)[:, None] / k, np.arange(1, k + 1)[:, None] / k
+        split = ((lo < cdf) & (cdf < hi)).any(axis=1)
+        assert np.array_equal(table == 0, split)
+        assert np.array_equal(table[~split], _inverse_cdf(_LAWS[law], lo[~split, 0]))
 
 
 class TestArrivals:
@@ -592,6 +668,19 @@ class TestFinitePopulation:
     def test_rate_cap_validated(self):
         with pytest.raises(ValueError):
             FinitePopulation(30, 0.05)
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_slot(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be at least one slot"):
+            simulate_finite_population(5, 0.05, DiscreteDist.geometric(0.5), 1, horizon)
+
+    def test_peak_is_twice_the_four_columns(self):
+        # the arrivals and services, then the two prefix-sum columns of the
+        # FIFO kernel; the loop itself holds one slot block of arrivals
+        svc, T = DiscreteDist.geometric(0.5), 400_000
+        n = simulate_finite_population(5, 0.1, svc, 42, T).n
+        peak = traced_peak_mb(simulate_finite_population, 5, 0.1, svc, 42, T)
+        assert peak < 2.5 * 4 * n * 8 / 2**20
 
 
 _TRACE_FIELDS = ("arrivals", "services", "starts", "departures")
