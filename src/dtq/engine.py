@@ -662,7 +662,9 @@ def simulate_finite_population(
     rng = np.random.default_rng(seed)
     rng.random()  # the uniform of slot 0, drawn to keep the stream, holds no arrival
     svc_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    drawn: list[np.ndarray] = []  # the service stream, in the chunks drawn
+    # the service stream in the chunks drawn, after an empty chunk that
+    # serves a path with no arrival, which draws none
+    drawn = [np.empty(0, dtype=np.int64)]
 
     def service_draws():
         while True:

@@ -272,6 +272,14 @@ MUTANTS = (
         _ARRIVALS_ONLY,
     ),
     Mutant(
+        "no-arrival-without-a-chunk",
+        "src/dtq/engine.py",
+        "    drawn = [np.empty(0, dtype=np.int64)]",
+        "    drawn = []",
+        "tests/test_engine.py::TestFinitePopulation::test_no_arrival_in_horizon[1-0.05-2-20]",
+        _ARRIVALS_ONLY,
+    ),
+    Mutant(
         "bucket-split-at-left-edge",
         "src/dtq/engine.py",
         'below = np.searchsorted(cdf, edges[:-1], side="right")',

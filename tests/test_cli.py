@@ -8,7 +8,7 @@ import sys
 import configparser
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_observed_path, oracle_observed_wait, oracle_queue_path
@@ -421,6 +421,26 @@ class TestVerify:
         assert captured.out == ""
         assert "no customer arrives and departs inside (100, 1000]" in captured.err
 
+    # seed 2 draws no uniform below alpha in slots 1..20: no one arrives
+    NO_ARRIVAL = (
+        "[model]\narrival = finite-population\nsources = 1\nalpha = 0.05\n\n"
+        "[sim]\nhorizon = 20\n\n[checks]\nnames = little\n"
+    )
+
+    def test_no_arrival_rejected(self, tmp_path, capsys):
+        path = tmp_path / "no_arrival.ini"
+        path.write_text(self.NO_ARRIVAL)
+        assert main(["--config", str(path), "--seed", "2", "verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no customer arrives and departs inside (2, 20]\n"
+
+    def test_no_arrival_simulates_an_empty_trace(self, tmp_path):
+        path, out = tmp_path / "no_arrival.ini", tmp_path / "trace.csv"
+        path.write_text(self.NO_ARRIVAL)
+        assert main(["--config", str(path), "--seed", "2", "--out", str(out), "simulate"]) == 0
+        assert out.read_text() == "k,A,S,Astart,D,server\n"
+
     def test_busy_without_complete_cycle_rejected(self, tmp_path, capsys):
         # one customer, never cleared inside the horizon: no cycle means exist
         path = tmp_path / "nocycle.ini"
@@ -556,6 +576,10 @@ class TestLittleRowsAgainstOracles:
 
     @settings(max_examples=30, deadline=None)
     @given(little_configs())
+    @example(  # a finite population with no arrival in its horizon
+        "[model]\narrival = finite-population\nsources = 1\nalpha = 0.05\n"
+        "[sim]\nhorizon = 20\nwarmup = 2\nseed = 2\n[checks]\nnames = little, little-observed\n"
+    )
     def test_rows_are_the_oracle_values(self, text):
         cp = configparser.ConfigParser(default_section="")
         cp.read_string(text)

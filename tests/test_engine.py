@@ -658,6 +658,18 @@ class TestFinitePopulation:
         assert tr.n > 0
         _assert_same_trace(tr, oracle_finite_population(n, alpha, svc, seed, horizon))
 
+    @pytest.mark.parametrize(
+        "n, alpha, seed, horizon",
+        [(1, 0.05, 0, 1), (1, 0.05, 2, 20), (5, 0.01, 2, 20)],
+    )
+    def test_no_arrival_in_horizon(self, n, alpha, seed, horizon):
+        # no uniform falls below the arrival probability: no service is
+        # drawn, and the path is empty, as the slot walk's is
+        svc = DiscreteDist.geometric(0.5)
+        tr = simulate_finite_population(n, alpha, svc, seed, horizon)
+        assert tr.n == 0
+        _assert_same_trace(tr, oracle_finite_population(n, alpha, svc, seed, horizon))
+
     @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7)
     def test_bit_identical_across_block_edges(self, engine_block):
         svc = DiscreteDist.geometric(0.5)
