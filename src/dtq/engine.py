@@ -394,13 +394,20 @@ def convention_shift(convention: str) -> tuple[int, int]:
         raise ValueError(f"unknown indicator convention {convention!r}") from None
 
 
-# slots per block of every slot pass, customers per block of the blocked
-# customer passes, and bytes per block of the file passes, the trace reader's
-# included: a block's arrays (~0.5 MB each) stay in cache, and no pass holds
-# an array of slot length
+# slots per block of every numpy slot pass, customers per block of the
+# blocked numpy customer passes, and bytes per block of the file passes, the
+# trace reader's included: a block's arrays (~0.5 MB each) stay in cache, and
+# no pass holds an array of slot length
 _SLOT_BLOCK = 1 << 16
-# service draws per chunk of the finite-population service stream
-_SERVICE_CHUNK = 1 << 12
+# customers per block of every Python loop over customers, and draws per
+# chunk of the finite-population service stream.  A loop walks Python lists,
+# ~36 bytes an item with its int object against 8 in an array, so lists of
+# 2^16 items cost more than the cache-sized numpy blocks they come from.
+# On the bench's FIFO-2 input (3·10^5 customers, a 2.3 MiB starts column)
+# the starts loop on 2^16-item lists faulted ~2850 fresh pages in a fresh
+# process and held a 9.1 MiB traced peak (8.5 MiB with c = 3); on 2^12-item
+# lists it faults 654 and holds 2.7 MiB.
+_LOOP_BLOCK = 1 << 12
 
 
 def _slot_blocks(first: int, end: int):
@@ -498,28 +505,49 @@ def _fifo_single(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
 def _fifo_starts(arrivals, services, c):
     """Start slots for FIFO with c servers, arrivals nondecreasing.
 
-    The Kiefer-Wolfowitz recursion (Kiefer and Wolfowitz, 1955) on a heap
-    of the servers' c free-at slots: customer k starts at
-    max(A_k, the earliest free-at slot), and that server is next free
-    S_k slots later.  Which server serves whom never enters it, so the
-    starts are the same under every assignment policy: a policy only
-    chooses among servers free by A_k, and every later arrival finds all
-    of them free.
+    The Kiefer-Wolfowitz recursion (Kiefer and Wolfowitz, 1955) on the
+    servers' c free-at slots: customer k starts at max(A_k, the earliest
+    free-at slot), and that server is next free S_k slots later.  Which
+    server serves whom never enters it, so the starts are the same under
+    every assignment policy: a policy only chooses among servers free by
+    A_k, and every later arrival finds all of them free.
+
+    With c = 2 the free-at slots are two locals f1 <= f2, the heap of two
+    spelt out: ``heapreplace`` pops the minimum f1 and pushes the new
+    departure d = t + S_k, which leaves the pair {f2, d}, and one
+    comparison with f2 sorts it.  So the locals hold the heap's two values
+    after every customer, ties included, and the integer starts are the
+    heap's exactly.  With any other c the free-at slots sit in a heap.  The
+    loop walks blocks of ``_LOOP_BLOCK`` customers and carries the free-at
+    slots across them.
     """
     starts = np.empty(len(arrivals), dtype=np.int64)
+    f1 = f2 = 0
     free = [0] * c
     replace = heapq.heapreplace
-    for lo, hi in _slot_blocks(0, len(arrivals)):
+    for lo in range(0, len(arrivals), _LOOP_BLOCK):
+        hi = lo + _LOOP_BLOCK
         a_blk = arrivals[lo:hi].tolist()
         s_blk = services[lo:hi].tolist()
         st_blk: list[int] = []
         keep = st_blk.append
-        for a, s in zip(a_blk, s_blk):
-            t = free[0]
-            if a > t:
-                t = a
-            replace(free, t + s)
-            keep(t)
+        if c == 2:
+            for t, s in zip(a_blk, s_blk):
+                if t < f1:
+                    t = f1
+                keep(t)
+                d = t + s
+                if d <= f2:
+                    f1 = d
+                else:
+                    f1, f2 = f2, d
+        else:
+            for a, s in zip(a_blk, s_blk):
+                t = free[0]
+                if a > t:
+                    t = a
+                replace(free, t + s)
+                keep(t)
         starts[lo:hi] = st_blk
     return starts
 
@@ -531,7 +559,8 @@ def _fifo_labels(trace, c, assignment, seed):
     Busy servers sit in a heap of (free-at slot, server index).  "lowest"
     takes the heap minimum: the server that frees up first, lowest index
     on ties.  "random" picks uniformly among the servers idle at the
-    arrival, one uniform of ``default_rng(seed)`` per customer: a server
+    arrival, one uniform of ``default_rng(seed)`` per customer, drawn per
+    block of ``_LOOP_BLOCK`` customers as the loop walks them: a server
     leaves the busy heap for the idle list once it is free by the arrival
     slot, which stays valid because later arrivals come no earlier, and
     the pick is swapped out of the list.
@@ -544,7 +573,8 @@ def _fifo_labels(trace, c, assignment, seed):
     idle: list[int] = []
     rng = np.random.default_rng(seed) if assignment == "random" else None
     pop, push, replace, to_idle = heapq.heappop, heapq.heappush, heapq.heapreplace, idle.append
-    for lo, hi in _slot_blocks(0, len(arrivals)):
+    for lo in range(0, len(arrivals), _LOOP_BLOCK):
+        hi = lo + _LOOP_BLOCK
         a_blk = arrivals[lo:hi].tolist()
         d_blk = departures[lo:hi].tolist()
         ch_blk: list[int] = []
@@ -585,8 +615,9 @@ def run_discipline(
     verbatim and the sojourn is recorded as the service requirement.
 
     FIFO with one server gets its departures from prefix sums and all-zero
-    server labels.  With c > 1 servers the starts come from
-    :func:`_fifo_starts` at once, while the server labels are left to a
+    server labels.  With c > 1 servers the starts come at once from
+    :func:`_fifo_starts`, a Python loop over blocks of ``_LOOP_BLOCK``
+    customers, while the server labels are left to a
     deferred :func:`_fifo_labels` replay of (c, policy, seed) that runs on
     the first read of ``trace.servers``.  A "random" policy needs the seed
     here all the same.
@@ -643,7 +674,7 @@ def simulate_finite_population(
     u[t] falls below that probability, one uniform u[t] per slot
     t = 0..horizon, drawn in blocks of ``_SLOT_BLOCK``.  The k-th arrival
     is served for the k-th draw of the service stream, a generator
-    spawned from ``seed``.
+    spawned from ``seed`` and drawn in chunks of ``_LOOP_BLOCK``.
 
     The loop only decides which slots hold an arrival.  It visits the
     candidate slots, those with u[t] below the empty-system probability
@@ -668,7 +699,7 @@ def simulate_finite_population(
 
     def service_draws():
         while True:
-            drawn.append(service.sample(svc_rng, _SERVICE_CHUNK))
+            drawn.append(service.sample(svc_rng, _LOOP_BLOCK))
             yield drawn[-1].tolist()
 
     next_service = partial(next, itertools.chain.from_iterable(service_draws()))

@@ -403,8 +403,9 @@ def oracle_read_trace_csv(path, horizon=None) -> Trace:
 def engine_block(request, monkeypatch):
     """One block size of :mod:`dtq.engine` set for the test from its (name,
     size) parameter: ``_SLOT_BLOCK``, the slots, customers or file bytes of
-    every blocked pass, or ``_CSV_CHUNK``, the rows per trace-file write;
-    returns the size.  Parametrize it through :func:`engine_blocks`."""
+    every blocked numpy pass, ``_LOOP_BLOCK``, the customers per block of
+    every Python loop over customers, or ``_CSV_CHUNK``, the rows per
+    trace-file write; returns the size.  Parametrize it through :func:`engine_blocks`."""
     name, size = request.param
     monkeypatch.setattr(engine_mod, name, size)
     return size

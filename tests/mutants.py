@@ -50,6 +50,8 @@ _MALFORMED = "tests/test_cli.py::TestVerify::test_malformed_value_names_its_key"
 _ARRIVALS_ONLY = "the finite-population loop only decides arrivals"
 _TABLE = "a bucket-table service sampler"
 _SLOT_WALK = "tests/test_engine.py::TestFinitePopulation::test_bit_identical_to_slot_walk"
+_TWO_LOCALS = "FIFO-2 starts on two locals, every customer loop on 2^12-item lists"
+_STARTS = "tests/test_engine.py::TestFifoStarts::test_oracle_starts_under_both_policies"
 
 MUTANTS = (
     Mutant(
@@ -302,6 +304,30 @@ MUTANTS = (
         'idx = np.searchsorted(cdf, u[split], side="left")',
         "tests/test_engine.py::TestStreams::test_sample_at_cdf_points_and_bucket_edges[geometric-0.05]",
         _TABLE,
+    ),
+    Mutant(
+        "two-locals-wait-for-the-later",
+        "src/dtq/engine.py",
+        "                if t < f1:\n                    t = f1\n",
+        "                if t < f2:\n                    t = f2\n",
+        f"{_STARTS}[2-4096]",
+        _TWO_LOCALS,
+    ),
+    Mutant(
+        "two-locals-swap-dropped",
+        "src/dtq/engine.py",
+        "                    f1, f2 = f2, d\n",
+        "                    f1 = d\n",
+        f"{_STARTS}[2-4096]",
+        _TWO_LOCALS,
+    ),
+    Mutant(
+        "two-locals-reset-per-block",
+        "src/dtq/engine.py",
+        "        keep = st_blk.append\n        if c == 2:\n",
+        "        keep = st_blk.append\n        f1 = f2 = 0\n        if c == 2:\n",
+        f"{_STARTS}[2-7]",
+        _TWO_LOCALS,
     ),
 )
 

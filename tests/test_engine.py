@@ -354,7 +354,7 @@ def _multi_input(seed, n):
 class TestFifoMultiOracle:
     def test_across_the_real_block_edge(self):
         arr, svc = _multi_input(43, 70_000)
-        assert len(arr) > engine_mod._SLOT_BLOCK
+        assert len(arr) > engine_mod._LOOP_BLOCK
         tr = run_discipline(arr, svc, Fifo(3))
         starts, chosen = oracle_fifo_multi(arr, svc, 3, "lowest", None)
         assert np.array_equal(tr.starts, starts)
@@ -410,7 +410,8 @@ def _tie_inputs():
 
 
 class TestFifoStarts:
-    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
+    # c = 2 runs the two-local form, every other c the heap
+    @engine_blocks("_LOOP_BLOCK", 1, 2, 3, 7, 1 << 12)
     @pytest.mark.parametrize("c", [1, 2, 3, 5])
     def test_oracle_starts_under_both_policies(self, engine_block, c):
         for arrivals, services in [_multi_input(40 + c, 300), *_tie_inputs()]:
@@ -422,9 +423,19 @@ class TestFifoStarts:
                 want = oracle_fifo_multi(arr, svc, c, assignment, np.random.default_rng(engine_block))[0]
                 assert np.array_equal(starts, want), (arrivals, services, assignment)
 
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_peak_is_the_starts_and_one_block(self, c):
+        # the FIFO-2 input of the bench's verify-sequential at seed 4242,
+        # 299 657 customers: past the starts column the loop holds one
+        # block of Python lists (2^16-item blocks would hold ~6.8 MiB)
+        arr = gen_arrivals(Bernoulli(0.6), 4242, 500_000)
+        svc = sample_services(DiscreteDist.geometric(0.5), 4243, len(arr))
+        peak = traced_peak_mb(engine_mod._fifo_starts, arr, svc, c)
+        assert peak <= arr.nbytes / 2**20 + 1
+
 
 class TestFifoLabels:
-    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7)
+    @engine_blocks("_LOOP_BLOCK", 1, 2, 3, 7, 1 << 12)
     @pytest.mark.parametrize("c", [2, 3])
     @pytest.mark.parametrize("assignment", ["lowest", "random"])
     @pytest.mark.parametrize("seed", [3, 11, 29])
@@ -670,8 +681,12 @@ class TestFinitePopulation:
         assert tr.n == 0
         _assert_same_trace(tr, oracle_finite_population(n, alpha, svc, seed, horizon))
 
-    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7)
-    def test_bit_identical_across_block_edges(self, engine_block):
+    # uniforms come in blocks of _SLOT_BLOCK slots and service draws in
+    # chunks of _LOOP_BLOCK: the small sizes cross both kinds of edge
+    @engine_blocks("_LOOP_BLOCK", 1, 2, 3, 7, 1 << 12)
+    @pytest.mark.parametrize("slot_block", [1, 7, 1 << 16])
+    def test_bit_identical_across_block_edges(self, engine_block, slot_block, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_SLOT_BLOCK", slot_block)
         svc = DiscreteDist.geometric(0.5)
         for horizon in (1, 2, 300, 301):
             tr = simulate_finite_population(4, 0.2, svc, 9, horizon)
