@@ -15,8 +15,7 @@ class's closed-form distribution; see the closed forms in bgeom1_pi.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,8 +44,7 @@ class UnstableChainError(ValueError):
     """The product-form series does not converge (unstable chain)."""
 
 
-@dataclass(frozen=True)
-class BDParams:
+class BDParams(NamedTuple):
     """State-dependent arrival/completion probabilities, optional cap."""
 
     alpha_fn: Callable[[int], float]
@@ -102,16 +100,21 @@ def _check_stable(alpha: float, beta: float) -> float:
     return rho
 
 
-@dataclass(frozen=True)
-class BGeom1Params:
-    """Bernoulli arrivals, geometric services, one server, one class."""
-
+class _BGeom1Fields(NamedTuple):
     alpha: float
     beta: float
     klass: CoherenceClass
 
-    def __post_init__(self):
+
+class BGeom1Params(_BGeom1Fields):
+    """Bernoulli arrivals, geometric services, one server, one class."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_stable(self.alpha, self.beta)
+        return self
 
     @property
     def rho(self) -> float:

@@ -17,7 +17,6 @@ its means are telescoping integer sums over the boundaries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,8 +45,7 @@ class CycleMeans(NamedTuple):
     customers: float
 
 
-@dataclass(frozen=True)
-class CycleStats:
+class CycleStats(NamedTuple):
     """Complete busy cycles, stored as their boundaries.
 
     ``starts`` holds the m + 1 cycle starts U_0..U_m, ``V`` the m clears
@@ -206,8 +204,7 @@ def empty_state_rates(trace: Trace) -> tuple[float, float, float]:
     return empty / T, found / empty, arrived / T
 
 
-@dataclass(frozen=True)
-class StateRates:
+class StateRates(NamedTuple):
     """Occupancy fractions and state-conditional arrival rates.
 
     ``pi[n]`` is the fraction of slots spent in state n, ``alpha_n[n]``

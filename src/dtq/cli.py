@@ -35,7 +35,7 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,8 +120,7 @@ _CONFIG_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     """The engine specs a [model] section resolves to.  ``lam`` is alpha of
     Bernoulli input and 1/E[gap] of renewal input, ``beta`` the parameter of
     a ``geometric:beta`` service spec; each is None for any other spec."""

@@ -19,8 +19,8 @@ slot-length path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def classification_table() -> dict[tuple[SchedulingRule, ObservationEpoch], Cohe
     return {(r, e): classify(r, e) for r in RULES for e in EPOCHS}
 
 
-@dataclass(frozen=True)
-class OffsetReport:
+class OffsetReport(NamedTuple):
     rule: SchedulingRule
     epoch: ObservationEpoch
     expected: int

@@ -7,7 +7,6 @@ diagnosable from the rows alone and the CLI reports them as they are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -158,8 +157,7 @@ class CostContractError(ValueError):
     """A cost function charged a customer outside its sojourn."""
 
 
-@dataclass(frozen=True)
-class CostFunction:
+class CostFunction(NamedTuple):
     """Per-customer cost rate, piecewise linear in the slot index.
 
     ``pieces(trace)`` yields groups ``(lo, hi, const, slope)`` aligned with
@@ -256,8 +254,7 @@ def check_h_lambda_g(trace: Trace, cost: CostFunction, warmup: int | None = None
     return Rows([Row("H - lam*G", H, target, _tolerance(win.span, H, target))])
 
 
-@dataclass(frozen=True)
-class WorkloadMoments:
+class WorkloadMoments(NamedTuple):
     ES: float
     ES2: float
     EWq: float
@@ -338,8 +335,7 @@ def check_workload(trace: Trace, warmup: int | None = None) -> Rows:
     return Rows([Row("EV vs EWq", m.EV, m.EWq, _pk_tolerance(m.EWq, win.span))])
 
 
-@dataclass(frozen=True)
-class UtilizationReport:
+class UtilizationReport(NamedTuple):
     per_server: np.ndarray
     total: float
 

@@ -38,7 +38,7 @@ cannot alter it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +95,7 @@ def observed_queue_path(
     return path
 
 
-@dataclass(frozen=True)
-class QueueEstimates:
+class QueueEstimates(NamedTuple):
     """Sample-path averages over the post-warmup window."""
 
     lam: float
@@ -117,8 +116,7 @@ class QueueEstimates:
 _SHIFTS = tuple(sorted({span_shift(rule, epoch) for rule in RULES for epoch in EPOCHS}))
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """The averaging window (warmup, T] and its actual-customer summaries.
 
     ``sojourn`` is the integer sum of D - A over the completed customers;

@@ -52,6 +52,15 @@ _TABLE = "a bucket-table service sampler"
 _SLOT_WALK = "tests/test_engine.py::TestFinitePopulation::test_bit_identical_to_slot_walk"
 _TWO_LOCALS = "FIFO-2 starts on two locals, every customer loop on 2^12-item lists"
 _STARTS = "tests/test_engine.py::TestFifoStarts::test_oracle_starts_under_both_policies"
+_RECORDS = "records as NamedTuples, each check run by the record's __new__"
+_RAISES = "tests/test_records.py::test_validating_records_raise_their_message"
+
+
+def _skipped_check(id: str, file: str, first_check: str, killer: str) -> Mutant:
+    """A record whose __new__ returns before its first check, and so runs none."""
+    built = "super().__new__(cls, *args, **kwargs)\n        " + first_check
+    return Mutant(id, file, "self = " + built, "return " + built, killer, _RECORDS)
+
 
 MUTANTS = (
     Mutant(
@@ -328,6 +337,32 @@ MUTANTS = (
         "        keep = st_blk.append\n        f1 = f2 = 0\n        if c == 2:\n",
         f"{_STARTS}[2-7]",
         _TWO_LOCALS,
+    ),
+    _skipped_check(
+        "dist-unchecked", "src/dtq/engine.py", "vals = self.values",
+        "tests/test_engine.py::TestDiscreteDist::test_support_below_one_slot_rejected[point]",
+    ),
+    _skipped_check(
+        "bernoulli-unchecked", "src/dtq/engine.py", "if not 0.0 < self.alpha < 1.0:", f"{_MALFORMED}[alpha-1.5]"
+    ),
+    _skipped_check(
+        "population-unchecked", "src/dtq/engine.py", "if self.n_sources < 1:", f"{_MALFORMED}[sources-0]"
+    ),
+    _skipped_check(
+        "explicit-unchecked", "src/dtq/engine.py", "if any(s < 1 for s in self.slots):", f"{_RAISES}[explicit-0]"
+    ),
+    _skipped_check("fifo-unchecked", "src/dtq/engine.py", "if self.servers < 1:", f"{_MALFORMED}[servers-0]"),
+    _skipped_check(
+        "bgeom1-unchecked", "src/dtq/birthdeath.py", "_check_stable(self.alpha, self.beta)",
+        "tests/test_birthdeath.py::TestClassDistributions::test_unstable_rejected",
+    ),
+    Mutant(
+        "nan-probability-accepted",
+        "src/dtq/engine.py",
+        "if any(not p >= 0 for p in self.probs):",
+        "if any(p < 0 for p in self.probs):",
+        f"{_MALFORMED}[service-pmf-nan]",
+        "a NaN probability rejected where the law is built",
     ),
 )
 

@@ -362,10 +362,16 @@ class TestVerify:
             ("seed = 42", ["--seed", "-1"], "seed = -1: seed must be >= 0"),
             ("service = point:0", [], "service = point:0: support must be at least one slot"),
             ("service = pmf:0:0.5,1:0.5", [], "service = pmf:0:0.5,1:0.5: support must be at least one slot"),
+            ("service = pmf:1:nan,2:1", [], "service = pmf:1:nan,2:1: probabilities must be nonnegative"),
             (
                 "arrival = renewal\ninterarrival = point:0",
                 [],
                 "interarrival = point:0 for arrival = renewal: support must be at least one slot",
+            ),
+            (
+                "arrival = renewal\ninterarrival = pmf:1:nan,2:1",
+                [],
+                "interarrival = pmf:1:nan,2:1 for arrival = renewal: probabilities must be nonnegative",
             ),
             ("alpha = 1.5", [], "alpha = 1.5: arrival probability must be in (0, 1), got 1.5"),
             (
@@ -385,7 +391,8 @@ class TestVerify:
             ("warmup = 100.5", [], "warmup = 100.5: not a whole number of slots"),
         ],
         ids=["alpha", "service-pmf", "servers", "horizon", "horizon-inf", "replications", "seed", "seed-override",
-             "service-point-0", "service-pmf-0", "interarrival-point-0", "alpha-1.5",
+             "service-point-0", "service-pmf-0", "service-pmf-nan", "interarrival-point-0",
+             "interarrival-pmf-nan", "alpha-1.5",
              "alpha-1.5-finite-population", "sources-0", "sources-times-alpha", "servers-0", "assignment",
              "horizon-fraction", "warmup-fraction"],
     )

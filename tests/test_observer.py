@@ -434,11 +434,12 @@ class TestTimeAveragesMemo:
             elif isinstance(value, dict):
                 for v in value.values():
                     yield from arrays(v)
-            elif hasattr(value, "__dataclass_fields__"):
-                yield from arrays(vars(value))
 
-        sizes = [a.size for a in arrays(tr._memo)]
-        assert sizes and max(sizes) <= tr.n
+        reached = list(arrays(tr._memo))
+        assert max(a.size for a in reached) <= tr.n
+        # the walk sees into the records: the window's customer mask is one
+        completed = window(tr, 1_000).completed
+        assert len(completed) == tr.n and any(a is completed for a in reached)
 
     def test_traces_do_not_share_entries(self, small_bgeom1_trace):
         other = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 4, 10_000)
