@@ -1,19 +1,20 @@
 """Busy periods, busy cycles, and their closed-form mean identities.
 
-On a number-in-system path a cycle starts at the first slot index showing
-a nonempty system after an empty one, and the system clears at the first
-empty index after a busy run.  Only complete cycles (those with a
-following start) enter the averages.
+On the number-in-system path a cycle starts at the first slot index
+showing a nonempty system after an empty one, and the system clears at
+the first empty index after a busy run.  Only complete cycles (those with
+a following start) enter the averages.
 
-On a trace the same boundaries come from the customers alone, with no
-path: customer k is counted at the slot indices A_k + 1 .. D_k, and in
-arrival order it opens a busy period exactly when A_k exceeds every
-earlier departure.  :func:`detect_cycles` and :func:`empty_state_rates`
-read cycles and the empty-state rates off those openers in O(customers);
-:func:`cycles_from_path` and :func:`rates_from_path` are the path forms.
-Either form returns a :class:`CycleStats` that keeps only the cycle
-boundaries; the per-cycle lengths and counts are derived on access, and
-its means are telescoping integer sums over the boundaries.
+The boundaries come from the customers alone, with no path: customer k
+is counted at the slot indices A_k + 1 .. D_k, and in arrival order it
+opens a busy period exactly when A_k exceeds every earlier departure.
+:func:`detect_cycles` and :func:`empty_state_rates` read cycles and the
+empty-state rates off those openers in O(customers), and no function here
+allocates an array of horizon length; the slot-path forms of both live
+only in the test oracles of ``tests/conftest.py``.  A :class:`CycleStats`
+keeps only the cycle boundaries; the per-cycle lengths and counts are
+derived on access, and its means are telescoping integer sums over the
+boundaries.
 """
 from __future__ import annotations
 
@@ -25,12 +26,8 @@ from .engine import DiscreteDist, Trace
 
 __all__ = [
     "CycleStats",
-    "StateRates",
-    "cycles_from_path",
     "detect_cycles",
     "empty_state_rates",
-    "rates_from_path",
-    "state_rates",
     "cycle_means_from_rates",
     "sigma_solve",
     "ggeo1_busy",
@@ -49,15 +46,15 @@ class CycleStats(NamedTuple):
     """Complete busy cycles, stored as their boundaries.
 
     ``starts`` holds the m + 1 cycle starts U_0..U_m, ``V`` the m clears
-    V_0..V_{m-1}, and ``openers`` the index of each start's first customer
-    (None for path-only cycles).  Cycle k runs from U_k to U_{k+1}: the
-    lengths C = U_{k+1} - U_k, B = V_k - U_k and I = C - B and the
-    customers E = opener_{k+1} - opener_k are derived on access.
+    V_0..V_{m-1}, and ``openers`` the index of each start's first
+    customer.  Cycle k runs from U_k to U_{k+1}: the lengths
+    C = U_{k+1} - U_k, B = V_k - U_k and I = C - B and the customers
+    E = opener_{k+1} - opener_k are derived on access.
     """
 
     starts: np.ndarray
     V: np.ndarray
-    openers: np.ndarray | None
+    openers: np.ndarray
 
     @property
     def n_cycles(self) -> int:
@@ -80,8 +77,8 @@ class CycleStats(NamedTuple):
         return self.starts[1:] - self.V
 
     @property
-    def E(self) -> np.ndarray | None:
-        return None if self.openers is None else np.diff(self.openers)
+    def E(self) -> np.ndarray:
+        return np.diff(self.openers)
 
     def means(self) -> CycleMeans:
         """Mean idle, cycle and busy lengths and customers per cycle.
@@ -94,43 +91,11 @@ class CycleStats(NamedTuple):
         m = self.n_cycles
         if m == 0:
             raise ValueError("no complete busy cycle on the path: no cycle means to take")
-        if self.openers is None:
-            raise ValueError("customer counts not available for path-only cycles")
         starts, openers = self.starts, self.openers
         cycle = int(starts[-1]) - int(starts[0])
         busy = int(self.V.sum()) - int(starts[:-1].sum())
         customers = int(openers[-1]) - int(openers[0])
         return CycleMeans((cycle - busy) / m, cycle / m, busy / m, customers / m)
-
-
-def cycles_from_path(path: np.ndarray, arrivals: np.ndarray | None = None) -> CycleStats:
-    """Detect complete cycles on a number-in-system path.
-
-    ``path[j]`` is the state at slot index j (entry 0 must be 0, i.e.
-    the system starts empty).  When the arrival slots are supplied, they
-    must all be at least 1, and E_k counts the customers of cycle k: its
-    opener arrives in slot U_k - 1, the first slot index after it is U_k,
-    so E_k counts the arrivals in slots [U_k - 1, U_{k+1} - 1).
-    """
-    path = np.asarray(path)
-    if len(path) == 0 or path[0] != 0:
-        raise ValueError("path must start with an empty system")
-    if arrivals is not None and len(arrivals) and arrivals[0] < 1:
-        raise ValueError("cycle detection needs the system empty at slot 0")
-    occ = path >= 1
-    flips = np.flatnonzero(occ[1:] != occ[:-1]) + 1
-    starts = flips[~occ[flips - 1]]  # empty -> busy
-    clears = flips[occ[flips - 1]]   # busy -> empty
-    m = len(starts) - 1
-    if m < 1:
-        empty = np.empty(0, dtype=np.int64)
-        return CycleStats(empty, empty, empty if arrivals is not None else None)
-    U = starts[: m + 1].astype(np.int64)
-    V = clears[:m].astype(np.int64)
-    openers = None
-    if arrivals is not None:
-        openers = np.searchsorted(arrivals, U - 1, side="left").astype(np.int64)
-    return CycleStats(U, V, openers)
 
 
 def _busy_runs(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
@@ -158,10 +123,10 @@ def _busy_runs(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
 def detect_cycles(trace: Trace) -> CycleStats:
     """Cycle statistics on the actual path of a trace, from its customers.
 
-    Equal to :func:`cycles_from_path` on ``trace.queue_path()``: busy
-    period r starts at U = A + 1 of its first customer and clears at one
-    past its last slot index, and E counts the customers from one opener
-    to the next.  Only periods starting by the horizon are on the path.
+    The cycles of the strict-left queue path: busy period r starts at
+    U = A + 1 of its first customer and clears at one past its last slot
+    index, and E counts the customers from one opener to the next.  Only
+    periods starting by the horizon are on the path.
     """
     a = trace.arrivals
     if len(a) and a[0] < 1:
@@ -184,10 +149,10 @@ def empty_state_rates(trace: Trace) -> tuple[float, float, float]:
 
     pi0 is the fraction of slots 1..T with an empty system, alpha0 the
     arrivals in slots <= T that find it empty per empty slot, and alpha
-    the arrivals in slots <= T per slot; equal to ``pi[0]``,
-    ``alpha_n[0]`` and ``arrival_rate`` of :func:`rates_from_path` on
-    ``trace.queue_path()``.  An arrival finds the system empty exactly
-    when it arrives in the slot that opened its busy period.
+    the arrivals in slots <= T per slot, where an arrival in slot a finds
+    the strict-left queue path's state at index a.  An arrival finds the
+    system empty exactly when it arrives in the slot that opened its busy
+    period.
     """
     T = trace.horizon
     a = trace.arrivals
@@ -202,45 +167,6 @@ def empty_state_rates(trace: Trace) -> tuple[float, float, float]:
     m = np.searchsorted(opened, T, side="right")
     found = int((np.searchsorted(a, opened[:m], side="right") - first[:m]).sum())
     return empty / T, found / empty, arrived / T
-
-
-class StateRates(NamedTuple):
-    """Occupancy fractions and state-conditional arrival rates.
-
-    ``pi[n]`` is the fraction of slots spent in state n, ``alpha_n[n]``
-    the arrivals-finding-state-n per slot-in-state-n rate (states never
-    visited are absent), and ``pi_arrival[n]`` the fraction of arrivals
-    that found state n.
-    """
-
-    pi: np.ndarray
-    alpha_n: dict[int, float]
-    pi_arrival: np.ndarray
-    arrival_rate: float
-
-
-def rates_from_path(path: np.ndarray, arrivals: np.ndarray) -> StateRates:
-    """State rates on a number-in-system path over slot indices 0..T; the
-    arrivals in slots 1..T enter the per-state arrival counts."""
-    states = path[1:]  # slots 1..T
-    T = len(states)
-    pi = np.bincount(states) / T
-    found = path[arrivals[arrivals <= T]]
-    width = max(len(pi), (found.max() + 1) if len(found) else 1)
-    arr_counts = np.bincount(found, minlength=width)
-    occ_slots = np.bincount(states, minlength=width)
-    alpha_n = {
-        int(n): float(arr_counts[n] / occ_slots[n])
-        for n in range(width)
-        if occ_slots[n] > 0
-    }
-    pi_arr = arr_counts / max(len(found), 1)
-    return StateRates(pi, alpha_n, pi_arr, len(found) / T)
-
-
-def state_rates(trace: Trace) -> StateRates:
-    """State rates on the actual path of a trace."""
-    return rates_from_path(trace.queue_path(), trace.arrivals)
 
 
 def cycle_means_from_rates(pi0: float, alpha0: float, alpha: float) -> CycleMeans:

@@ -81,7 +81,9 @@ def _parse_dist(text: str) -> tuple[DiscreteDist, float | None]:
         pmf = {}
         for item in rest.split(","):
             v, _, p = item.partition(":")
-            pmf[int(v)] = float(p)
+            if (v := int(v)) in pmf:
+                raise ValueError(f"support point {v} is repeated")
+            pmf[v] = float(p)
         return DiscreteDist.from_pmf(pmf), None
     raise ConfigError(f"unknown distribution spec {text!r}")
 

@@ -300,6 +300,10 @@ class Trace:
     servers a deferred label replay, which nothing runs until
     ``trace.servers`` is read, because no arrival-departure quantity needs
     them.  Validation applies to stored labels only.
+
+    No function in dtq allocates an array of horizon length: slot passes
+    run in blocks of ``_SLOT_BLOCK`` slots, and whole slot paths live only
+    in the test oracles of ``tests/conftest.py``.
     """
 
     arrivals: np.ndarray
@@ -381,38 +385,6 @@ class Trace:
     def waits(self) -> np.ndarray:
         """Actual sojourn times D_k - A_k."""
         return self.departures - self.arrivals
-
-    def shift_path(self, s0: int, e0: int) -> np.ndarray:
-        """Number of customers whose span A + s0 .. D + e0 covers j, for
-        j = 0..horizon: N_A(j - s0) - N_D(j - e0 - 1), each block of
-        :func:`_counts` read at the two lags into its run of the path.
-
-        The one materializer of a slot-length path, read by
-        :meth:`queue_path`, :func:`dtq.observer.observed_queue_path` and
-        the tests.  Checks and time averages take the same counts block by
-        block and never hold them whole.
-        """
-        k = e0 + 1  # departures leave the count k slots after D
-        if not (0 <= s0 <= 1 and -1 <= k <= 1):
-            raise ValueError(f"span shift ({s0}, {e0}) is out of range")
-        d = np.sort(self.departures, kind="stable")
-        path = np.empty(self.horizon + 1, dtype=np.int64)
-        j = 0
-        for n_a, n_d in _counts(self.arrivals, d, 0, len(path)):
-            m = len(n_a) - 2
-            np.subtract(n_a[1 - s0 : m + 1 - s0], n_d[1 - k : m + 1 - k], out=path[j : j + m])
-            j += m
-        return path
-
-    def queue_path(self, convention: str = "strict-left") -> np.ndarray:
-        """Number-in-system path L(j) for j = 0..horizon.
-
-        "strict-left" counts a customer at j when A < j <= D, span shift
-        (1, 0), so index 0 is 0; the "strict-right" variant uses
-        A <= j < D, span shift (0, -1), so index 0 counts the arrivals at
-        slot 0.  Both give the same time average over a full cycle.
-        """
-        return self.shift_path(*convention_shift(convention))
 
 
 _CONVENTION_SHIFT = {"strict-left": (1, 0), "strict-right": (0, -1)}

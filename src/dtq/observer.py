@@ -11,9 +11,9 @@ Every queue path is a difference of the two counting processes of a
 trace: the path of shift (s0, e0) is N_A(j - s0) - N_D(j - e0 - 1), and
 the actual path is shift (1, 0) (strict-left) or (0, -1) (strict-right).
 Both come block by block from :func:`dtq.engine._counts`, the one
-builder of N_A and N_D, so no time average holds a slot-length array.
-Only the materializers :meth:`dtq.engine.Trace.shift_path` and
-:func:`observed_queue_path` join the blocks into a whole path.
+builder of N_A and N_D, and nothing joins the blocks into a whole path:
+no function in dtq allocates an array of horizon length, and slot paths
+live only in the test oracles of ``tests/conftest.py``.
 
 :func:`window` owns the averaging window (warmup, T]: the default
 warmup T // 10 and its range check, lambda, W and the completed-customer
@@ -56,7 +56,6 @@ __all__ = [
     "QueueEstimates",
     "Window",
     "observed_waits",
-    "observed_queue_path",
     "time_averages",
     "window",
 ]
@@ -84,15 +83,6 @@ def _seen_slots(
     np.add(d, e0 + 1, out=seen)
     seen -= first
     return np.maximum(seen, 0, out=seen)
-
-
-def observed_queue_path(
-    trace: Trace, rule: SchedulingRule, epoch: ObservationEpoch
-) -> np.ndarray:
-    """Observed number-in-system at u(j) for j = 0..horizon (entry 0 is 0)."""
-    path = trace.shift_path(*span_shift(rule, epoch))
-    path[0] = 0
-    return path
 
 
 class QueueEstimates(NamedTuple):

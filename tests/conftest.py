@@ -32,7 +32,7 @@ from dtq.engine import (
     build_trace,
     run_discipline,
 )
-from dtq.timebase import EPOCHS, Phase, SchedulingRule
+from dtq.timebase import EPOCHS, Phase, SchedulingRule, span_shift
 
 
 def _import_unrewritten(name):
@@ -159,6 +159,55 @@ def oracle_shift_path(trace, s0, e0) -> np.ndarray:
 def oracle_queue_path(trace, convention="strict-left") -> np.ndarray:
     """Number-in-system path: A < j <= D ("strict-left") or A <= j < D."""
     return oracle_shift_path(trace, *{"strict-left": (1, 0), "strict-right": (0, -1)}[convention])
+
+
+def observed_shift_path(trace, rule, epoch) -> np.ndarray:
+    """The observed number-in-system of a rule/epoch combo at slot index
+    j = 0..horizon: the oracle path of the combo's production span shift,
+    entry 0 set to 0 as no sampling point lies at slot 0.  Not an oracle of
+    the shift itself: :func:`oracle_observed_path` is that."""
+    path = oracle_shift_path(trace, *span_shift(rule, epoch))
+    path[0] = 0
+    return path
+
+
+def oracle_cycles(path, arrivals=None) -> SimpleNamespace:
+    """The complete busy cycles of a number-in-system path that starts
+    empty, as per-cycle int64 arrays: a cycle starts (U) at the first
+    nonempty index after an empty one and clears (V) at the first empty
+    index after a busy run, and its lengths are C = U_{k+1} - U_k,
+    B = V - U and I = C - B.  Given the arrival slots, E counts the
+    arrivals in slots [U_k - 1, U_{k+1} - 1), a cycle's customers; else E
+    is None."""
+    occ = np.asarray(path) >= 1
+    if occ[0]:
+        raise ValueError("path must start with an empty system")
+    flips = np.flatnonzero(occ[1:] != occ[:-1]) + 1
+    starts, clears = flips[~occ[flips - 1]], flips[occ[flips - 1]]
+    m = max(len(starts) - 1, 0)
+    U = starts[: m + 1].astype(np.int64) if m else np.empty(0, dtype=np.int64)
+    V = clears[:m].astype(np.int64)
+    E = None
+    if arrivals is not None:
+        counts = np.searchsorted(arrivals, U - 1, side="left")
+        E = (counts[1:] - counts[:-1]).astype(np.int64)
+    return SimpleNamespace(U=U[:-1], V=V, C=U[1:] - U[:-1], B=V - U[:-1], I=U[1:] - V, E=E, n_cycles=m)
+
+
+def oracle_state_rates(trace, n=0):
+    """(pi_n, alpha_n, alpha) on the strict-left queue path: the fraction
+    of slots 1..T in state n, the arrivals in slots <= T that find state
+    n per slot in state n, where an arrival in slot a finds the path's
+    entry a, and the arrivals in slots <= T per slot; None when no slot
+    1..T is in state n.  At n = 0 these are the empty-state rates
+    (pi0, alpha0, alpha)."""
+    T = trace.horizon
+    path = oracle_queue_path(trace)
+    slots = int(np.count_nonzero(path[1:] == n))
+    if not slots:
+        return None
+    found = path[trace.arrivals[trace.arrivals <= T]]
+    return slots / T, int(np.count_nonzero(found == n)) / slots, len(found) / T
 
 
 def oracle_sandwich(trace):
@@ -367,32 +416,33 @@ def oracle_trace_csv(trace, path):
             w.writerow([k + 1] + [int(c[k]) for c in cols])
 
 
+_TRACE_HEADERS = (["k", "A", "S", "Astart", "D"], ["k", "A", "S", "Astart", "D", "server"])
+_LOADTXT_ROWS = 1 << 14  # rows per np.loadtxt call
+
+
 def oracle_read_trace_csv(path, horizon=None) -> Trace:
     """The ``np.loadtxt`` trace reader, kept as the oracle of the byte
-    decoder: it parses ``_CSV_CHUNK`` rows per call in text mode, which
-    reads LF, CRLF and CR line ends and skips blank lines."""
+    decoder: it parses a fixed number of rows per call in text mode, which
+    reads LF, CRLF and CR line ends and skips blank lines, and joins the
+    chunks once at the end."""
     with open(path) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
-        if header not in engine_mod._CSV_HEADERS:
-            known = " or ".join(",".join(h) for h in engine_mod._CSV_HEADERS)
-            raise ValueError(f"{path}: header {','.join(header)!r} is not a trace header ({known})")
-        cols = np.empty((len(header) - 1, engine_mod._line_ends(path)), dtype=np.int64)
-        n = 0
+        if header not in _TRACE_HEADERS:
+            raise ValueError(f"{path}: {','.join(header)!r} is not a trace header")
+        chunks = [np.empty((0, len(header)), dtype=np.int64)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the last chunk may have no rows
             while True:  # each call resumes at the next row of fh and skips blank lines
-                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, max_rows=engine_mod._CSV_CHUNK)
+                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, max_rows=_LOADTXT_ROWS)
                 if not rows.size:
                     break
                 if rows.shape[1] != len(header):
-                    raise ValueError(f"{path}: rows have {rows.shape[1]} values, the header {len(header)}")
-                if n + len(rows) > cols.shape[1]:  # bare CR line ends among LF ones
-                    cols = np.hstack((cols[:, :n], np.empty((len(cols), n + len(rows)), np.int64)))
-                cols[:, n : n + len(rows)] = rows.T[1:]
-                n += len(rows)
-                if len(rows) < engine_mod._CSV_CHUNK:
+                    raise ValueError(f"{path}: a row has {rows.shape[1]} values, the header {len(header)}")
+                chunks.append(rows)
+                if len(rows) < _LOADTXT_ROWS:
                     break
-    cols = cols[:, :n]  # blank lines were counted as rows
+    cols = np.concatenate(chunks).T[1:]
+    n = cols.shape[1]
     deps = cols[3]
     T = horizon if horizon is not None else (int(deps.max()) if n else 1)
     servers = cols[4] if len(cols) == 5 else None

@@ -54,6 +54,8 @@ _TWO_LOCALS = "FIFO-2 starts on two locals, every customer loop on 2^12-item lis
 _STARTS = "tests/test_engine.py::TestFifoStarts::test_oracle_starts_under_both_policies"
 _RECORDS = "records as NamedTuples, each check run by the record's __new__"
 _RAISES = "tests/test_records.py::test_validating_records_raise_their_message"
+_NO_SLOT_PATH = "no slot path in src: cycles checked against the conftest cycle oracle"
+_CYCLES = "tests/test_busy.py::TestCycleStats::test_random_small_traces"
 
 
 def _skipped_check(id: str, file: str, first_check: str, killer: str) -> Mutant:
@@ -213,7 +215,7 @@ MUTANTS = (
         "src/dtq/busy.py",
         "return CycleMeans((cycle - busy) / m,",
         "return CycleMeans((cycle - busy + 1) / m,",
-        "tests/test_busy.py::TestCycleStats::test_random_small_traces",
+        _CYCLES,
         _REUSE,
     ),
     Mutant(
@@ -221,7 +223,7 @@ MUTANTS = (
         "src/dtq/busy.py",
         "customers = int(openers[-1]) - int(openers[0])",
         "customers = int(openers[-1]) - int(openers[0]) + 1",
-        "tests/test_busy.py::TestCycleStats::test_random_small_traces",
+        _CYCLES,
         _REUSE,
     ),
     Mutant(
@@ -363,6 +365,30 @@ MUTANTS = (
         "if any(p < 0 for p in self.probs):",
         f"{_MALFORMED}[service-pmf-nan]",
         "a NaN probability rejected where the law is built",
+    ),
+    Mutant(
+        "pmf-repeated-point-accepted",
+        "src/dtq/cli.py",
+        "if (v := int(v)) in pmf:",
+        "if (v := int(v)) in ():",
+        f"{_MALFORMED}[service-pmf-repeated]",
+        "a repeated pmf support point rejected",
+    ),
+    Mutant(
+        "busy-opener-on-tie",
+        "src/dtq/busy.py",
+        "np.greater(a[1:], reach[:-1], out=opens[1:])",
+        "np.greater_equal(a[1:], reach[:-1], out=opens[1:])",
+        _CYCLES,
+        _NO_SLOT_PATH,
+    ),
+    Mutant(
+        "busy-clear-reads-next-opener",
+        "src/dtq/busy.py",
+        "reach[first[1:] - 1]",
+        "reach[first[1:]]",
+        _CYCLES,
+        _NO_SLOT_PATH,
     ),
 )
 

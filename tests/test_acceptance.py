@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import observed_shift_path, oracle_cycles, oracle_state_rates
 
 from dtq import birthdeath, busy, cli, coherence, littles, observer
 from dtq.coherence import CoherenceClass
@@ -209,11 +210,9 @@ def test_criterion_08_busy_periods(ref_trace):
     )
     ok &= bool(np.array_equal(stats.C, stats.B + stats.I))
 
-    # measured occupancy and empty-state rate reproduce the measured means
-    rates = busy.state_rates(ref_trace)
-    pred = busy.cycle_means_from_rates(
-        float(rates.pi[0]), rates.alpha_n[0], rates.arrival_rate
-    )
+    # measured occupancy and empty-state rate reproduce the measured means;
+    # the rates come from the path oracle, not from the customers' busy runs
+    pred = busy.cycle_means_from_rates(*oracle_state_rates(ref_trace))
     ok &= all(
         abs(getattr(sim, f) - getattr(pred, f)) <= 0.01 * getattr(pred, f)
         for f in ("idle", "cycle", "busy", "customers")
@@ -223,8 +222,8 @@ def test_criterion_08_busy_periods(ref_trace):
     for rule, epoch in ALL_COMBOS:
         if coherence.classify(rule, epoch) is not CoherenceClass.COHERENT:
             continue
-        path = observer.observed_queue_path(ref_trace, rule, epoch)
-        seen = busy.cycles_from_path(path)
+        path = observed_shift_path(ref_trace, rule, epoch)
+        seen = oracle_cycles(path)
         m = min(stats.n_cycles, seen.n_cycles)
         ok &= abs(stats.n_cycles - seen.n_cycles) <= 1
         ok &= bool(np.array_equal(stats.C[: m - 1], seen.C[: m - 1]))

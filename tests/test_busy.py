@@ -4,18 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import small_random_traces
+from conftest import (
+    observed_shift_path,
+    oracle_cycles,
+    oracle_queue_path,
+    oracle_state_rates,
+    small_random_traces,
+)
 from dtq.birthdeath import finite_population_profile, product_form
 from dtq.busy import (
     CycleMeans,
     cycle_means_from_rates,
-    cycles_from_path,
     detect_cycles,
     empty_state_rates,
     ggeo1_busy,
-    rates_from_path,
     sigma_solve,
-    state_rates,
 )
 from dtq.coherence import CoherenceClass, classify
 from dtq.engine import (
@@ -30,7 +33,6 @@ from dtq.engine import (
     run_discipline,
     simulate_finite_population,
 )
-from dtq.observer import observed_queue_path
 from dtq.timebase import EPOCHS, RULES
 
 
@@ -91,44 +93,46 @@ class TestDetectCycles:
         assert np.array_equal(stats.C, stats.B + stats.I)
         assert np.all(stats.E >= 1)
 
-    def test_path_must_start_empty(self):
-        with pytest.raises(ValueError):
-            cycles_from_path(np.array([1, 1, 0]))
-
     def test_arrival_at_slot_zero_rejected(self):
         tr = run_discipline([0, 4], [1, 1], Fifo(1), horizon=6)
         with pytest.raises(ValueError, match="empty at slot 0"):
             detect_cycles(tr)
 
 
-def _outcome(fn, *args):
-    """The result of ``fn(*args)``, or the message of the ValueError it raised."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+def _assert_cycles_match_path(tr) -> int:
+    """detect_cycles against the per-cycle arrays of :func:`oracle_cycles`
+    on the trace's oracle queue path: every derived length and count with
+    its dtype, and the telescoped means against the means of those arrays.
+    Returns the number of complete cycles (0 where an arrival in slot 0 is
+    rejected)."""
+    if len(tr.arrivals) and tr.arrivals[0] < 1:
+        with pytest.raises(ValueError, match="empty at slot 0"):
+            detect_cycles(tr)
+        return 0
+    stats, want = detect_cycles(tr), oracle_cycles(oracle_queue_path(tr), tr.arrivals)
+    for name in ("U", "V", "C", "B", "I", "E"):
+        a, b = getattr(stats, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert stats.n_cycles == want.n_cycles
+    if stats.n_cycles == 0:
+        with pytest.raises(ValueError, match="no complete busy cycle"):
+            stats.means()
+    else:
+        eager = CycleMeans(*(float(getattr(want, x).mean()) for x in "ICBE"))
+        assert stats.means() == eager
+        assert stats.means() == CycleMeans(*(float(getattr(stats, x).mean()) for x in "ICBE"))
+    return stats.n_cycles
 
 
-def _assert_customer_kernel_matches_path(tr):
-    """detect_cycles and empty_state_rates against the path forms on the
-    materialized queue path, exactly."""
-    path = tr.queue_path()
-    got = _outcome(detect_cycles, tr)
-    want = _outcome(cycles_from_path, path, tr.arrivals)
-    if isinstance(want, str) or isinstance(got, str):
-        assert got == want
-    else:
-        for name in ("U", "V", "C", "B", "I", "E"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert _outcome(got.means) == _outcome(want.means)
-    rates = rates_from_path(path, tr.arrivals)
-    if 0 in rates.alpha_n:
-        want_rates = (float(rates.pi[0]), rates.alpha_n[0], rates.arrival_rate)
-        assert empty_state_rates(tr) == want_rates
-    else:
+def _assert_rates_match_path(tr):
+    """empty_state_rates against the rate oracle on the trace's queue path,
+    exactly."""
+    want = oracle_state_rates(tr)
+    if want is None:
         with pytest.raises(ValueError, match="never empty"):
             empty_state_rates(tr)
+    else:
+        assert empty_state_rates(tr) == want
 
 
 _GEOM = DiscreteDist.geometric(0.5)
@@ -162,11 +166,11 @@ ORACLE_TRACES = {
 
 
 class TestCustomerKernel:
-    """Cycles and empty-state rates from the customers, against the path."""
+    """Cycles and empty-state rates from the customers, against the path oracles."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
-    def test_matches_path_forms(self, name):
-        _assert_customer_kernel_matches_path(ORACLE_TRACES[name]())
+    def test_rates_match_path_oracle(self, name):
+        _assert_rates_match_path(ORACLE_TRACES[name]())
 
     def test_batch_arrivals_all_find_the_system_empty(self):
         # two-slot services: busy 2..7, 10..13 and 15..20, so slots 1, 8, 9
@@ -186,7 +190,12 @@ class TestCustomerKernel:
 
     def test_random_small_traces(self):
         for tr in small_random_traces(20250901, 2000):
-            _assert_customer_kernel_matches_path(tr)
+            _assert_cycles_match_path(tr)
+            _assert_rates_match_path(tr)
+
+    def test_long_trace_matches_path_oracles(self, bgeom1_trace):
+        assert _assert_cycles_match_path(bgeom1_trace) > 20_000
+        _assert_rates_match_path(bgeom1_trace)
 
     def test_busy_periods_found_once_per_trace(self):
         tr = ORACLE_TRACES["batch-openers"]()
@@ -197,89 +206,38 @@ class TestCustomerKernel:
         assert not any(arr.flags.writeable for arr in runs)
 
 
-def _eager_cycles(path, arrivals=None):
-    """U, V, C, B, I and E of a path's complete cycles as per-cycle arrays,
-    built eagerly as before they were derived from the boundaries (E is
-    None without arrivals)."""
-    occ = np.asarray(path) >= 1
-    flips = np.flatnonzero(occ[1:] != occ[:-1]) + 1
-    starts, clears = flips[~occ[flips - 1]], flips[occ[flips - 1]]
-    m = max(len(starts) - 1, 0)
-    U = starts[: m + 1].astype(np.int64) if m else np.empty(0, dtype=np.int64)
-    V = clears[:m].astype(np.int64)
-    fields = {"U": U[:-1], "V": V, "C": U[1:] - U[:-1], "B": V - U[:-1], "I": U[1:] - V}
-    fields["E"] = None
-    if arrivals is not None:
-        counts = np.searchsorted(arrivals, U - 1, side="left")
-        fields["E"] = (counts[1:] - counts[:-1]).astype(np.int64)
-    return fields
-
-
 class TestCycleStats:
     """Cycle lengths derived from the boundaries and means from telescoping
-    sums, against the per-cycle arrays they replace."""
-
-    @staticmethod
-    def _assert_matches_eager(stats, want):
-        for name, b in want.items():
-            a = getattr(stats, name)
-            if b is None:
-                assert a is None, name
-            else:
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert stats.n_cycles == len(want["C"])
-        if stats.n_cycles == 0:
-            with pytest.raises(ValueError, match="no complete busy cycle"):
-                stats.means()
-        elif want["E"] is None:
-            with pytest.raises(ValueError, match="customer counts not available"):
-                stats.means()
-        else:
-            eager = CycleMeans(*(float(want[x].mean()) for x in "ICBE"))
-            assert stats.means() == eager
-            assert stats.means() == CycleMeans(*(float(getattr(stats, x).mean()) for x in "ICBE"))
-
-    def _assert_trace(self, tr) -> int:
-        """Both cycle builders against the eager arrays; the number of
-        complete cycles with customer counts."""
-        path = tr.queue_path()
-        self._assert_matches_eager(cycles_from_path(path), _eager_cycles(path))
-        if len(tr.arrivals) and tr.arrivals[0] < 1:
-            return 0
-        want = _eager_cycles(path, tr.arrivals)
-        self._assert_matches_eager(cycles_from_path(path, tr.arrivals), want)
-        self._assert_matches_eager(detect_cycles(tr), want)
-        return len(want["C"])
+    sums, against the per-cycle arrays of the cycle oracle."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
     def test_oracle_traces(self, name):
-        self._assert_trace(ORACLE_TRACES[name]())
+        _assert_cycles_match_path(ORACLE_TRACES[name]())
 
     def test_random_small_traces(self):
-        with_means = sum(self._assert_trace(tr) > 0 for tr in small_random_traces(20251019, 400))
+        with_means = sum(_assert_cycles_match_path(tr) > 0 for tr in small_random_traces(20251019, 400))
         assert with_means >= 100
 
 
 class TestStateRates:
     def test_bernoulli_sees_time_averages(self, bgeom1_trace):
-        rates = state_rates(bgeom1_trace)
-        assert rates.alpha_n[0] == pytest.approx(0.3, abs=0.01)
-        assert rates.alpha_n[1] == pytest.approx(0.3, abs=0.01)
-        assert rates.arrival_rate == pytest.approx(0.3, abs=0.005)
+        _, alpha0, alpha = empty_state_rates(bgeom1_trace)
+        assert alpha0 == pytest.approx(0.3, abs=0.01)
+        assert oracle_state_rates(bgeom1_trace, 1)[1] == pytest.approx(0.3, abs=0.01)
+        assert alpha == pytest.approx(0.3, abs=0.005)
 
     def test_periodic_trace_exact_fractions(self, two_customer_trace):
-        rates = state_rates(two_customer_trace)
+        pi0, alpha0, _ = empty_state_rates(two_customer_trace)
         # slots 1..21: state 0 at {1, 11, 21}, state 2 at {4,5,6,14,15,16}
-        assert rates.pi[0] == pytest.approx(float(Fraction(3, 21)), abs=1e-12)
-        assert rates.pi[2] == pytest.approx(float(Fraction(6, 21)), abs=1e-12)
+        assert pi0 == pytest.approx(float(Fraction(3, 21)), abs=1e-12)
+        assert oracle_state_rates(two_customer_trace, 2)[0] == pytest.approx(float(Fraction(6, 21)), abs=1e-12)
         # both cycle-opening arrivals find an empty system
-        assert rates.alpha_n[0] == pytest.approx(2 / 3, abs=1e-12)
+        assert alpha0 == pytest.approx(2 / 3, abs=1e-12)
 
     def test_finite_population_empty_state_rate(self):
         n_src, alpha = 5, 0.05
         tr = simulate_finite_population(n_src, alpha, DiscreteDist.geometric(0.5), 11, 400_000)
-        rates = state_rates(tr)
-        assert rates.alpha_n[0] == pytest.approx(n_src * alpha, rel=0.05)
+        assert empty_state_rates(tr)[1] == pytest.approx(n_src * alpha, rel=0.05)
 
 
 class TestCycleMeansFromRates:
@@ -305,10 +263,7 @@ class TestCycleMeansFromRates:
         # measured occupancy and empty-state arrival rate reproduce the
         # measured cycle means with no model input at all
         stats = detect_cycles(bgeom1_trace)
-        rates = state_rates(bgeom1_trace)
-        means = cycle_means_from_rates(
-            float(rates.pi[0]), rates.alpha_n[0], rates.arrival_rate
-        )
+        means = cycle_means_from_rates(*oracle_state_rates(bgeom1_trace))
         sim = stats.means()
         for name in ("idle", "cycle", "busy", "customers"):
             assert getattr(sim, name) == pytest.approx(getattr(means, name), rel=0.02), name
@@ -379,18 +334,19 @@ class TestGGeo1Busy:
         # times occupancy equals rate times pre-arrival empty fraction
         gaps = DiscreteDist.from_pmf({1: 0.5, 3: 0.5})
         tr = build_trace(Renewal(gaps), DiscreteDist.geometric(0.6), Fifo(1), 23, 400_000)
-        rates = state_rates(tr)
-        lhs = rates.alpha_n[0] * float(rates.pi[0])
-        rhs = rates.arrival_rate * float(rates.pi_arrival[0])
-        assert lhs == pytest.approx(rhs, rel=0.02)
+        pi0, alpha0, alpha = empty_state_rates(tr)
+        path = oracle_queue_path(tr)
+        found_empty = float(np.mean(path[tr.arrivals[tr.arrivals <= tr.horizon]] == 0))
+        assert alpha0 * pi0 == pytest.approx(alpha * found_empty, rel=0.02)
 
     def test_pre_arrival_empty_fraction_matches_sigma(self):
         gaps = DiscreteDist.from_pmf({1: 0.5, 3: 0.5})
         beta = 0.6
         _, sigma_star = sigma_solve(gaps, beta)
         tr = build_trace(Renewal(gaps), DiscreteDist.geometric(beta), Fifo(1), 29, 400_000)
-        rates = state_rates(tr)
-        assert float(rates.pi_arrival[0]) == pytest.approx(1 - sigma_star, rel=0.03)
+        pi0, alpha0, alpha = empty_state_rates(tr)
+        # the fraction of arrivals that find the system empty
+        assert alpha0 * pi0 / alpha == pytest.approx(1 - sigma_star, rel=0.03)
 
 
 class TestFinitePopBusy:
@@ -426,8 +382,7 @@ class TestCoherentCycleInvariance:
             for epoch in EPOCHS:
                 if classify(rule, epoch) is not CoherenceClass.COHERENT:
                     continue
-                path = observed_queue_path(small_bgeom1_trace, rule, epoch)
-                seen = cycles_from_path(path)
+                seen = oracle_cycles(observed_shift_path(small_bgeom1_trace, rule, epoch))
                 m = min(actual.n_cycles, seen.n_cycles)
                 assert abs(actual.n_cycles - seen.n_cycles) <= 1
                 assert np.array_equal(actual.C[: m - 1], seen.C[: m - 1])

@@ -363,6 +363,8 @@ class TestVerify:
             ("service = point:0", [], "service = point:0: support must be at least one slot"),
             ("service = pmf:0:0.5,1:0.5", [], "service = pmf:0:0.5,1:0.5: support must be at least one slot"),
             ("service = pmf:1:nan,2:1", [], "service = pmf:1:nan,2:1: probabilities must be nonnegative"),
+            ("service = pmf:1:0.5,2:0.5,2:0.5", [], "service = pmf:1:0.5,2:0.5,2:0.5: support point 2 is repeated"),
+            ("service = pmf:2:1,2:1", [], "service = pmf:2:1,2:1: support point 2 is repeated"),
             (
                 "arrival = renewal\ninterarrival = point:0",
                 [],
@@ -372,6 +374,11 @@ class TestVerify:
                 "arrival = renewal\ninterarrival = pmf:1:nan,2:1",
                 [],
                 "interarrival = pmf:1:nan,2:1 for arrival = renewal: probabilities must be nonnegative",
+            ),
+            (
+                "arrival = renewal\ninterarrival = pmf:2:1,2:1",
+                [],
+                "interarrival = pmf:2:1,2:1 for arrival = renewal: support point 2 is repeated",
             ),
             ("alpha = 1.5", [], "alpha = 1.5: arrival probability must be in (0, 1), got 1.5"),
             (
@@ -391,8 +398,9 @@ class TestVerify:
             ("warmup = 100.5", [], "warmup = 100.5: not a whole number of slots"),
         ],
         ids=["alpha", "service-pmf", "servers", "horizon", "horizon-inf", "replications", "seed", "seed-override",
-             "service-point-0", "service-pmf-0", "service-pmf-nan", "interarrival-point-0",
-             "interarrival-pmf-nan", "alpha-1.5",
+             "service-point-0", "service-pmf-0", "service-pmf-nan", "service-pmf-repeated",
+             "service-pmf-repeated-only", "interarrival-point-0", "interarrival-pmf-nan",
+             "interarrival-pmf-repeated", "alpha-1.5",
              "alpha-1.5-finite-population", "sources-0", "sources-times-alpha", "servers-0", "assignment",
              "horizon-fraction", "warmup-fraction"],
     )
@@ -693,12 +701,11 @@ class TestWrongModels:
 
 class TestPathBuilds:
     """A reference verify takes every time average from one blocked pass
-    over the slots, with no shift path built whole, the mean workload in
-    closed form and the busy cycles from the customers."""
+    over the slots, the mean workload in closed form and the busy cycles
+    from the customers; no function in dtq builds a slot path whole."""
 
     def test_reference_verify_builds_no_slot_path(self, tmp_path, monkeypatch):
         from dtq import littles, observer
-        from dtq.engine import Trace
 
         path = tmp_path / "ref.ini"
         path.write_text(
@@ -712,9 +719,6 @@ class TestPathBuilds:
             return lambda *args, **kwargs: built.append(name) or real(*args, **kwargs)
 
         for owner, name in (
-            (Trace, "shift_path"),
-            (Trace, "queue_path"),
-            (observer, "observed_queue_path"),
             (observer, "_seen_slots"),
             (littles, "_cost_profile"),
         ):
@@ -1131,10 +1135,11 @@ class TestCheckRegistry:
 
 class TestPublicSurface:
     def test_bench_tracer_finds_every_target(self, monkeypatch):
-        # every function the benchmark wraps still exists, but two deleted
-        # slot-path layers that no check called: its span list names them
-        # until its per-layer refresh; the wrappers are undone afterwards by
-        # re-setting each original through monkeypatch
+        # every function the benchmark wraps still exists, but five deleted
+        # layers that no check called, three of them the slot-path forms:
+        # its span list names them until its per-layer refresh; the
+        # wrappers are undone afterwards by re-setting each original
+        # through monkeypatch
         tracer = _bench_module("tracer")
         for _, module_name, attr, _ in tracer.SPANS:
             module = importlib.import_module(module_name)
@@ -1147,7 +1152,13 @@ class TestPublicSurface:
                 for key, value in list(vars(module).items()):
                     if callable(value):
                         monkeypatch.setattr(module, key, value)
-        assert tracer.install(tracer.Recorder()) == ["timebase.observation_span", "littles.workload_path"]
+        assert tracer.install(tracer.Recorder()) == [
+            "engine.Trace.queue_path",
+            "timebase.observation_span",
+            "observer.observed_queue_path",
+            "littles.workload_path",
+            "busy.state_rates",
+        ]
 
     def test_every_exported_name_resolves(self):
         import dtq

@@ -4,11 +4,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import engine_blocks, oracle_observed_wait, small_random_traces
+from conftest import (
+    engine_blocks,
+    oracle_cycles,
+    oracle_observed_path,
+    oracle_observed_wait,
+    small_random_traces,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtq.busy import cycles_from_path
+from dtq.busy import detect_cycles
 from dtq.coherence import (
     GOLDEN_CLASS_GRID,
     GOLDEN_EDGE_CENTER_OK,
@@ -29,7 +35,7 @@ from dtq.engine import (
     build_trace,
     run_discipline,
 )
-from dtq.observer import observed_queue_path, observed_waits
+from dtq.observer import observed_waits
 from dtq.timebase import EPOCHS, RULES, ObservationEpoch as E, SchedulingRule as R, span_shift
 
 
@@ -121,13 +127,13 @@ def test_observed_busy_span_two_customer_example():
     # nine slots; at slot edges the early-arrival path shows eight and the
     # delayed-access path ten, at slot centers immediate access shows eight
     tr = run_discipline([1, 3, 14, 16], [5, 4, 5, 4], Fifo(1), horizon=26)
-    actual = cycles_from_path(tr.queue_path())
+    actual = detect_cycles(tr)
     assert actual.B[0] == 9
-    eas = cycles_from_path(observed_queue_path(tr, R.EAS, E.RANDOM_OBSERVER))
+    eas = oracle_cycles(oracle_observed_path(tr, R.EAS, E.RANDOM_OBSERVER))
     assert eas.B[0] == 8
-    da = cycles_from_path(observed_queue_path(tr, R.LAS_DA, E.RANDOM_OBSERVER))
+    da = oracle_cycles(oracle_observed_path(tr, R.LAS_DA, E.RANDOM_OBSERVER))
     assert da.B[0] == 10
-    ia_center = cycles_from_path(observed_queue_path(tr, R.LAS_IA, E.OUTSIDE_OBSERVER))
+    ia_center = oracle_cycles(oracle_observed_path(tr, R.LAS_IA, E.OUTSIDE_OBSERVER))
     assert ia_center.B[0] == 8
 
 

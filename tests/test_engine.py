@@ -1,3 +1,4 @@
+import configparser
 import itertools
 import math
 from dataclasses import FrozenInstanceError, fields
@@ -10,7 +11,9 @@ from conftest import (
     oracle_fifo_multi,
     oracle_fifo_servers,
     oracle_finite_population,
+    oracle_queue_path,
     oracle_read_trace_csv,
+    oracle_state_rates,
     oracle_trace_csv,
     reference_trace,
     traced_peak_mb,
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from dtq import cli
 from dtq import engine as engine_mod
+from dtq.busy import detect_cycles
 from dtq.coherence import verify_on_trace
 from dtq.engine import (
     Bernoulli,
@@ -39,7 +43,13 @@ from dtq.engine import (
     simulate_finite_population,
     write_trace_csv,
 )
-from dtq.littles import basic_inequality_path, utilization
+from dtq.littles import (
+    basic_inequality_path,
+    check_h_lambda_g,
+    indicator_cost,
+    remaining_work_cost,
+    utilization,
+)
 from dtq.observer import time_averages
 from dtq.timebase import (
     EPOCHS,
@@ -281,7 +291,7 @@ class TestDisciplines:
         assert list(tr.departures) == [6, 10]
         assert list(tr.starts) == [1, 6]
         # busy from slot 2 through slot 10
-        path = tr.queue_path()
+        path = oracle_queue_path(tr)
         assert int(np.count_nonzero(path[: 11])) == 9
 
     def test_infinite_server(self):
@@ -306,7 +316,7 @@ class TestDisciplines:
         tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 2, 20_000)
         n = int(np.searchsorted(tr.departures, tr.horizon - 10, side="right")) - 1
         d_n = int(tr.departures[n])
-        busy_slots = int(np.count_nonzero(tr.queue_path()[1 : d_n + 1]))
+        busy_slots = int(np.count_nonzero(oracle_queue_path(tr)[1 : d_n + 1]))
         assert busy_slots == int(tr.services[: n + 1].sum())
 
     def test_fifo_multi_two_servers(self):
@@ -451,8 +461,8 @@ class TestFifoLabels:
         tr = build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), Fifo(2, assignment), 4, 3_000)
         deferred = vars(tr)["servers"]
         Trace(tr.arrivals, tr.services, tr.starts, tr.departures, tr.horizon, deferred)
-        tr.queue_path()
-        tr.shift_path(0, -2)
+        time_averages(tr, R.LA_DF, E.RANDOM_OBSERVER)
+        detect_cycles(tr)
         assert label_replays == []
 
     def test_reads_replay_once(self, label_replays):
@@ -614,6 +624,25 @@ class TestSlotBlocks:
         tr = run_discipline(arrivals, services, Fifo(1), horizon=T)
         assert traced_peak_mb(time_averages, tr, R.LAS_DA, E.RANDOM_OBSERVER) < 6
         assert traced_peak_mb(basic_inequality_path, tr) < 6
+        # every check of a verify, the trace build included, and the
+        # library checks on the trace; the bound is on memory alone, as
+        # some statistical rows fail at this density
+        cp = configparser.ConfigParser()
+        cp.read_dict({
+            "model": {"alpha": "0.001", "service": "geometric:0.5"},
+            "sim": {"horizon": str(T), "warmup": str(T // 10), "seed": "5"},
+        })
+        exp = cli.Experiment(cp)
+        assert len(exp.checks) == 8
+        assert traced_peak_mb(cli.run_verify, exp) < 6
+
+        def every_combo():
+            for rule, epoch in itertools.product(RULES, EPOCHS):
+                verify_on_trace(tr, rule, epoch)
+
+        assert traced_peak_mb(every_combo) < 6
+        for cost in (indicator_cost(), remaining_work_cost()):
+            assert traced_peak_mb(check_h_lambda_g, tr, cost) < 6
 
 
 class TestShiftTrace:
@@ -637,16 +666,12 @@ class TestFinitePopulation:
 
     def test_population_cap(self):
         tr = simulate_finite_population(3, 0.2, DiscreteDist.geometric(0.3), 2, 50_000)
-        assert int(tr.queue_path().max()) <= 3
+        assert int(oracle_queue_path(tr).max()) <= 3
 
     def test_empty_state_arrival_rate(self):
         n, alpha = 5, 0.05
         tr = simulate_finite_population(n, alpha, DiscreteDist.geometric(0.5), 3, 400_000)
-        path = tr.queue_path()
-        empty = path[tr.arrivals] == 0
-        slots_empty = int(np.count_nonzero(path[1:] == 0))
-        rate = int(np.count_nonzero(empty)) / slots_empty
-        assert abs(rate - n * alpha) <= 0.01
+        assert abs(oracle_state_rates(tr)[1] - n * alpha) <= 0.01
 
     @pytest.mark.parametrize(
         "n, alpha, seed, horizon",

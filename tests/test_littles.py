@@ -43,8 +43,8 @@ from dtq.littles import (
     verify_pk,
     workload_moments,
 )
-from dtq.observer import _SHIFTS, InsufficientDataError, time_averages, window
-from dtq.timebase import ObservationEpoch as E, SchedulingRule as R
+from dtq.observer import _SHIFTS, InsufficientDataError, _window_block, time_averages, window
+from dtq.timebase import EPOCHS, RULES, ObservationEpoch as E, SchedulingRule as R, span_shift
 
 
 class TestCheckLittle:
@@ -164,11 +164,11 @@ class TestBasicInequality:
 
 class TestExactLittleIdentity:
     """The sample-path identity behind L = λW, exact on every window: the
-    slots (w, T] summed over the observed path of a span shift equal the
-    customers' spans A + s0 .. D + e0 clipped to (w, T], summed per
-    customer.  Multi-server starts reach the left side only through the
-    counting processes and the right side only through each customer's
-    own span."""
+    integer total of a span shift's window (w, T], which L and L_obs
+    divide by the span, equals the customers' spans A + s0 .. D + e0
+    clipped to (w, T], summed per customer.  Multi-server starts reach
+    the window only through the counting processes and the span sum only
+    through each customer's own span."""
 
     @pytest.mark.parametrize(
         "disc,alpha",
@@ -180,13 +180,25 @@ class TestExactLittleIdentity:
         tr = build_trace(Bernoulli(alpha), DiscreteDist.geometric(0.5), disc, 61, T)
         assert np.any(tr.departures > T)  # spans cut at the horizon
         assert len(_SHIFTS) == 5
-        for s0, e0 in _SHIFTS:
-            path = tr.shift_path(s0, e0)
-            for w in (0, 1, 999, T // 2, T - 1):
+        # one combo per span shift: its L_obs reads that shift's window
+        combos = {span_shift(rule, epoch): (rule, epoch) for rule in RULES for epoch in EPOCHS}
+        for w in (0, 1, 999, T // 2, T - 1):
+            spans = {}
+            for s0, e0 in _SHIFTS:
                 lo = np.maximum(tr.arrivals + s0, w + 1)
                 hi = np.minimum(tr.departures + e0, T)
-                spans = int(np.maximum(hi - lo + 1, 0).sum())
-                assert int(path[w + 1 :].sum()) == spans, (s0, e0, w)
+                spans[s0, e0] = int(np.maximum(hi - lo + 1, 0).sum())
+            # two integers below 2**52 over one span are distinct floats, so
+            # each equality below is the integer identity
+            span = T - w
+            if w == T - 1:  # no customer completes in one slot: the windows time_averages reads
+                for shift in _SHIFTS:
+                    assert _window_block(tr, w)[shift][0] == spans[shift] / span, shift
+                continue
+            for shift, (rule, epoch) in combos.items():
+                est = time_averages(tr, rule, epoch, w)
+                assert est.L == spans[1, 0] / span, w
+                assert est.L_obs == spans[shift] / span, (shift, w)
 
 
 class TestHLambdaG:
@@ -289,14 +301,9 @@ class TestCostKernel:
                 assert total == oracle_path[warmup + 1 :].sum(), warmup
                 assert np.array_equal(totals, oracle_totals)
 
-    def test_no_slot_path_built(self, monkeypatch):
+    def test_costs_and_pk_pass_on_a_stable_queue(self):
+        # their memory is bounded by test_engine.py's slot-length guard
         tr = build_trace(Bernoulli(0.3), DiscreteDist.geometric(0.5), Fifo(1), 5, 20_000)
-
-        def no_path(*args, **kwargs):
-            raise AssertionError("slot path built")
-
-        monkeypatch.setattr(Trace, "shift_path", no_path)
-        monkeypatch.setattr(Trace, "queue_path", no_path)
         for cost in (indicator_cost(), remaining_work_cost()):
             assert check_h_lambda_g(tr, cost, 2_000).passed
         for row in verify_pk(tr, 2_000):
@@ -354,7 +361,6 @@ class TestWorkloadMomentsMemo:
         calls = []
         monkeypatch.setattr(littles_mod, "_cost_profile", lambda *args: calls.append("pieces"))
         monkeypatch.setattr(littles_mod, "remaining_work_cost", lambda: calls.append("cost"))
-        monkeypatch.setattr(Trace, "shift_path", lambda *args: calls.append("path"))
         verify_pk(tr, 2_000)
         m = workload_moments(tr, 2_000)
         assert workload_moments(tr, 2_000) is m

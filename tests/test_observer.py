@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     engine_blocks,
+    observed_shift_path,
     oracle_observed_path,
     oracle_observed_wait,
     oracle_queue_length,
@@ -20,6 +21,7 @@ from conftest import (
 from dtq.coherence import CoherenceClass, classify, verify_on_trace
 from dtq.engine import (
     Bernoulli,
+    convention_shift,
     DiscreteDist,
     External,
     Fifo,
@@ -33,7 +35,6 @@ from dtq.observer import (
     InsufficientDataError,
     _in_order,
     _window_block,
-    observed_queue_path,
     observed_waits,
     time_averages,
     window,
@@ -108,7 +109,7 @@ class TestObservedWait:
 
 class TestQueueLength:
     def test_worked_example_values(self, worked_example_trace):
-        path = worked_example_trace.queue_path()
+        path = oracle_queue_path(worked_example_trace)
         assert path[3] == 2
         assert path[7] == 1
         assert path[1] == 0
@@ -116,15 +117,15 @@ class TestQueueLength:
     def test_counting_identity(self, small_bgeom1_trace):
         # L equals arrivals-so-far minus departures-so-far at every slot
         tr = small_bgeom1_trace
-        path = tr.queue_path()
+        path = oracle_queue_path(tr)
         for tau in (1, 17, 500, 9_999):
             n_arr = int(np.count_nonzero(tr.arrivals <= tau - 1))
             n_dep = int(np.count_nonzero(tr.departures <= tau - 1))
             assert path[tau] == n_arr - n_dep == oracle_queue_length(tr, tau)
 
     def test_conventions(self, worked_example_trace):
-        left = worked_example_trace.queue_path()[1:8].tolist()
-        right = worked_example_trace.queue_path("strict-right")[1:8].tolist()
+        left = oracle_queue_path(worked_example_trace)[1:8].tolist()
+        right = oracle_queue_path(worked_example_trace, "strict-right")[1:8].tolist()
         assert left == [0, 1, 2, 2, 1, 1, 1]
         assert right == [1, 2, 2, 1, 1, 1, 0]
         assert sum(left) == sum(right)
@@ -148,10 +149,13 @@ class TestCountingKernel:
 
     @pytest.mark.parametrize("convention", ["strict-left", "strict-right"])
     def test_queue_path_matches_difference_arrays(self, small_bgeom1_trace, convention):
+        # the actual path's window over (0, T], L and pi bit for bit
         for tr in self._traces(small_bgeom1_trace):
-            got = tr.queue_path(convention)
-            want = oracle_queue_path(tr, convention)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            L, pi = _window_block(tr, 0)[convention_shift(convention)]
+            path = oracle_queue_path(tr, convention)[1:]
+            want = np.bincount(path) / tr.horizon
+            assert L == float(path.mean())
+            assert pi.dtype == want.dtype and np.array_equal(pi, want)
 
     @staticmethod
     def _covering_traces():
@@ -164,32 +168,35 @@ class TestCountingKernel:
             a, d = tr.arrivals, tr.departures
             for s0, e0 in {span_shift(rule, epoch) for rule, epoch in ALL_COMBOS}:
                 want = [int(np.count_nonzero((a + s0 <= j) & (j <= d + e0))) for j in range(tr.horizon + 1)]
-                assert tr.shift_path(s0, e0).tolist() == want, (s0, e0)
+                assert oracle_shift_path(tr, s0, e0).tolist() == want, (s0, e0)
 
     @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
     def test_shift_path_is_the_oracle_across_block_edges(self, engine_block):
-        for tr in (*self._covering_traces(), *small_random_traces(20251017, 25)):
-            for shift in _SHIFTS:
-                got, want = tr.shift_path(*shift), oracle_shift_path(tr, *shift)
-                assert got.dtype == want.dtype and np.array_equal(got, want), shift
+        # departures past T + 1 and arrivals in slot 0, at every warmup
+        for tr in self._covering_traces():
+            _assert_windows_match_shift_paths(tr, *range(tr.horizon))
+        for tr in small_random_traces(20251017, 25):
+            _assert_windows_match_shift_paths(tr, 0)
 
     def test_slot_zero_entries(self):
         tr = run_discipline([0, 0, 2], [1, 3, 1], Fifo(1), horizon=4)
-        assert tr.queue_path()[0] == 0
-        assert tr.queue_path("strict-right")[0] == 2
+        assert oracle_queue_path(tr)[0] == 0
+        assert oracle_queue_path(tr, "strict-right")[0] == 2
+        # no combo samples slot 0, so observed_shift_path zeroes its entry
         for rule, epoch in ALL_COMBOS:
-            assert observed_queue_path(tr, rule, epoch)[0] == 0
+            assert oracle_observed_path(tr, rule, epoch)[0] == 0
 
     def test_observed_path_on_late_prefix(self):
+        # each combo's span shift gives the rational oracle's observed path
         full = build_trace(Bernoulli(0.4), DiscreteDist.geometric(0.4), Fifo(1), 6, 120)
         tr = _late_prefix(full)
         for rule, epoch in ALL_COMBOS:
-            fast = observed_queue_path(tr, rule, epoch)
+            fast = observed_shift_path(tr, rule, epoch)
             assert np.array_equal(fast, oracle_observed_path(tr, rule, epoch)), (rule, epoch)
 
     def test_unknown_convention_rejected(self, worked_example_trace):
         with pytest.raises(ValueError, match="convention"):
-            worked_example_trace.queue_path("both")
+            convention_shift("both")
         with pytest.raises(ValueError, match="convention"):
             time_averages(worked_example_trace, warmup=0, convention="both")
 
@@ -197,28 +204,35 @@ class TestCountingKernel:
 class TestObservedQueue:
     @pytest.mark.parametrize("rule,epoch", ALL_COMBOS)
     def test_path_matches_rational_oracle(self, rule, epoch, two_customer_trace):
-        fast = observed_queue_path(two_customer_trace, rule, epoch)
+        fast = observed_shift_path(two_customer_trace, rule, epoch)
         slow = oracle_observed_path(two_customer_trace, rule, epoch)
         assert np.array_equal(fast, slow), (rule, epoch)
+
+    def test_span_shifts_give_the_rational_paths(self):
+        # arrivals in slot 0 and past the horizon, departures past it
+        for tr in small_random_traces(20251020, 40):
+            for rule, epoch in ALL_COMBOS:
+                fast = observed_shift_path(tr, rule, epoch)
+                assert np.array_equal(fast, oracle_observed_path(tr, rule, epoch)), (rule, epoch)
 
     def test_scalar_queries(self, two_customer_trace):
         # each entry counts the customers whose observation span covers it
         tr = two_customer_trace
         s0, e0 = span_shift(R.EAS, E.RANDOM_OBSERVER)
         start, end = tr.arrivals + s0, tr.departures + e0
-        path = observed_queue_path(tr, R.EAS, E.RANDOM_OBSERVER)
+        path = observed_shift_path(tr, R.EAS, E.RANDOM_OBSERVER)
         for tau in range(1, tr.horizon + 1):
             assert path[tau] == np.count_nonzero((start <= tau) & (tau <= end))
 
     def test_single_customer_span(self):
         tr = run_discipline([4], [1], Fifo(1), horizon=8)
-        path = observed_queue_path(tr, R.EAS, E.RANDOM_OBSERVER)
+        path = observed_shift_path(tr, R.EAS, E.RANDOM_OBSERVER)
         assert path[4] == 0
         assert int(path.sum()) == 0
 
     def test_empty_trace(self):
         tr = run_discipline([], [], Fifo(1), horizon=10)
-        assert observed_queue_path(tr, R.EAS, E.RANDOM_OBSERVER)[5] == 0
+        assert observed_shift_path(tr, R.EAS, E.RANDOM_OBSERVER)[5] == 0
 
 
 class TestTimeAverages:
@@ -489,7 +503,7 @@ def test_coherent_path_is_the_actual_path_or_one_slot_earlier(name, rule, epoch)
     that path one slot earlier (shift (0, -1)), so its busy cycles and
     per-cycle state visits are the actual ones."""
     tr, actual = _lag_trace(name)
-    seen = observed_queue_path(tr, rule, epoch)
+    seen = observed_shift_path(tr, rule, epoch)
     if not np.array_equal(seen, actual):
         assert seen[0] == 0 and np.array_equal(seen[1:-1], actual[2:])
 
@@ -500,7 +514,7 @@ class TestEventSampledStates:
     slot before the actual departure slot)."""
 
     def _sampled(self, trace, rule, epoch, slots):
-        path = observed_queue_path(trace, rule, epoch)
+        path = observed_shift_path(trace, rule, epoch)
         return path[np.clip(slots, 0, trace.horizon)]
 
     @pytest.mark.parametrize(

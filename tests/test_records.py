@@ -20,7 +20,7 @@ _COH = "<CoherenceClass.COHERENT: ('coherent', 'coh', 0)>"
 _EAS = repr(SchedulingRule.EAS)
 _RO = repr(ObservationEpoch.RANDOM_OBSERVER)
 
-# each of dtq's 19 records: its class, a value per field in order, and the
+# each of dtq's 18 records: its class, a value per field in order, and the
 # repr those give
 RECORDS = {
     "DiscreteDist": (
@@ -42,11 +42,8 @@ RECORDS = {
         f"BGeom1Params(alpha=0.3, beta=0.5, klass={_COH})",
     ),
     "CycleStats": (
-        busy.CycleStats, (_ARR, _ARR, None), "CycleStats(starts=array([0, 1, 2]), V=array([0, 1, 2]), openers=None)"
-    ),
-    "StateRates": (
-        busy.StateRates, (_ARR, {0: 0.5}, _ARR, 0.3),
-        "StateRates(pi=array([0, 1, 2]), alpha_n={0: 0.5}, pi_arrival=array([0, 1, 2]), arrival_rate=0.3)",
+        busy.CycleStats, (_ARR, _ARR, _ARR),
+        "CycleStats(starts=array([0, 1, 2]), V=array([0, 1, 2]), openers=array([0, 1, 2]))",
     ),
     "Model": (
         cli.Model, (engine.Bernoulli(0.3), _POINT, engine.Fifo(), 0.3, None),
