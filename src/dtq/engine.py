@@ -403,15 +403,23 @@ def convention_shift(convention: str) -> tuple[int, int]:
 # trace reader's included: a block's arrays (~0.5 MB each) stay in cache, and
 # no pass holds an array of slot length
 _SLOT_BLOCK = 1 << 16
-# customers per block of every Python loop over customers, and draws per
-# chunk of the finite-population service stream.  A loop walks Python lists,
-# ~36 bytes an item with its int object against 8 in an array, so lists of
-# 2^16 items cost more than the cache-sized numpy blocks they come from.
-# On the bench's FIFO-2 input (3·10^5 customers, a 2.3 MiB starts column)
-# the starts loop on 2^16-item lists faulted ~2850 fresh pages in a fresh
-# process and held a 9.1 MiB traced peak (8.5 MiB with c = 3); on 2^12-item
-# lists it faults 654 and holds 2.7 MiB.
+# customers per block of every Python loop that walks all customers, and
+# draws per chunk of the finite-population service stream.  A loop walks
+# Python lists, ~36 bytes an item with its int object against 8 in an
+# array, so lists of 2^16 items cost more than the cache-sized numpy blocks
+# they come from.  On the bench's FIFO-2 input (3·10^5 customers, a 2.3 MiB
+# starts column) the c = 3 heap loop on 2^16-item lists held an 8.5 MiB
+# traced peak; on 2^12-item lists it holds 2.7 MiB.
 _LOOP_BLOCK = 1 << 12
+# customers per lane of the FIFO-2 wavefront, and lane positions per
+# transposed tile of it, which are also the customers a lane's repair reads
+# at a time.  The wavefront costs one numpy step per lane position and the
+# repair a few Python steps per lane, so the lane balances the two near the
+# square root of the bench's 3·10^5 customers.  There, on a 2-core x86_64
+# host, the c = 2 starts take ~10-14 ms against ~60 ms for a two-locals
+# loop over every customer.
+_LANE = 1 << 9
+_TILE = 32
 
 
 def _slot_blocks(first: int, end: int):
@@ -519,14 +527,29 @@ def _fifo_starts(arrivals, services, c):
     With c = 2 the free-at slots are two locals f1 <= f2, the heap of two
     spelt out: ``heapreplace`` pops the minimum f1 and pushes the new
     departure d = t + S_k, which leaves the pair {f2, d}, and one
-    comparison with f2 sorts it.  So the locals hold the heap's two values
-    after every customer, ties included, and the integer starts are the
-    heap's exactly.  With any other c the free-at slots sit in a heap.  The
-    loop walks blocks of ``_LOOP_BLOCK`` customers and carries the free-at
-    slots across them.
+    comparison with f2 sorts it.  So the pair after a customer is
+    (min(d, f2), max(d, f2)), ties included.  :func:`_fifo2_starts` runs
+    that step in two passes, after Greenberg, Lubachevsky and Mitrani's
+    parallel FIFO simulation (ACM TOCS, 1991) but exact in integers.  The
+    customers are cut into lanes of ``_LANE``, and :func:`_wavefront` runs
+    every full lane at once from an empty system, (f1, f2) = (0, 0).  A
+    repair then walks the lanes in order with the true carried pair, but
+    only until the lane's first arrival that finds both servers free,
+    A_k >= f2.  The step is monotone in (f1, f2) and (0, 0) lies below any
+    carry, so the wavefront's pair stays below the true one: at customer k
+    both pairs are <= A_k, both runs start k at A_k, and after it they
+    differ only in the slot that k's departure pushed out, which the next
+    arrival, no earlier than A_k, drops in either run.  So from customer k
+    on the wavefront's starts are exact, and its end pair serves as the
+    carry.  A lane with no such arrival, the last partial lane among them,
+    is repaired to its end and carries its own pair.
+
+    With any other c the free-at slots sit in a heap, and a loop walks
+    blocks of ``_LOOP_BLOCK`` customers and carries them across.
     """
+    if c == 2:
+        return _fifo2_starts(arrivals, services)
     starts = np.empty(len(arrivals), dtype=np.int64)
-    f1 = f2 = 0
     free = [0] * c
     replace = heapq.heapreplace
     for lo in range(0, len(arrivals), _LOOP_BLOCK):
@@ -535,25 +558,79 @@ def _fifo_starts(arrivals, services, c):
         s_blk = services[lo:hi].tolist()
         st_blk: list[int] = []
         keep = st_blk.append
-        if c == 2:
-            for t, s in zip(a_blk, s_blk):
-                if t < f1:
-                    t = f1
-                keep(t)
-                d = t + s
-                if d <= f2:
-                    f1 = d
-                else:
-                    f1, f2 = f2, d
-        else:
-            for a, s in zip(a_blk, s_blk):
-                t = free[0]
-                if a > t:
-                    t = a
-                replace(free, t + s)
-                keep(t)
+        for a, s in zip(a_blk, s_blk):
+            t = free[0]
+            if a > t:
+                t = a
+            replace(free, t + s)
+            keep(t)
         starts[lo:hi] = st_blk
     return starts
+
+
+def _fifo2_starts(arrivals, services):
+    """FIFO-2 start slots: the wavefront over full lanes, then the repair
+    of each lane up to its first all-idle arrival; see :func:`_fifo_starts`."""
+    n = len(arrivals)
+    starts = np.empty(n, dtype=np.int64)
+    full = n - n % _LANE
+    ends = _wavefront(arrivals[:full], services[:full], starts[:full]) if full else None
+    f1 = f2 = 0
+    for lo in range(0, n, _LANE):
+        hi = min(lo + _LANE, n)
+        st_lane: list[int] = []
+        keep = st_lane.append
+        for t, s in _pairs(arrivals, services, lo, hi):
+            if t >= f2 and hi <= full:  # both servers free: the wavefront holds from here
+                f1, f2 = ends[lo // _LANE].tolist()
+                break
+            if t < f1:
+                t = f1
+            keep(t)
+            d = t + s
+            if d <= f2:
+                f1 = d
+            else:
+                f1, f2 = f2, d
+        starts[lo : lo + len(st_lane)] = st_lane
+    return starts
+
+
+def _pairs(arrivals, services, lo, hi):
+    """(A_k, S_k) for k in [lo, hi) as Python ints, read ``_TILE`` at a
+    time: a repair mostly stops within its first few customers."""
+    for k in range(lo, hi, _TILE):
+        k1 = min(k + _TILE, hi)
+        yield from zip(arrivals[k:k1].tolist(), services[k:k1].tolist())
+
+
+def _wavefront(arrivals, services, starts):
+    """Write the FIFO-2 starts of every lane of ``_LANE`` customers run
+    from an empty system, all lanes at once: one numpy step per lane
+    position, t = max(A, f1), d = t + S, (f1, f2) = (min(d, f2), max(d, f2))
+    over the lanes' pairs.  The columns go in and out through transposed
+    tiles of ``_TILE`` positions, three (tile, lanes) buffers, 3 * _TILE /
+    _LANE of the starts column; a whole-column transpose would hold three
+    more columns.  Returns the lanes' end pairs (f1, f2) as the rows of a
+    (lanes, 2) array."""
+    m = len(arrivals) // _LANE
+    pairs = np.zeros((2, m), dtype=np.int64)
+    f1, f2 = pairs
+    d = np.empty(m, dtype=np.int64)
+    a_tile, s_tile, t_tile = np.empty((3, min(_TILE, _LANE), m), dtype=np.int64)
+    lanes_a, lanes_s, lanes_t = (x.reshape(m, _LANE) for x in (arrivals, services, starts))
+    for j0 in range(0, _LANE, _TILE):
+        j1 = min(j0 + _TILE, _LANE)
+        w = j1 - j0
+        a_tile[:w] = lanes_a[:, j0:j1].T
+        s_tile[:w] = lanes_s[:, j0:j1].T
+        for a, s, t in zip(a_tile[:w], s_tile[:w], t_tile[:w]):
+            np.maximum(a, f1, out=t)
+            np.add(t, s, out=d)
+            np.minimum(d, f2, out=f1)
+            np.maximum(d, f2, out=f2)
+        lanes_t[:, j0:j1] = t_tile[:w].T
+    return pairs.T
 
 
 def _fifo_labels(trace, c, assignment, seed):
@@ -620,11 +697,12 @@ def run_discipline(
 
     FIFO with one server gets its departures from prefix sums and all-zero
     server labels.  With c > 1 servers the starts come at once from
-    :func:`_fifo_starts`, a Python loop over blocks of ``_LOOP_BLOCK``
-    customers, while the server labels are left to a
-    deferred :func:`_fifo_labels` replay of (c, policy, seed) that runs on
-    the first read of ``trace.servers``.  A "random" policy needs the seed
-    here all the same.
+    :func:`_fifo_starts`: with c = 2 a numpy wavefront over lanes of
+    customers and a short Python repair per lane, with more servers a heap
+    loop over blocks of ``_LOOP_BLOCK`` customers.  The server labels are
+    left to a deferred :func:`_fifo_labels` replay of (c, policy, seed)
+    that runs on the first read of ``trace.servers``.  A "random" policy
+    needs the seed here all the same.
     """
     arrivals = np.asarray(arrivals, dtype=np.int64)
     servers = deps = None

@@ -454,7 +454,8 @@ def engine_block(request, monkeypatch):
     """One block size of :mod:`dtq.engine` set for the test from its (name,
     size) parameter: ``_SLOT_BLOCK``, the slots, customers or file bytes of
     every blocked numpy pass, ``_LOOP_BLOCK``, the customers per block of
-    every Python loop over customers, or ``_CSV_CHUNK``, the rows per
+    every Python loop that walks all customers, ``_LANE``, the customers
+    per lane of the FIFO-2 wavefront, or ``_CSV_CHUNK``, the rows per
     trace-file write; returns the size.  Parametrize it through :func:`engine_blocks`."""
     name, size = request.param
     monkeypatch.setattr(engine_mod, name, size)

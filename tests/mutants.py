@@ -50,8 +50,8 @@ _MALFORMED = "tests/test_cli.py::TestVerify::test_malformed_value_names_its_key"
 _ARRIVALS_ONLY = "the finite-population loop only decides arrivals"
 _TABLE = "a bucket-table service sampler"
 _SLOT_WALK = "tests/test_engine.py::TestFinitePopulation::test_bit_identical_to_slot_walk"
-_TWO_LOCALS = "FIFO-2 starts on two locals, every customer loop on 2^12-item lists"
-_STARTS = "tests/test_engine.py::TestFifoStarts::test_oracle_starts_under_both_policies"
+_WAVEFRONT = "FIFO-2 starts as a wavefront over lanes, repaired up to each lane's first all-idle arrival"
+_LANES = "tests/test_engine.py::TestFifoStarts::test_two_server_lanes"
 _RECORDS = "records as NamedTuples, each check run by the record's __new__"
 _RAISES = "tests/test_records.py::test_validating_records_raise_their_message"
 _NO_SLOT_PATH = "no slot path in src: cycles checked against the conftest cycle oracle"
@@ -319,26 +319,74 @@ MUTANTS = (
     Mutant(
         "two-locals-wait-for-the-later",
         "src/dtq/engine.py",
-        "                if t < f1:\n                    t = f1\n",
-        "                if t < f2:\n                    t = f2\n",
-        f"{_STARTS}[2-4096]",
-        _TWO_LOCALS,
+        "            if t < f1:\n                t = f1\n",
+        "            if t < f2:\n                t = f2\n",
+        f"{_LANES}[lanes-32-7]",
+        _WAVEFRONT,
     ),
     Mutant(
         "two-locals-swap-dropped",
         "src/dtq/engine.py",
-        "                    f1, f2 = f2, d\n",
-        "                    f1 = d\n",
-        f"{_STARTS}[2-4096]",
-        _TWO_LOCALS,
+        "                f1, f2 = f2, d\n",
+        "                f1 = d\n",
+        f"{_LANES}[lanes-32-7]",
+        _WAVEFRONT,
     ),
     Mutant(
         "two-locals-reset-per-block",
         "src/dtq/engine.py",
-        "        keep = st_blk.append\n        if c == 2:\n",
-        "        keep = st_blk.append\n        f1 = f2 = 0\n        if c == 2:\n",
-        f"{_STARTS}[2-7]",
-        _TWO_LOCALS,
+        "        keep = st_lane.append\n",
+        "        keep = st_lane.append\n        f1 = f2 = 0\n",
+        f"{_LANES}[lanes-32-7]",
+        _WAVEFRONT,
+    ),
+    Mutant(
+        "wavefront-wait-for-the-later",
+        "src/dtq/engine.py",
+        "np.maximum(a, f1, out=t)",
+        "np.maximum(a, f2, out=t)",
+        f"{_LANES}[lanes-32-512]",
+        _WAVEFRONT,
+    ),
+    Mutant(
+        "wavefront-swap-dropped",
+        "src/dtq/engine.py",
+        "            np.minimum(d, f2, out=f1)\n            np.maximum(d, f2, out=f2)\n",
+        "            np.copyto(f1, d)\n",
+        f"{_LANES}[lanes-32-512]",
+        _WAVEFRONT,
+    ),
+    Mutant(
+        "wavefront-reset-per-tile",
+        "src/dtq/engine.py",
+        "        lanes_t[:, j0:j1] = t_tile[:w].T\n",
+        "        lanes_t[:, j0:j1] = t_tile[:w].T\n        f1[:] = f2[:] = 0\n",
+        f"{_LANES}[lanes-32-512]",
+        _WAVEFRONT,
+    ),
+    Mutant(
+        "wavefront-f1-max",
+        "src/dtq/engine.py",
+        "np.minimum(d, f2, out=f1)",
+        "np.maximum(d, f2, out=f1)",
+        f"{_LANES}[lanes-32-512]",
+        _WAVEFRONT,
+    ),
+    Mutant(
+        "repair-skipped",
+        "src/dtq/engine.py",
+        "if t >= f2 and hi <= full:",
+        "if hi <= full:",
+        f"{_LANES}[lanes-32-7]",
+        _WAVEFRONT,
+    ),
+    Mutant(
+        "wave-end-carried-after-full-repair",
+        "src/dtq/engine.py",
+        "        starts[lo : lo + len(st_lane)] = st_lane\n",
+        "        starts[lo : lo + len(st_lane)] = st_lane\n        if hi <= full:\n            f1, f2 = ends[lo // _LANE].tolist()\n",
+        f"{_LANES}[overloaded-32-512]",
+        _WAVEFRONT,
     ),
     _skipped_check(
         "dist-unchecked", "src/dtq/engine.py", "vals = self.values",

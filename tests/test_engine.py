@@ -419,8 +419,37 @@ def _tie_inputs():
         yield np.sort(rng.integers(0, 12, size=n)), rng.integers(1, 3, size=n)
 
 
+def _lane_inputs(case, lane):
+    """FIFO-2 inputs for lanes of ``lane`` customers, a list per case."""
+    rng = np.random.default_rng(53)
+    if case == "lanes":  # five lanes of 512 and a remainder at every lane length but 1
+        return [_multi_input(53, 5 * 512 + 103)]
+    if case == "overloaded":
+        # two arrivals a slot for services of 2-5 slots, a per-server load of
+        # 3.5: past the first customer no arrival finds both servers free
+        n = 3 * 512 + 5
+        return [(np.arange(2, n + 2) // 2, rng.integers(2, 6, size=n))]
+    if case == "ties":
+        return list(_tie_inputs())
+    if case == "short":
+        return [_multi_input(59, lane - 1)]
+    return [([], [])]
+
+
 class TestFifoStarts:
-    # c = 2 runs the two-local form, every other c the heap
+    # c = 2 runs the lanes' wavefront and repair, every other c the heap
+    @engine_blocks("_LANE", 1, 2, 3, 7, engine_mod._LANE)
+    @pytest.mark.parametrize("tile", [1, 3, engine_mod._TILE])
+    @pytest.mark.parametrize("case", ["lanes", "overloaded", "ties", "short", "empty"])
+    def test_two_server_lanes(self, engine_block, tile, case, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_TILE", tile)
+        for arrivals, services in _lane_inputs(case, engine_block):
+            arr = np.asarray(arrivals, dtype=np.int64)
+            svc = np.asarray(services, dtype=np.int64)
+            starts = engine_mod._fifo_starts(arr, svc, 2)
+            assert starts.dtype == np.int64
+            assert np.array_equal(starts, oracle_fifo_multi(arr, svc, 2, "lowest", None)[0]), (arrivals, services)
+
     @engine_blocks("_LOOP_BLOCK", 1, 2, 3, 7, 1 << 12)
     @pytest.mark.parametrize("c", [1, 2, 3, 5])
     def test_oracle_starts_under_both_policies(self, engine_block, c):
@@ -436,8 +465,10 @@ class TestFifoStarts:
     @pytest.mark.parametrize("c", [2, 3])
     def test_peak_is_the_starts_and_one_block(self, c):
         # the FIFO-2 input of the bench's verify-sequential at seed 4242,
-        # 299 657 customers: past the starts column the loop holds one
-        # block of Python lists (2^16-item blocks would hold ~6.8 MiB)
+        # 299 657 customers: past the starts column c = 2 holds the
+        # wavefront's three tiles (~0.4 MiB; a whole-column transpose would
+        # hold ~7 MiB) and c = 3 one block of the heap loop's Python lists
+        # (2^16-item blocks would hold ~6.8 MiB)
         arr = gen_arrivals(Bernoulli(0.6), 4242, 500_000)
         svc = sample_services(DiscreteDist.geometric(0.5), 4243, len(arr))
         peak = traced_peak_mb(engine_mod._fifo_starts, arr, svc, c)
