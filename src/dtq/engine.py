@@ -7,6 +7,7 @@ micro-time shifts applied on top (see :mod:`dtq.timebase`).
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from collections import deque
@@ -299,7 +300,8 @@ class Trace:
     derived on first read: :func:`run_discipline` passes FIFO with c > 1
     servers a deferred label replay, which nothing runs until
     ``trace.servers`` is read, because no arrival-departure quantity needs
-    them.  Validation applies to stored labels only.
+    them; in dtq only :func:`write_trace_csv` reads them.  Validation
+    applies to stored labels only.
 
     No function in dtq allocates an array of horizon length: slot passes
     run in blocks of ``_SLOT_BLOCK`` slots, and whole slot paths live only
@@ -408,16 +410,15 @@ _SLOT_BLOCK = 1 << 16
 # Python lists, ~36 bytes an item with its int object against 8 in an
 # array, so lists of 2^16 items cost more than the cache-sized numpy blocks
 # they come from.  On the bench's FIFO-2 input (3·10^5 customers, a 2.3 MiB
-# starts column) the c = 3 heap loop on 2^16-item lists held an 8.5 MiB
-# traced peak; on 2^12-item lists it holds 2.7 MiB.
+# label column) the server-label replay on 2^16-item lists holds a 10.3 MiB
+# traced peak; on 2^12-item lists it holds 2.8 MiB.
 _LOOP_BLOCK = 1 << 12
-# customers per lane of the FIFO-2 wavefront, and lane positions per
-# transposed tile of it, which are also the customers a lane's repair reads
-# at a time.  The wavefront costs one numpy step per lane position and the
+# customers per lane of the FIFO-c wavefront, and lane positions per tile
+# of it: per transposed block, per kept state and per coupling test of a
+# repair.  The wavefront costs one numpy step per lane position and the
 # repair a few Python steps per lane, so the lane balances the two near the
 # square root of the bench's 3·10^5 customers.  There, on a 2-core x86_64
-# host, the c = 2 starts take ~10-14 ms against ~60 ms for a two-locals
-# loop over every customer.
+# host, the c = 2 starts take ~6 ms against ~45 ms for a heap loop.
 _LANE = 1 << 9
 _TILE = 32
 
@@ -518,119 +519,124 @@ def _fifo_starts(arrivals, services, c):
     """Start slots for FIFO with c servers, arrivals nondecreasing.
 
     The Kiefer-Wolfowitz recursion (Kiefer and Wolfowitz, 1955) on the
-    servers' c free-at slots: customer k starts at max(A_k, the earliest
-    free-at slot), and that server is next free S_k slots later.  Which
-    server serves whom never enters it, so the starts are the same under
-    every assignment policy: a policy only chooses among servers free by
-    A_k, and every later arrival finds all of them free.
+    servers' sorted free-at slots f_0 <= ... <= f_{c-1}: customer k
+    starts at t = max(A_k, f_0), and its server is next free at
+    d = t + S_k.  Which server serves whom never enters it, so the starts
+    are the same under every assignment policy: a policy only chooses
+    among servers free by A_k, and every later arrival finds all of them
+    free.  The step pops f_0 and inserts d in order, ties included.
 
-    With c = 2 the free-at slots are two locals f1 <= f2, the heap of two
-    spelt out: ``heapreplace`` pops the minimum f1 and pushes the new
-    departure d = t + S_k, which leaves the pair {f2, d}, and one
-    comparison with f2 sorts it.  So the pair after a customer is
-    (min(d, f2), max(d, f2)), ties included.  :func:`_fifo2_starts` runs
-    that step in two passes, after Greenberg, Lubachevsky and Mitrani's
+    It runs in two passes, after Greenberg, Lubachevsky and Mitrani's
     parallel FIFO simulation (ACM TOCS, 1991) but exact in integers.  The
     customers are cut into lanes of ``_LANE``, and :func:`_wavefront` runs
-    every full lane at once from an empty system, (f1, f2) = (0, 0).  A
-    repair then walks the lanes in order with the true carried pair, but
-    only until the lane's first arrival that finds both servers free,
-    A_k >= f2.  The step is monotone in (f1, f2) and (0, 0) lies below any
-    carry, so the wavefront's pair stays below the true one: at customer k
-    both pairs are <= A_k, both runs start k at A_k, and after it they
-    differ only in the slot that k's departure pushed out, which the next
-    arrival, no earlier than A_k, drops in either run.  So from customer k
-    on the wavefront's starts are exact, and its end pair serves as the
-    carry.  A lane with no such arrival, the last partial lane among them,
-    is repaired to its end and carries its own pair.
-
-    With any other c the free-at slots sit in a heap, and a loop walks
-    blocks of ``_LOOP_BLOCK`` customers and carries them across.
+    every full lane at once from an empty system, keeping each lane's
+    state G at the start of every tile of ``_TILE`` customers.  A repair
+    then walks the lanes in order with the true carried state F and stops
+    a lane at customer k when (a) k lies in the lane's first tile and
+    A_k >= max F, all servers free, or (b) k starts a later tile and
+    max(F_i, A_k) = max(G_i, A_k) for every i.  The argument is a clamp.
+    The step is monotone in f, so G <= F.  And clamping commutes with it:
+    for an arrival A' >= A, step(max(f, A)) = max(step(f), A), with the
+    same start.  So states equal once clamped at A_k give the same starts
+    from customer k on, and end states equal once clamped at A_k: the
+    wavefront's starts are exact from k on, and its end state serves as
+    the carry for the next lane, which arrives no earlier.  Rule (a) is
+    the case F <= A_k; rule (b) needs only the servers where G and F
+    differ to be free.  A lane that stops by neither rule, the last
+    partial lane among them, is repaired to its end and carries F.
     """
-    if c == 2:
-        return _fifo2_starts(arrivals, services)
-    starts = np.empty(len(arrivals), dtype=np.int64)
-    free = [0] * c
-    replace = heapq.heapreplace
-    for lo in range(0, len(arrivals), _LOOP_BLOCK):
-        hi = lo + _LOOP_BLOCK
-        a_blk = arrivals[lo:hi].tolist()
-        s_blk = services[lo:hi].tolist()
-        st_blk: list[int] = []
-        keep = st_blk.append
-        for a, s in zip(a_blk, s_blk):
-            t = free[0]
-            if a > t:
-                t = a
-            replace(free, t + s)
-            keep(t)
-        starts[lo:hi] = st_blk
-    return starts
-
-
-def _fifo2_starts(arrivals, services):
-    """FIFO-2 start slots: the wavefront over full lanes, then the repair
-    of each lane up to its first all-idle arrival; see :func:`_fifo_starts`."""
     n = len(arrivals)
     starts = np.empty(n, dtype=np.int64)
     full = n - n % _LANE
-    ends = _wavefront(arrivals[:full], services[:full], starts[:full]) if full else None
-    f1 = f2 = 0
-    for lo in range(0, n, _LANE):
+    ends, snaps = _wavefront(arrivals[:full], services[:full], starts[:full], c) if full else (None, None)
+    free = [0] * c
+    for lane, lo in enumerate(range(0, n, _LANE)):
         hi = min(lo + _LANE, n)
         st_lane: list[int] = []
-        keep = st_lane.append
-        for t, s in _pairs(arrivals, services, lo, hi):
-            if t >= f2 and hi <= full:  # both servers free: the wavefront holds from here
-                f1, f2 = ends[lo // _LANE].tolist()
-                break
-            if t < f1:
-                t = f1
-            keep(t)
-            d = t + s
-            if d <= f2:
-                f1 = d
-            else:
-                f1, f2 = f2, d
+        stopped = _repair(arrivals, services, lo, hi, free, st_lane.append, snaps[:, :, lane] if hi <= full else None)
         starts[lo : lo + len(st_lane)] = st_lane
+        if stopped:  # the wavefront holds from the stop, and its end state is the carry
+            free = ends[lane].tolist()
     return starts
 
 
-def _pairs(arrivals, services, lo, hi):
-    """(A_k, S_k) for k in [lo, hi) as Python ints, read ``_TILE`` at a
-    time: a repair mostly stops within its first few customers."""
-    for k in range(lo, hi, _TILE):
-        k1 = min(k + _TILE, hi)
-        yield from zip(arrivals[k:k1].tolist(), services[k:k1].tolist())
+def _repair(arrivals, services, lo, hi, free, keep, snaps) -> bool:
+    """Run the step on customers [lo, hi) from the heap ``free``, in
+    place, handing each start to ``keep``, until a rule of
+    :func:`_fifo_starts` stops it, given the lane's (tiles, c) wavefront
+    states ``snaps`` (None: no stop); returns whether one did.  Rule (a)
+    tracks ``top``, the maximum of ``free``: the step pops f_0 and pushes
+    d > f_0, so max(top, d) stays the maximum.  Past the first tile, where
+    most repairs stop, the loop is the bare step."""
+    replace = heapq.heapreplace
+    top = max(free)
+    k = min(lo + _TILE, hi)
+    for a, s in zip(arrivals[lo:k].tolist(), services[lo:k].tolist()):
+        if a >= top and snaps is not None:  # (a)
+            return True
+        t = free[0]
+        if a > t:
+            t = a
+        keep(t)
+        d = t + s
+        replace(free, d)
+        if d > top:
+            top = d
+    a_rest, s_rest = arrivals[k:hi].tolist(), services[k:hi].tolist()
+    g_lane = None if snaps is None else snaps.tolist()
+    for j, i in enumerate(range(0, hi - k, _TILE), 1):
+        # (b): as G <= F, both clamp to A_k where F does, so they need
+        # only agree past it
+        f = sorted(free)
+        p = bisect.bisect_right(f, a_rest[i])
+        if g_lane is not None and f[p:] == g_lane[j][p:]:
+            return True
+        for a, s in zip(a_rest[i : i + _TILE], s_rest[i : i + _TILE]):
+            t = free[0]
+            if a > t:
+                t = a
+            keep(t)
+            replace(free, t + s)
+    return False
 
 
-def _wavefront(arrivals, services, starts):
-    """Write the FIFO-2 starts of every lane of ``_LANE`` customers run
+def _wavefront(arrivals, services, starts, c):
+    """Write the FIFO-c starts of every lane of ``_LANE`` customers run
     from an empty system, all lanes at once: one numpy step per lane
-    position, t = max(A, f1), d = t + S, (f1, f2) = (min(d, f2), max(d, f2))
-    over the lanes' pairs.  The columns go in and out through transposed
-    tiles of ``_TILE`` positions, three (tile, lanes) buffers, 3 * _TILE /
-    _LANE of the starts column; a whole-column transpose would hold three
-    more columns.  Returns the lanes' end pairs (f1, f2) as the rows of a
-    (lanes, 2) array."""
+    position on the sorted state held as c rows of lanes, t = max(A, f_0),
+    d = t + S, g_i = min(f_{i+1}, max(f_i, d)) for i < c - 1, where
+    g_0 = min(f_1, d), and g_{c-1} = max(f_{c-1}, d).  A row above every
+    slot stands for f_c, so c = 1 gives g_0 = d.  The columns go in and
+    out through transposed tiles of ``_TILE`` positions, three
+    (tile, lanes) buffers; a whole-column transpose would hold three more
+    columns.  Returns the lanes' end states, a (lanes, c) array, and their
+    states at the start of every tile, a (tiles, c, lanes) array."""
     m = len(arrivals) // _LANE
-    pairs = np.zeros((2, m), dtype=np.int64)
-    f1, f2 = pairs
+    rows = np.zeros((c + 1, m), dtype=np.int64)
+    rows[c] = np.iinfo(np.int64).max
+    free = rows[:c]
+    first, second, last = rows[0], rows[1], rows[c - 1]
+    middle = list(zip(rows[1 : c - 1], rows[2:c]))  # (f_i, f_{i+1}), 0 < i < c - 1
+    snaps = np.empty((-(-_LANE // _TILE), c, m), dtype=np.int64)
     d = np.empty(m, dtype=np.int64)
     a_tile, s_tile, t_tile = np.empty((3, min(_TILE, _LANE), m), dtype=np.int64)
     lanes_a, lanes_s, lanes_t = (x.reshape(m, _LANE) for x in (arrivals, services, starts))
-    for j0 in range(0, _LANE, _TILE):
+    for j, j0 in enumerate(range(0, _LANE, _TILE)):
+        snaps[j] = free
         j1 = min(j0 + _TILE, _LANE)
         w = j1 - j0
         a_tile[:w] = lanes_a[:, j0:j1].T
         s_tile[:w] = lanes_s[:, j0:j1].T
         for a, s, t in zip(a_tile[:w], s_tile[:w], t_tile[:w]):
-            np.maximum(a, f1, out=t)
+            np.maximum(a, first, out=t)
             np.add(t, s, out=d)
-            np.minimum(d, f2, out=f1)
-            np.maximum(d, f2, out=f2)
+            np.minimum(d, second, out=first)
+            for f, g in middle:
+                np.maximum(f, d, out=f)
+                np.minimum(f, g, out=f)
+            np.maximum(last, d, out=last)
         lanes_t[:, j0:j1] = t_tile[:w].T
-    return pairs.T
+    return free.T, snaps
 
 
 def _fifo_labels(trace, c, assignment, seed):
@@ -697,11 +703,11 @@ def run_discipline(
 
     FIFO with one server gets its departures from prefix sums and all-zero
     server labels.  With c > 1 servers the starts come at once from
-    :func:`_fifo_starts`: with c = 2 a numpy wavefront over lanes of
-    customers and a short Python repair per lane, with more servers a heap
-    loop over blocks of ``_LOOP_BLOCK`` customers.  The server labels are
-    left to a deferred :func:`_fifo_labels` replay of (c, policy, seed)
-    that runs on the first read of ``trace.servers``.  A "random" policy
+    :func:`_fifo_starts`, a numpy wavefront over lanes of customers and a
+    short Python repair per lane, the same code for every c.  The server
+    labels are left to a deferred :func:`_fifo_labels` replay of
+    (c, policy, seed) that runs on the first read of ``trace.servers``,
+    which only :func:`write_trace_csv` makes in dtq.  A "random" policy
     needs the seed here all the same.
     """
     arrivals = np.asarray(arrivals, dtype=np.int64)

@@ -336,22 +336,16 @@ def check_workload(trace: Trace, warmup: int | None = None) -> Rows:
 
 
 class UtilizationReport(NamedTuple):
-    per_server: np.ndarray
     total: float
 
 
 def utilization(trace: Trace) -> UtilizationReport:
-    """Fraction of slots each server spends busy, clipped to the horizon.
-
-    The trace's labels give the servers: 0 up to the largest label, and
-    one server when the trace has no customer."""
-    if trace.servers is None:
-        raise ValueError("trace carries no server assignment")
+    """Mean number of busy servers: the service spans clipped to the
+    horizon, summed as integers and divided by it.  Which server serves
+    whom never enters the sum, so no server label is read."""
     T = trace.horizon
     # one span array, clipped at T in place; a Trace has starts >= 0
     spans = np.minimum(trace.departures, T)
     spans -= trace.starts
     np.maximum(spans, 0, out=spans)
-    busy = np.bincount(trace.servers, weights=spans, minlength=1)
-    per = busy / T
-    return UtilizationReport(per, float(per.sum()))
+    return UtilizationReport(int(spans.sum()) / T)

@@ -50,8 +50,8 @@ _MALFORMED = "tests/test_cli.py::TestVerify::test_malformed_value_names_its_key"
 _ARRIVALS_ONLY = "the finite-population loop only decides arrivals"
 _TABLE = "a bucket-table service sampler"
 _SLOT_WALK = "tests/test_engine.py::TestFinitePopulation::test_bit_identical_to_slot_walk"
-_WAVEFRONT = "FIFO-2 starts as a wavefront over lanes, repaired up to each lane's first all-idle arrival"
-_LANES = "tests/test_engine.py::TestFifoStarts::test_two_server_lanes"
+_KERNEL = "one Kiefer-Wolfowitz starts kernel for every c >= 2, its lanes repaired up to a clamped coupling"
+_LANES = "tests/test_engine.py::TestFifoStarts::test_lanes"
 _RECORDS = "records as NamedTuples, each check run by the record's __new__"
 _RAISES = "tests/test_records.py::test_validating_records_raise_their_message"
 _NO_SLOT_PATH = "no slot path in src: cycles checked against the conftest cycle oracle"
@@ -317,76 +317,136 @@ MUTANTS = (
         _TABLE,
     ),
     Mutant(
-        "two-locals-wait-for-the-later",
+        "repair-waits-for-the-latest",
         "src/dtq/engine.py",
-        "            if t < f1:\n                t = f1\n",
-        "            if t < f2:\n                t = f2\n",
-        f"{_LANES}[lanes-32-7]",
-        _WAVEFRONT,
+        "        t = free[0]\n        if a > t:\n",
+        "        t = top\n        if a > t:\n",
+        f"{_LANES}[c2-lanes-32-7]",
+        _KERNEL,
     ),
     Mutant(
-        "two-locals-swap-dropped",
+        "bare-step-waits-for-the-latest",
         "src/dtq/engine.py",
-        "                f1, f2 = f2, d\n",
-        "                f1 = d\n",
-        f"{_LANES}[lanes-32-7]",
-        _WAVEFRONT,
+        "            t = free[0]\n",
+        "            t = max(free)\n",
+        f"{_LANES}[c2-overloaded-32-512]",
+        _KERNEL,
     ),
     Mutant(
-        "two-locals-reset-per-block",
+        "repair-push-unsorted",
         "src/dtq/engine.py",
-        "        keep = st_lane.append\n",
-        "        keep = st_lane.append\n        f1 = f2 = 0\n",
-        f"{_LANES}[lanes-32-7]",
-        _WAVEFRONT,
+        "        replace(free, d)\n",
+        "        free[0] = d\n",
+        f"{_LANES}[c2-lanes-32-7]",
+        _KERNEL,
     ),
     Mutant(
-        "wavefront-wait-for-the-later",
+        "repair-top-untracked",
         "src/dtq/engine.py",
-        "np.maximum(a, f1, out=t)",
-        "np.maximum(a, f2, out=t)",
-        f"{_LANES}[lanes-32-512]",
-        _WAVEFRONT,
+        "        if d > top:\n            top = d\n",
+        "",
+        f"{_LANES}[c2-lanes-32-512]",
+        _KERNEL,
     ),
     Mutant(
-        "wavefront-swap-dropped",
+        "repair-reset-per-lane",
         "src/dtq/engine.py",
-        "            np.minimum(d, f2, out=f1)\n            np.maximum(d, f2, out=f2)\n",
-        "            np.copyto(f1, d)\n",
-        f"{_LANES}[lanes-32-512]",
-        _WAVEFRONT,
+        "        st_lane: list[int] = []\n",
+        "        st_lane: list[int] = []\n        free = [0] * c\n",
+        f"{_LANES}[c2-lanes-32-7]",
+        _KERNEL,
+    ),
+    Mutant(
+        "wavefront-wait-for-the-latest",
+        "src/dtq/engine.py",
+        "np.maximum(a, first, out=t)",
+        "np.maximum(a, last, out=t)",
+        f"{_LANES}[c2-lanes-32-512]",
+        _KERNEL,
+    ),
+    Mutant(
+        "wavefront-insert-dropped",
+        "src/dtq/engine.py",
+        "            np.minimum(d, second, out=first)\n"
+        "            for f, g in middle:\n"
+        "                np.maximum(f, d, out=f)\n"
+        "                np.minimum(f, g, out=f)\n"
+        "            np.maximum(last, d, out=last)\n",
+        "            np.copyto(first, d)\n",
+        f"{_LANES}[c2-lanes-32-512]",
+        _KERNEL,
     ),
     Mutant(
         "wavefront-reset-per-tile",
         "src/dtq/engine.py",
         "        lanes_t[:, j0:j1] = t_tile[:w].T\n",
-        "        lanes_t[:, j0:j1] = t_tile[:w].T\n        f1[:] = f2[:] = 0\n",
-        f"{_LANES}[lanes-32-512]",
-        _WAVEFRONT,
+        "        lanes_t[:, j0:j1] = t_tile[:w].T\n        rows[:c] = 0\n",
+        f"{_LANES}[c2-lanes-32-512]",
+        _KERNEL,
     ),
     Mutant(
-        "wavefront-f1-max",
+        "wavefront-f0-max",
         "src/dtq/engine.py",
-        "np.minimum(d, f2, out=f1)",
-        "np.maximum(d, f2, out=f1)",
-        f"{_LANES}[lanes-32-512]",
-        _WAVEFRONT,
+        "np.minimum(d, second, out=first)",
+        "np.maximum(d, second, out=first)",
+        f"{_LANES}[c2-lanes-32-512]",
+        _KERNEL,
+    ),
+    Mutant(
+        "wavefront-middle-uncapped",
+        "src/dtq/engine.py",
+        "                np.minimum(f, g, out=f)\n",
+        "",
+        f"{_LANES}[c3-lanes-32-512]",
+        _KERNEL,
     ),
     Mutant(
         "repair-skipped",
         "src/dtq/engine.py",
-        "if t >= f2 and hi <= full:",
-        "if hi <= full:",
-        f"{_LANES}[lanes-32-7]",
-        _WAVEFRONT,
+        "if a >= top and snaps is not None:",
+        "if snaps is not None:",
+        f"{_LANES}[c2-lanes-32-7]",
+        _KERNEL,
     ),
     Mutant(
         "wave-end-carried-after-full-repair",
         "src/dtq/engine.py",
-        "        starts[lo : lo + len(st_lane)] = st_lane\n",
-        "        starts[lo : lo + len(st_lane)] = st_lane\n        if hi <= full:\n            f1, f2 = ends[lo // _LANE].tolist()\n",
-        f"{_LANES}[overloaded-32-512]",
-        _WAVEFRONT,
+        "        if stopped:",
+        "        if hi <= full:",
+        f"{_LANES}[c2-overloaded-32-512]",
+        _KERNEL,
+    ),
+    Mutant(
+        "repaired-state-carried-after-stop",
+        "src/dtq/engine.py",
+        "            free = ends[lane].tolist()\n",
+        "            pass\n",
+        f"{_LANES}[c3-busy-32-512]",
+        _KERNEL,
+    ),
+    Mutant(
+        "coupling-clamped-at-tile-end",
+        "src/dtq/engine.py",
+        "bisect.bisect_right(f, a_rest[i])",
+        "bisect.bisect_right(f, a_rest[min(i + _TILE, len(a_rest)) - 1])",
+        f"{_LANES}[c4-busy-32-512]",
+        _KERNEL,
+    ),
+    Mutant(
+        "coupling-snapshot-one-tile-late",
+        "src/dtq/engine.py",
+        "g_lane[j][p:]",
+        "g_lane[min(j + 1, len(g_lane) - 1)][p:]",
+        f"{_LANES}[c4-busy-3-512]",
+        _KERNEL,
+    ),
+    Mutant(
+        "coupling-unclamped",
+        "src/dtq/engine.py",
+        "f[p:] == g_lane[j][p:]",
+        "f == g_lane[j]",
+        "tests/test_engine.py::TestFifoStarts::test_busy_lanes_stop_by_coupling[c8-1]",
+        _KERNEL,
     ),
     _skipped_check(
         "dist-unchecked", "src/dtq/engine.py", "vals = self.values",

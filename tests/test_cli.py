@@ -739,7 +739,7 @@ class TestPathBuilds:
         "checks,extra,replays",
         [
             ("little, little-observed, busy", [], 0),
-            ("little, little-observed, busy, utilization", [], 1),
+            ("little, little-observed, busy, utilization", [], 0),
             ("little, little-observed, busy", ["--trace", "trace.csv"], 1),
         ],
         ids=["model-free", "utilization", "trace-out"],

@@ -1,4 +1,5 @@
 import configparser
+import heapq
 import itertools
 import math
 from dataclasses import FrozenInstanceError, fields
@@ -419,16 +420,18 @@ def _tie_inputs():
         yield np.sort(rng.integers(0, 12, size=n)), rng.integers(1, 3, size=n)
 
 
-def _lane_inputs(case, lane):
-    """FIFO-2 inputs for lanes of ``lane`` customers, a list per case."""
+def _lane_inputs(case, lane, c):
+    """FIFO-c inputs for lanes of ``lane`` customers, a list per case."""
     rng = np.random.default_rng(53)
     if case == "lanes":  # five lanes of 512 and a remainder at every lane length but 1
         return [_multi_input(53, 5 * 512 + 103)]
     if case == "overloaded":
-        # two arrivals a slot for services of 2-5 slots, a per-server load of
-        # 3.5: past the first customer no arrival finds both servers free
+        # c arrivals a slot for services of 2-5 slots, a per-server load of
+        # 3.5: past the first customer no arrival finds every server free
         n = 3 * 512 + 5
-        return [(np.arange(2, n + 2) // 2, rng.integers(2, 6, size=n))]
+        return [(np.arange(c, n + c) // c, rng.integers(2, 6, size=n))]
+    if case == "busy":  # customers wait, yet only the clamped coupling stops a repair
+        return [_busy_input(c, 0.2)]
     if case == "ties":
         return list(_tie_inputs())
     if case == "short":
@@ -436,19 +439,69 @@ def _lane_inputs(case, lane):
     return [([], [])]
 
 
+def _busy_input(c, tied):
+    """Arrivals a slot apart, or in the same slot with probability
+    ``tied``, for services of 2 to c slots: the customer before is always
+    in service or waiting, so no arrival but the first finds every server
+    free.  The per-server load is (c + 2) / (2c (1 - tied))."""
+    rng = np.random.default_rng(53)
+    n = 5 * 512 + 103
+    gaps = (rng.random(n) >= tied).astype(np.int64)
+    gaps[0] = 1
+    return np.cumsum(gaps), rng.integers(2, c + 1, size=n)
+
+
+@cache
+def _lane_cases(case, lane, c):
+    """(arrivals, services, oracle starts) per input of ``_lane_inputs``,
+    read-only: every lane and tile size shares them."""
+    out = []
+    for arrivals, services in _lane_inputs(case, lane if case == "short" else 0, c):
+        arr = np.array(arrivals, dtype=np.int64)
+        svc = np.array(services, dtype=np.int64)
+        case_arrays = (arr, svc, oracle_fifo_multi(arr, svc, c, "lowest", None)[0])
+        for x in case_arrays:
+            x.flags.writeable = False
+        out.append(case_arrays)
+    return out
+
+
 class TestFifoStarts:
-    # c = 2 runs the lanes' wavefront and repair, every other c the heap
+    # every c runs the lanes' wavefront and repair, c = 1 included, which
+    # run_discipline gives to prefix sums instead
     @engine_blocks("_LANE", 1, 2, 3, 7, engine_mod._LANE)
     @pytest.mark.parametrize("tile", [1, 3, engine_mod._TILE])
-    @pytest.mark.parametrize("case", ["lanes", "overloaded", "ties", "short", "empty"])
-    def test_two_server_lanes(self, engine_block, tile, case, monkeypatch):
+    @pytest.mark.parametrize("case", ["lanes", "overloaded", "busy", "ties", "short", "empty"])
+    @pytest.mark.parametrize("c", [2, 3, 4, 8, 16], ids=lambda c: f"c{c}")
+    def test_lanes(self, engine_block, tile, case, c, monkeypatch):
         monkeypatch.setattr(engine_mod, "_TILE", tile)
-        for arrivals, services in _lane_inputs(case, engine_block):
-            arr = np.asarray(arrivals, dtype=np.int64)
-            svc = np.asarray(services, dtype=np.int64)
-            starts = engine_mod._fifo_starts(arr, svc, 2)
+        for arr, svc, want in _lane_cases(case, engine_block, c):
+            starts = engine_mod._fifo_starts(arr, svc, c)
             assert starts.dtype == np.int64
-            assert np.array_equal(starts, oracle_fifo_multi(arr, svc, 2, "lowest", None)[0]), (arrivals, services)
+            assert np.array_equal(starts, want), (arr, svc)
+
+    @pytest.mark.parametrize("tile", [1, 3, engine_mod._TILE])
+    @pytest.mark.parametrize("c", [2, 3, 8, 16], ids=lambda c: f"c{c}")
+    def test_busy_lanes_stop_by_coupling(self, c, tile, monkeypatch):
+        # no arrival but the first finds every server free, so rule (a)
+        # stops lane 0 alone.  With one arrival a slot no customer waits
+        # either: at an arrival at most the c - 1 customers before are in
+        # service.  So from a lane's
+        # (c - 1)th customer on, F's busy slots are the lane's own
+        # departures, as G's are, and rule (b) stops the lane at the first
+        # tile start from there; the partial lane is repaired whole.  An
+        # unclamped comparison would also wait for the free servers' slots.
+        monkeypatch.setattr(engine_mod, "_TILE", tile)
+        arr, svc = _busy_input(c, 0.0)
+        want = oracle_fifo_multi(arr, svc, c, "lowest", None)[0]
+        assert np.all(arr[1:] < np.maximum.accumulate(want + svc)[:-1])
+        assert np.array_equal(want, arr)
+        steps = []
+        replace = heapq.heapreplace
+        monkeypatch.setattr(heapq, "heapreplace", lambda heap, d: steps.append(d) or replace(heap, d))
+        assert np.array_equal(engine_mod._fifo_starts(arr, svc, c), want)
+        per_lane = tile * max(1, -(-(c - 1) // tile))
+        assert len(steps) <= (len(arr) // engine_mod._LANE - 1) * per_lane + len(arr) % engine_mod._LANE
 
     @engine_blocks("_LOOP_BLOCK", 1, 2, 3, 7, 1 << 12)
     @pytest.mark.parametrize("c", [1, 2, 3, 5])
@@ -465,10 +518,10 @@ class TestFifoStarts:
     @pytest.mark.parametrize("c", [2, 3])
     def test_peak_is_the_starts_and_one_block(self, c):
         # the FIFO-2 input of the bench's verify-sequential at seed 4242,
-        # 299 657 customers: past the starts column c = 2 holds the
-        # wavefront's three tiles (~0.4 MiB; a whole-column transpose would
-        # hold ~7 MiB) and c = 3 one block of the heap loop's Python lists
-        # (2^16-item blocks would hold ~6.8 MiB)
+        # 299 657 customers: past the starts column the wavefront holds its
+        # three tiles (~0.4 MiB; a whole-column transpose would hold
+        # ~7 MiB), its c rows and its states at every tile start (~0.2 MiB
+        # at c = 3), and a repair one lane of Python lists
         arr = gen_arrivals(Bernoulli(0.6), 4242, 500_000)
         svc = sample_services(DiscreteDist.geometric(0.5), 4243, len(arr))
         peak = traced_peak_mb(engine_mod._fifo_starts, arr, svc, c)
@@ -500,7 +553,6 @@ class TestFifoLabels:
         tr = build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), Fifo(2, "random"), 4, 3_000)
         first = tr.servers
         assert tr.servers is first and tr.servers is first
-        utilization(tr)
         assert len(label_replays) == 1
 
     def test_single_server_labels_are_stored(self, label_replays):

@@ -469,7 +469,11 @@ class TestUtilization:
         tr = build_trace(Bernoulli(0.6), DiscreteDist.geometric(0.5), Fifo(2), 7, 300_000)
         rep = utilization(tr)
         assert rep.total == pytest.approx(1.2, rel=0.02)
-        assert len(rep.per_server) == 2
+        # each server carries a share, the split read from the labels
+        spans = np.minimum(tr.departures, tr.horizon) - tr.starts
+        per_server = np.bincount(tr.servers, weights=spans, minlength=2) / tr.horizon
+        assert len(per_server) == 2 and np.all(per_server > 0.5)
+        assert rep.total == pytest.approx(per_server.sum(), rel=1e-12)
 
     def test_single_server_matches_occupancy(self, bgeom1_trace):
         rep = utilization(bgeom1_trace)
@@ -481,17 +485,31 @@ class TestUtilization:
         tr = run_discipline([], [], Fifo(1), horizon=50)
         assert utilization(tr).total == 0.0
 
-    def test_matches_per_server_accumulation(self):
+    def test_matches_per_server_accumulation(self, label_replays):
         tr = build_trace(Bernoulli(0.8), DiscreteDist.geometric(0.35), Fifo(3), 11, 5_000)
         T = tr.horizon
         assert np.any(tr.departures > T)  # some spans are clipped at the horizon
+        rep = utilization(tr)
+        assert label_replays == []  # the total reads no server label
         busy = np.zeros(3)
         spans = np.maximum(0, np.minimum(tr.departures, T) - np.maximum(tr.starts, 0))
         np.add.at(busy, tr.servers, spans)
-        rep = utilization(tr)
-        assert rep.per_server.dtype == busy.dtype
-        assert np.array_equal(rep.per_server, busy / T)
-        assert rep.total == float((busy / T).sum())
+        assert rep.total == pytest.approx(float((busy / T).sum()), rel=1e-12)
+        assert rep.total == int(spans.sum()) / T
+
+    def test_single_server_total_is_the_busy_count_over_horizon(self, bgeom1_trace):
+        # one server: the span sum is the per-server busy count, so the
+        # total is bit-identical to its quotient
+        tr = bgeom1_trace
+        T = tr.horizon
+        spans = np.maximum(0, np.minimum(tr.departures, T) - tr.starts)
+        busy = np.bincount(tr.servers, weights=spans, minlength=1)
+        assert utilization(tr).total == float((busy / T).sum())
+
+    def test_unlabelled_trace(self):
+        tr = run_discipline([1, 2, 2], [3, 1, 4], InfiniteServer(), horizon=5)
+        assert tr.servers is None
+        assert utilization(tr).total == (3 + 1 + 3) / 5
 
     def test_random_assignment_same_total(self):
         arr = np.arange(1, 2_001) * 2

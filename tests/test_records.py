@@ -58,9 +58,7 @@ RECORDS = {
     "WorkloadMoments": (
         littles.WorkloadMoments, (1.0, 2.0, 0.5, 1.5, 0.75), "WorkloadMoments(ES=1.0, ES2=2.0, EWq=0.5, ESWq=1.5, EV=0.75)"
     ),
-    "UtilizationReport": (
-        littles.UtilizationReport, (_ARR, 0.5), "UtilizationReport(per_server=array([0, 1, 2]), total=0.5)"
-    ),
+    "UtilizationReport": (littles.UtilizationReport, (0.5,), "UtilizationReport(total=0.5)"),
     "QueueEstimates": (
         observer.QueueEstimates, (0.3, 2.0, 0.6, 3.0, 0.9, _ARR, _ARR, 100, 10, None, None, 7),
         "QueueEstimates(lam=0.3, W=2.0, L=0.6, W_obs=3.0, L_obs=0.9, pi=array([0, 1, 2]), "
