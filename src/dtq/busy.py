@@ -7,14 +7,19 @@ a following start) enter the averages.
 
 The boundaries come from the customers alone, with no path: customer k
 is counted at the slot indices A_k + 1 .. D_k, and in arrival order it
-opens a busy period exactly when A_k exceeds every earlier departure.
-:func:`detect_cycles` and :func:`empty_state_rates` read cycles and the
-empty-state rates off those openers in O(customers), and no function here
-allocates an array of horizon length; the slot-path forms of both live
-only in the test oracles of ``tests/conftest.py``.  A :class:`CycleStats`
-keeps only the cycle boundaries; the per-cycle lengths and counts are
-derived on access, and its means are telescoping integer sums over the
-boundaries.
+opens a busy period exactly when A_k exceeds every earlier departure, the
+running maximum of the departures, taken in blocks of customers.
+:func:`detect_cycles` reads the cycles off those openers, and
+:func:`empty_state_rates` the empty slots off the openers and period
+ends.  An arrival finds the system empty when it comes in its opener's
+slot; those arrivals are counted by spreading each opener's slot over its
+period's customers, again in blocks.  Both take O(customers).  No
+function here allocates an array of horizon length or of customer
+length: the memoized openers and period ends hold one entry per busy
+period.  The slot-path forms of both live only in the test oracles of
+``tests/conftest.py``.  A :class:`CycleStats` keeps only the cycle
+boundaries; the per-cycle lengths and counts are derived on access, and
+its means are telescoping integer sums over the boundaries.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import DiscreteDist, Trace
+from .engine import DiscreteDist, Trace, _slot_blocks
 
 __all__ = [
     "CycleStats",
@@ -104,17 +109,35 @@ def _busy_runs(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
 
     Customers are in arrival order; one opens a new busy period when it
     arrives after every earlier departure.  The first customer always
-    opens one.  Memoized on the trace as two read-only arrays.
+    opens one.  The running maximum of the departures is taken in blocks
+    of ``_SLOT_BLOCK`` customers into one reused buffer, carried across
+    block edges, so no customer-length array is built.  Memoized on the
+    trace as two read-only arrays.
     """
     runs = trace._memo.get("busy")
     if runs is None:
-        a = trace.arrivals
-        reach = np.maximum.accumulate(trace.departures)
-        opens = np.empty(len(a), dtype=bool)
-        opens[:1] = True
-        np.greater(a[1:], reach[:-1], out=opens[1:])
-        first = np.flatnonzero(opens)
-        runs = trace._memo["busy"] = (first, np.append(reach[first[1:] - 1], reach[-1:]))
+        a, d = trace.arrivals, trace.departures
+        firsts, lasts = [], []
+        reach = -1  # the latest departure before the block; every arrival is later
+        buf = before = opens = None
+        for i0, i1 in _slot_blocks(0, trace.n):
+            if buf is None:  # the first block is the longest
+                buf = np.empty(i1 - i0 + 1, dtype=np.int64)
+            before = buf[: i1 - i0 + 1]  # before[i]: the latest departure before customer i0 + i
+            before[0] = reach
+            before[1:] = d[i0:i1]
+            np.maximum.accumulate(before, out=before)
+            opens = np.flatnonzero(a[i0:i1] > before[:-1])
+            lasts.append(before[opens])  # the last slot of the period each opener follows
+            opens += i0
+            firsts.append(opens)
+            reach = int(before[-1])
+        del buf, before, opens  # let go of the last block before the concatenations
+        first = np.concatenate(firsts or [np.empty(0, dtype=np.int64)])
+        del firsts
+        # the first opener follows no period, and the last period ends at the last reach
+        lasts.append(np.array([reach]))
+        runs = trace._memo["busy"] = (first, np.concatenate(lasts)[1:])
         for arr in runs:
             arr.flags.writeable = False
     return runs
@@ -152,20 +175,33 @@ def empty_state_rates(trace: Trace) -> tuple[float, float, float]:
     the arrivals in slots <= T per slot, where an arrival in slot a finds
     the strict-left queue path's state at index a.  An arrival finds the
     system empty exactly when it arrives in the slot that opened its busy
-    period.
+    period.  Those are counted in blocks of ``_SLOT_BLOCK`` customers: each
+    opener's slot is spread over its busy period's customers in the block
+    and compared with their own slots.
     """
     T = trace.horizon
     a = trace.arrivals
     first, last = _busy_runs(trace)
-    opened = a[first]
-    empty = T - int(np.maximum(np.minimum(last, T) - opened, 0).sum())
+    arrived = int(np.searchsorted(a, T, side="right"))
+    # the periods opened by the horizon hold the slots opener + 1 ..
+    # min(last, T); their ends are nondecreasing, so those by T are a prefix
+    m = int(np.searchsorted(first, arrived))
+    p = int(np.searchsorted(last[:m], T, side="right"))
+    busy = int(last[:p].sum()) + T * (m - p)
+    found = 0
+    for i0, i1 in _slot_blocks(0, arrived):
+        r0 = int(np.searchsorted(first, i0, side="right")) - 1  # the period of customer i0
+        r1 = int(np.searchsorted(first, i1))  # periods r0..r1-1 meet the block
+        opened = a[first[r0:r1]]
+        busy -= int(opened[int(first[r0] < i0) :].sum())  # the periods opened in the block
+        held = np.diff(first[r0 + 1 : r1], prepend=i0, append=i1)  # each period's customers here
+        spread = np.repeat(opened, held)  # the opener's slot of each customer in the block
+        spread -= a[i0:i1]
+        found += i1 - i0 - int(np.count_nonzero(spread))
+        del opened, held, spread
+    empty = T - busy
     if empty == 0:
         raise ValueError("the system is never empty: no empty-state arrival rate")
-    arrived = int(np.searchsorted(a, T, side="right"))
-    # the customers arriving in an opener's slot are the opener and those
-    # after it up to the next later arrival, all of its busy period
-    m = np.searchsorted(opened, T, side="right")
-    found = int((np.searchsorted(a, opened[:m], side="right") - first[:m]).sum())
     return empty / T, found / empty, arrived / T
 
 

@@ -431,13 +431,16 @@ def _slot_blocks(first: int, end: int):
 
 
 def _counts(a: np.ndarray, d: np.ndarray, first: int, end: int, order=None):
-    """The one builder of the counting processes N_A(x) = #{A <= x} and
-    N_D(x) = #{D <= x}: a pair of int64 arrays per block [x0, x1) of
-    ``_slot_blocks(first, end)``, each at x = x0-1..x1 (a count at -1 is
-    0), of the sorted arrival slots ``a`` and the departure slots ``d``,
-    sorted or read in the order ``order`` sorts them.  Per block, the
-    events before it are the carry-in, found by ``searchsorted``, and the
-    events inside it add one cumulative ``bincount``."""
+    """The one builder of the per-slot event counts of the sorted arrival
+    slots ``a`` and the departure slots ``d``, sorted or read in the order
+    ``order`` sorts them: a pair of int64 arrays per block [x0, x1) of
+    ``_slot_blocks(first, end)``, each the number of events at
+    x = x0-1..x1, except that entry 0 also counts every event before
+    x0 - 1 (the carry-in, found by ``searchsorted``).  So the cumsum of a
+    column is its counting process, N_A(x) = #{A <= x} or N_D(x) =
+    #{D <= x}, at x = x0-1..x1 (a count at -1 is 0), and a caller takes
+    only the cumsums it needs.  The events inside a block add one
+    ``bincount``."""
     for x0, x1 in _slot_blocks(first, end):
         pair = []
         for events, sorter in ((a, None), (d, order)):
@@ -445,7 +448,7 @@ def _counts(a: np.ndarray, d: np.ndarray, first: int, end: int, order=None):
             inside = events[lo:hi] if sorter is None else events[sorter[lo:hi]]
             counts = np.bincount(inside - (x0 - 1), minlength=x1 - x0 + 2)
             counts[0] += lo
-            pair.append(np.cumsum(counts, out=counts))
+            pair.append(counts)
         yield pair
 
 
@@ -503,16 +506,16 @@ def sample_services(dist: DiscreteDist, seed: int, n: int) -> np.ndarray:
 
 
 def _fifo_single(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-    # D_k = max(A_k, D_{k-1}) + S_k, vectorized through prefix sums, in
-    # place on one array besides them
-    psum = np.cumsum(services)
-    deps = np.empty_like(psum)
-    deps[:1] = 0
-    deps[1:] = psum[:-1]
-    np.subtract(arrivals, deps, out=deps)
-    np.maximum.accumulate(deps, out=deps)
-    deps += psum
-    return deps
+    # start B_k = max(A_k, B_{k-1} + S_{k-1}) = P_k + max_{j <= k}(A_j - P_j)
+    # for the exclusive prefix sum P_k of the services: P in one array,
+    # the running maximum in place in the other, which is returned
+    psum = np.empty(len(arrivals), dtype=np.int64)
+    psum[:1] = 0
+    np.cumsum(services[:-1], out=psum[1:])
+    starts = np.subtract(arrivals, psum)
+    np.maximum.accumulate(starts, out=starts)
+    starts += psum
+    return starts
 
 
 def _fifo_starts(arrivals, services, c):
@@ -701,7 +704,7 @@ def run_discipline(
     in customer-index order.  For External the given departures are copied
     verbatim and the sojourn is recorded as the service requirement.
 
-    FIFO with one server gets its departures from prefix sums and all-zero
+    FIFO with one server gets its starts from prefix sums and all-zero
     server labels.  With c > 1 servers the starts come at once from
     :func:`_fifo_starts`, a numpy wavefront over lanes of customers and a
     short Python repair per lane, the same code for every c.  The server
@@ -711,7 +714,7 @@ def run_discipline(
     needs the seed here all the same.
     """
     arrivals = np.asarray(arrivals, dtype=np.int64)
-    servers = deps = None
+    servers = None
     if isinstance(disc, External):
         given = np.asarray(disc.departures, dtype=np.int64)
         if len(given) != len(arrivals):
@@ -728,8 +731,7 @@ def run_discipline(
             starts = arrivals.copy()
         elif isinstance(disc, Fifo):
             if disc.servers == 1:
-                deps = _fifo_single(arrivals, services)
-                starts = deps - services
+                starts = _fifo_single(arrivals, services)
                 servers = np.zeros(len(arrivals), dtype=np.int64)
             else:
                 if disc.assignment == "random" and seed is None:
@@ -740,8 +742,7 @@ def run_discipline(
                 )
         else:
             raise TypeError(f"unknown discipline {disc!r}")
-    if deps is None:
-        deps = starts + services
+    deps = starts + services
     if horizon is None:
         horizon = int(deps.max(initial=1))
     return Trace(arrivals, services, starts, deps, horizon, servers)
@@ -819,8 +820,8 @@ def simulate_finite_population(
     del blocks
     svc = np.concatenate(drawn)[: len(arr)]
     drawn.clear()
-    dep = _fifo_single(arr, svc)
-    return Trace(arr, svc, dep - svc, dep, horizon, np.zeros(len(arr), dtype=np.int64))
+    starts = _fifo_single(arr, svc)
+    return Trace(arr, svc, starts, starts + svc, horizon, np.zeros(len(arr), dtype=np.int64))
 
 
 def build_trace(

@@ -100,16 +100,16 @@ def _inequality_blocks(trace: Trace):
     the customers arrived by tau >= sum_{j <= tau} L(j) >= the waits of
     those departed by tau.
 
-    Each block of :func:`dtq.engine._counts`, read at x = x0-1..x1-1,
-    gives N_A and N_D, so the customers that arrive in the block are
-    N_A(x0-1)..N_A(x1-1) - 1 in arrival order, and those that depart in it
-    the same run of the departure order.  The outer sums are prefix sums
-    of those customers' waits, carried from block to block and read at
-    N_A(tau) and N_D(tau); the middle sum is the running sum of
-    L(j) = N_A(j-1) - N_D(j-1), carried the same way.  The one
-    customer-length temporary is the stable departure order, which reads
-    the departures sorted without a sorted copy, so the pass holds that
-    order and about three blocks of slots: 4.6 MB at the peak of
+    The cumsums of each block of :func:`dtq.engine._counts`, taken in
+    place at x = x0-1..x1-1, give N_A and N_D, so the customers that
+    arrive in the block are N_A(x0-1)..N_A(x1-1) - 1 in arrival order, and
+    those that depart in it the same run of the departure order.  The
+    outer sums are prefix sums of those customers' waits, carried from
+    block to block and read at N_A(tau) and N_D(tau); the middle sum is
+    the running sum of L(j) = N_A(j-1) - N_D(j-1), carried the same way.
+    The one customer-length temporary is the stable departure order, which
+    reads the departures sorted without a sorted copy, so the pass holds
+    that order and about three blocks of slots: 4.6 MB at the peak of
     :func:`basic_inequality_path` on the 3·10^5-customer reference trace.
     """
     a, d = trace.arrivals, trace.departures
@@ -117,6 +117,8 @@ def _inequality_blocks(trace: Trace):
     upper = middle = lower = 0  # the sums before the block
     for n_a, n_d in _counts(a, d, 0, trace.horizon + 1, order):
         n_a, n_d = n_a[:-1], n_d[:-1]  # x = x0-1..x1-1
+        np.cumsum(n_a, out=n_a)
+        np.cumsum(n_d, out=n_d)
         in_system = np.subtract(n_a[:-1], n_d[:-1])
         np.cumsum(in_system, out=in_system)
         in_system += middle
@@ -344,8 +346,14 @@ def utilization(trace: Trace) -> UtilizationReport:
     horizon, summed as integers and divided by it.  Which server serves
     whom never enters the sum, so no server label is read."""
     T = trace.horizon
-    # one span array, clipped at T in place; a Trace has starts >= 0
-    spans = np.minimum(trace.departures, T)
-    spans -= trace.starts
-    np.maximum(spans, 0, out=spans)
-    return UtilizationReport(int(spans.sum()) / T)
+    # the spans of a block of customers at a time, clipped at T in one
+    # reused buffer; a Trace has starts >= 0
+    busy, buf = 0, None
+    for i0, i1 in _slot_blocks(0, trace.n):
+        if buf is None:  # the first block is the longest
+            buf = np.empty(i1 - i0, dtype=np.int64)
+        spans = np.minimum(trace.departures[i0:i1], T, out=buf[: i1 - i0])
+        spans -= trace.starts[i0:i1]
+        np.maximum(spans, 0, out=spans)
+        busy += int(spans.sum())
+    return UtilizationReport(busy / T)

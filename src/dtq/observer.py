@@ -10,8 +10,10 @@ shifts, so every observed quantity is a function of the shift alone.
 Every queue path is a difference of the two counting processes of a
 trace: the path of shift (s0, e0) is N_A(j - s0) - N_D(j - e0 - 1), and
 the actual path is shift (1, 0) (strict-left) or (0, -1) (strict-right).
-Both come block by block from :func:`dtq.engine._counts`, the one
-builder of N_A and N_D, and nothing joins the blocks into a whole path:
+:func:`dtq.engine._counts`, the one builder of per-slot counts, yields
+the arrivals and departures per slot block by block, each block's carry
+in its first entry, so a cumsum gives N_A, N_D or their difference, and
+nothing joins the blocks into a whole path:
 no function in dtq allocates an array of horizon length, and slot paths
 live only in the test oracles of ``tests/conftest.py``.
 
@@ -21,20 +23,21 @@ mask.  Every time average here and every cost-rate law in
 :mod:`dtq.littles` reads it, memoized on the trace per warmup.
 
 :func:`time_averages` memoizes too, lazily.  The first call for a warmup
-makes one blocked pass over the window and sums one window per
+makes one blocked pass over the window and counts one window per
 coherence class: the two shifts of a class, (0, e0) and (1, e0 + 1), are
-one-slot lags of each other, so one window gives L and pi of both.  It
-keeps those five as integer totals and histograms carried from block to
-block.  W_obs needs no pass of its own: a completed customer arrives
-after the warmup, so A + s0 >= 1, and serves at least one slot, so it is
-seen at exactly W + k slots for the class offset k = e0 + 1 - s0, and
-W_obs is the window's integer sojourn total plus n * k, divided once by
-n.  The memo
-relies on traces being immutable: a Trace is frozen and its arrays must
-not be modified in place once averages are taken.  It holds scalars,
-state histograms and one read-only customer-length mask, never a
-slot-length array, and it hands out copies of the histograms, so callers
-cannot alter it.
+one-slot lags of each other, so one window gives L and pi of both.  One
+cumsum per block gives the in-system count, and the other two class
+windows are it plus or minus the departures of one slot.  Only the three
+integer histograms are carried from block to block; each window's total
+is sum n * h[n] of its histogram.  W_obs needs no pass of its own: a
+completed customer arrives after the warmup, so A + s0 >= 1, and serves
+at least one slot, so it is seen at exactly W + k slots for the class
+offset k = e0 + 1 - s0, and W_obs is the window's integer sojourn total
+plus n * k, divided once by n.  The memo relies on traces being
+immutable: a Trace is frozen and its arrays must not be modified in place
+once averages are taken.  It holds scalars, state histograms and one
+read-only customer-length mask, never a slot-length array, and it hands
+out copies of the histograms, so callers cannot alter it.
 """
 from __future__ import annotations
 
@@ -194,14 +197,21 @@ def _window_block(trace: Trace, warmup: int) -> dict:
     pass over the slots in blocks of ``_SLOT_BLOCK`` and one window per
     coherence class.
 
-    The window of shift (0, e0) is N_A(j) - N_D(j - e0 - 1); each block
-    of :func:`dtq.engine._counts` holds N_A and N_D one slot past both
-    ends, and the three class windows are slices of it.  Shift (1, e0 + 1) is
-    shift (0, e0) one slot later, so the window of (0, e0) over slots
-    warmup..T serves both: (0, e0) reads its last span entries and
-    (1, e0 + 1) its first; the head (slot warmup) and the tail (slot T)
-    are scalars.  Sums and histograms stay integer until the one division
-    by the span, so both equal a direct mean and bincount bit for bit.
+    The window of shift (0, e0) is N_A(j) - N_D(j - e0 - 1).  Each block
+    of :func:`dtq.engine._counts` holds the arrivals and departures per
+    slot, one slot past both ends, with the carry-in in entry 0, so one
+    cumsum of their difference is the in-system count
+    W0(j) = N_A(j) - N_D(j), and the other two class windows follow from
+    it and the departures dep(j) in slot j: N_A(j) - N_D(j - 1) =
+    W0(j) + dep(j) and N_A(j) - N_D(j + 1) = W0(j) - dep(j + 1), each
+    written into one reused block buffer.  Shift (1, e0 + 1) is shift
+    (0, e0) one slot later, so the window of (0, e0) over slots warmup..T
+    serves both: (0, e0) reads its last span entries and (1, e0 + 1) its
+    first; the head (slot warmup) and the tail (slot T) are scalars.  Only
+    the histograms are carried from block to block; each total is
+    sum n * h[n] of its histogram.  Both stay integer until the one
+    division by the span, so they equal a direct mean and bincount bit for
+    bit.
     """
     key = ("windows", warmup)
     block = trace._memo.get(key)
@@ -214,19 +224,28 @@ def _window_block(trace: Trace, warmup: int) -> dict:
     # each window's head, at slot warmup before the blocks, and its tail at slot T
     arrived = np.searchsorted(a, (warmup, T), "right")
     ends = {k: arrived - np.searchsorted(d, (warmup - k, T - k), "right") for k in lags}
-    totals = dict.fromkeys(lags, 0)
     hists = {k: np.zeros(int(ends[k][0]) + 1, dtype=np.int64) for k in lags}
-    for n_a, n_d in _counts(a, d, warmup + 1, T + 1):  # N_A(j) and N_D(j - k) at j = x0..x1-1
-        for k in lags:
-            window = n_a[1:-1] - n_d[1 - k : len(n_d) - 1 - k]
-            totals[k] += int(window.sum())
-            hist = np.bincount(window, minlength=len(hists[k]))
-            hist[: len(hists[k])] += hists[k]
-            hists[k] = hist
-        del n_a, n_d, window  # let go of this block before _counts builds the next
+
+    def count(k, window):
+        hist = np.bincount(window, minlength=len(hists[k]))
+        hist[: len(hists[k])] += hists[k]
+        hists[k] = hist
+
+    buf = None
+    for arr, dep in _counts(a, d, warmup + 1, T + 1):  # events at x = x0-1..x1
+        np.subtract(arr, dep, out=arr)
+        in_system = np.cumsum(arr, out=arr)[1:-1]  # W0(j) at j = x0..x1-1
+        if buf is None:  # the first block is the longest
+            buf = np.empty_like(in_system)
+        window = buf[: len(in_system)]
+        count(0, in_system)
+        count(1, np.add(in_system, dep[1:-1], out=window))
+        count(-1, np.subtract(in_system, dep[2:], out=window))
+        del arr, dep, in_system, window  # let go of this block before _counts builds the next
     block = {}
     for k in lags:
-        total, hist, (head, tail) = totals[k], hists[k], map(int, ends[k])
+        hist, (head, tail) = hists[k], map(int, ends[k])
+        total = int(hist @ np.arange(len(hist)))
         block[0, k - 1] = (total / span, np.trim_zeros(hist, "b") / span)
         if (1, k) in _SHIFTS:
             hist[head] += 1

@@ -56,6 +56,9 @@ _RECORDS = "records as NamedTuples, each check run by the record's __new__"
 _RAISES = "tests/test_records.py::test_validating_records_raise_their_message"
 _NO_SLOT_PATH = "no slot path in src: cycles checked against the conftest cycle oracle"
 _CYCLES = "tests/test_busy.py::TestCycleStats::test_random_small_traces"
+_ESTIMATORS = "the reference verify's estimators with one cumsum per slot block and no customer-length temporaries"
+_RUNS = "tests/test_busy.py::TestCustomerKernel::test_random_small_traces_across_customer_blocks"
+_WINDOWS = "tests/test_observer.py::TestTimeAveragesMemo::test_shared_windows_match_shift_paths"
 
 
 def _skipped_check(id: str, file: str, first_check: str, killer: str) -> Mutant:
@@ -237,8 +240,8 @@ MUTANTS = (
     Mutant(
         "utilization-unclipped-at-horizon",
         "src/dtq/littles.py",
-        "spans = np.minimum(trace.departures, T)",
-        "spans = trace.departures.copy()",
+        "spans = np.minimum(trace.departures[i0:i1], T, out=buf[: i1 - i0])",
+        "spans = np.add(trace.departures[i0:i1], 0, out=buf[: i1 - i0])",
         "tests/test_cli.py::TestGoldenBytes::test_verify_output_bytes[ref-42-json]",
         _REUSE,
     ),
@@ -485,18 +488,58 @@ MUTANTS = (
     Mutant(
         "busy-opener-on-tie",
         "src/dtq/busy.py",
-        "np.greater(a[1:], reach[:-1], out=opens[1:])",
-        "np.greater_equal(a[1:], reach[:-1], out=opens[1:])",
+        "opens = np.flatnonzero(a[i0:i1] > before[:-1])",
+        "opens = np.flatnonzero(a[i0:i1] >= before[:-1])",
         _CYCLES,
         _NO_SLOT_PATH,
     ),
     Mutant(
         "busy-clear-reads-next-opener",
         "src/dtq/busy.py",
-        "reach[first[1:] - 1]",
-        "reach[first[1:]]",
+        "lasts.append(before[opens])",
+        "lasts.append(before[opens + 1])",
         _CYCLES,
         _NO_SLOT_PATH,
+    ),
+    Mutant(
+        "busy-reach-reset-per-block",
+        "src/dtq/busy.py",
+        "before[0] = reach\n",
+        "before[0] = -1\n",
+        f"{_RUNS}[3]",
+        _ESTIMATORS,
+    ),
+    Mutant(
+        "empty-count-past-the-horizon",
+        "src/dtq/busy.py",
+        "for i0, i1 in _slot_blocks(0, arrived):",
+        "for i0, i1 in _slot_blocks(0, trace.n):",
+        f"{_RUNS}[7]",
+        _ESTIMATORS,
+    ),
+    Mutant(
+        "utilization-sum-reset-per-block",
+        "src/dtq/littles.py",
+        "busy += int(spans.sum())",
+        "busy = int(spans.sum())",
+        "tests/test_littles.py::TestUtilization::test_spans_summed_across_customer_blocks[1]",
+        _ESTIMATORS,
+    ),
+    Mutant(
+        "in-system-carry-dropped",
+        "src/dtq/observer.py",
+        "in_system = np.cumsum(arr, out=arr)[1:-1]",
+        "in_system = np.cumsum(arr[1:], out=arr[1:])[:-1]",
+        f"{_WINDOWS}[fifo3-departure-batches-3]",
+        _ESTIMATORS,
+    ),
+    Mutant(
+        "lead-window-reads-this-slot",
+        "src/dtq/observer.py",
+        "np.subtract(in_system, dep[2:], out=window)",
+        "np.subtract(in_system, dep[1:-1], out=window)",
+        f"{_WINDOWS}[fifo3-departure-batches-3]",
+        _ESTIMATORS,
     ),
 )
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    engine_blocks,
     observed_shift_path,
     oracle_cycles,
     oracle_queue_path,
@@ -14,6 +15,7 @@ from conftest import (
 from dtq.birthdeath import finite_population_profile, product_form
 from dtq.busy import (
     CycleMeans,
+    _busy_runs,
     cycle_means_from_rates,
     detect_cycles,
     empty_state_rates,
@@ -158,6 +160,11 @@ ORACLE_TRACES = {
     "batch-openers": lambda: build_trace(
         Explicit((1, 1, 1, 9, 9, 14, 14, 14)), DiscreteDist.point(2), Fifo(1), 0, 20
     ),
+    # tied arrival slots, busy periods of many customers, a batch at the horizon
+    "ties-across-blocks": lambda: build_trace(
+        Explicit((1, 1, 1, 1, 2, 2, 6, 6, 6, 6, 6, 6, 6, 15, 15, 30, 30, 30)),
+        DiscreteDist.point(2), Fifo(1), 0, 30,
+    ),
     "one-customer": lambda: run_discipline([3], [2], Fifo(1), horizon=10),
     "empty": lambda: run_discipline([], [], Fifo(1), horizon=9),
     "slot-zero-arrival": lambda: run_discipline([0, 4], [1, 1], Fifo(1), horizon=6),
@@ -165,8 +172,42 @@ ORACLE_TRACES = {
 }
 
 
+def _runs_by_walk(tr):
+    """The busy periods by a walk over the customers in arrival order: the
+    index of each one's first customer and its latest departure."""
+    first, last, reach = [], [], -1
+    for k, (a, d) in enumerate(zip(tr.arrivals.tolist(), tr.departures.tolist())):
+        if a > reach:
+            first.append(k)
+            last.append(d)
+        reach = max(reach, d)
+        if last:
+            last[-1] = reach
+    return first, last
+
+
 class TestCustomerKernel:
     """Cycles and empty-state rates from the customers, against the path oracles."""
+
+    # blocks of 1 and 2 customers run in the sweep below; the 10^4-slot
+    # traces here take ~1 s per size at those
+    @engine_blocks("_SLOT_BLOCK", 3, 7, 1 << 16)
+    @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
+    def test_oracle_traces_across_customer_blocks(self, engine_block, name):
+        tr = ORACLE_TRACES[name]()
+        first, last = _busy_runs(tr)
+        assert (first.tolist(), last.tolist()) == _runs_by_walk(tr)
+        assert first.dtype == last.dtype == np.int64
+        _assert_cycles_match_path(tr)
+        _assert_rates_match_path(tr)
+
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
+    def test_random_small_traces_across_customer_blocks(self, engine_block):
+        for tr in small_random_traces(20251022, 400):
+            first, last = _busy_runs(tr)
+            assert (first.tolist(), last.tolist()) == _runs_by_walk(tr)
+            _assert_cycles_match_path(tr)
+            _assert_rates_match_path(tr)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
     def test_rates_match_path_oracle(self, name):

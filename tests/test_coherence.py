@@ -229,6 +229,18 @@ class TestOffsetMemo:
             verify_on_trace(tr, R.EAS, E.RANDOM_OBSERVER)
         assert not any(k[0] == "offsets" for k in tr._memo)
 
+    def test_violation_lists_the_sorted_offset_set(self, monkeypatch):
+        from dtq import coherence
+
+        tr = self._trace()
+        # unsorted blocks, with values repeated within and across blocks
+        blocks = ([2, 5, 0, 5, 1], [7, 0, 2, 2], [-3], [5])
+        monkeypatch.setattr(
+            coherence, "_offset_blocks", lambda trace, s0, e0: (np.array(b) for b in blocks)
+        )
+        with pytest.raises(OffsetViolation, match=re.escape("offsets [-4, -1, 0, 1, 4, 6] for (EAS,")):
+            verify_on_trace(tr, R.EAS, E.RANDOM_OBSERVER)
+
     @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
     def test_histogram_is_the_bincount_of_the_offsets(self, engine_block):
         # arrivals at slot 0 make the clip at slot 1 bind: those traces fail

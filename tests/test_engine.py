@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from dtq import cli
 from dtq import engine as engine_mod
-from dtq.busy import detect_cycles
+from dtq.busy import detect_cycles, empty_state_rates
 from dtq.coherence import verify_on_trace
 from dtq.engine import (
     Bernoulli,
@@ -680,7 +680,9 @@ class TestSlotBlocks:
     @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
     @pytest.mark.parametrize("with_order", [False, True], ids=["sorted", "order"])
     def test_counts_are_searchsorted(self, engine_block, with_order):
-        # events at slot 0, ties, and past every end; N(-1) must read 0
+        # each column holds the events per slot with the carry-in in entry
+        # 0, so its cumsum is the counting process; events at slot 0, ties,
+        # and past every end; N(-1) must read 0
         rng = np.random.default_rng(23)
         a = np.sort(np.append(rng.integers(0, 40, size=29), 0))
         d = np.append(rng.integers(1, 50, size=29), 0)
@@ -694,7 +696,7 @@ class TestSlotBlocks:
                     x = np.arange(x0 - 1, x0 + len(n_a) - 1)  # x0-1..x1
                     for got, events in ((n_a, a), (n_d, np.sort(d))):
                         want = np.searchsorted(events, x, side="right")
-                        assert got.dtype == np.int64 and np.array_equal(got, want), (first, end, x0)
+                        assert got.dtype == np.int64 and np.array_equal(np.cumsum(got), want), (first, end, x0)
                     x0 += len(n_a) - 2
                 assert x0 == end, (first, end)
 
@@ -810,8 +812,9 @@ class TestFinitePopulation:
             simulate_finite_population(5, 0.05, DiscreteDist.geometric(0.5), 1, horizon)
 
     def test_peak_is_twice_the_four_columns(self):
-        # the arrivals and services, then the two prefix-sum columns of the
-        # FIFO kernel; the loop itself holds one slot block of arrivals
+        # the arrivals and services, then the FIFO kernel's prefix-sum and
+        # starts columns, and the departures once the prefix sum is gone;
+        # the loop itself holds one slot block of arrivals
         svc, T = DiscreteDist.geometric(0.5), 400_000
         n = simulate_finite_population(5, 0.1, svc, 42, T).n
         peak = traced_peak_mb(simulate_finite_population, 5, 0.1, svc, 42, T)
@@ -1190,8 +1193,10 @@ def test_offsets_hold_no_customer_length_array():
 
 def test_reference_checks_hold_no_per_cycle_arrays(tmp_path):
     # busy sets the peak over the eight checks: its memoized busy periods
-    # and the cycle boundaries beside the window's completed mask; with
-    # five eager per-cycle arrays in CycleStats it was 10.4 MB
+    # and the cycle boundaries beside the window's completed mask, 4.87 MB;
+    # the bound is that plus 10%.  With five eager per-cycle arrays in
+    # CycleStats it was 10.4 MB, and with a customer-length running
+    # maximum of the departures 6.7 MB
     path = tmp_path / "ref.ini"
     path.write_text(
         "[model]\narrival = bernoulli\nalpha = 0.3\nservice = geometric:0.5\n"
@@ -1205,4 +1210,15 @@ def test_reference_checks_hold_no_per_cycle_arrays(tmp_path):
             cli._run_check(name, exp, trace)
 
     assert len(exp.checks) == 8
-    assert traced_peak_mb(checks, reference_trace()) <= 9.5
+    assert traced_peak_mb(checks, reference_trace()) <= 5.36
+
+
+def test_empty_state_rates_hold_the_runs_and_two_customer_blocks():
+    # the busy periods are found a block of customers at a time, and the
+    # empty arrivals counted the same way.  The peak, 2.74 MB, comes when
+    # the second of the two memoized columns is joined from its per-block
+    # pieces; with a customer-length running maximum it was 5.3 MB
+    trace = reference_trace()
+    peak = traced_peak_mb(empty_state_rates, trace)
+    runs = sum(arr.nbytes for arr in trace._memo["busy"]) / 2**20
+    assert peak <= runs + 2 * engine_mod._SLOT_BLOCK * 8 / 2**20

@@ -497,6 +497,13 @@ class TestUtilization:
         assert rep.total == pytest.approx(float((busy / T).sum()), rel=1e-12)
         assert rep.total == int(spans.sum()) / T
 
+    @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
+    def test_spans_summed_across_customer_blocks(self, engine_block):
+        # spans clipped at the horizon, and starts past it, in every block
+        for tr in small_random_traces(20251022, 120):
+            spans = np.maximum(0, np.minimum(tr.departures, tr.horizon) - tr.starts)
+            assert utilization(tr).total == int(spans.sum()) / tr.horizon
+
     def test_single_server_total_is_the_busy_count_over_horizon(self, bgeom1_trace):
         # one server: the span sum is the per-server busy count, so the
         # total is bit-identical to its quotient

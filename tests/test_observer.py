@@ -23,6 +23,7 @@ from dtq.engine import (
     Bernoulli,
     convention_shift,
     DiscreteDist,
+    Explicit,
     External,
     Fifo,
     InfiniteServer,
@@ -358,6 +359,19 @@ WINDOW_TRACES = {
         [0, 2, 5, 9, 9], None, External((4, 12, 7, 10, 30)), horizon=10
     ),
     "one-slot-services": lambda: run_discipline([1, 5], [1, 1], Fifo(1), horizon=8),
+    # several departures in one slot, from infinite servers and from three FIFO servers
+    "infinite-server-departure-batch": lambda: run_discipline(
+        [1, 1, 2, 3, 4, 12], [8, 8, 7, 6, 5, 1], InfiniteServer(), horizon=16
+    ),
+    "fifo3-departure-batches": lambda: run_discipline(
+        [1] * 3 + [2] * 3 + [3] * 3 + [9] * 3, [2] * 12, Fifo(3), horizon=14
+    ),
+    # several arrivals in one slot, from explicit input
+    "explicit-arrival-batches": lambda: build_trace(
+        Explicit((2, 2, 2, 2, 5, 5, 11, 11, 11)), DiscreteDist.point(3), Fifo(1), 0, 20
+    ),
+    # long idle gaps: at the small block sizes whole blocks hold no event
+    "empty-blocks": lambda: run_discipline([2, 3, 30], [1, 2, 4], Fifo(1), horizon=45),
 }
 
 
@@ -365,6 +379,7 @@ class TestTimeAveragesMemo:
     @engine_blocks("_SLOT_BLOCK", 1, 2, 3, 7, 1 << 16)
     @pytest.mark.parametrize("name", sorted(WINDOW_TRACES))
     def test_shared_windows_match_shift_paths(self, name, engine_block):
+        # every warmup, so windows from slot 0 and from slot T - 1 too
         tr = WINDOW_TRACES[name]()
         _assert_windows_match_shift_paths(tr, *range(tr.horizon))
 
